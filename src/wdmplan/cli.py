@@ -287,10 +287,14 @@ def run_cell(payload: dict) -> dict:
                           json={"name": name, "architecture": cell.architecture,
                                 "status": UNKNOWN, "solver": solver_block},
                           error="solver gave up without a verdict")
-    except (ValueError, OSError) as exc:
-        result.update(status="error", error=str(exc),
+    except AssertionError:
+        raise  # a broken solver invariant must stay loud
+    except Exception as exc:  # one failing cell must not abort the grid
+        msg = str(exc) if isinstance(exc, (ValueError, OSError)) \
+            else f"{type(exc).__name__}: {exc}"
+        result.update(status="error", error=msg,
                       json={"name": name, "architecture": cell.architecture,
-                            "status": "error", "error": str(exc)})
+                            "status": "error", "error": msg})
     return result
 
 

@@ -123,9 +123,6 @@ class Model:
                 raise ModelError(f"constraint {name} references unknown {var}")
         self.constraints.append(Constraint(name, kind, dict(coeffs), sense, rhs))
 
-    def vars_of_kind(self, kind: str) -> list[Variable]:
-        return [v for v in self.variables.values() if v.kind == kind]
-
     def zero_solution(self) -> Solution:
         return Solution({name: Fraction(0) for name in self.variables})
 

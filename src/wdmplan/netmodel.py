@@ -269,17 +269,6 @@ class Instance:
             if stranded:
                 raise ValueError(f"demand endpoints not connected to the rest: {stranded}")
 
-    def demand_pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(d.pair for d in self.demands)
-
-    def demand_value(self, u: str, v: str) -> int:
-        if u > v:
-            u, v = v, u
-        for d in self.demands:
-            if d.pair == (u, v):
-                return d.value
-        return 0
-
     def total_demand(self) -> int:
         return sum(d.value for d in self.demands)
 

@@ -21,7 +21,11 @@ Three layers of machinery:
   paths, re-optimizes the per-pair speed mix, and re-routes whole demands.
   All tie-breaks are ordered; the seed only shuffles equal-value demands.
 
-Everything is exact `Fraction` arithmetic; no external solver is involved.
+Results are exact: bounds, objectives and reports are `Fraction`s. Inside,
+`DesignState` and the heuristic's marginal costs count in scaled integers,
+every catalog price times the LCM of the price denominators (see
+`ScaledPrices`), which compare and tie exactly as the `Fraction` prices do.
+No external solver is involved.
 """
 
 from __future__ import annotations
@@ -30,12 +34,12 @@ import heapq
 import random
 import time
 from dataclasses import dataclass
+from functools import cache, partial
 from fractions import Fraction
-from math import ceil
-from typing import Iterable
+from math import ceil, inf, lcm
 
-from .costcat import LambdaType, PhysicalNodeModule, VirtualNodeModule
-from .milp import BINARY, CONTINUOUS, INTEGER, Model, ModelError, Solution
+from .costcat import LambdaType
+from .milp import BINARY, CONTINUOUS, Model, ModelError, Solution
 from .netmodel import Instance, node_demand
 from .pathgen import PathCatalog, PhysPath
 
@@ -236,7 +240,7 @@ def route_flows(model: Model, pair_capacity: dict) -> dict[str, Fraction] | None
         for key, _origin, _sinks in model.commodities:
             coeffs[col[(key, i, j)]] = Fraction(1)
             coeffs[col[(key, j, i)]] = Fraction(1)
-        ub_rows.append((coeffs, cap))
+        ub_rows.append((coeffs, Fraction(cap)))
 
     point = _phase1_simplex(n, eq_rows, ub_rows)
     if point is None:
@@ -306,34 +310,55 @@ def _find_cycle(succ: dict) -> list | None:
 
 
 # --------------------------------------------------------------------------
-# module selection
-
-
-def cheapest_virtual_module(modules: Iterable[VirtualNodeModule], capacity,
-                            slot_units: int) -> VirtualNodeModule | None:
-    """Cheapest router covering a switching capacity and slot-unit load."""
-    best = None
-    for vm in modules:
-        if (vm.switching_capacity >= capacity
-                and vm.slot_capacity * LambdaType.SLOT_UNITS >= slot_units
-                and (best is None or vm.cost < best.cost)):
-            best = vm
-    return best
-
-
-def cheapest_physical_module(modules: Iterable[PhysicalNodeModule], fibers: int,
-                             drops: int) -> PhysicalNodeModule | None:
-    """Cheapest optical node covering a fiber count and add-drop load."""
-    best = None
-    for pm in modules:
-        if (pm.fiber_capacity >= fibers and pm.add_drop_ports >= drops
-                and (best is None or pm.cost < best.cost)):
-            best = pm
-    return best
-
-
-# --------------------------------------------------------------------------
 # design state: circuit placement with incrementally tracked derived costs
+
+
+class ScaledPrices:
+    """The cost catalog in integer units of 1/`scale`.
+
+    `scale` is the LCM of every price denominator, so each price times
+    `scale` is whole. Capacities, slot units, fiber counts and demands are
+    integers already, so sums and comparisons of scaled prices order exactly
+    as the `Fraction` prices do.
+    """
+
+    def __init__(self, cc):
+        prices = ([lt.cost for lt in cc.lambda_types] + list(cc.fiber_cost.values())
+                  + [vm.cost for vm in cc.virtual_modules]
+                  + [pm.cost for pm in cc.physical_modules])
+        self.scale = lcm(*(Fraction(c).denominator for c in prices))
+        self.circuit = {lt.speed: self.of(lt.cost) for lt in cc.lambda_types}
+        self.fiber = {eid: self.of(c) for eid, c in cc.fiber_cost.items()}
+        self.vmod = [self.of(vm.cost) for vm in cc.virtual_modules]
+        self.pmod = [self.of(pm.cost) for pm in cc.physical_modules]
+
+    def of(self, price) -> int:
+        return int(price * self.scale)
+
+    def exact(self, scaled: int) -> Fraction:
+        return Fraction(scaled, self.scale)
+
+
+# module selection; the scaled cost decides, the first of equals wins
+
+
+def _cheapest_vmod(modules, costs: list[int], capacity: int, units: int) -> tuple | None:
+    best = None
+    for midx, (vm, cost) in enumerate(zip(modules, costs)):
+        if (vm.switching_capacity >= capacity
+                and vm.slot_capacity * LambdaType.SLOT_UNITS >= units
+                and (best is None or cost < best[0])):
+            best = (cost, midx)
+    return best
+
+
+def _cheapest_pmod(modules, costs: list[int], fibers: int, drops: int) -> tuple | None:
+    best = None
+    for midx, (pm, cost) in enumerate(zip(modules, costs)):
+        if (pm.fiber_capacity >= fibers and pm.add_drop_ports >= drops
+                and (best is None or cost < best[0])):
+            best = (cost, midx)
+    return best
 
 
 class DesignState:
@@ -341,10 +366,11 @@ class DesignState:
 
     Fiber counts and node modules are derived, not chosen: fibers are the
     channel count rounded up, modules the cheapest sufficient catalog entry.
-    Their costs are maintained incrementally so branch-and-bound can bound in
-    O(path length) per step. `broken` holds nodes whose requirement exceeds
-    every catalog module; requirements grow monotonically with circuits, so
-    a broken node proves the whole subtree infeasible.
+    Their costs are maintained incrementally, as scaled integers (see
+    `ScaledPrices`), so branch-and-bound can bound in O(path length) per
+    step. `broken` holds nodes whose requirement exceeds every catalog
+    module; requirements grow monotonically with circuits, so a broken node
+    proves the whole subtree infeasible.
     """
 
     def __init__(self, model: Model):
@@ -352,37 +378,44 @@ class DesignState:
         self.instance = model.instance
         self.catalog = model.catalog
         self.cc = model.cost_catalog
+        self.prices = ScaledPrices(self.cc)
         self.lt = {lt.speed: lt for lt in self.cc.lambda_types}
+        self.lt_units = {lt.speed: lt.slot_units for lt in self.cc.lambda_types}
         self.y: dict[tuple[int, int], int] = {}        # (path id, speed) -> count
         self.channels: dict[str, int] = {}             # edge id -> circuits
-        self.pair_capacity: dict[tuple, Fraction] = {
-            pair: Fraction(0) for pair in self.catalog.pair_paths}
-        self.node_switch: dict[str, Fraction] = {}     # PoP -> terminating A' load
+        self.pair_capacity: dict[tuple, int] = {   # pair -> routing capacity
+            pair: 0 for pair in self.catalog.pair_paths}
+        self.node_switch: dict[str, int] = {}          # PoP -> terminating A' load
         self.node_slot_units: dict[str, int] = {}      # PoP -> slot units
         self.node_drops: dict[str, int] = {}           # node -> terminations
-        self.circuit_cost = Fraction(0)
-        self.fiber_cost = Fraction(0)
+        self.node_fiber_count: dict[str, int] = {}     # node -> incident fibers
+        self.circuit_cost = 0                          # scaled, like every cost here
+        self.fiber_cost = 0
         self.vmod: dict[str, tuple] = {}               # PoP -> (cost, module idx)
         self.pmod: dict[str, tuple] = {}               # node -> (cost, module idx)
-        self.vmod_total = Fraction(0)
-        self.pmod_total = Fraction(0)
+        self.vmod_total = 0
+        self.pmod_total = 0
         self.broken: set[str] = set()
-        self._vmemo: dict[tuple, tuple | None] = {}
-        self._pmemo: dict[tuple, tuple | None] = {}
+        # cheapest sufficient module per requirement: (scaled cost, index) or None
+        self._vmod_for = cache(partial(_cheapest_vmod, self.cc.virtual_modules,
+                                       self.prices.vmod))  # (capacity, slot units) ->
+        self._pmod_for = cache(partial(_cheapest_pmod, self.cc.physical_modules,
+                                       self.prices.pmod))  # (fibers, drops) ->
         self._d_i = node_demand(self.instance)
         for i in self.instance.pops:
             self._update_vmod(i)
 
     def clone(self) -> "DesignState":
         c = DesignState.__new__(DesignState)
-        c.model, c.instance, c.catalog, c.cc, c.lt = \
-            self.model, self.instance, self.catalog, self.cc, self.lt
+        c.model, c.instance, c.catalog, c.cc, c.prices, c.lt, c.lt_units = \
+            self.model, self.instance, self.catalog, self.cc, self.prices, self.lt, self.lt_units
         c.y = dict(self.y)
         c.channels = dict(self.channels)
         c.pair_capacity = dict(self.pair_capacity)
         c.node_switch = dict(self.node_switch)
         c.node_slot_units = dict(self.node_slot_units)
         c.node_drops = dict(self.node_drops)
+        c.node_fiber_count = dict(self.node_fiber_count)
         c.circuit_cost = self.circuit_cost
         c.fiber_cost = self.fiber_cost
         c.vmod = dict(self.vmod)
@@ -390,38 +423,13 @@ class DesignState:
         c.vmod_total = self.vmod_total
         c.pmod_total = self.pmod_total
         c.broken = set(self.broken)
-        c._vmemo = self._vmemo  # memoization is shared, content is state-free
-        c._pmemo = self._pmemo
+        c._vmod_for = self._vmod_for  # memoization is shared, content is state-free
+        c._pmod_for = self._pmod_for
         c._d_i = self._d_i
         return c
 
-    # module requirement lookups, memoized on the requirement itself
-
-    def _vmod_for(self, capacity: Fraction, units: int) -> tuple | None:
-        key = (capacity, units)
-        if key not in self._vmemo:
-            best = None
-            for midx, vm in enumerate(self.cc.virtual_modules):
-                if (vm.switching_capacity >= capacity
-                        and vm.slot_capacity * LambdaType.SLOT_UNITS >= units
-                        and (best is None or vm.cost < best[0])):
-                    best = (vm.cost, midx)
-            self._vmemo[key] = best
-        return self._vmemo[key]
-
-    def _pmod_for(self, fibers: int, drops: int) -> tuple | None:
-        key = (fibers, drops)
-        if key not in self._pmemo:
-            best = None
-            for midx, pm in enumerate(self.cc.physical_modules):
-                if (pm.fiber_capacity >= fibers and pm.add_drop_ports >= drops
-                        and (best is None or pm.cost < best[0])):
-                    best = (pm.cost, midx)
-            self._pmemo[key] = best
-        return self._pmemo[key]
-
     def _update_vmod(self, node: str) -> None:
-        cap = self._d_i[node] + self.node_switch.get(node, Fraction(0))
+        cap = self._d_i[node] + self.node_switch.get(node, 0)
         units = self.node_slot_units.get(node, 0)
         old = self.vmod.get(node)
         if not cap and not units:
@@ -433,7 +441,7 @@ class DesignState:
                 self.broken.add(node)
             else:
                 self.broken.discard(node)
-        self.vmod_total += (new[0] if new else Fraction(0)) - (old[0] if old else Fraction(0))
+        self.vmod_total += (new[0] if new else 0) - (old[0] if old else 0)
         if new is None:
             self.vmod.pop(node, None)
         else:
@@ -452,18 +460,18 @@ class DesignState:
                 self.broken.add("o:" + node)
             else:
                 self.broken.discard("o:" + node)
-        self.pmod_total += (new[0] if new else Fraction(0)) - (old[0] if old else Fraction(0))
+        self.pmod_total += (new[0] if new else 0) - (old[0] if old else 0)
         if new is None:
             self.pmod.pop(node, None)
         else:
             self.pmod[node] = new
 
     def fibers(self, edge_id: str) -> int:
-        ch = self.channels.get(edge_id, 0)
-        return ceil(ch / self.instance.channels_per_fiber) if ch else 0
+        cpf = self.instance.channels_per_fiber
+        return (self.channels.get(edge_id, 0) + cpf - 1) // cpf
 
     def node_fibers(self, node: str) -> int:
-        return sum(self.fibers(e.id) for e in self.instance.graph.incident(node))
+        return self.node_fiber_count.get(node, 0)
 
     def add_circuits(self, pid: int, speed: int, count: int) -> None:
         """Add (or with negative `count`, remove) circuits on a path."""
@@ -478,7 +486,7 @@ class DesignState:
             self.y[(pid, speed)] = new_y
         else:
             self.y.pop((pid, speed), None)
-        self.circuit_cost += lt.cost * count
+        self.circuit_cost += self.prices.circuit[speed] * count
         touched_pmod = set(p.ends)
         for eid in p.edges:
             old_f = self.fibers(eid)
@@ -487,23 +495,23 @@ class DesignState:
                 del self.channels[eid]
             new_f = self.fibers(eid)
             if new_f != old_f:
-                self.fiber_cost += self.cc.fiber_cost[eid] * (new_f - old_f)
+                self.fiber_cost += self.prices.fiber[eid] * (new_f - old_f)
                 e = self.instance.graph.edge(eid)
-                touched_pmod.add(e.u)
-                touched_pmod.add(e.v)
+                for n in (e.u, e.v):
+                    self.node_fiber_count[n] = self.node_fiber_count.get(n, 0) + new_f - old_f
+                    touched_pmod.add(n)
         pair = tuple(sorted(p.ends))
         self.pair_capacity[pair] += lt.routing_capacity * count
         for n in p.ends:
-            self.node_switch[n] = self.node_switch.get(n, Fraction(0)) \
-                + lt.switching_capacity * count
-            self.node_slot_units[n] = self.node_slot_units.get(n, 0) + lt.slot_units * count
+            self.node_switch[n] = self.node_switch.get(n, 0) + lt.switching_capacity * count
+            self.node_slot_units[n] = self.node_slot_units.get(n, 0) + self.lt_units[speed] * count
             self.node_drops[n] = self.node_drops.get(n, 0) + count
             self._update_vmod(n)
         for n in touched_pmod:
             self._update_pmod(n)
 
-    def total_cost(self) -> Fraction | None:
-        """Circuit + fiber + module cost; None while any node is broken."""
+    def scaled_cost(self) -> int | None:
+        """`total_cost` in units of 1/`prices.scale`."""
         if self.broken:
             return None
         total = self.circuit_cost + self.fiber_cost + self.pmod_total
@@ -511,10 +519,16 @@ class DesignState:
             total += self.vmod_total
         return total
 
+    def total_cost(self) -> Fraction | None:
+        """Circuit + fiber + module cost; None while any node is broken."""
+        scaled = self.scaled_cost()
+        return None if scaled is None else self.prices.exact(scaled)
+
     def lower_bound(self, remaining_demand: Fraction, min_cost_per_gbps: Fraction) -> Fraction:
         lb = self.circuit_cost + self.fiber_cost + self.pmod_total
         if not self.model.transparent:
             lb += self.vmod_total
+        lb = self.prices.exact(lb)
         if remaining_demand > 0:
             lb += remaining_demand * min_cost_per_gbps
         return lb
@@ -690,17 +704,17 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
 # constructive heuristic with local search
 
 
-def _mix_options(demand: Fraction, lambda_types: list[LambdaType]) -> list[dict[int, int]]:
+def _mix_options(demand: int, lambda_types: list[LambdaType]) -> list[dict[int, int]]:
     """Candidate circuit-count mixes covering `demand` Gbps."""
     options = []
     for lt in lambda_types:
-        options.append({lt.speed: ceil(demand / lt.routing_capacity)})
+        options.append({lt.speed: -(-demand // lt.routing_capacity)})
     if len(lambda_types) == 2:
         lo, hi = lambda_types[0], lambda_types[-1]
         full = int(demand // hi.routing_capacity)
         for n_hi in range(full + 1):
             rest = demand - n_hi * hi.routing_capacity
-            opt = {hi.speed: n_hi, lo.speed: ceil(max(rest, Fraction(0)) / lo.routing_capacity)}
+            opt = {hi.speed: n_hi, lo.speed: -(-max(rest, 0) // lo.routing_capacity)}
             if opt not in options:
                 options.append(opt)
     return options
@@ -715,8 +729,8 @@ class _Heuristic:
         self.limits = limits
         self.rng = random.Random(seed)
         self.state = DesignState(model)
-        self.pair_flow: dict[tuple, Fraction] = {
-            pair: Fraction(0) for pair in self.cat.pair_paths}
+        self.pair_flow: dict[tuple, int] = {
+            pair: 0 for pair in self.cat.pair_paths}
         self.routes: dict[int, list[str]] = {}  # demand index -> PoP sequence
         self.demand_order: list[int] = []
         self.moves = 0
@@ -727,84 +741,123 @@ class _Heuristic:
             self.key_by_origin[origin] = key
             for sink in sinks:
                 self.key_by_pair[(origin, sink)] = key
+        self.lambda_types = list(self.cc.lambda_types)
+        # pair -> [(path, path id, edge terms)], so the marginal-cost kernel
+        # never looks an edge or a path id up
+        self._pair_paths: dict[tuple, list] = {
+            pair: [(p, self.cat.index(p), self._edge_terms(p)) for p in plist]
+            for pair, plist in self.cat.pair_paths.items()}
 
     # ---- marginal costs --------------------------------------------------
+    #
+    # In integer units of 1/`state.prices.scale` (see `ScaledPrices`), so they
+    # order and tie exactly as `Fraction` costs would.
 
-    def place_cost(self, path: PhysPath, mix: dict[int, int]) -> Fraction | None:
-        """Marginal cost of adding a circuit mix on a physical path."""
-        count = sum(mix.values())
-        if count == 0:
-            return Fraction(0)
+    def _edge_terms(self, path: PhysPath) -> tuple:
+        """(edge id, u, v, scaled fiber cost) for each edge of a path."""
+        graph, fiber = self.inst.graph, self.state.prices.fiber
+        return tuple((eid, graph.edge(eid).u, graph.edge(eid).v, fiber[eid])
+                     for eid in path.edges)
+
+    def _mix_base(self, ends: tuple[str, str], mix: dict[int, int]) -> int | None:
+        """Scaled circuit cost of a mix plus its router cost change at the
+        two ends (the part of the marginal cost every path of the pair
+        shares); None if an end router would outgrow every module."""
         st = self.state
-        cost = Fraction(0)
-        for speed, n in mix.items():
-            cost += st.lt[speed].cost * n
-        fiber_delta: dict[str, int] = {}
-        for eid in path.edges:
-            old = st.fibers(eid)
-            new = ceil((st.channels.get(eid, 0) + count) / self.inst.channels_per_fiber)
-            if new != old:
-                cost += self.cc.fiber_cost[eid] * (new - old)
-                fiber_delta[eid] = new - old
+        cost = sum(st.prices.circuit[s] * n for s, n in mix.items())
         sw = sum(st.lt[s].switching_capacity * n for s, n in mix.items())
-        units = sum(st.lt[s].slot_units * n for s, n in mix.items())
-        for node in path.ends:
-            cap = st._d_i[node] + st.node_switch.get(node, Fraction(0))
-            u = st.node_slot_units.get(node, 0)
-            after = st._vmod_for(cap + sw, u + units)
+        units = sum(st.lt_units[s] * n for s, n in mix.items())
+        for node in ends:
+            after = st._vmod_for(st._d_i[node] + st.node_switch.get(node, 0) + sw,
+                                 st.node_slot_units.get(node, 0) + units)
             if after is None:
                 return None
             if not self.model.transparent:
                 before = st.vmod.get(node)
-                cost += after[0] - (before[0] if before else Fraction(0))
-        for node in path.nodes:
-            extra_f = 0
-            for eid, delta in fiber_delta.items():
-                e = self.inst.graph.edge(eid)
-                if node in (e.u, e.v):
-                    extra_f += delta
-            extra_d = count if node in path.ends else 0
-            if not extra_f and not extra_d:
-                continue
-            after = st._pmod_for(st.node_fibers(node) + extra_f,
+                cost += after[0] - (before[0] if before else 0)
+        return cost
+
+    def place_cost(self, path: PhysPath, mix: dict[int, int]) -> int | None:
+        """Scaled marginal cost of adding a circuit mix on a physical path;
+        None if some node would outgrow every module."""
+        count = sum(mix.values())
+        if count == 0:
+            return 0
+        base = self._mix_base(path.ends, mix)
+        if base is None:
+            return None
+        return self._marginal(path.ends, self._edge_terms(path), count, base)
+
+    def _marginal(self, ends: tuple[str, str], edges: tuple, count: int, cost: int,
+                  cutoff: float = inf) -> int | None:
+        """`cost` plus the fiber and optical-module cost of `count` more
+        circuits along `edges`; None if a node breaks, or as soon as the
+        sum exceeds `cutoff` (every term is >= 0: a larger requirement never
+        gets a cheaper cheapest module)."""
+        st = self.state
+        cpf = self.inst.channels_per_fiber
+        extra_f = {ends[0]: 0, ends[1]: 0}  # node -> fibers added on incident edges
+        for eid, u, v, fiber_cost in edges:
+            ch = st.channels.get(eid, 0)
+            delta = (ch + count + cpf - 1) // cpf - (ch + cpf - 1) // cpf
+            if delta:
+                cost += fiber_cost * delta
+                if cost > cutoff:
+                    return None
+                extra_f[u] = extra_f.get(u, 0) + delta
+                extra_f[v] = extra_f.get(v, 0) + delta
+        for node, df in extra_f.items():
+            extra_d = count if node in ends else 0
+            after = st._pmod_for(st.node_fiber_count.get(node, 0) + df,
                                  st.node_drops.get(node, 0) + extra_d)
             if after is None:
                 return None
             before = st.pmod.get(node)
-            cost += after[0] - (before[0] if before else Fraction(0))
+            cost += after[0] - (before[0] if before else 0)
+            if cost > cutoff:
+                return None
         return cost
 
-    def best_placement(self, pair: tuple, need: Fraction):
+    def best_placement(self, pair: tuple, need: int):
         """Cheapest (path, mix) providing >= `need` extra Gbps on a pair."""
-        plist = self.cat.pair_paths.get(pair, ())
+        options = []
+        for mix in _mix_options(need, self.lambda_types):
+            base = self._mix_base(pair, mix)
+            if base is not None:
+                options.append((mix, sum(mix.values()), base))
         best = None
-        for p in plist:
-            for mix in _mix_options(need, list(self.cc.lambda_types)):
-                c = self.place_cost(p, mix)
+        cutoff = inf  # the best cost so far; a dearer candidate cannot win
+        # catalog paths run from the smaller end, so each path's ends are `pair`
+        for p, pid, edges in self._pair_paths.get(pair, ()):
+            for mix, count, base in options:
+                if base > cutoff:
+                    continue
+                c = self._marginal(pair, edges, count, base, cutoff)
                 if c is None:
                     continue
-                key = (c, p.length_km, self.cat.index(p))
+                key = (c, p.length_km, pid)
                 if best is None or key < best[0]:
                     best = (key, p, mix)
+                    cutoff = c
         if best is None:
             return None
         return best[0][0], best[1], best[2]
 
     # ---- construct ---------------------------------------------------------
 
-    def hop_cost(self, i: str, j: str, amount: Fraction) -> Fraction | None:
+    def hop_cost(self, i: str, j: str, amount: int) -> int | None:
         pair = (i, j) if i < j else (j, i)
         spare = self.state.pair_capacity[pair] - self.pair_flow[pair]
         need = amount - spare
         if need <= 0:
-            return Fraction(0)
+            return 0
         placed = self.best_placement(pair, need)
         return None if placed is None else placed[0]
 
-    def route_demand(self, u: str, v: str, amount: Fraction) -> list[str] | None:
+    def route_demand(self, u: str, v: str, amount: int) -> list[str] | None:
         """Cheapest virtual route by best-first search on marginal hop costs."""
         pops = sorted(self.inst.pops)
-        heap = [(Fraction(0), 0, (u,))]
+        heap = [(0, 0, (u,))]
         done = set()
         while heap:
             cost, hops, seq = heapq.heappop(heap)
@@ -823,7 +876,7 @@ class _Heuristic:
                 heapq.heappush(heap, (cost + hc, hops + 1, seq + (w,)))
         return None
 
-    def apply_route(self, seq: list[str], amount: Fraction) -> bool:
+    def apply_route(self, seq: list[str], amount: int) -> bool:
         for i, j in zip(seq, seq[1:]):
             pair = (i, j) if i < j else (j, i)
             spare = self.state.pair_capacity[pair] - self.pair_flow[pair]
@@ -839,7 +892,7 @@ class _Heuristic:
             self.pair_flow[pair] += amount
         return True
 
-    def unroute(self, seq: list[str], amount: Fraction) -> None:
+    def unroute(self, seq: list[str], amount: int) -> None:
         for i, j in zip(seq, seq[1:]):
             pair = (i, j) if i < j else (j, i)
             self.pair_flow[pair] -= amount
@@ -854,8 +907,8 @@ class _Heuristic:
             self.rng.shuffle(block)  # seed affects only equal-value ordering
             order.extend(block)
         for idx, d in order:
-            seq = self.route_demand(d.u, d.v, Fraction(d.value))
-            if seq is None or not self.apply_route(seq, Fraction(d.value)):
+            seq = self.route_demand(d.u, d.v, d.value)
+            if seq is None or not self.apply_route(seq, d.value):
                 return False
             self.routes[idx] = seq
             self.demand_order.append(idx)
@@ -886,7 +939,7 @@ class _Heuristic:
                 continue
             p = self.cat.paths[pid]
             pair = tuple(sorted(p.ends))
-            before = self.state.total_cost()
+            before = self.state.scaled_cost()
             if before is None:
                 continue
             for q in self.cat.pair_paths[pair]:
@@ -895,7 +948,7 @@ class _Heuristic:
                     continue
                 self.state.add_circuits(pid, speed, -count)
                 self.state.add_circuits(qid, speed, count)
-                after = self.state.total_cost()
+                after = self.state.scaled_cost()
                 if after is not None and after < before:
                     improved = True
                     self.moves += 1
@@ -916,7 +969,7 @@ class _Heuristic:
                       if tuple(sorted(self.cat.paths[pid].ends)) == pair]
             if not placed or flow == 0:
                 continue
-            before = self.state.total_cost()
+            before = self.state.scaled_cost()
             if before is None:
                 continue
             saved = self.state.clone()
@@ -928,7 +981,7 @@ class _Heuristic:
                 for speed, n in mix.items():
                     if n:
                         self.state.add_circuits(self.cat.index(path), speed, n)
-                after = self.state.total_cost()
+                after = self.state.scaled_cost()
                 if after is not None and after < before:
                     improved = True
                     self.moves += 1
@@ -941,8 +994,8 @@ class _Heuristic:
         improved = False
         for idx in list(self.demand_order):
             d = self.inst.demands[idx]
-            amount = Fraction(d.value)
-            before = self.state.total_cost()
+            amount = d.value
+            before = self.state.scaled_cost()
             if before is None:
                 continue
             saved_state = self.state.clone()
@@ -952,7 +1005,7 @@ class _Heuristic:
             self.prune_idle()
             seq = self.route_demand(d.u, d.v, amount)
             ok = seq is not None and self.apply_route(seq, amount)
-            after = self.state.total_cost() if ok else None
+            after = self.state.scaled_cost() if ok else None
             if ok and after is not None and after < before:
                 self.routes[idx] = seq
                 improved = True
@@ -1039,8 +1092,7 @@ def transparent_lower_infeasible(model: Model) -> str | None:
     min_circuits: dict[str, int] = {}
     d_i = node_demand(inst)
     for d in inst.demands:
-        best = min(sum(mix.values()) for mix in _mix_options(Fraction(d.value),
-                                                             list(cc.lambda_types)))
+        best = min(sum(mix.values()) for mix in _mix_options(d.value, list(cc.lambda_types)))
         for n in d.pair:
             min_circuits[n] = min_circuits.get(n, 0) + best
     for n, circuits in sorted(min_circuits.items()):
@@ -1082,7 +1134,7 @@ def solve_heuristic(model: Model, instance: Instance | None = None,
         ok = True
         for d in model.instance.demands:
             h.pair_flow[d.pair] += d.value
-            placed = h.best_placement(d.pair, Fraction(d.value))
+            placed = h.best_placement(d.pair, d.value)
             if placed is None:
                 ok = False
                 break

@@ -153,6 +153,45 @@ def test_run_renders_infeasible_cells(tmp_path):
     assert comparison[1].split(",")[-1] == "n/a"
 
 
+def test_run_records_unexpected_solver_errors(tmp_path, monkeypatch, capsys):
+    import wdmplan.cli as cli
+
+    real = cli.solve_heuristic
+
+    def flaky(model, seed=0):
+        if not model.transparent and model.instance.total_demand() > 150:
+            raise RecursionError("maximum recursion depth exceeded")
+        return real(model, seed=seed)
+
+    monkeypatch.setattr(cli, "solve_heuristic", flaky)
+    cfg = {"instance": tri_file(tmp_path), "volumes": [100, 200], "speeds": [[10]],
+           "out": str(tmp_path / "res")}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(p)]) == 1
+    assert "RecursionError: maximum recursion" in capsys.readouterr().err
+    res = tmp_path / "res"
+    statuses = {}
+    for ln in (res / "summary.csv").read_text().splitlines()[1:]:
+        name, _arch, status = ln.split(",")[:3]
+        statuses[name] = status
+    assert len(statuses) == 4
+    assert statuses.pop("10G-MTX-0.2T-OPT") == "error"
+    assert set(statuses.values()) <= {"optimal", "feasible"}
+    doc = json.loads((res / "cells" / "10G-MTX-0.2T-OPT.json").read_text())
+    assert doc["status"] == "error"
+    assert doc["error"] == "RecursionError: maximum recursion depth exceeded"
+    for name in statuses:
+        assert (res / "cells" / f"{name}.json").is_file()
+
+    def broken(model, seed=0):
+        raise AssertionError("heuristic produced an infeasible design")
+
+    monkeypatch.setattr(cli, "solve_heuristic", broken)
+    with pytest.raises(AssertionError):
+        main(["run", "--config", str(p)])
+
+
 def test_sweep_csv(tmp_path):
     cfg = {"instance": tri_file(tmp_path), "volumes": [100], "speeds": [[10]],
            "transponder_scales": [1, 5], "out": str(tmp_path / "res")}

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,12 +10,13 @@ from conftest import (make_instance, random_midsize_instance,
                       random_tiny_instance, routable_instance,
                       triangle_instance)
 from wdmplan.costcat import build_cost_catalog
+from wdmplan.formats import read_instance
 from wdmplan.milp import (ModelError, build_model, build_transparent_variant,
                           evaluate_cost)
 from wdmplan.pathgen import build_catalog
-from wdmplan.solve import (Limits, check_feasibility, route_flows, solve_exact,
-                           solve_heuristic, transparent_lower_infeasible,
-                           trivial_bound)
+from wdmplan.solve import (Limits, _Heuristic, _mix_options, check_feasibility,
+                           route_flows, solve_exact, solve_heuristic,
+                           transparent_lower_infeasible, trivial_bound)
 
 pytest.importorskip("scipy.optimize")
 from enum_oracle import brute_force_optimum  # noqa: E402
@@ -207,3 +209,93 @@ def test_exact_node_budget_reports_unknown():
     m = build(inst)
     report = solve_exact(m, Limits(max_nodes=1))
     assert report.status in ("feasible", "unknown")
+
+
+# heuristic objective and local-search moves on the shipped toy6 instance,
+# recorded before the marginal-cost kernel moved to scaled integers
+TOY6_HEURISTIC = {
+    ("optimized", 0): (Fraction(30791, 50), 75),
+    ("optimized", 1): (Fraction(30791, 50), 75),
+    ("transparent-core", 0): (Fraction(33923, 125), 0),
+    ("transparent-core", 1): (Fraction(33923, 125), 0),
+}
+
+
+def test_heuristic_results_pinned_on_toy6():
+    data = Path(__file__).resolve().parents[1] / "data" / "toy6.txt"
+    inst = read_instance(data.read_text())
+    models = {"optimized": build(inst), "transparent-core": build_tra(inst)}
+    for (arch, seed), (objective, moves) in TOY6_HEURISTIC.items():
+        report = solve_heuristic(models[arch], seed=seed)
+        assert report.status == "feasible"
+        assert report.solution.objective == objective
+        assert report.iterations == moves
+
+
+def _assert_node_fibers(state, graph):
+    for n in graph.node_ids():
+        assert state.node_fibers(n) == sum(state.fibers(e.id) for e in graph.incident(n))
+
+
+def test_marginal_cost_kernel_matches_exact_totals():
+    """place_cost is the scaled total_cost difference of applying a mix (or
+    None exactly when the mix breaks a node), best_placement picks its
+    minimum, and incremental node fiber counts match a recount, over random
+    add/remove sequences and clones."""
+    rng = random.Random(2718)
+    outcomes = set()
+    for maker in (random_tiny_instance, random_midsize_instance):
+        for _ in range(5):
+            inst, full_cat = routable_instance(maker, rng)
+            cc = build_cost_catalog(inst)
+            speeds = [lt.speed for lt in cc.lambda_types]
+            for m in (build_model(inst, full_cat, cc),
+                      build_transparent_variant(inst, full_cat, cc)):
+                cat = m.catalog
+                h = _Heuristic(m, seed=0, limits=Limits())
+                earlier = []
+                for step in range(40):
+                    st = h.state
+                    _assert_node_fibers(st, inst.graph)
+                    path = rng.choice(cat.paths)
+                    hi = rng.choice((3, 3, 3, 60, 400))  # 400 can break a node
+                    mix = {s: rng.randint(0, hi) for s in speeds}
+                    before = st.total_cost()
+                    if before is not None:
+                        trial = st.clone()
+                        for speed, n in mix.items():
+                            trial.add_circuits(cat.index(path), speed, n)
+                        after = trial.total_cost()
+                        got = h.place_cost(path, mix)
+                        if got is None:
+                            assert after is None
+                        else:
+                            assert after is not None
+                            assert got == (after - before) * st.prices.scale
+                        outcomes.add(got is None)
+                        # best_placement prunes by cost; it must still pick
+                        # the (cost, length, path id) minimum of place_cost
+                        pair = rng.choice(sorted(cat.pair_paths))
+                        need = rng.randint(1, 300)
+                        keys = [(c, q.length_km, cat.index(q), mx)
+                                for q in cat.pair_paths[pair]
+                                for mx in _mix_options(need, list(cc.lambda_types))
+                                if (c := h.place_cost(q, mx)) is not None]
+                        placed = h.best_placement(pair, need)
+                        if not keys:
+                            assert placed is None
+                        else:
+                            c, _length, qid, mx = min(keys, key=lambda k: k[:3])
+                            assert placed == (c, cat.paths[qid], mx)
+                    if st.y and rng.random() < 0.4:
+                        (pid, speed), count = rng.choice(sorted(st.y.items()))
+                        st.add_circuits(pid, speed, -rng.randint(1, count))
+                    else:
+                        st.add_circuits(rng.randrange(len(cat.paths)),
+                                        rng.choice(speeds), rng.randint(1, 20))
+                    if step % 10 == 9:
+                        earlier.append(st)
+                        h.state = st.clone()
+                for st in earlier + [h.state]:
+                    _assert_node_fibers(st, inst.graph)
+    assert outcomes == {True, False}
