@@ -40,7 +40,7 @@ from .formats import read_instance, read_sndlib
 from .milp import build_model, build_transparent_variant, export_model
 from .netmodel import (MODE_OPTIMIZED, MODE_TRANSPARENT, Instance,
                        scale_demand_matrix, synth_matrix)
-from .pathgen import build_catalog, dump_paths
+from .pathgen import PathCatalog, build_catalog, dump_paths
 from .solve import FEASIBLE, INFEASIBLE, OPTIMAL, UNKNOWN, solve_exact, solve_heuristic
 
 SOLVERS = ("exact", "heuristic", "export-only")
@@ -200,11 +200,9 @@ def read_instance_file(path: str) -> Instance:
     return read_instance(Path(path).read_text())
 
 
-def scenario_grid(config: ScenarioConfig, architectures=None) -> list[CellSpec]:
-    base = read_instance_file(config.instance)
-    volumes = config.volumes
-    if not volumes:
-        volumes = (int(base.total_demand()),)
+def scenario_grid(config: ScenarioConfig, base: Instance,
+                  architectures=None) -> list[CellSpec]:
+    volumes = config.volumes or (int(base.total_demand()),)
     cells = []
     for volume in volumes:
         for speeds in config.speeds:
@@ -237,45 +235,48 @@ def build_cell_instance(base: Instance, config: ScenarioConfig, cell: CellSpec) 
         name=render_cell_name(cell))
 
 
+def build_and_solve(inst: Instance, cat: PathCatalog, solver: str, seed: int):
+    """The model of `inst.mode`'s architecture over `cat`, and the solver's
+    report (None for export-only): the stage `run_cell` and `solve` share."""
+    build = build_transparent_variant if inst.mode == MODE_TRANSPARENT else build_model
+    model = build(inst, cat, build_cost_catalog(inst))
+    if solver == "export-only":
+        return model, None
+    if solver == "exact":
+        return model, solve_exact(model)
+    return model, solve_heuristic(model, seed=seed)
+
+
 def run_cell(payload: dict) -> dict:
     """Solve one grid cell; pure function of the payload (worker-safe).
 
-    Returns name/status plus whatever the merge step needs: the cell JSON
-    document, an optional LP export text, and an error message.
+    The payload carries the config, the cell, and the grid's base instance
+    and path catalog, which every cell shares. Returns name/status plus
+    whatever the merge step needs: the cell JSON document, an optional LP
+    export text, and an error message.
     """
     config = payload["config"]
     cell = payload["cell"]
     name = render_cell_name(cell)
     result = {"name": name, "architecture": cell.architecture, "status": "error",
               "json": None, "lp": None, "error": None, "report": None}
+    head = {"name": name, "architecture": cell.architecture}
     try:
-        base = read_instance_file(config.instance)
-        inst = build_cell_instance(base, config, cell)
-        cc = build_cost_catalog(inst)
-        cat = build_catalog(inst)
-        if cell.architecture == MODE_TRANSPARENT:
-            model = build_transparent_variant(inst, cat, cc)
-        else:
-            model = build_model(inst, cat, cc)
-        if config.solver == "export-only":
+        inst = build_cell_instance(payload["base"], config, cell)
+        model, rep = build_and_solve(inst, payload["catalog"], config.solver, config.seed)
+        if rep is None:
             buf = io.StringIO()
             export_model(model, buf)
             result.update(status="exported", lp=buf.getvalue(),
-                          json={"name": name, "architecture": cell.architecture,
-                                "status": "exported",
+                          json={**head, "status": "exported",
                                 "variables": len(model.variables),
                                 "constraints": len(model.constraints)})
             return result
-        if config.solver == "exact":
-            rep = solve_exact(model)
-        else:
-            rep = solve_heuristic(model, seed=config.seed)
         solver_block = {"solver": config.solver, "status": rep.status,
                         "nodes": rep.nodes_explored, "iterations": rep.iterations}
         if rep.status == INFEASIBLE:
             result.update(status="not feasible",
-                          json={"name": name, "architecture": cell.architecture,
-                                "status": "not feasible", "solver": solver_block})
+                          json={**head, "status": "not feasible", "solver": solver_block})
         elif rep.status in (OPTIMAL, FEASIBLE):
             tr = metrics.report(model, rep.solution, name=name,
                                 status=rep.status)
@@ -284,8 +285,7 @@ def run_cell(payload: dict) -> dict:
             result.update(status=rep.status, json=doc, report=tr)
         else:
             result.update(status=UNKNOWN,
-                          json={"name": name, "architecture": cell.architecture,
-                                "status": UNKNOWN, "solver": solver_block},
+                          json={**head, "status": UNKNOWN, "solver": solver_block},
                           error="solver gave up without a verdict")
     except AssertionError:
         raise  # a broken solver invariant must stay loud
@@ -293,20 +293,30 @@ def run_cell(payload: dict) -> dict:
         msg = str(exc) if isinstance(exc, (ValueError, OSError)) \
             else f"{type(exc).__name__}: {exc}"
         result.update(status="error", error=msg,
-                      json={"name": name, "architecture": cell.architecture,
-                            "status": "error", "error": msg})
+                      json={**head, "status": "error", "error": msg})
     return result
 
 
-def _run_cells(config: ScenarioConfig, cells: list[CellSpec], jobs: int) -> list[dict]:
-    payloads = [{"config": config, "cell": cell} for cell in cells]
+def _solve_grid(config: ScenarioConfig, jobs: int, write_tables,
+                architectures=None) -> int:
+    """Solve every cell of the grid, write the cell reports and the tables
+    `write_tables(outdir, cells, results)` makes; the exit code.
+
+    The instance file is read and the path catalog built once per grid:
+    the catalog depends only on the graph, the PoPs, k and the reach.
+    """
+    base = read_instance_file(config.instance)
+    cells = scenario_grid(config, base, architectures)
+    cat = build_catalog(base)
+    payloads = [{"config": config, "cell": cell, "base": base, "catalog": cat}
+                for cell in cells]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_cell, payloads))
-    return [run_cell(p) for p in payloads]
+            results = list(pool.map(run_cell, payloads))
+    else:
+        results = [run_cell(p) for p in payloads]
 
-
-def _write_cells(outdir: Path, results: list[dict]) -> None:
+    outdir = Path(config.out)
     cells_dir = outdir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
     for res in results:
@@ -315,33 +325,33 @@ def _write_cells(outdir: Path, results: list[dict]) -> None:
             f.write("\n")
         if res["lp"] is not None:
             (cells_dir / f"{res['name']}.lp").write_text(res["lp"])
+    write_tables(outdir, cells, results)
+
+    failed = [r for r in results if r["error"] is not None]
+    for r in failed:
+        print(f"cell {r['name']}: {r['error']}", file=sys.stderr)
+    return 1 if failed else 0
 
 
-def _summary_rows(results: list[dict]) -> list[list[str]]:
-    rows = []
-    for res in results:
-        if res["report"] is not None:
-            rows.append(metrics.report_csv_row(res["report"]))
-        elif res["status"] == "not feasible":
-            rows.append(metrics.infeasible_csv_row(res["name"], res["architecture"]))
-        else:
-            pad = [""] * (len(metrics.REPORT_COLUMNS) - 3)
-            rows.append([res["name"], res["architecture"], res["status"]] + pad)
-    return rows
+def _cost_cells(res: dict | None) -> list[str]:
+    """Core, edge and total cost of a cell, or its status three times."""
+    if res is None:
+        return ["", "", ""]
+    tr = res["report"]
+    if tr is None:
+        return [res["status"]] * 3
+    return [metrics.fmt_cost(tr.core_cost), metrics.fmt_cost(tr.edge_cost),
+            metrics.fmt_cost(tr.total_cost)]
 
 
-def run_scenarios(config: ScenarioConfig, jobs: int = 1) -> int:
-    """Solve the whole grid and write cell reports plus the two tables."""
-    cells = scenario_grid(config)
-    results = _run_cells(config, cells, jobs)
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_cells(outdir, results)
-
+def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[dict]) -> None:
+    pad = [""] * (len(metrics.REPORT_COLUMNS) - 3)
     with open(outdir / "summary.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(metrics.REPORT_COLUMNS)
-        w.writerows(_summary_rows(results))
+        for res in results:
+            w.writerow(metrics.report_csv_row(res["report"]) if res["report"] is not None
+                       else [res["name"], res["architecture"], res["status"]] + pad)
 
     # architecture comparison, one row per scenario, as in the cost tables
     by_name = {res["name"]: res for res in results}
@@ -356,21 +366,6 @@ def run_scenarios(config: ScenarioConfig, jobs: int = 1) -> int:
                     "transparent_total", "optimized_core", "optimized_edge",
                     "optimized_total", "difference"])
         for key in scenario_keys:
-            row_cells = {}
-            for arch in ARCHITECTURES:
-                res = by_name.get(render_cell_name(
-                    dataclasses.replace(key, architecture=arch)))
-                if res is None:
-                    row_cells[arch] = ["", "", ""]
-                elif res["report"] is not None:
-                    tr = res["report"]
-                    row_cells[arch] = [metrics.fmt_cost(tr.core_cost),
-                                       metrics.fmt_cost(tr.edge_cost),
-                                       metrics.fmt_cost(tr.total_cost)]
-                elif res["status"] == "not feasible":
-                    row_cells[arch] = ["not feasible"] * 3
-                else:
-                    row_cells[arch] = [res["status"]] * 3
             t_res = by_name.get(render_cell_name(
                 dataclasses.replace(key, architecture=MODE_TRANSPARENT)))
             o_res = by_name.get(render_cell_name(key))
@@ -381,22 +376,10 @@ def run_scenarios(config: ScenarioConfig, jobs: int = 1) -> int:
             else:
                 diff = "n/a"
             scenario = render_cell_name(key).rsplit("-", 1)[0]
-            w.writerow([scenario] + row_cells[MODE_TRANSPARENT]
-                       + row_cells[MODE_OPTIMIZED] + [diff])
-
-    failed = [r for r in results if r["error"] is not None]
-    for r in failed:
-        print(f"cell {r['name']}: {r['error']}", file=sys.stderr)
-    return 1 if failed else 0
+            w.writerow([scenario] + _cost_cells(t_res) + _cost_cells(o_res) + [diff])
 
 
-def sweep_transponder(config: ScenarioConfig, jobs: int = 1) -> int:
-    """Re-optimize per transponder scale; optimized architecture only."""
-    cells = scenario_grid(config, architectures=(MODE_OPTIMIZED,))
-    results = _run_cells(config, cells, jobs)
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_cells(outdir, results)
+def _write_sweep_table(outdir: Path, cells: list[CellSpec], results: list[dict]) -> None:
     with open(outdir / "sweep.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["name", "scale", "core_cost", "edge_cost", "total_cost",
@@ -414,10 +397,16 @@ def sweep_transponder(config: ScenarioConfig, jobs: int = 1) -> int:
                                    str(tr.lambda_count), str(tr.ip_path_count)])
             else:
                 w.writerow(base + [res["status"]] + [""] * 7)
-    failed = [r for r in results if r["error"] is not None]
-    for r in failed:
-        print(f"cell {r['name']}: {r['error']}", file=sys.stderr)
-    return 1 if failed else 0
+
+
+def run_scenarios(config: ScenarioConfig, jobs: int = 1) -> int:
+    """Solve the whole grid and write cell reports plus the two tables."""
+    return _solve_grid(config, jobs, _write_run_tables)
+
+
+def sweep_transponder(config: ScenarioConfig, jobs: int = 1) -> int:
+    """Re-optimize per transponder scale; optimized architecture only."""
+    return _solve_grid(config, jobs, _write_sweep_table, (MODE_OPTIMIZED,))
 
 
 # ----------------------------------------------------------------------------
@@ -466,17 +455,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    inst = read_instance_file(args.instance)
-    if args.architecture != inst.mode:
-        inst = dataclasses.replace(inst, mode=args.architecture)
-    cc = build_cost_catalog(inst)
-    cat = build_catalog(inst)
-    if args.architecture == MODE_TRANSPARENT:
-        model = build_transparent_variant(inst, cat, cc)
-    else:
-        model = build_model(inst, cat, cc)
-    rep = solve_exact(model) if args.solver == "exact" \
-        else solve_heuristic(model, seed=args.seed)
+    inst = dataclasses.replace(read_instance_file(args.instance), mode=args.architecture)
+    model, rep = build_and_solve(inst, build_catalog(inst), args.solver, args.seed)
     if rep.status == INFEASIBLE:
         print("not feasible")
         return 1

@@ -24,6 +24,8 @@ from fractions import Fraction
 from math import ceil
 from typing import IO, Iterable
 
+from .netmodel import as_fraction
+
 # Circuit (transponder) unit costs and the gray short-reach interface costs,
 # per end.  A circuit needs one transponder and one SR plug at each end; for
 # 100G the SR plug is accounted in the router slot price instead.
@@ -63,15 +65,6 @@ MULTICHASSIS_COST = Fraction(50)
 SLOT_SURCHARGE_10G = Fraction(3)
 
 
-def _frac(value) -> Fraction:
-    """Exact rational from int/str/Fraction, or the decimal reading of a float."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(str(value))
-
-
 @dataclass(frozen=True)
 class LambdaType:
     """One wavelength circuit type.
@@ -106,7 +99,7 @@ def lambda_type(speed: int, transponder_scale=1) -> LambdaType:
     """
     if speed not in SUPPORTED_SPEEDS:
         raise ValueError(f"unknown circuit speed {speed!r}, supported: {SUPPORTED_SPEEDS}")
-    scale = _frac(transponder_scale)
+    scale = as_fraction(transponder_scale)
     if scale < 1:
         raise ValueError(f"transponder scale must be >= 1, got {transponder_scale}")
     if speed == 10:
@@ -204,7 +197,7 @@ def physical_modules() -> list[PhysicalNodeModule]:
 
 def amplifier_count(length_km) -> int:
     """Number of in-line amplifiers on a fiber of the given length."""
-    length = _frac(length_km)
+    length = as_fraction(length_km)
     return max(0, ceil(length / AMPLIFIER_SPACING_KM) - 1)
 
 
@@ -220,7 +213,7 @@ def fiber_link_cost(length_km) -> Fraction:
     Sum of amplifier, gain-equalizer and dispersion-compensation cost; the
     counts clamp to zero on short links.
     """
-    length = _frac(length_km)
+    length = as_fraction(length_km)
     if length <= 0:
         raise ValueError(f"link length must be positive, got {length_km}")
     return (amplifier_count(length) * AMPLIFIER_COST

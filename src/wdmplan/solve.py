@@ -565,7 +565,7 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
     lower cost), and in the transparent variant each pair needs exactly its
     own demand covered. Exhausting the search proves optimality or
     infeasibility; hitting the node limit returns `unknown` with the
-    incumbent and a trivial bound.
+    incumbent and the trivial bound.
     """
     limits = limits or Limits()
     t0 = time.perf_counter()
@@ -598,7 +598,7 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
                 if ub:
                     branch.append((pair, pid, lt.speed, ub))
 
-    min_cost_per_gbps = min(lt.cost / lt.routing_capacity for lt in cc.lambda_types)
+    per_gbps = min_cost_per_gbps(model)
 
     incumbent: Solution | None = None
     incumbent_cost: Fraction | None = None
@@ -676,7 +676,7 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
                 else:
                     assigned = sum(state.pair_capacity.values(), Fraction(0))
                     remaining = Fraction(total) - assigned
-                lb = state.lower_bound(remaining, min_cost_per_gbps)
+                lb = state.lower_bound(remaining, per_gbps)
                 if incumbent_cost is not None and lb >= incumbent_cost:
                     descend = False
                     prune_rest = True  # the bound is monotone in value
@@ -691,7 +691,7 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
     wall = time.perf_counter() - t0
 
     if limit_hit:
-        return SolveReport(UNKNOWN, incumbent, Fraction(0), nodes_explored=nodes,
+        return SolveReport(UNKNOWN, incumbent, trivial_bound(model), nodes_explored=nodes,
                            wall_time_s=wall)
     if incumbent is None:
         return SolveReport(INFEASIBLE, None, Fraction(0), nodes_explored=nodes,
@@ -1039,13 +1039,28 @@ class _Heuristic:
         return flows
 
 
+def min_cost_per_gbps(model: Model) -> Fraction:
+    """The cheapest circuit price per Gbps it routes."""
+    return min(lt.cost / lt.routing_capacity for lt in model.cost_catalog.lambda_types)
+
+
 def trivial_bound(model: Model) -> Fraction:
     """Cheapest-conceivable cost: every demand Gbps on one circuit hop."""
     total = model.instance.total_demand()
     if not total:
         return Fraction(0)
-    per_gbps = min(lt.cost / lt.routing_capacity for lt in model.cost_catalog.lambda_types)
-    return total * per_gbps
+    return total * min_cost_per_gbps(model)
+
+
+def _router_overload(model: Model) -> str | None:
+    """A proof that some PoP's demand exceeds the largest router, if one does."""
+    max_switch = max(vm.switching_capacity for vm in model.cost_catalog.virtual_modules)
+    d_i = node_demand(model.instance)
+    for n in sorted(model.instance.pops):
+        if d_i[n] > max_switch:
+            return (f"node {n} demand {d_i[n]} Gbps exceeds the largest "
+                    f"router capacity {max_switch}")
+    return None
 
 
 def capacity_infeasible(model: Model) -> str | None:
@@ -1061,7 +1076,6 @@ def capacity_infeasible(model: Model) -> str | None:
     inst = model.instance
     cc = model.cost_catalog
     max_drop = max(pm.add_drop_ports for pm in cc.physical_modules)
-    max_switch = max(vm.switching_capacity for vm in cc.virtual_modules)
     max_rate = max(lt.routing_capacity for lt in cc.lambda_types)
     d_i = node_demand(inst)
     for n in sorted(inst.pops):
@@ -1069,10 +1083,7 @@ def capacity_infeasible(model: Model) -> str | None:
         if circuits > max_drop:
             return (f"node {n} must terminate >= {circuits} circuits, "
                     f"above the largest add-drop capacity {max_drop}")
-        if d_i[n] > max_switch:
-            return (f"node {n} demand {d_i[n]} Gbps exceeds the largest "
-                    f"router capacity {max_switch}")
-    return None
+    return _router_overload(model)
 
 
 def transparent_lower_infeasible(model: Model) -> str | None:
@@ -1088,9 +1099,7 @@ def transparent_lower_infeasible(model: Model) -> str | None:
     inst = model.instance
     cc = model.cost_catalog
     max_drop = max(pm.add_drop_ports for pm in cc.physical_modules)
-    max_switch = max(vm.switching_capacity for vm in cc.virtual_modules)
     min_circuits: dict[str, int] = {}
-    d_i = node_demand(inst)
     for d in inst.demands:
         best = min(sum(mix.values()) for mix in _mix_options(d.value, list(cc.lambda_types)))
         for n in d.pair:
@@ -1099,11 +1108,7 @@ def transparent_lower_infeasible(model: Model) -> str | None:
         if circuits > max_drop:
             return (f"node {n} must terminate >= {circuits} circuits, "
                     f"above the largest add-drop capacity {max_drop}")
-    for n in sorted(inst.pops):
-        if d_i[n] > max_switch:
-            return (f"node {n} demand {d_i[n]} Gbps exceeds the largest "
-                    f"router capacity {max_switch}")
-    return None
+    return _router_overload(model)
 
 
 def solve_heuristic(model: Model, instance: Instance | None = None,

@@ -192,6 +192,33 @@ def test_run_records_unexpected_solver_errors(tmp_path, monkeypatch, capsys):
         main(["run", "--config", str(p)])
 
 
+def test_grid_reads_instance_and_builds_catalog_once(tmp_path, monkeypatch):
+    import wdmplan.cli as cli
+
+    calls = {"read_instance": 0, "build_catalog": 0}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counted("read_instance")
+    counted("build_catalog")
+    cfg = {"instance": tri_file(tmp_path), "volumes": [100, 200], "speeds": [[10]],
+           "transponder_scales": [1, 2]}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    for command, cells in (("run", 8), ("sweep", 4)):
+        calls.update(read_instance=0, build_catalog=0)
+        out = tmp_path / command
+        assert main([command, "--config", str(p), "--out", str(out)]) == 0
+        assert len(list((out / "cells").glob("*.json"))) == cells
+        assert calls == {"read_instance": 1, "build_catalog": 1}, command
+
+
 def test_sweep_csv(tmp_path):
     cfg = {"instance": tri_file(tmp_path), "volumes": [100], "speeds": [[10]],
            "transponder_scales": [1, 5], "out": str(tmp_path / "res")}

@@ -209,6 +209,14 @@ def test_exact_node_budget_reports_unknown():
     m = build(inst)
     report = solve_exact(m, Limits(max_nodes=1))
     assert report.status in ("feasible", "unknown")
+    # a capped search still reports a valid, nonzero lower bound
+    toy6 = read_instance((Path(__file__).resolve().parents[1] / "data" / "toy6.txt")
+                         .read_text())
+    for model, cap in ((m, 1), (build(toy6), 300)):
+        report = solve_exact(model, Limits(max_nodes=cap))
+        assert report.status == "unknown"
+        assert report.bound == trivial_bound(model)
+        assert 0 < report.bound <= report.solution.objective
 
 
 # heuristic objective and local-search moves on the shipped toy6 instance,
