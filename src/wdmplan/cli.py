@@ -35,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import metrics
-from .costcat import build_cost_catalog, dump_catalog_csv
+from .costcat import CostCatalog, build_cost_catalog, dump_catalog_csv
 from .formats import read_instance, read_sndlib
 from .milp import build_model, build_transparent_variant, export_model
 from .netmodel import (MODE_OPTIMIZED, MODE_TRANSPARENT, Instance,
@@ -112,6 +112,11 @@ class ScenarioConfig:
     out: str = "results"
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; `true`/`false` are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
     """Config file merged with flag overrides; flags win."""
     raw = {}
@@ -133,12 +138,14 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
     instance = getattr(args, "instance", None) or raw.get("instance")
     if not instance:
         raise ConfigError("an instance file is required (--instance or config)")
+    if not isinstance(instance, str):
+        raise ConfigError("config key 'instance' must be a file path")
 
     matrix = raw.get("matrix", {})
     if not isinstance(matrix, dict):
         raise ConfigError("config key 'matrix' must be an object")
     matrix_name = matrix.get("name", "MTX")
-    if not MATRIX_TOKEN.match(matrix_name):
+    if not isinstance(matrix_name, str) or not MATRIX_TOKEN.match(matrix_name):
         raise ConfigError(f"matrix name {matrix_name!r} must be uppercase alphanumeric")
     matrix_source = matrix.get("source", "instance")
     if matrix_source not in ("instance", "synthetic"):
@@ -152,23 +159,28 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
 
     def int_list(key, default):
         vals = raw.get(key, default)
-        if not isinstance(vals, list) or not all(isinstance(v, int) and v >= 0 for v in vals):
+        if not isinstance(vals, list) or not all(_is_int(v) and v >= 0 for v in vals):
             raise ConfigError(f"config key {key!r} must be a list of non-negative integers")
         return tuple(vals)
 
     volumes = int_list("volumes", [])
     speeds_raw = raw.get("speeds", [[10, 100]])
+    if not isinstance(speeds_raw, list):
+        raise ConfigError("config key 'speeds' must be a list of speed sets")
     speeds = []
     for s in speeds_raw:
-        t = tuple(sorted(set(s))) if isinstance(s, list) else None
+        t = (tuple(sorted(set(s))) if isinstance(s, list) and all(_is_int(v) for v in s)
+             else None)
         if t not in SPEED_TAGS:
             raise ConfigError(f"unsupported speed set {s!r}")
         speeds.append(t)
-    archs = tuple(raw.get("architectures", list(ARCHITECTURES)))
+    archs = raw.get("architectures", list(ARCHITECTURES))
+    scales_raw = raw.get("transponder_scales", [1])
+    if not isinstance(archs, list) or not isinstance(scales_raw, list):
+        raise ConfigError("config keys 'architectures' and 'transponder_scales' must be lists")
     for a in archs:
         if a not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {a!r}")
-    scales_raw = raw.get("transponder_scales", [1])
     scales = []
     for s in scales_raw:
         try:
@@ -183,16 +195,18 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
     if solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}")
     seed = args.seed if getattr(args, "seed", None) is not None else raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("seed must be an integer")
     out = getattr(args, "out", None) or raw.get("out", "results")
+    if not isinstance(out, str):
+        raise ConfigError("config key 'out' must be a directory path")
 
     if matrix_source == "synthetic" and not volumes:
         raise ConfigError("synthetic matrices need explicit target volumes")
     return ScenarioConfig(instance=instance, matrix_name=matrix_name,
                           matrix_source=matrix_source, synthetic=synthetic,
                           volumes=volumes, speeds=tuple(speeds),
-                          architectures=archs, scales=tuple(scales),
+                          architectures=tuple(archs), scales=tuple(scales),
                           solver=solver, seed=seed, out=out)
 
 
@@ -235,11 +249,13 @@ def build_cell_instance(base: Instance, config: ScenarioConfig, cell: CellSpec) 
         name=render_cell_name(cell))
 
 
-def build_and_solve(inst: Instance, cat: PathCatalog, solver: str, seed: int):
-    """The model of `inst.mode`'s architecture over `cat`, and the solver's
-    report (None for export-only): the stage `run_cell` and `solve` share."""
+def build_and_solve(inst: Instance, cat: PathCatalog, cc: CostCatalog, solver: str,
+                    seed: int):
+    """The model of `inst.mode`'s architecture over the path catalog `cat`
+    and the cost catalog `cc`, and the solver's report (None for
+    export-only): the stage `run_cell` and `solve` share."""
     build = build_transparent_variant if inst.mode == MODE_TRANSPARENT else build_model
-    model = build(inst, cat, build_cost_catalog(inst))
+    model = build(inst, cat, cc)
     if solver == "export-only":
         return model, None
     if solver == "exact":
@@ -250,10 +266,10 @@ def build_and_solve(inst: Instance, cat: PathCatalog, solver: str, seed: int):
 def run_cell(payload: dict) -> dict:
     """Solve one grid cell; pure function of the payload (worker-safe).
 
-    The payload carries the config, the cell, and the grid's base instance
-    and path catalog, which every cell shares. Returns name/status plus
-    whatever the merge step needs: the cell JSON document, an optional LP
-    export text, and an error message.
+    The payload carries the config, the cell, the grid's base instance and
+    path catalog, which every cell shares, and the cell's cost catalog.
+    Returns name/status plus whatever the merge step needs: the cell JSON
+    document, an optional LP export text, and an error message.
     """
     config = payload["config"]
     cell = payload["cell"]
@@ -263,7 +279,8 @@ def run_cell(payload: dict) -> dict:
     head = {"name": name, "architecture": cell.architecture}
     try:
         inst = build_cell_instance(payload["base"], config, cell)
-        model, rep = build_and_solve(inst, payload["catalog"], config.solver, config.seed)
+        model, rep = build_and_solve(inst, payload["catalog"], payload["cost_catalog"],
+                                     config.solver, config.seed)
         if rep is None:
             buf = io.StringIO()
             export_model(model, buf)
@@ -303,12 +320,21 @@ def _solve_grid(config: ScenarioConfig, jobs: int, write_tables,
     `write_tables(outdir, cells, results)` makes; the exit code.
 
     The instance file is read and the path catalog built once per grid:
-    the catalog depends only on the graph, the PoPs, k and the reach.
+    the catalog depends only on the graph, the PoPs, k and the reach. The
+    cost catalog depends only on the links, the speed set and the price
+    scale, so each distinct (speeds, scale) pair of the grid gets one.
     """
     base = read_instance_file(config.instance)
     cells = scenario_grid(config, base, architectures)
     cat = build_catalog(base)
-    payloads = [{"config": config, "cell": cell, "base": base, "catalog": cat}
+    cost_catalogs = {}
+    for cell in cells:
+        key = (cell.speeds, cell.scale)
+        if key not in cost_catalogs:
+            cost_catalogs[key] = build_cost_catalog(
+                dataclasses.replace(base, speeds=cell.speeds, transponder_scale=cell.scale))
+    payloads = [{"config": config, "cell": cell, "base": base, "catalog": cat,
+                 "cost_catalog": cost_catalogs[(cell.speeds, cell.scale)]}
                 for cell in cells]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -456,7 +482,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     inst = dataclasses.replace(read_instance_file(args.instance), mode=args.architecture)
-    model, rep = build_and_solve(inst, build_catalog(inst), args.solver, args.seed)
+    model, rep = build_and_solve(inst, build_catalog(inst), build_cost_catalog(inst),
+                                 args.solver, args.seed)
     if rep.status == INFEASIBLE:
         print("not feasible")
         return 1

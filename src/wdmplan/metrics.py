@@ -291,11 +291,6 @@ def report_csv_row(tr: TransitReport) -> list[str]:
             str(tr.lambda_count), str(tr.ip_path_count)]
 
 
-def infeasible_csv_row(name: str, architecture: str) -> list[str]:
-    row = [name, architecture, "not feasible"]
-    return row + [""] * (len(REPORT_COLUMNS) - 3)
-
-
 def write_report_json(tr: TransitReport, out: IO[str]) -> None:
     json.dump(report_json(tr), out, indent=2, sort_keys=True)
     out.write("\n")

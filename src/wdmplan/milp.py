@@ -100,7 +100,6 @@ class Model:
         self.variables: dict[str, Variable] = {}
         self.constraints: list[Constraint] = []
         self.commodities: list[tuple] = []         # (key, origin, {sink: Gbps})
-        self.aggregation: str | None = None
         # structured name lookups
         self.flow_vars: dict[tuple, str] = {}      # (commodity key, i, j) -> name
         self.path_vars: dict[tuple, str] = {}      # (path index, speed) -> name
@@ -163,7 +162,6 @@ def build_model(instance: Instance, catalog: PathCatalog,
         for ki, d in enumerate(sorted(instance.demands)):
             commodities.append((f"k{ki}", d.u, {d.v: d.value}))
     m.commodities = commodities
-    m.aggregation = aggregation
 
     for key, _origin, _sinks in commodities:
         for i in pops:

@@ -9,11 +9,13 @@ Three layers of machinery:
   rounded up to whole fibers) and the cheapest sufficient modules follow per
   node, so only circuits span the search tree. Routability of the demands
   for a candidate capacity vector is decided by an exact phase-1 simplex
-  over the virtual layer (rational arithmetic, Bland's rule), memoized per
-  capacity vector. The bounding function adds the cost of everything already
-  forced (circuits, fibers, modules) to a completion term: every Gbps of
-  demand still lacking virtual capacity costs at least the cheapest circuit
-  cost per Gbps.
+  (rational arithmetic, Bland's rule) on the model's own flow rows: its
+  flow-conservation rows, and its virtual-link-capacity rows with the
+  candidate capacities as right-hand sides; memoized per capacity vector.
+  The bounding function adds the cost of everything already forced
+  (circuits, fibers, modules) to a completion term: every Gbps of demand
+  still lacking virtual capacity costs at least the cheapest circuit cost
+  per Gbps.
 * `solve_heuristic` builds a solution demand by demand (largest first) on a
   grooming graph: routing over existing spare circuit capacity is free,
   opening new circuits pays circuit + fiber + module marginal cost. A local
@@ -196,59 +198,47 @@ def _phase1_simplex(n_vars: int, eq_rows: list, ub_rows: list) -> dict[int, Frac
 def route_flows(model: Model, pair_capacity: dict) -> dict[str, Fraction] | None:
     """Feasible virtual flows under per-pair capacities, or None.
 
-    Returns {flow variable name: value} for the model's commodities. Cheap
-    necessary conditions (total capacity, per-node incident capacity) run
-    before the simplex.
+    Returns {flow variable name: value} for the model's commodities. The
+    simplex reads the model's rows: the `flow-conservation` rows as they
+    are, and the flow terms of each `virtual-link-capacity` row with
+    `pair_capacity` of its pair as right-hand side; columns follow
+    `model.flow_vars`. Cheap necessary conditions (total capacity, per-node
+    incident capacity) run before the simplex.
     """
     if not model.commodities:
         return {}
     instance = model.instance
-    pops = sorted(instance.pops)
     total = instance.total_demand()
     if sum(pair_capacity.values(), Fraction(0)) < total:
         return None
     d_i = node_demand(instance)
-    for i in pops:
+    for i in sorted(instance.pops):
         incident = sum((cap for pair, cap in pair_capacity.items() if i in pair),
                        Fraction(0))
         if incident < d_i[i]:
             return None
 
-    col = {}
-    n = 0
-    for key, _origin, _sinks in model.commodities:
-        for i in pops:
-            for j in pops:
-                if i != j:
-                    col[(key, i, j)] = n
-                    n += 1
+    col = {name: n for n, name in enumerate(model.flow_vars.values())}
     eq_rows = []
-    for key, origin, sinks in model.commodities:
-        supply = sum(sinks.values())
-        for i in pops:
-            coeffs = {}
-            for j in pops:
-                if j == i:
-                    continue
-                coeffs[col[(key, i, j)]] = Fraction(1)
-                coeffs[col[(key, j, i)]] = Fraction(-1)
-            rhs = Fraction(supply) if i == origin else Fraction(-sinks.get(i, 0))
-            eq_rows.append((coeffs, rhs))
     ub_rows = []
-    for (i, j), cap in sorted(pair_capacity.items()):
-        coeffs = {}
-        for key, _origin, _sinks in model.commodities:
-            coeffs[col[(key, i, j)]] = Fraction(1)
-            coeffs[col[(key, j, i)]] = Fraction(1)
-        ub_rows.append((coeffs, Fraction(cap)))
+    for c in model.constraints:
+        if c.kind == "flow-conservation":
+            eq_rows.append(({col[v]: coef for v, coef in c.coeffs.items()}, c.rhs))
+        elif c.kind == "virtual-link-capacity":
+            flow = [v for v in c.coeffs if v in col]
+            _, _, i, j = model.variables[flow[0]].meta
+            pair = (i, j) if i < j else (j, i)
+            ub_rows.append(({col[v]: c.coeffs[v] for v in flow},
+                            Fraction(pair_capacity[pair])))
 
-    point = _phase1_simplex(n, eq_rows, ub_rows)
+    point = _phase1_simplex(len(col), eq_rows, ub_rows)
     if point is None:
         return None
+    arcs: dict[str, dict] = {}  # commodity key -> {(i, j): flow}
+    for n, (key, i, j) in enumerate(model.flow_vars):
+        arcs.setdefault(key, {})[(i, j)] = point.get(n, Fraction(0))
     flows = {}
-    for key, _origin, _sinks in model.commodities:
-        arc = {(i, j): point.get(col[(key, i, j)], Fraction(0))
-               for i in pops for j in pops if i != j}
+    for key, arc in arcs.items():
         _cancel_cycles(arc)
         for (i, j), v in arc.items():
             flows[model.flow_vars[(key, i, j)]] = v
@@ -339,24 +329,13 @@ class ScaledPrices:
         return Fraction(scaled, self.scale)
 
 
-# module selection; the scaled cost decides, the first of equals wins
-
-
-def _cheapest_vmod(modules, costs: list[int], capacity: int, units: int) -> tuple | None:
+def _cheapest(costs: list[int], capacities: list[tuple[int, int]], first: int,
+              second: int) -> tuple | None:
+    """(scaled cost, index) of the cheapest module whose capacity pair covers
+    (first, second), or None; the first of equals wins."""
     best = None
-    for midx, (vm, cost) in enumerate(zip(modules, costs)):
-        if (vm.switching_capacity >= capacity
-                and vm.slot_capacity * LambdaType.SLOT_UNITS >= units
-                and (best is None or cost < best[0])):
-            best = (cost, midx)
-    return best
-
-
-def _cheapest_pmod(modules, costs: list[int], fibers: int, drops: int) -> tuple | None:
-    best = None
-    for midx, (pm, cost) in enumerate(zip(modules, costs)):
-        if (pm.fiber_capacity >= fibers and pm.add_drop_ports >= drops
-                and (best is None or cost < best[0])):
+    for midx, ((cap1, cap2), cost) in enumerate(zip(capacities, costs)):
+        if cap1 >= first and cap2 >= second and (best is None or cost < best[0]):
             best = (cost, midx)
     return best
 
@@ -396,11 +375,14 @@ class DesignState:
         self.vmod_total = 0
         self.pmod_total = 0
         self.broken: set[str] = set()
-        # cheapest sufficient module per requirement: (scaled cost, index) or None
-        self._vmod_for = cache(partial(_cheapest_vmod, self.cc.virtual_modules,
-                                       self.prices.vmod))  # (capacity, slot units) ->
-        self._pmod_for = cache(partial(_cheapest_pmod, self.cc.physical_modules,
-                                       self.prices.pmod))  # (fibers, drops) ->
+        # cheapest sufficient module per requirement, (scaled cost, index) or
+        # None: routers by (switching, slot units), optical nodes by (fibers,
+        # add-drop ports)
+        self._vmod_for = cache(partial(_cheapest, self.prices.vmod, [
+            (vm.switching_capacity, vm.slot_capacity * LambdaType.SLOT_UNITS)
+            for vm in self.cc.virtual_modules]))
+        self._pmod_for = cache(partial(_cheapest, self.prices.pmod, [
+            (pm.fiber_capacity, pm.add_drop_ports) for pm in self.cc.physical_modules]))
         self._d_i = node_demand(self.instance)
         for i in self.instance.pops:
             self._update_vmod(i)
@@ -428,43 +410,32 @@ class DesignState:
         c._d_i = self._d_i
         return c
 
-    def _update_vmod(self, node: str) -> None:
-        cap = self._d_i[node] + self.node_switch.get(node, 0)
-        units = self.node_slot_units.get(node, 0)
-        old = self.vmod.get(node)
-        if not cap and not units:
-            new = None
-            self.broken.discard(node)
+    def _repick(self, picks: dict, pick_for, node: str, tag: str,
+                first: int, second: int) -> int:
+        """Re-pick `node`'s module in `picks` for the requirement (first,
+        second), none for a zero one; the node is `broken` (as `tag`) while
+        no module fits. Returns the scaled cost change."""
+        new = pick_for(first, second) if first or second else None
+        if new is None and (first or second):
+            self.broken.add(tag)
         else:
-            new = self._vmod_for(cap, units)
-            if new is None:
-                self.broken.add(node)
-            else:
-                self.broken.discard(node)
-        self.vmod_total += (new[0] if new else 0) - (old[0] if old else 0)
+            self.broken.discard(tag)
+        old = picks.get(node)
         if new is None:
-            self.vmod.pop(node, None)
+            picks.pop(node, None)
         else:
-            self.vmod[node] = new
+            picks[node] = new
+        return (new[0] if new else 0) - (old[0] if old else 0)
+
+    def _update_vmod(self, node: str) -> None:
+        self.vmod_total += self._repick(
+            self.vmod, self._vmod_for, node, node,
+            self._d_i[node] + self.node_switch.get(node, 0), self.node_slot_units.get(node, 0))
 
     def _update_pmod(self, node: str) -> None:
-        fibers = self.node_fibers(node)
-        drops = self.node_drops.get(node, 0)
-        old = self.pmod.get(node)
-        if not fibers and not drops:
-            new = None
-            self.broken.discard("o:" + node)
-        else:
-            new = self._pmod_for(fibers, drops)
-            if new is None:
-                self.broken.add("o:" + node)
-            else:
-                self.broken.discard("o:" + node)
-        self.pmod_total += (new[0] if new else 0) - (old[0] if old else 0)
-        if new is None:
-            self.pmod.pop(node, None)
-        else:
-            self.pmod[node] = new
+        self.pmod_total += self._repick(
+            self.pmod, self._pmod_for, node, "o:" + node,
+            self.node_fibers(node), self.node_drops.get(node, 0))
 
     def fibers(self, edge_id: str) -> int:
         cpf = self.instance.channels_per_fiber
@@ -525,10 +496,9 @@ class DesignState:
         return None if scaled is None else self.prices.exact(scaled)
 
     def lower_bound(self, remaining_demand: Fraction, min_cost_per_gbps: Fraction) -> Fraction:
-        lb = self.circuit_cost + self.fiber_cost + self.pmod_total
-        if not self.model.transparent:
-            lb += self.vmod_total
-        lb = self.prices.exact(lb)
+        """`total_cost` plus the cheapest circuits for `remaining_demand`
+        Gbps; only for a state with no broken node."""
+        lb = self.total_cost()
         if remaining_demand > 0:
             lb += remaining_demand * min_cost_per_gbps
         return lb
@@ -876,6 +846,12 @@ class _Heuristic:
                 heapq.heappush(heap, (cost + hc, hops + 1, seq + (w,)))
         return None
 
+    def place(self, path: PhysPath, mix: dict[int, int]) -> None:
+        """Add a circuit mix on a physical path."""
+        pid = self.cat.index(path)
+        for speed, n in mix.items():
+            self.state.add_circuits(pid, speed, n)
+
     def apply_route(self, seq: list[str], amount: int) -> bool:
         for i, j in zip(seq, seq[1:]):
             pair = (i, j) if i < j else (j, i)
@@ -886,9 +862,7 @@ class _Heuristic:
                 if placed is None:
                     return False
                 _, path, mix = placed
-                for speed, n in mix.items():
-                    if n:
-                        self.state.add_circuits(self.cat.index(path), speed, n)
+                self.place(path, mix)
             self.pair_flow[pair] += amount
         return True
 
@@ -978,9 +952,7 @@ class _Heuristic:
             repl = self.best_placement(pair, flow)
             if repl is not None:
                 _, path, mix = repl
-                for speed, n in mix.items():
-                    if n:
-                        self.state.add_circuits(self.cat.index(path), speed, n)
+                self.place(path, mix)
                 after = self.state.scaled_cost()
                 if after is not None and after < before:
                     improved = True
@@ -1052,63 +1024,44 @@ def trivial_bound(model: Model) -> Fraction:
     return total * min_cost_per_gbps(model)
 
 
-def _router_overload(model: Model) -> str | None:
-    """A proof that some PoP's demand exceeds the largest router, if one does."""
-    max_switch = max(vm.switching_capacity for vm in model.cost_catalog.virtual_modules)
-    d_i = node_demand(model.instance)
-    for n in sorted(model.instance.pops):
+def capacity_infeasible(model: Model) -> str | None:
+    """A proof that no design can fit, if one is visible from node totals.
+
+    Any feasible design terminates at least d(i) Gbps of virtual flow at PoP
+    i, so i needs a router switching at least d(i) and at least
+    ceil(d(i) / fastest circuit) add-drop ports. In the transparent variant
+    each demand rides its own direct hop, which gives the tighter count: per
+    pair, the fewest circuits of any mix covering its demand, at both ends.
+    """
+    inst = model.instance
+    cc = model.cost_catalog
+    d_i = node_demand(inst)
+    if model.transparent:
+        circuits: dict[str, int] = {}
+        for d in inst.demands:
+            fewest = min(sum(mix.values()) for mix in _mix_options(d.value, list(cc.lambda_types)))
+            for n in d.pair:
+                circuits[n] = circuits.get(n, 0) + fewest
+    else:
+        max_rate = max(lt.routing_capacity for lt in cc.lambda_types)
+        circuits = {n: ceil(Fraction(d_i[n]) / max_rate) for n in inst.pops}
+    max_drop = max(pm.add_drop_ports for pm in cc.physical_modules)
+    for n, count in sorted(circuits.items()):
+        if count > max_drop:
+            return (f"node {n} must terminate >= {count} circuits, "
+                    f"above the largest add-drop capacity {max_drop}")
+    max_switch = max(vm.switching_capacity for vm in cc.virtual_modules)
+    for n in sorted(inst.pops):
         if d_i[n] > max_switch:
             return (f"node {n} demand {d_i[n]} Gbps exceeds the largest "
                     f"router capacity {max_switch}")
     return None
 
 
-def capacity_infeasible(model: Model) -> str | None:
-    """A proof that no design can fit, if one is visible from node totals.
-
-    Any feasible design terminates at least d(i) Gbps of virtual flow at PoP
-    i, so i needs at least ceil(d(i) / fastest circuit) add-drop ports and a
-    router switching at least d(i). The transparent variant allows the
-    tighter per-pair argument instead.
-    """
-    if model.transparent:
-        return transparent_lower_infeasible(model)
-    inst = model.instance
-    cc = model.cost_catalog
-    max_drop = max(pm.add_drop_ports for pm in cc.physical_modules)
-    max_rate = max(lt.routing_capacity for lt in cc.lambda_types)
-    d_i = node_demand(inst)
-    for n in sorted(inst.pops):
-        circuits = ceil(Fraction(d_i[n]) / max_rate)
-        if circuits > max_drop:
-            return (f"node {n} must terminate >= {circuits} circuits, "
-                    f"above the largest add-drop capacity {max_drop}")
-    return _router_overload(model)
-
-
 def transparent_lower_infeasible(model: Model) -> str | None:
-    """A proof that the transparent variant cannot fit, if one is visible.
-
-    With flows fixed to direct hops, each pair forces a minimum number of
-    circuit terminations at both endpoints; if that already exceeds the
-    largest optical module's add-drop capacity (or a node demand exceeds the
-    largest router), no assignment can work.
-    """
-    if not model.transparent:
-        return None
-    inst = model.instance
-    cc = model.cost_catalog
-    max_drop = max(pm.add_drop_ports for pm in cc.physical_modules)
-    min_circuits: dict[str, int] = {}
-    for d in inst.demands:
-        best = min(sum(mix.values()) for mix in _mix_options(d.value, list(cc.lambda_types)))
-        for n in d.pair:
-            min_circuits[n] = min_circuits.get(n, 0) + best
-    for n, circuits in sorted(min_circuits.items()):
-        if circuits > max_drop:
-            return (f"node {n} must terminate >= {circuits} circuits, "
-                    f"above the largest add-drop capacity {max_drop}")
-    return _router_overload(model)
+    """`capacity_infeasible` of a transparent-core model; None for an
+    optimized one."""
+    return capacity_infeasible(model) if model.transparent else None
 
 
 def solve_heuristic(model: Model, instance: Instance | None = None,
@@ -1118,8 +1071,8 @@ def solve_heuristic(model: Model, instance: Instance | None = None,
 
     The report's bound is the trivial circuit-cost bound, so `optimal` is
     only claimed when that bound is actually attained (e.g. zero demands).
-    Failure to construct a solution yields `unknown` unless the transparent
-    infeasibility proof applies.
+    Failure to construct a solution yields `unknown`; `infeasible` is only
+    reported when `capacity_infeasible` proves it, for either architecture.
     """
     limits = limits or Limits()
     t0 = time.perf_counter()
@@ -1144,9 +1097,7 @@ def solve_heuristic(model: Model, instance: Instance | None = None,
                 ok = False
                 break
             _, path, mix = placed
-            for speed, n in mix.items():
-                if n:
-                    h.state.add_circuits(h.cat.index(path), speed, n)
+            h.place(path, mix)
         if ok:
             h.prune_idle()
             h.remix_pairs()

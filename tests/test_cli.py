@@ -10,6 +10,7 @@ from conftest import make_instance, triangle_instance
 from wdmplan.cli import (CellSpec, ConfigError, main, parse_cell_name,
                          render_cell_name)
 from wdmplan.formats import write_instance
+from wdmplan.metrics import REPORT_COLUMNS
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -148,6 +149,10 @@ def test_run_renders_infeasible_cells(tmp_path):
     assert rc == 0  # infeasible is an answer, not an error
     summary = (tmp_path / "res" / "summary.csv").read_text()
     assert "not feasible" in summary
+    rows = [ln.split(",") for ln in summary.splitlines()[1:]]
+    bad = [row for row in rows if row[2] == "not feasible"]
+    assert bad
+    assert all(len(row) == len(REPORT_COLUMNS) for row in bad)
     comparison = (tmp_path / "res" / "comparison.csv").read_text().splitlines()
     assert "not feasible" in comparison[1]
     assert comparison[1].split(",")[-1] == "n/a"
@@ -195,7 +200,7 @@ def test_run_records_unexpected_solver_errors(tmp_path, monkeypatch, capsys):
 def test_grid_reads_instance_and_builds_catalog_once(tmp_path, monkeypatch):
     import wdmplan.cli as cli
 
-    calls = {"read_instance": 0, "build_catalog": 0}
+    calls = {"read_instance": 0, "build_catalog": 0, "build_cost_catalog": 0}
 
     def counted(name):
         real = getattr(cli, name)
@@ -207,16 +212,19 @@ def test_grid_reads_instance_and_builds_catalog_once(tmp_path, monkeypatch):
 
     counted("read_instance")
     counted("build_catalog")
+    counted("build_cost_catalog")
     cfg = {"instance": tri_file(tmp_path), "volumes": [100, 200], "speeds": [[10]],
            "transponder_scales": [1, 2]}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     for command, cells in (("run", 8), ("sweep", 4)):
-        calls.update(read_instance=0, build_catalog=0)
+        calls.update(read_instance=0, build_catalog=0, build_cost_catalog=0)
         out = tmp_path / command
         assert main([command, "--config", str(p), "--out", str(out)]) == 0
         assert len(list((out / "cells").glob("*.json"))) == cells
-        assert calls == {"read_instance": 1, "build_catalog": 1}, command
+        # one cost catalog per transponder scale
+        assert calls == {"read_instance": 1, "build_catalog": 1,
+                         "build_cost_catalog": 2}, command
 
 
 def test_sweep_csv(tmp_path):
@@ -273,6 +281,26 @@ def test_config_validation(tmp_path, capsys):
     assert "explicit target volumes" in capsys.readouterr().err
     assert main(["run"]) == 2
     assert "instance file is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"matrix": {"name": 5}},
+    {"instance": 5},
+    {"speeds": [[[10]]]},
+    {"volumes": [True]},
+    {"seed": True},
+    {"out": 5},
+    {"architectures": 5},
+    {"transponder_scales": 5},
+], ids=["matrix-name", "instance", "nested-speeds", "bool-volume", "bool-seed", "out",
+        "architectures", "scales"])
+def test_malformed_config_values_exit_2(tmp_path, capsys, bad):
+    cfg = {"instance": tri_file(tmp_path), "volumes": [100], "speeds": [[10]],
+           "out": str(tmp_path / "res"), **bad}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(p)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_synthetic_matrix_grid(tmp_path):

@@ -12,9 +12,9 @@ from conftest import (random_midsize_instance, routable_instance,
 from wdmplan.costcat import build_cost_catalog
 from wdmplan.metrics import (REPORT_COLUMNS, ModelError, count_ip_paths,
                              disaggregate_flows, edge_cost, fmt_cost,
-                             fmt_opacity, infeasible_csv_row, ip_transit,
-                             opacity, report, report_csv_row, report_json,
-                             wdm_transit, write_report_json)
+                             fmt_opacity, ip_transit, opacity, report,
+                             report_csv_row, report_json, wdm_transit,
+                             write_report_json)
 from wdmplan.milp import build_model, build_transparent_variant
 from wdmplan.netmodel import node_demand
 from wdmplan.pathgen import build_catalog
@@ -175,9 +175,6 @@ def test_report_on_solved_triangle():
     assert len(row) == len(REPORT_COLUMNS)
     assert row[0] == "tri"
     assert row[8] == "undefined"
-    bad = infeasible_csv_row("tri", "transparent-core")
-    assert len(bad) == len(REPORT_COLUMNS)
-    assert bad[2] == "not feasible"
 
     blob = report_json(tr)
     assert blob["cost"]["total"] == float(tr.total_cost)

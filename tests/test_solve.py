@@ -14,12 +14,13 @@ from wdmplan.formats import read_instance
 from wdmplan.milp import (ModelError, build_model, build_transparent_variant,
                           evaluate_cost)
 from wdmplan.pathgen import build_catalog
-from wdmplan.solve import (Limits, _Heuristic, _mix_options, check_feasibility,
-                           route_flows, solve_exact, solve_heuristic,
-                           transparent_lower_infeasible, trivial_bound)
+from wdmplan.solve import (Limits, _Heuristic, _mix_options, capacity_infeasible,
+                           check_feasibility, route_flows, solve_exact,
+                           solve_heuristic, transparent_lower_infeasible,
+                           trivial_bound)
 
 pytest.importorskip("scipy.optimize")
-from enum_oracle import brute_force_optimum  # noqa: E402
+from enum_oracle import brute_force_optimum, lp_routable  # noqa: E402
 
 
 def build(inst):
@@ -154,6 +155,68 @@ def test_route_flows_respects_capacity():
     assert flows is not None
     assert flows[m.flow_vars[("0", "a", "c")]] == 25
     assert flows[m.flow_vars[("0", "c", "b")]] == 25
+
+
+def test_route_flows_agrees_with_independent_lp():
+    """route_flows finds flows exactly when an independent LP (one commodity
+    per demand, HiGHS) routes the demands, and its flows keep every
+    conservation row exactly and every pair within its capacity."""
+    rng = random.Random(31)
+    outcomes = []
+    for _ in range(6):
+        inst, _cat = routable_instance(random_midsize_instance, rng)
+        m = build(inst)
+        pops = sorted(inst.pops)
+        total = int(inst.total_demand())
+        demands = [(d.u, d.v, d.value) for d in inst.demands]
+        for _ in range(8):
+            capacity = {pair: rng.randrange(0, total + 1, 10)
+                        for pair in m.catalog.pair_paths}
+            flows = route_flows(m, capacity)
+            outcomes.append(flows is not None)
+            assert (flows is not None) == lp_routable(pops, demands, capacity)
+            if flows is None:
+                continue
+            assert set(flows) == set(m.flow_vars.values())
+            assert all(v >= 0 for v in flows.values())
+            for c in m.constraints:
+                if c.kind == "flow-conservation":
+                    assert sum(coef * flows[v] for v, coef in c.coeffs.items()) == c.rhs
+            for (i, j), cap in capacity.items():
+                used = sum(flows[name] for (_key, a, b), name in m.flow_vars.items()
+                           if {a, b} == {i, j})
+                assert used <= cap
+    assert any(outcomes) and not all(outcomes)
+
+    # passes the total and per-node checks; only the simplex sees that no
+    # capacity crosses from {a, b} to {c, d}
+    inst = make_instance([("e1", "a", "b", 100), ("e2", "b", "c", 100),
+                          ("e3", "c", "d", 100), ("e4", "d", "a", 100)],
+                         pops=("a", "b", "c", "d"),
+                         demands=(("a", "c", 20), ("b", "d", 20)), speeds=(10,))
+    m = build(inst)
+    capacity = {pair: 0 for pair in m.catalog.pair_paths}
+    capacity.update({("a", "b"): 40, ("c", "d"): 40})
+    assert route_flows(m, capacity) is None
+    assert not lp_routable(["a", "b", "c", "d"], [("a", "c", 20), ("b", "d", 20)],
+                           capacity)
+    capacity[("b", "c")] = 40
+    assert route_flows(m, capacity) is not None
+
+
+@pytest.mark.parametrize("volume, proof", [
+    (10_000, "node a demand 10000 Gbps exceeds the largest router capacity 8960"),
+    (50_000, "node a must terminate >= 500 circuits, "
+             "above the largest add-drop capacity 400"),
+])
+def test_optimized_capacity_proofs(volume, proof):
+    inst = make_instance([("e1", "a", "b", 100)], pops=("a", "b"),
+                         demands=(("a", "b", volume),), speeds=(10, 100))
+    m = build(inst)
+    assert capacity_infeasible(m) == proof
+    assert transparent_lower_infeasible(m) is None
+    assert solve_exact(m).status == "infeasible"
+    assert solve_heuristic(m).status == "infeasible"
 
 
 def star_instance(spokes=5, value=802):
