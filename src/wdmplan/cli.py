@@ -27,6 +27,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -117,6 +118,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number; `true`/`false`, `NaN` and `Infinity` are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
     """Config file merged with flag overrides; flags win."""
     raw = {}
@@ -144,6 +150,9 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
     matrix = raw.get("matrix", {})
     if not isinstance(matrix, dict):
         raise ConfigError("config key 'matrix' must be an object")
+    for key in matrix:
+        if key not in ("name", "source", "mode", "weights", "hub", "hub_factor"):
+            raise ConfigError(f"unknown matrix key {key!r}")
     matrix_name = matrix.get("name", "MTX")
     if not isinstance(matrix_name, str) or not MATRIX_TOKEN.match(matrix_name):
         raise ConfigError(f"matrix name {matrix_name!r} must be uppercase alphanumeric")
@@ -156,6 +165,19 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
         if synthetic.get("mode") not in ("decentralized", "centralized"):
             raise ConfigError(
                 "synthetic matrix needs mode 'decentralized' or 'centralized'")
+        weights = synthetic.get("weights", "uniform")
+        if weights != "uniform" and not (
+                isinstance(weights, dict)
+                and all(_is_number(w) and w > 0 for w in weights.values())):
+            raise ConfigError("synthetic matrix weights must be 'uniform' or an object "
+                              "of positive numbers")
+        hub = synthetic.get("hub")
+        if hub is not None and not isinstance(hub, str):
+            raise ConfigError("synthetic matrix hub must be a PoP name")
+        hub_factor = synthetic.get("hub_factor", 1)
+        if not (_is_number(hub_factor) and hub_factor >= 1):
+            raise ConfigError(f"synthetic matrix hub_factor {hub_factor!r} must be a "
+                              "number >= 1")
 
     def int_list(key, default):
         vals = raw.get(key, default)
@@ -234,9 +256,6 @@ def build_cell_instance(base: Instance, config: ScenarioConfig, cell: CellSpec) 
         weights = spec.get("weights", "uniform")
         if weights == "uniform":
             weights = {i: 1 for i in base.pops}
-        missing = [p for p in base.pops if p not in weights]
-        if missing:
-            raise ConfigError(f"synthetic matrix lacks weights for {missing}")
         demands = synth_matrix(spec["mode"], base.pops, weights, cell.volume,
                                hub=spec.get("hub"),
                                hub_factor=spec.get("hub_factor", 1))
@@ -314,6 +333,21 @@ def run_cell(payload: dict) -> dict:
     return result
 
 
+def _check_synthetic(config: ScenarioConfig, base: Instance) -> None:
+    """The synthetic matrix settings that need the instance: a weight for
+    every PoP, and a hub among the PoPs."""
+    if config.matrix_source != "synthetic":
+        return
+    spec = config.synthetic or {}
+    weights = spec.get("weights", "uniform")
+    missing = [] if weights == "uniform" else [p for p in base.pops if p not in weights]
+    if missing:
+        raise ConfigError(f"synthetic matrix lacks weights for {missing}")
+    hub = spec.get("hub")
+    if spec.get("mode") == "centralized" and hub not in base.pops:
+        raise ConfigError(f"synthetic matrix hub {hub!r} is not a PoP")
+
+
 def _solve_grid(config: ScenarioConfig, jobs: int, write_tables,
                 architectures=None) -> int:
     """Solve every cell of the grid, write the cell reports and the tables
@@ -325,6 +359,7 @@ def _solve_grid(config: ScenarioConfig, jobs: int, write_tables,
     scale, so each distinct (speeds, scale) pair of the grid gets one.
     """
     base = read_instance_file(config.instance)
+    _check_synthetic(config, base)
     cells = scenario_grid(config, base, architectures)
     cat = build_catalog(base)
     cost_catalogs = {}

@@ -9,6 +9,13 @@ sequence); the lexicographic tiebreak makes catalogs reproducible across runs
 and platforms. Candidates longer than the reach are pruned eagerly, which is
 safe because a deviation parent is never longer than its children in the
 enumeration order.
+
+Lengths are exact `Fraction`s outside the search and scaled integers inside
+it: every edge length and the reach are multiplied by the lcm of their
+denominators. Scaling by a positive constant keeps every `<`, `==` and `>`
+between lengths, so the search order, the tiebreak and the reach cut are
+those of the Fractions; a path's `length_km` is its integer length over the
+scale.
 """
 
 from __future__ import annotations
@@ -16,9 +23,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import IO, Iterable
 
-from .netmodel import Instance, PhysicalGraph
+from .netmodel import Instance, PhysicalGraph, as_fraction
 
 
 @dataclass(frozen=True)
@@ -51,35 +59,114 @@ def _walk_nodes(graph: PhysicalGraph, start: str, edge_ids: tuple[str, ...]) -> 
     return tuple(nodes)
 
 
-def _dijkstra(graph: PhysicalGraph, source: str, target: str,
-              banned_nodes: frozenset[str] = frozenset(),
-              banned_edges: frozenset[str] = frozenset(),
-              max_len=None) -> tuple[Fraction, tuple[str, ...]] | None:
-    """Shortest source->target path avoiding banned nodes/edges.
+class _ScaledGraph:
+    """A graph's edge lengths and a reach as ints, each times `scale`, the
+    lcm of their denominators; built once per catalog (or
+    `k_shortest_bounded`) call."""
+
+    def __init__(self, graph: PhysicalGraph, bound: Fraction):
+        exact = {e.id: as_fraction(e.length_km) for e in graph.edges}
+        self.scale = lcm(bound.denominator, *(x.denominator for x in exact.values()))
+        self.reach = bound.numerator * (self.scale // bound.denominator)
+        self.length = {eid: x.numerator * (self.scale // x.denominator)
+                       for eid, x in exact.items()}
+        # node -> ((edge id, neighbour, length), ...) in incident order
+        self.adj = {n: tuple((e.id, e.other(n), self.length[e.id]) for e in graph.incident(n))
+                    for n in graph.node_ids()}
+
+
+def _distances_to(sg: _ScaledGraph, target: str) -> dict[str, int]:
+    """Shortest distance from every node within the reach of `target`, on
+    the whole graph: a lower bound on any path to `target` that avoids
+    some nodes or edges."""
+    dist: dict[str, int] = {}
+    heap = [(0, target)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in dist:
+            continue
+        dist[u] = d
+        for _, w, length in sg.adj[u]:
+            nd = d + length
+            if nd <= sg.reach and w not in dist:
+                heapq.heappush(heap, (nd, w))
+    return dist
+
+
+def _dijkstra(sg: _ScaledGraph, source: str, target: str, to_target: dict[str, int],
+              max_len: int, banned_nodes: Iterable[str] = (),
+              banned_edges: frozenset[str] = frozenset()) -> tuple[int, tuple[str, ...]] | None:
+    """Shortest source->target path avoiding banned nodes/edges, no longer
+    than `max_len`.
 
     Ties resolve to the lexicographically smallest edge-id sequence; returns
-    (length, edge ids) or None. `max_len` prunes states beyond the reach.
+    (length, edge ids) or None. A state whose length plus the distance from
+    its node to the target (`to_target`) exceeds `max_len` is dropped, as no
+    completion of it fits; the cut drops a node's cheapest state only if it
+    drops all of them, so the path found is the one found without it.
     """
-    done: set[str] = set()
-    heap: list[tuple[Fraction, tuple[str, ...], str]] = [(Fraction(0), (), source)]
+    done = set(banned_nodes)
+    heap: list[tuple[int, tuple[str, ...], str]] = [(0, (), source)]
     while heap:
         dist, eids, u = heapq.heappop(heap)
         if u in done:
             continue
-        done.add(u)
         if u == target:
             return dist, eids
-        for e in graph.incident(u):
-            if e.id in banned_edges:
+        done.add(u)
+        for eid, w, length in sg.adj[u]:
+            if w in done or eid in banned_edges:
                 continue
-            w = e.other(u)
-            if w in banned_nodes or w in done:
-                continue
-            nd = dist + e.length_km
-            if max_len is not None and nd > max_len:
-                continue
-            heapq.heappush(heap, (nd, eids + (e.id,), w))
+            nd = dist + length
+            h = to_target.get(w)
+            if h is not None and nd + h <= max_len:
+                heapq.heappush(heap, (nd, eids + (eid,), w))
     return None
+
+
+def _k_shortest(sg: _ScaledGraph, graph: PhysicalGraph, i: str, j: str, k: int,
+                to_j: dict[str, int]) -> list[PhysPath]:
+    first = _dijkstra(sg, i, j, to_j, sg.reach)
+    if first is None:
+        return []
+    # (length, edge ids), popped in non-decreasing length order; `seen`
+    # keeps edge-id sequences unique, so no two entries tie
+    heap: list[tuple[int, tuple[str, ...]]] = [first]
+    seen: set[tuple[str, ...]] = {first[1]}
+    accepted: list[tuple[int, tuple[str, ...], tuple[str, ...]]] = []
+
+    while heap:
+        length, eids = heapq.heappop(heap)
+        if len(accepted) >= k and length > accepted[k - 1][0]:
+            break  # all remaining paths are strictly longer than the k-th
+        nids = _walk_nodes(graph, i, eids)
+        accepted.append((length, eids, nids))
+        # spur at every position of the accepted path; `sharing` holds the
+        # accepted paths with the same first t edges (each goes on past t,
+        # as node t is not j)
+        root_len = 0
+        sharing = [aeids for _, aeids, _ in accepted]
+        for t in range(len(eids)):
+            if t:
+                prev = eids[t - 1]
+                root_len += sg.length[prev]
+                sharing = [aeids for aeids in sharing if aeids[t - 1] == prev]
+            root_eids = eids[:t]
+            banned_edges = frozenset(aeids[t] for aeids in sharing)
+            spur = _dijkstra(sg, nids[t], j, to_j, sg.reach - root_len,
+                             banned_nodes=nids[:t],  # keep spur paths simple
+                             banned_edges=banned_edges)
+            if spur is None:
+                continue
+            cand_eids = root_eids + spur[1]
+            if cand_eids in seen:
+                continue
+            seen.add(cand_eids)
+            heapq.heappush(heap, (root_len + spur[0], cand_eids))
+
+    accepted.sort(key=lambda a: (a[0], a[1]))
+    return [PhysPath(edges=eids, nodes=nids, length_km=Fraction(length, sg.scale))
+            for length, eids, nids in accepted[:k]]
 
 
 def k_shortest_bounded(graph: PhysicalGraph, i: str, j: str, k: int,
@@ -96,48 +183,8 @@ def k_shortest_bounded(graph: PhysicalGraph, i: str, j: str, k: int,
             raise ValueError(f"unknown node {n!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    bound = max_len_km if isinstance(max_len_km, Fraction) else Fraction(str(max_len_km))
-
-    first = _dijkstra(graph, i, j, max_len=bound)
-    if first is None:
-        return []
-    # (length, edge ids, node ids), popped in non-decreasing length order
-    heap: list[tuple[Fraction, tuple[str, ...], tuple[str, ...]]] = []
-    seen: set[tuple[str, ...]] = {first[1]}
-    heapq.heappush(heap, (first[0], first[1], _walk_nodes(graph, i, first[1])))
-    accepted: list[tuple[Fraction, tuple[str, ...], tuple[str, ...]]] = []
-
-    while heap:
-        length, eids, nids = heapq.heappop(heap)
-        if len(accepted) >= k and length > accepted[k - 1][0]:
-            break  # all remaining paths are strictly longer than the k-th
-        accepted.append((length, eids, nids))
-        # spur at every position of the accepted path
-        for t in range(len(eids)):
-            spur_node = nids[t]
-            root_eids = eids[:t]
-            root_len = sum((graph.edge(e).length_km for e in root_eids), Fraction(0))
-            banned_edges = set()
-            for alen, aeids, anids in accepted:
-                if aeids[:t] == root_eids and len(aeids) > t:
-                    banned_edges.add(aeids[t])
-            banned_nodes = frozenset(nids[:t])  # keep spur paths simple
-            spur = _dijkstra(graph, spur_node, j,
-                             banned_nodes=banned_nodes,
-                             banned_edges=frozenset(banned_edges),
-                             max_len=bound - root_len)
-            if spur is None:
-                continue
-            cand_eids = root_eids + spur[1]
-            if cand_eids in seen:
-                continue
-            seen.add(cand_eids)
-            heapq.heappush(heap, (root_len + spur[0], cand_eids,
-                                  _walk_nodes(graph, i, cand_eids)))
-
-    accepted.sort(key=lambda a: (a[0], a[1]))
-    return [PhysPath(edges=eids, nodes=nids, length_km=length)
-            for length, eids, nids in accepted[:k]]
+    sg = _ScaledGraph(graph, as_fraction(max_len_km))
+    return _k_shortest(sg, graph, i, j, k, _distances_to(sg, j))
 
 
 class PathCatalog:
@@ -193,14 +240,15 @@ def build_catalog(instance: Instance) -> PathCatalog:
     Pairs without a bounded path get an empty entry; whether that is fatal
     depends on the architecture (the model builders decide).
     """
+    graph = instance.graph
+    sg = _ScaledGraph(graph, as_fraction(instance.max_path_km))
     pops = sorted(instance.pops)
     pair_paths = {}
-    for a_idx, a in enumerate(pops):
-        for b in pops[a_idx + 1:]:
-            plist = k_shortest_bounded(instance.graph, a, b,
-                                       instance.max_paths_per_pair,
-                                       instance.max_path_km)
-            pair_paths[(a, b)] = tuple(plist)
+    for b_idx, b in enumerate(pops):
+        to_b = _distances_to(sg, b)
+        for a in pops[:b_idx]:
+            pair_paths[(a, b)] = tuple(_k_shortest(sg, graph, a, b,
+                                                   instance.max_paths_per_pair, to_b))
     return PathCatalog(pair_paths)
 
 

@@ -292,8 +292,27 @@ def test_config_validation(tmp_path, capsys):
     {"out": 5},
     {"architectures": 5},
     {"transponder_scales": 5},
+    {"matrix": {"source": "synthetic", "mode": "decentralized", "weights": 5}},
+    {"matrix": {"source": "synthetic", "mode": "decentralized",
+                "weights": {"a": 1, "b": 0, "c": 2}}},
+    {"matrix": {"source": "synthetic", "mode": "decentralized",
+                "weights": {"a": 1, "b": "2", "c": 2}}},
+    {"matrix": {"source": "synthetic", "mode": "decentralized", "weights": {"a": 1}}},
+    {"matrix": {"source": "synthetic", "mode": "centralized", "hub": "a",
+                "hub_factor": "x"}},
+    {"matrix": {"source": "synthetic", "mode": "centralized", "hub": "a",
+                "hub_factor": 0.5}},
+    {"matrix": {"source": "synthetic", "mode": "centralized", "hub": "a",
+                "hub_factor": True}},
+    {"matrix": {"source": "synthetic", "mode": "centralized", "hub": 5}},
+    {"matrix": {"source": "synthetic", "mode": "centralized", "hub": "zz"}},
+    {"matrix": {"source": "synthetic", "mode": "centralized"}},
+    {"matrix": {"source": "synthetic", "mode": "centralized", "hub": "a",
+                "hub_factr": 10}},
 ], ids=["matrix-name", "instance", "nested-speeds", "bool-volume", "bool-seed", "out",
-        "architectures", "scales"])
+        "architectures", "scales", "weights-number", "weight-zero", "weight-string",
+        "weights-missing", "hub-factor-string", "hub-factor-below-1", "hub-factor-bool",
+        "hub-number", "hub-not-pop", "hub-absent", "misspelt-key"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, bad):
     cfg = {"instance": tri_file(tmp_path), "volumes": [100], "speeds": [[10]],
            "out": str(tmp_path / "res"), **bad}
@@ -301,6 +320,7 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, bad):
     p.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(p)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()  # rejected before any cell ran
 
 
 def test_synthetic_matrix_grid(tmp_path):

@@ -1,5 +1,6 @@
 """Bounded k-shortest path enumeration and the path catalog indexes."""
 
+import hashlib
 import io
 import random
 from fractions import Fraction
@@ -88,6 +89,52 @@ def test_matches_exhaustive_enumeration():
         ref = all_simple_paths(g, i, j, bound)
         got = k_shortest_bounded(g, i, j, k, bound)
         assert [(p.length_km, p.edges) for p in got] == ref[:k]
+
+
+def test_matches_exhaustive_enumeration_decimal_lengths_and_ties():
+    # lengths from a small decimal pool tie often (40.5 + 40.5 == 81), ids
+    # run past e9 so string order ("e10" < "e2") decides the tiebreak, and
+    # every graph has parallel edges; the reach is fractional, and half the
+    # time exactly the length of some path, which must be kept
+    pool = [Fraction(x) for x in ("40.5", "81", "121.5", "123.4", "61.7")]
+    rng = random.Random(31)
+    reach_paths = 0
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        _, edges = random_connected_edges(rng, n, rng.randint(4, 7))
+        edges = [(e, u, v, rng.choice(pool)) for e, u, v, _ in edges]
+        for _ in range(rng.randint(1, 3)):
+            _, u, v, length = rng.choice(edges)
+            edges.append((f"e{len(edges)}", u, v, rng.choice((length, rng.choice(pool)))))
+        g = make_graph(edges)
+        i, j = (f"n{a}" for a in rng.sample(range(n), 2))
+        if rng.random() < 0.5:
+            bound = rng.choice(all_simple_paths(g, i, j, Fraction(10 ** 6)))[0]
+        else:
+            bound = Fraction(rng.randint(1500, 5000), 10)
+        ref = all_simple_paths(g, i, j, bound)
+        k = rng.choice((1, 3, len(ref) or 1, len(ref) + 2))
+        got = k_shortest_bounded(g, i, j, k, bound)
+        assert [(p.length_km, p.edges) for p in got] == ref[:k]
+        assert all(p.length_km == sum(g.edge(e).length_km for e in p.edges)
+                   for p in got)
+        if len(got) == len(ref) and ref and ref[-1][0] == bound:
+            reach_paths += 1
+    assert reach_paths >= 10
+
+
+def test_catalog_bytes_pinned():
+    # any change to the set of paths, their order or their lengths shows here
+    rng = random.Random(41)
+    names, edges = random_connected_edges(rng, 30, 22, min_len=400, max_len=2000)
+    edges = [(e, u, v, Fraction(length, 10)) for e, u, v, length in edges]
+    inst = make_instance(edges, pops=sorted(rng.sample(names, 8)), demands=(),
+                         max_paths_per_pair=10, max_path_km=1000)
+    buf = io.StringIO()
+    dump_paths(build_catalog(inst), buf)
+    assert len(buf.getvalue().splitlines()) == 280
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "dc258a81f7dfafdaaa7f60749e4d079b61a3e9dd7459d9abf8ec7fef293daf30")
 
 
 def test_deterministic_across_runs():
