@@ -27,7 +27,7 @@ def main():
           f"(k <= {inst.max_paths_per_pair}, <= {inst.max_path_km} km)")
 
     model = build_model(inst, catalog, build_cost_catalog(inst))
-    rep = solve_heuristic(model, inst, seed=0)
+    rep = solve_heuristic(model, seed=0)
     print(f"heuristic status: {rep.status}, "
           f"lower bound {fmt_cost(rep.bound)}")
     assert not check_feasibility(model, rep.solution)

@@ -16,8 +16,7 @@ from .netmodel import (Demand, Edge, Instance, Node, PhysicalGraph,
                        synth_matrix)
 from .pathgen import PathCatalog, PhysPath, build_catalog, k_shortest_bounded
 from .solve import (Limits, SolveReport, capacity_infeasible,
-                    check_feasibility, solve_exact, solve_heuristic,
-                    transparent_lower_infeasible)
+                    check_feasibility, solve_exact, solve_heuristic)
 
 __version__ = "0.1.0"
 
@@ -35,6 +34,6 @@ __all__ = [
     "node_demand", "scale_demand_matrix", "synth_matrix",
     "PathCatalog", "PhysPath", "build_catalog", "k_shortest_bounded",
     "Limits", "SolveReport", "capacity_infeasible", "check_feasibility",
-    "solve_exact", "solve_heuristic", "transparent_lower_infeasible",
+    "solve_exact", "solve_heuristic",
     "__version__",
 ]

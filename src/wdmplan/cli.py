@@ -179,13 +179,9 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
             raise ConfigError(f"synthetic matrix hub_factor {hub_factor!r} must be a "
                               "number >= 1")
 
-    def int_list(key, default):
-        vals = raw.get(key, default)
-        if not isinstance(vals, list) or not all(_is_int(v) and v >= 0 for v in vals):
-            raise ConfigError(f"config key {key!r} must be a list of non-negative integers")
-        return tuple(vals)
-
-    volumes = int_list("volumes", [])
+    volumes = raw.get("volumes", [])  # empty: the instance's own total
+    if not isinstance(volumes, list) or not all(_is_int(v) and v > 0 for v in volumes):
+        raise ConfigError("config key 'volumes' must be a list of positive integers")
     speeds_raw = raw.get("speeds", [[10, 100]])
     if not isinstance(speeds_raw, list):
         raise ConfigError("config key 'speeds' must be a list of speed sets")
@@ -212,6 +208,10 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
         if f < 1:
             raise ConfigError(f"transponder scale {s!r} is below 1")
         scales.append(f)
+    for key, vals in (("speeds", speeds), ("architectures", archs),
+                      ("transponder_scales", scales)):
+        if not vals:
+            raise ConfigError(f"config key {key!r} must not be empty")
 
     solver = getattr(args, "solver", None) or raw.get("solver", "heuristic")
     if solver not in SOLVERS:
@@ -227,7 +227,7 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
         raise ConfigError("synthetic matrices need explicit target volumes")
     return ScenarioConfig(instance=instance, matrix_name=matrix_name,
                           matrix_source=matrix_source, synthetic=synthetic,
-                          volumes=volumes, speeds=tuple(speeds),
+                          volumes=tuple(volumes), speeds=tuple(speeds),
                           architectures=tuple(archs), scales=tuple(scales),
                           solver=solver, seed=seed, out=out)
 
@@ -398,11 +398,9 @@ def _cost_cells(res: dict | None) -> list[str]:
     """Core, edge and total cost of a cell, or its status three times."""
     if res is None:
         return ["", "", ""]
-    tr = res["report"]
-    if tr is None:
+    if res["report"] is None:
         return [res["status"]] * 3
-    return [metrics.fmt_cost(tr.core_cost), metrics.fmt_cost(tr.edge_cost),
-            metrics.fmt_cost(tr.total_cost)]
+    return metrics.report_csv_row(res["report"])[3:6]
 
 
 def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[dict]) -> None:
@@ -448,14 +446,7 @@ def _write_sweep_table(outdir: Path, cells: list[CellSpec], results: list[dict])
         for cell, res in zip(cells, results):
             base = [res["name"], f"{float(cell.scale):g}"]
             if res["report"] is not None:
-                tr = res["report"]
-                w.writerow(base + [metrics.fmt_cost(tr.core_cost),
-                                   metrics.fmt_cost(tr.edge_cost),
-                                   metrics.fmt_cost(tr.total_cost),
-                                   metrics.fmt_cost(tr.total_ip),
-                                   metrics.fmt_cost(tr.total_wdm),
-                                   metrics.fmt_opacity(tr.opacity),
-                                   str(tr.lambda_count), str(tr.ip_path_count)])
+                w.writerow(base + metrics.report_csv_row(res["report"])[3:])
             else:
                 w.writerow(base + [res["status"]] + [""] * 7)
 
@@ -564,9 +555,9 @@ def _cmd_paths(args) -> int:
                      if line.strip() and not line.lstrip().startswith("#"))
         inst = Instance(graph=net.graph, pops=pops, demands=())
     overrides = {}
-    if args.k:
+    if args.k is not None:
         overrides["max_paths_per_pair"] = args.k
-    if args.max_km:
+    if args.max_km is not None:
         overrides["max_path_km"] = Fraction(str(args.max_km))
     if overrides:
         inst = dataclasses.replace(inst, **overrides)

@@ -12,10 +12,11 @@ Three layers of machinery:
   (rational arithmetic, Bland's rule) on the model's own flow rows: its
   flow-conservation rows, and its virtual-link-capacity rows with the
   candidate capacities as right-hand sides; memoized per capacity vector.
-  The bounding function adds the cost of everything already forced
-  (circuits, fibers, modules) to a completion term: every Gbps of demand
-  still lacking virtual capacity costs at least the cheapest circuit cost
-  per Gbps.
+  The bound (`DesignState.lower_bound`) adds the cost of everything already
+  forced (circuits, fibers, modules) to a completion term: every Gbps of
+  demand still lacking virtual capacity costs at least the cheapest circuit
+  cost per Gbps. The same function, taken on the empty design, is the
+  bound both solvers report when they do not prove an optimum.
 * `solve_heuristic` builds a solution demand by demand (largest first) on a
   grooming graph: routing over existing spare circuit capacity is free,
   opening new circuits pays circuit + fiber + module marginal cost. A local
@@ -41,9 +42,9 @@ from fractions import Fraction
 from math import ceil, inf, lcm
 
 from .costcat import LambdaType
-from .milp import BINARY, CONTINUOUS, Model, ModelError, Solution
-from .netmodel import Instance, node_demand
-from .pathgen import PathCatalog, PhysPath
+from .milp import BINARY, CONTINUOUS, Model, Solution
+from .netmodel import node_demand
+from .pathgen import PhysPath
 
 CONTINUOUS_TOLERANCE = Fraction(1, 10**6)
 
@@ -52,13 +53,14 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNKNOWN = "unknown"
 
+IMPROVE_ROUNDS = 8  # passes of the heuristic's local search, at most
+
 
 @dataclass
 class Limits:
     """Resource guards; exceeding max_nodes yields status `unknown`."""
 
     max_nodes: int = 10_000_000
-    improve_rounds: int = 8
 
 
 @dataclass
@@ -386,6 +388,10 @@ class DesignState:
         self._d_i = node_demand(self.instance)
         for i in self.instance.pops:
             self._update_vmod(i)
+        # what `lower_bound` reads besides the state
+        self._pair_demand = {d.pair: d.value for d in self.instance.demands}
+        self._total_demand = self.instance.total_demand()
+        self._per_gbps = min(lt.cost / lt.routing_capacity for lt in self.cc.lambda_types)
 
     def clone(self) -> "DesignState":
         c = DesignState.__new__(DesignState)
@@ -408,6 +414,8 @@ class DesignState:
         c._vmod_for = self._vmod_for  # memoization is shared, content is state-free
         c._pmod_for = self._pmod_for
         c._d_i = self._d_i
+        c._pair_demand, c._total_demand, c._per_gbps = \
+            self._pair_demand, self._total_demand, self._per_gbps
         return c
 
     def _repick(self, picks: dict, pick_for, node: str, tag: str,
@@ -481,27 +489,34 @@ class DesignState:
         for n in touched_pmod:
             self._update_pmod(n)
 
+    def _spent(self) -> int:
+        """Scaled circuit + fiber + module cost; routers count only in the
+        optimized model."""
+        total = self.circuit_cost + self.fiber_cost + self.pmod_total
+        return total if self.model.transparent else total + self.vmod_total
+
     def scaled_cost(self) -> int | None:
         """`total_cost` in units of 1/`prices.scale`."""
-        if self.broken:
-            return None
-        total = self.circuit_cost + self.fiber_cost + self.pmod_total
-        if not self.model.transparent:
-            total += self.vmod_total
-        return total
+        return None if self.broken else self._spent()
 
     def total_cost(self) -> Fraction | None:
         """Circuit + fiber + module cost; None while any node is broken."""
         scaled = self.scaled_cost()
         return None if scaled is None else self.prices.exact(scaled)
 
-    def lower_bound(self, remaining_demand: Fraction, min_cost_per_gbps: Fraction) -> Fraction:
-        """`total_cost` plus the cheapest circuits for `remaining_demand`
-        Gbps; only for a state with no broken node."""
-        lb = self.total_cost()
-        if remaining_demand > 0:
-            lb += remaining_demand * min_cost_per_gbps
-        return lb
+    def lower_bound(self) -> Fraction:
+        """A lower bound on the cost of every design that adds circuits to
+        this one: the cost so far plus the cheapest circuit price per Gbps
+        for each Gbps of demand not yet covered (per pair in the transparent
+        variant, in total otherwise). Costs and requirements only grow with
+        circuits. `broken` is not looked at: a broken state has no
+        completion, so any number bounds it."""
+        cap = self.pair_capacity
+        if self.model.transparent:
+            uncovered = sum(max(0, dv - cap[pair]) for pair, dv in self._pair_demand.items())
+        else:
+            uncovered = max(0, self._total_demand - sum(cap.values()))
+        return self.prices.exact(self._spent()) + uncovered * self._per_gbps
 
     def to_solution(self, flow_values: dict[str, Fraction] | None = None) -> Solution | None:
         """Assemble full variable values; None if modules do not fit."""
@@ -535,7 +550,8 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
     lower cost), and in the transparent variant each pair needs exactly its
     own demand covered. Exhausting the search proves optimality or
     infeasibility; hitting the node limit returns `unknown` with the
-    incumbent and the trivial bound.
+    incumbent. Every exit but `optimal` reports the bound of the empty
+    design, `DesignState.lower_bound`.
     """
     limits = limits or Limits()
     t0 = time.perf_counter()
@@ -550,11 +566,13 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
         return SolveReport(OPTIMAL, sol, Fraction(0), nodes_explored=1,
                            wall_time_s=time.perf_counter() - t0)
 
+    state = DesignState(model)
+    root_bound = state.lower_bound()
     if capacity_infeasible(model) is not None:
-        return SolveReport(INFEASIBLE, None, trivial_bound(model),
+        return SolveReport(INFEASIBLE, None, root_bound,
                            wall_time_s=time.perf_counter() - t0)
 
-    demand_by_pair = {d.pair: d.value for d in inst.demands}
+    demand_by_pair = state._pair_demand
     # branch order: pairs in catalog order, paths within pair, speeds ascending
     branch: list[tuple[tuple, int, int, int]] = []  # (pair, path id, speed, ub)
     for pair, plist in cat.pair_paths.items():
@@ -568,18 +586,14 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
                 if ub:
                     branch.append((pair, pid, lt.speed, ub))
 
-    per_gbps = min_cost_per_gbps(model)
-
     incumbent: Solution | None = None
     incumbent_cost: Fraction | None = None
-    seeded = solve_heuristic(model, seed=0,
-                             limits=Limits(improve_rounds=limits.improve_rounds))
+    seeded = solve_heuristic(model, seed=0)
     if seeded.solution is not None:
         incumbent, incumbent_cost = seeded.solution, seeded.solution.objective
 
     flow_cache: dict[tuple, dict | None] = {}
     pair_order = sorted(cat.pair_paths)
-    state = DesignState(model)
     nodes = 0
     limit_hit = False
 
@@ -638,18 +652,10 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
             if descend and model.transparent and idx == last_var_of_pair[pair] \
                     and state.pair_capacity[pair] < demand_by_pair.get(pair, 0):
                 descend = False  # later values may still fix this pair
-            if descend:
-                if model.transparent:
-                    remaining = sum(
-                        (max(Fraction(0), Fraction(dv) - state.pair_capacity[pr])
-                         for pr, dv in demand_by_pair.items()), Fraction(0))
-                else:
-                    assigned = sum(state.pair_capacity.values(), Fraction(0))
-                    remaining = Fraction(total) - assigned
-                lb = state.lower_bound(remaining, per_gbps)
-                if incumbent_cost is not None and lb >= incumbent_cost:
-                    descend = False
-                    prune_rest = True  # the bound is monotone in value
+            if descend and incumbent_cost is not None \
+                    and state.lower_bound() >= incumbent_cost:
+                descend = False
+                prune_rest = True  # the bound is monotone in value
             if descend:
                 dfs(idx + 1)
             if value:
@@ -661,10 +667,10 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
     wall = time.perf_counter() - t0
 
     if limit_hit:
-        return SolveReport(UNKNOWN, incumbent, trivial_bound(model), nodes_explored=nodes,
+        return SolveReport(UNKNOWN, incumbent, root_bound, nodes_explored=nodes,
                            wall_time_s=wall)
     if incumbent is None:
-        return SolveReport(INFEASIBLE, None, Fraction(0), nodes_explored=nodes,
+        return SolveReport(INFEASIBLE, None, root_bound, nodes_explored=nodes,
                            wall_time_s=wall)
     return SolveReport(OPTIMAL, incumbent, incumbent_cost, nodes_explored=nodes,
                        wall_time_s=wall)
@@ -691,12 +697,11 @@ def _mix_options(demand: int, lambda_types: list[LambdaType]) -> list[dict[int, 
 
 
 class _Heuristic:
-    def __init__(self, model: Model, seed: int, limits: Limits):
+    def __init__(self, model: Model, seed: int):
         self.model = model
         self.inst = model.instance
         self.cat = model.catalog
         self.cc = model.cost_catalog
-        self.limits = limits
         self.rng = random.Random(seed)
         self.state = DesignState(model)
         self.pair_flow: dict[tuple, int] = {
@@ -705,10 +710,8 @@ class _Heuristic:
         self.demand_order: list[int] = []
         self.moves = 0
         # commodity key lookup for assembling flow variable values
-        self.key_by_origin: dict[str, str] = {}
         self.key_by_pair: dict[tuple, str] = {}
         for key, origin, sinks in model.commodities:
-            self.key_by_origin[origin] = key
             for sink in sinks:
                 self.key_by_pair[(origin, sink)] = key
         self.lambda_types = list(self.cc.lambda_types)
@@ -746,17 +749,6 @@ class _Heuristic:
                 before = st.vmod.get(node)
                 cost += after[0] - (before[0] if before else 0)
         return cost
-
-    def place_cost(self, path: PhysPath, mix: dict[int, int]) -> int | None:
-        """Scaled marginal cost of adding a circuit mix on a physical path;
-        None if some node would outgrow every module."""
-        count = sum(mix.values())
-        if count == 0:
-            return 0
-        base = self._mix_base(path.ends, mix)
-        if base is None:
-            return None
-        return self._marginal(path.ends, self._edge_terms(path), count, base)
 
     def _marginal(self, ends: tuple[str, str], edges: tuple, count: int, cost: int,
                   cutoff: float = inf) -> int | None:
@@ -989,7 +981,7 @@ class _Heuristic:
         return improved
 
     def improve(self) -> None:
-        for _ in range(self.limits.improve_rounds):
+        for _ in range(IMPROVE_ROUNDS):
             changed = False
             changed |= self.prune_idle()
             changed |= self.swap_paths()
@@ -1004,24 +996,11 @@ class _Heuristic:
         flows: dict[str, Fraction] = {}
         for idx, seq in self.routes.items():
             d = self.inst.demands[idx]
-            key = self.key_by_pair.get((d.u, d.v), self.key_by_origin.get(d.u))
+            key = self.key_by_pair[(d.u, d.v)]
             for i, j in zip(seq, seq[1:]):
                 name = self.model.flow_vars[(key, i, j)]
                 flows[name] = flows.get(name, Fraction(0)) + d.value
         return flows
-
-
-def min_cost_per_gbps(model: Model) -> Fraction:
-    """The cheapest circuit price per Gbps it routes."""
-    return min(lt.cost / lt.routing_capacity for lt in model.cost_catalog.lambda_types)
-
-
-def trivial_bound(model: Model) -> Fraction:
-    """Cheapest-conceivable cost: every demand Gbps on one circuit hop."""
-    total = model.instance.total_demand()
-    if not total:
-        return Fraction(0)
-    return total * min_cost_per_gbps(model)
 
 
 def capacity_infeasible(model: Model) -> str | None:
@@ -1058,36 +1037,21 @@ def capacity_infeasible(model: Model) -> str | None:
     return None
 
 
-def transparent_lower_infeasible(model: Model) -> str | None:
-    """`capacity_infeasible` of a transparent-core model; None for an
-    optimized one."""
-    return capacity_infeasible(model) if model.transparent else None
-
-
-def solve_heuristic(model: Model, instance: Instance | None = None,
-                    catalog: PathCatalog | None = None, seed: int = 0,
-                    limits: Limits | None = None) -> SolveReport:
+def solve_heuristic(model: Model, seed: int = 0) -> SolveReport:
     """Construct + local search; deterministic for a fixed seed.
 
-    The report's bound is the trivial circuit-cost bound, so `optimal` is
-    only claimed when that bound is actually attained (e.g. zero demands).
+    The report's bound is `DesignState.lower_bound` of the empty design, so
+    `optimal` is only claimed when the design meets it (e.g. zero demands).
     Failure to construct a solution yields `unknown`; `infeasible` is only
     reported when `capacity_infeasible` proves it, for either architecture.
     """
-    limits = limits or Limits()
     t0 = time.perf_counter()
-    if instance is not None and instance is not model.instance:
-        raise ModelError("instance does not belong to this model")
-    if catalog is not None and catalog is not model.catalog:
-        raise ModelError("catalog does not belong to this model")
-    bound = trivial_bound(model)
-
-    proof = capacity_infeasible(model)
-    if proof is not None:
+    h = _Heuristic(model, seed)
+    bound = h.state.lower_bound()
+    if capacity_infeasible(model) is not None:
         return SolveReport(INFEASIBLE, None, bound,
                            wall_time_s=time.perf_counter() - t0)
 
-    h = _Heuristic(model, seed, limits)
     if model.transparent:
         ok = True
         for d in model.instance.demands:
@@ -1110,9 +1074,6 @@ def solve_heuristic(model: Model, instance: Instance | None = None,
                            wall_time_s=time.perf_counter() - t0)
 
     sol = h.state.to_solution(h.flow_values() if not model.transparent else None)
-    if sol is None:
-        return SolveReport(UNKNOWN, None, bound, iterations=h.moves,
-                           wall_time_s=time.perf_counter() - t0)
     cost = h.state.total_cost()
     sol.objective = cost
     violations = check_feasibility(model, sol)

@@ -108,7 +108,7 @@ def test_criterion_4_heuristic_feasible_and_bounded():
         cat = build_catalog(inst)
         cc = build_cost_catalog(inst)
         m = build_model(inst, cat, cc)
-        rep = solve_heuristic(m, inst)
+        rep = solve_heuristic(m)
         if rep.status not in ("optimal", "feasible") \
                 or check_feasibility(m, rep.solution):
             violations += 1
@@ -120,7 +120,7 @@ def test_criterion_4_heuristic_feasible_and_bounded():
         exact = solve_exact(m)
         if exact.status != "optimal":
             continue
-        heur = solve_heuristic(m, inst)
+        heur = solve_heuristic(m)
         if (evaluate_cost(m, heur.solution)
                 < evaluate_cost(m, exact.solution)):
             below_exact += 1
@@ -165,7 +165,7 @@ def test_criterion_6a_star_overload_infeasible():
     inst = _star_instance()
     # hub must add/drop 5 x ceil(802/10) = 405 circuits, above the 400-port cap
     _, mt = build_pair(inst)
-    rep = solve_heuristic(mt, inst)
+    rep = solve_heuristic(mt)
     exact = solve_exact(mt)
     ok = rep.status == "infeasible" and exact.status == "infeasible"
     verdict("6a", ok, f"star hub needs 405 add-drop ports > 400: transparent "

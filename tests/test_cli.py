@@ -309,10 +309,15 @@ def test_config_validation(tmp_path, capsys):
     {"matrix": {"source": "synthetic", "mode": "centralized"}},
     {"matrix": {"source": "synthetic", "mode": "centralized", "hub": "a",
                 "hub_factr": 10}},
+    {"volumes": [0]},
+    {"speeds": []},
+    {"architectures": []},
+    {"transponder_scales": []},
 ], ids=["matrix-name", "instance", "nested-speeds", "bool-volume", "bool-seed", "out",
         "architectures", "scales", "weights-number", "weight-zero", "weight-string",
         "weights-missing", "hub-factor-string", "hub-factor-below-1", "hub-factor-bool",
-        "hub-number", "hub-not-pop", "hub-absent", "misspelt-key"])
+        "hub-number", "hub-not-pop", "hub-absent", "misspelt-key", "zero-volume",
+        "no-speeds", "no-architectures", "no-scales"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, bad):
     cfg = {"instance": tri_file(tmp_path), "volumes": [100], "speeds": [[10]],
            "out": str(tmp_path / "res"), **bad}
@@ -362,6 +367,12 @@ def test_paths_command(tmp_path, capsys):
     rc = main(["paths", "--instance", str(DATA / "toy6.txt"), "--k", "1"])
     assert rc == 0
     assert "paths: 6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--k", "--max-km"])
+def test_paths_rejects_zero_overrides(capsys, flag):
+    assert main(["paths", "--instance", str(DATA / "toy6.txt"), flag, "0"]) == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 def test_paths_requires_exactly_one_source(capsys):

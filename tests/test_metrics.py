@@ -190,7 +190,7 @@ def test_transparent_report_zero_ip_transit():
                                       ("b", "c", 40)))
     mt = build_transparent_variant(inst, build_catalog(inst),
                                    build_cost_catalog(inst))
-    res = solve_heuristic(mt, inst)
+    res = solve_heuristic(mt)
     assert res.status in ("optimal", "feasible")
     tr = report(mt, res.solution)
     assert tr.architecture == "transparent-core"
@@ -211,7 +211,7 @@ def test_transit_identity_on_random_instances():
     for _ in range(8):
         inst, _cat = routable_instance(random_midsize_instance, rng)
         m = build(inst)
-        res = solve_heuristic(m, inst)
+        res = solve_heuristic(m)
         assert res.status in ("optimal", "feasible")
         assert check_feasibility(m, res.solution) == []
         tr = report(m, res.solution)

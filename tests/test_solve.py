@@ -1,5 +1,6 @@
 """Exact and heuristic solver behaviour on small instances."""
 
+import io
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,16 +12,18 @@ from conftest import (make_instance, random_midsize_instance,
                       triangle_instance)
 from wdmplan.costcat import build_cost_catalog
 from wdmplan.formats import read_instance
-from wdmplan.milp import (ModelError, build_model, build_transparent_variant,
-                          evaluate_cost)
+from wdmplan.milp import (build_model, build_transparent_variant, evaluate_cost,
+                          export_model)
 from wdmplan.pathgen import build_catalog
-from wdmplan.solve import (Limits, _Heuristic, _mix_options, capacity_infeasible,
-                           check_feasibility, route_flows, solve_exact,
-                           solve_heuristic, transparent_lower_infeasible,
-                           trivial_bound)
+from wdmplan.solve import (DesignState, Limits, _Heuristic, _mix_options,
+                           capacity_infeasible, check_feasibility, route_flows,
+                           solve_exact, solve_heuristic)
 
 pytest.importorskip("scipy.optimize")
 from enum_oracle import brute_force_optimum, lp_routable  # noqa: E402
+from lp_mip import solve_lp_text  # noqa: E402
+
+TOY6 = Path(__file__).resolve().parents[1] / "data" / "toy6.txt"
 
 
 def build(inst):
@@ -74,7 +77,7 @@ def test_heuristic_feasible_and_never_below_exact():
     for inst in tiny_instances(8, master_seed=77):
         m = build(inst)
         exact = solve_exact(m)
-        heur = solve_heuristic(m, inst, seed=3)
+        heur = solve_heuristic(m, seed=3)
         assert heur.status in ("optimal", "feasible")
         assert check_feasibility(m, heur.solution) == []
         assert (evaluate_cost(m, heur.solution)
@@ -86,10 +89,10 @@ def test_heuristic_feasible_midsize():
     for _ in range(10):
         inst, _cat = routable_instance(random_midsize_instance, rng)
         m = build(inst)
-        report = solve_heuristic(m, inst)
+        report = solve_heuristic(m)
         assert report.status in ("optimal", "feasible")
         assert check_feasibility(m, report.solution) == []
-        assert evaluate_cost(m, report.solution) >= trivial_bound(m)
+        assert evaluate_cost(m, report.solution) >= report.bound
 
 
 def test_heuristic_deterministic_per_seed():
@@ -214,7 +217,6 @@ def test_optimized_capacity_proofs(volume, proof):
                          demands=(("a", "b", volume),), speeds=(10, 100))
     m = build(inst)
     assert capacity_infeasible(m) == proof
-    assert transparent_lower_infeasible(m) is None
     assert solve_exact(m).status == "infeasible"
     assert solve_heuristic(m).status == "infeasible"
 
@@ -229,9 +231,9 @@ def star_instance(spokes=5, value=802):
 def test_transparent_star_overload_infeasible():
     inst = star_instance()
     mt = build_tra(inst)
-    proof = transparent_lower_infeasible(mt)
+    proof = capacity_infeasible(mt)
     assert proof is not None and "hub" in proof
-    report = solve_heuristic(mt, inst)
+    report = solve_heuristic(mt)
     assert report.status == "infeasible"
     assert report.solution is None
     exact = solve_exact(mt)
@@ -241,8 +243,8 @@ def test_transparent_star_overload_infeasible():
 def test_transparent_proof_absent_when_it_fits():
     inst = star_instance(spokes=2, value=120)
     mt = build_tra(inst)
-    assert transparent_lower_infeasible(mt) is None
-    report = solve_heuristic(mt, inst)
+    assert capacity_infeasible(mt) is None
+    report = solve_heuristic(mt)
     assert report.status in ("optimal", "feasible")
     assert check_feasibility(mt, report.solution) == []
 
@@ -259,27 +261,69 @@ def test_transparent_cost_at_most_optimized_cost_inputs():
     assert evaluate_cost(mt, tra.solution) <= evaluate_cost(mo, opt.solution)
 
 
-def test_heuristic_rejects_foreign_instance():
-    inst = triangle_instance(demands=(("a", "b", 25),))
-    other = triangle_instance(demands=(("a", "b", 26),))
-    m = build(inst)
-    with pytest.raises(ModelError, match="does not belong"):
-        solve_heuristic(m, other)
-
-
 def test_exact_node_budget_reports_unknown():
     inst = tiny_instances(1, master_seed=42)[0]
     m = build(inst)
     report = solve_exact(m, Limits(max_nodes=1))
     assert report.status in ("feasible", "unknown")
-    # a capped search still reports a valid, nonzero lower bound
-    toy6 = read_instance((Path(__file__).resolve().parents[1] / "data" / "toy6.txt")
-                         .read_text())
+    # a capped search still reports a valid, nonzero lower bound: the bound
+    # of the empty design
+    toy6 = read_instance(TOY6.read_text())
     for model, cap in ((m, 1), (build(toy6), 300)):
         report = solve_exact(model, Limits(max_nodes=cap))
         assert report.status == "unknown"
-        assert report.bound == trivial_bound(model)
+        assert report.bound == DesignState(model).lower_bound()
         assert 0 < report.bound <= report.solution.objective
+
+
+def test_bounds_never_above_the_optimum():
+    """Both solvers' bound is at most the HiGHS optimum of the LP export on
+    random tiny and mid-size models of both architectures, and at most the
+    enumerated optimum on tiny optimized ones."""
+    rng = random.Random(4242)
+    checked = 0
+    for maker in [random_tiny_instance] * 8 + [random_midsize_instance] * 3:
+        inst, _cat = routable_instance(maker, rng)
+        for m in (build(inst), build_tra(inst)):
+            root = DesignState(m).lower_bound()
+            heur = solve_heuristic(m)
+            exact = solve_exact(m, Limits(max_nodes=300))
+            assert heur.bound == root
+            if exact.status != "optimal":
+                assert exact.bound == root
+            buf = io.StringIO()
+            export_model(m, buf)
+            try:
+                optimum = solve_lp_text(buf.getvalue())[0]
+            except RuntimeError:
+                continue  # no design at all: any bound is valid
+            for bound in (heur.bound, exact.bound):
+                assert float(bound) <= optimum + 1e-6 * max(1.0, abs(optimum))
+            if maker is random_tiny_instance and not m.transparent:
+                assert max(heur.bound, exact.bound) <= brute_force_optimum(inst)
+            checked += 1
+    assert checked >= 20
+
+
+def test_both_solvers_report_the_same_bound_when_nothing_fits():
+    """Each end needs 11 fibers and the largest optical node takes 10: the
+    exhausted search (`infeasible`) and the failed construction (`unknown`)
+    report the bound of the empty design."""
+    inst = make_instance([("e1", "a", "b", 100)], pops=("a", "b"),
+                         demands=(("a", "b", 110),), speeds=(10,), channels_per_fiber=1)
+    for m in (build(inst), build_tra(inst)):
+        assert capacity_infeasible(m) is None
+        exact, heur = solve_exact(m), solve_heuristic(m)
+        assert (exact.status, heur.status) == ("infeasible", "unknown")
+        assert exact.bound == heur.bound == DesignState(m).lower_bound() > 0
+
+
+def test_root_bound_pinned_on_toy6():
+    """Circuits for the demand at the cheapest price per Gbps, plus, in the
+    optimized model, the cheapest router for each PoP's own demand."""
+    inst = read_instance(TOY6.read_text())
+    assert DesignState(build(inst)).lower_bound() == Fraction(1632, 5)
+    assert DesignState(build_tra(inst)).lower_bound() == Fraction(432, 5)
 
 
 # heuristic objective and local-search moves on the shipped toy6 instance,
@@ -293,8 +337,7 @@ TOY6_HEURISTIC = {
 
 
 def test_heuristic_results_pinned_on_toy6():
-    data = Path(__file__).resolve().parents[1] / "data" / "toy6.txt"
-    inst = read_instance(data.read_text())
+    inst = read_instance(TOY6.read_text())
     models = {"optimized": build(inst), "transparent-core": build_tra(inst)}
     for (arch, seed), (objective, moves) in TOY6_HEURISTIC.items():
         report = solve_heuristic(models[arch], seed=seed)
@@ -309,10 +352,10 @@ def _assert_node_fibers(state, graph):
 
 
 def test_marginal_cost_kernel_matches_exact_totals():
-    """place_cost is the scaled total_cost difference of applying a mix (or
-    None exactly when the mix breaks a node), best_placement picks its
-    minimum, and incremental node fiber counts match a recount, over random
-    add/remove sequences and clones."""
+    """best_placement picks the (cost, length, path id) minimum of the scaled
+    total_cost differences of applying each mix on each path of the pair,
+    skipping the candidates that break a node, and incremental node fiber
+    counts match a recount, over random add/remove sequences and clones."""
     rng = random.Random(2718)
     outcomes = set()
     for maker in (random_tiny_instance, random_midsize_instance):
@@ -323,35 +366,26 @@ def test_marginal_cost_kernel_matches_exact_totals():
             for m in (build_model(inst, full_cat, cc),
                       build_transparent_variant(inst, full_cat, cc)):
                 cat = m.catalog
-                h = _Heuristic(m, seed=0, limits=Limits())
+                h = _Heuristic(m, seed=0)
                 earlier = []
                 for step in range(40):
                     st = h.state
                     _assert_node_fibers(st, inst.graph)
-                    path = rng.choice(cat.paths)
-                    hi = rng.choice((3, 3, 3, 60, 400))  # 400 can break a node
-                    mix = {s: rng.randint(0, hi) for s in speeds}
-                    before = st.total_cost()
+                    before = st.scaled_cost()
                     if before is not None:
-                        trial = st.clone()
-                        for speed, n in mix.items():
-                            trial.add_circuits(cat.index(path), speed, n)
-                        after = trial.total_cost()
-                        got = h.place_cost(path, mix)
-                        if got is None:
-                            assert after is None
-                        else:
-                            assert after is not None
-                            assert got == (after - before) * st.prices.scale
-                        outcomes.add(got is None)
-                        # best_placement prunes by cost; it must still pick
-                        # the (cost, length, path id) minimum of place_cost
                         pair = rng.choice(sorted(cat.pair_paths))
-                        need = rng.randint(1, 300)
-                        keys = [(c, q.length_km, cat.index(q), mx)
-                                for q in cat.pair_paths[pair]
-                                for mx in _mix_options(need, list(cc.lambda_types))
-                                if (c := h.place_cost(q, mx)) is not None]
+                        need = rng.randint(1, rng.choice((300, 300, 300, 4000)))
+                        keys = []  # 4000 Gbps of 10G circuits can break a node
+                        for q in cat.pair_paths[pair]:
+                            for mx in _mix_options(need, list(cc.lambda_types)):
+                                trial = st.clone()
+                                for speed, n in mx.items():
+                                    trial.add_circuits(cat.index(q), speed, n)
+                                after = trial.scaled_cost()
+                                outcomes.add(after is None)
+                                if after is not None:
+                                    keys.append((after - before, q.length_km,
+                                                 cat.index(q), mx))
                         placed = h.best_placement(pair, need)
                         if not keys:
                             assert placed is None
