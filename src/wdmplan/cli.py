@@ -532,18 +532,21 @@ def _cmd_solve(args) -> int:
 
 def _cmd_catalog(args) -> int:
     speeds = tuple(int(s) for s in args.speeds.split(","))
-    scale = Fraction(args.scale)
+    buf = io.StringIO()  # complete before --out is opened: bad input leaves no file
+    dump_catalog_csv(buf, speeds=speeds, transponder_scale=Fraction(args.scale))
     if args.out:
         with open(args.out, "w", newline="") as f:
-            dump_catalog_csv(f, speeds=speeds, transponder_scale=scale)
+            f.write(buf.getvalue())
     else:
-        dump_catalog_csv(sys.stdout, speeds=speeds, transponder_scale=scale)
+        sys.stdout.write(buf.getvalue())
     return 0
 
 
 def _cmd_paths(args) -> int:
     if bool(args.instance) == bool(args.sndlib):
         raise ConfigError("exactly one of --instance / --sndlib is required")
+    if args.expect is not None and args.expect < 1:
+        raise ConfigError(f"--expect must be at least 1, got {args.expect}")
     if args.instance:
         inst = read_instance_file(args.instance)
     else:
@@ -577,6 +580,8 @@ def _cmd_paths(args) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.command in ("run", "sweep") and args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         if args.command == "run":
             return run_scenarios(load_config(args.config, args), jobs=args.jobs)
         if args.command == "sweep":

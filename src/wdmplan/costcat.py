@@ -129,18 +129,12 @@ class VirtualNodeModule:
         return f"{self.router_type}-{self.slots}slot"
 
 
-def enumerate_virtual_modules(speeds: int | Iterable[int] = SUPPORTED_SPEEDS) -> list[VirtualNodeModule]:
+def enumerate_virtual_modules() -> list[VirtualNodeModule]:
     """Enumerate all installable router configurations, ascending by capacity.
 
-    The configuration list does not depend on the circuit speed (slot prices
-    are speed-neutral; the 10G slot surcharge is a post-processing cost), so
-    `speeds` is validated only.
+    The configuration list does not depend on the circuit speed: slot prices
+    are speed-neutral, and the 10G slot surcharge is a post-processing cost.
     """
-    if isinstance(speeds, int):
-        speeds = (speeds,)
-    for s in speeds:
-        if s not in SUPPORTED_SPEEDS:
-            raise ValueError(f"unknown circuit speed {s!r}")
     modules = []
     for slots in range(1, TYPE2_MAX_SLOTS + 1):
         modules.append(VirtualNodeModule(
@@ -242,7 +236,7 @@ def build_cost_catalog(instance) -> CostCatalog:
     lts = tuple(lambda_type(s, instance.transponder_scale) for s in sorted(instance.speeds))
     return CostCatalog(
         lambda_types=lts,
-        virtual_modules=tuple(enumerate_virtual_modules(instance.speeds)),
+        virtual_modules=tuple(enumerate_virtual_modules()),
         physical_modules=tuple(physical_modules()),
         fiber_cost={e.id: fiber_link_cost(e.length_km) for e in instance.graph.edges},
     )
@@ -254,17 +248,18 @@ def dump_catalog_csv(out: IO[str], speeds: Iterable[int] = SUPPORTED_SPEEDS,
 
     Columns: kind, name, capacity_gbps, slots_or_fibers, ports, cost.
     Circuit rows carry routing capacity in capacity_gbps and the slot share
-    (as a fraction string) in slots_or_fibers.
+    (as a fraction string) in slots_or_fibers. Every row is built, which
+    validates the speeds and the scale, before the first one is written.
     """
-    writer = csv.writer(out)
-    writer.writerow(["kind", "name", "capacity_gbps", "slots_or_fibers", "ports", "cost"])
+    rows = [["kind", "name", "capacity_gbps", "slots_or_fibers", "ports", "cost"]]
     for s in sorted(set(speeds)):
         lt = lambda_type(s, transponder_scale)
-        writer.writerow(["circuit", f"{s}G", lt.routing_capacity,
-                         str(lt.slot_share), "", float(lt.cost)])
-    for vm in enumerate_virtual_modules(tuple(speeds)):
-        writer.writerow(["router", vm.name, vm.switching_capacity,
-                         vm.slot_capacity, "", float(vm.cost)])
+        rows.append(["circuit", f"{s}G", lt.routing_capacity,
+                     str(lt.slot_share), "", float(lt.cost)])
+    for vm in enumerate_virtual_modules():
+        rows.append(["router", vm.name, vm.switching_capacity,
+                     vm.slot_capacity, "", float(vm.cost)])
     for pm in physical_modules():
-        writer.writerow(["optical-node", pm.name, "", pm.fiber_capacity,
-                         pm.add_drop_ports, float(pm.cost)])
+        rows.append(["optical-node", pm.name, "", pm.fiber_capacity,
+                     pm.add_drop_ports, float(pm.cost)])
+    csv.writer(out).writerows(rows)

@@ -4,14 +4,16 @@ Three layers of machinery:
 
 * `check_feasibility` verifies a full variable assignment row by row.
 * `solve_exact` runs depth-first branch-and-bound over the circuit counts
-  y_(path, speed). Fibers and node modules are not branched: for fixed
-  circuit counts the cheapest fiber counts are forced (channels per link,
-  rounded up to whole fibers) and the cheapest sufficient modules follow per
-  node, so only circuits span the search tree. Routability of the demands
-  for a candidate capacity vector is decided by an exact phase-1 simplex
-  (rational arithmetic, Bland's rule) on the model's own flow rows: its
-  flow-conservation rows, and its virtual-link-capacity rows with the
-  candidate capacities as right-hand sides; memoized per capacity vector.
+  y_(path, speed), as one loop over an explicit stack that adds one circuit
+  per step, so the model's size sets no depth limit. Fibers and node
+  modules are not branched: for fixed circuit counts the cheapest fiber
+  counts are forced (channels per link, rounded up to whole fibers) and the
+  cheapest sufficient modules follow per node, so only circuits span the
+  search tree. Routability of the demands for a candidate capacity vector
+  is decided by an exact phase-1 simplex (rational arithmetic, Bland's
+  rule) on the model's own flow rows: its flow-conservation rows, and its
+  virtual-link-capacity rows with the candidate capacities as right-hand
+  sides; memoized per capacity vector.
   The bound (`DesignState.lower_bound`) adds the cost of everything already
   forced (circuits, fibers, modules) to a completion term: every Gbps of
   demand still lacking virtual capacity costs at least the cheapest circuit
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import heapq
 import random
-import time
 from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
@@ -70,7 +71,6 @@ class SolveReport:
     bound: Fraction
     nodes_explored: int = 0
     iterations: int = 0
-    wall_time_s: float = 0.0
 
 
 def check_feasibility(model: Model, solution: Solution | dict) -> list[str]:
@@ -544,6 +544,13 @@ class DesignState:
 def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
     """Optimal solution by depth-first search over circuit counts.
 
+    The search is one loop over an explicit stack: `values[k]` circuits sit
+    on the k-th branch variable. Each step adds one circuit to the deepest
+    variable set, or enters the next variable at zero; backing up removes a
+    variable's circuits in one call. Each value tried counts one node, and
+    only `Limits.max_nodes` bounds the search, however many variables the
+    model has.
+
     The per-variable ranges provably contain an optimum: a virtual link
     never needs more capacity than the total demand plus one circuit (any
     solution richer than that stays feasible after dropping a circuit, at
@@ -554,7 +561,6 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
     design, `DesignState.lower_bound`.
     """
     limits = limits or Limits()
-    t0 = time.perf_counter()
     inst = model.instance
     cat = model.catalog
     cc = model.cost_catalog
@@ -563,14 +569,12 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
     if total == 0:
         sol = model.zero_solution()
         sol.objective = Fraction(0)
-        return SolveReport(OPTIMAL, sol, Fraction(0), nodes_explored=1,
-                           wall_time_s=time.perf_counter() - t0)
+        return SolveReport(OPTIMAL, sol, Fraction(0), nodes_explored=1)
 
     state = DesignState(model)
     root_bound = state.lower_bound()
     if capacity_infeasible(model) is not None:
-        return SolveReport(INFEASIBLE, None, root_bound,
-                           wall_time_s=time.perf_counter() - t0)
+        return SolveReport(INFEASIBLE, None, root_bound)
 
     demand_by_pair = state._pair_demand
     # branch order: pairs in catalog order, paths within pair, speeds ascending
@@ -594,86 +598,58 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
 
     flow_cache: dict[tuple, dict | None] = {}
     pair_order = sorted(cat.pair_paths)
-    nodes = 0
-    limit_hit = False
-
     last_var_of_pair = {pair: idx for idx, (pair, _, _, _) in enumerate(branch)}
-
-    def leaf(st: DesignState) -> tuple[Fraction, Solution] | None:
-        cost = st.total_cost()
-        if cost is None:
-            return None
-        if model.transparent:
-            flows = {}
+    values: list[int] = []  # values[k] circuits sit on branch[k]
+    nodes = 0
+    descend, prune_rest = True, False
+    while True:
+        if descend and len(values) < len(branch):
+            values.append(0)  # the next variable, at value 0
         else:
-            capkey = tuple(st.pair_capacity[pair] for pair in pair_order)
-            if capkey not in flow_cache:
-                flow_cache[capkey] = route_flows(model, st.pair_capacity)
-            flows = flow_cache[capkey]
-            if flows is None:
-                return None
-        sol = st.to_solution(flows)
-        if sol is None:
-            return None
-        sol.objective = cost
-        return cost, sol
-
-    def dfs(idx: int) -> None:
-        nonlocal incumbent, incumbent_cost, nodes, limit_hit
-        if limit_hit:
-            return
-        if idx == len(branch):
-            res = leaf(state)
-            if res is not None:
-                cost, sol = res
-                if incumbent_cost is None or cost < incumbent_cost:
-                    incumbent, incumbent_cost = sol, cost
-            return
-        pair, pid, speed, ub = branch[idx]
-        cap_a = state.lt[speed].routing_capacity
-        for value in range(0, ub + 1):
-            nodes += 1
-            if nodes > limits.max_nodes:
-                limit_hit = True
-                return
-            if value:
-                state.add_circuits(pid, speed, value)
-            prune_rest = False
-            descend = True
-            if state.broken:
-                # requirements only grow with value: the rest is broken too
-                descend = False
-                prune_rest = value > 0
-            elif value and not model.transparent \
-                    and state.pair_capacity[pair] - cap_a >= total:
-                # dominated: dropping one circuit keeps every flow feasible
-                descend = False
-                prune_rest = True
-            if descend and model.transparent and idx == last_var_of_pair[pair] \
-                    and state.pair_capacity[pair] < demand_by_pair.get(pair, 0):
-                descend = False  # later values may still fix this pair
-            if descend and incumbent_cost is not None \
-                    and state.lower_bound() >= incumbent_cost:
-                descend = False
-                prune_rest = True  # the bound is monotone in value
             if descend:
-                dfs(idx + 1)
-            if value:
-                state.add_circuits(pid, speed, -value)
-            if limit_hit or prune_rest:
-                return
+                # every variable is set: a leaf. It is never broken, as the
+                # search descends only from unbroken states and
+                # `capacity_infeasible` turned away a broken root.
+                cost = state.total_cost()
+                flows = {}
+                if not model.transparent:
+                    capkey = tuple(state.pair_capacity[pair] for pair in pair_order)
+                    if capkey not in flow_cache:
+                        flow_cache[capkey] = route_flows(model, state.pair_capacity)
+                    flows = flow_cache[capkey]
+                if flows is not None and (incumbent_cost is None or cost < incumbent_cost):
+                    incumbent, incumbent_cost = state.to_solution(flows), cost
+                    incumbent.objective = cost
+            # back up past pruned and exhausted variables
+            while values and (prune_rest or values[-1] == branch[len(values) - 1][3]):
+                _, pid, speed, _ = branch[len(values) - 1]
+                state.add_circuits(pid, speed, -values.pop())
+                prune_rest = False
+            if not values:
+                break
+            values[-1] += 1
+        nodes += 1
+        if nodes > limits.max_nodes:
+            return SolveReport(UNKNOWN, incumbent, root_bound, nodes_explored=nodes)
+        idx = len(values) - 1
+        pair, pid, speed, _ = branch[idx]
+        if values[-1]:
+            state.add_circuits(pid, speed, 1)
+        # a rule that prunes the rest holds for every larger value too, as
+        # requirements and costs only grow with circuits
+        dominated = values[-1] > 0 and not model.transparent \
+            and state.pair_capacity[pair] - state.lt[speed].routing_capacity >= total
+        short = model.transparent and idx == last_var_of_pair[pair] \
+            and state.pair_capacity[pair] < demand_by_pair.get(pair, 0)
+        # dominated: dropping one circuit keeps every flow feasible; short:
+        # later values may still fix this pair
+        prune_rest = bool(state.broken) or dominated or (
+            not short and incumbent_cost is not None and state.lower_bound() >= incumbent_cost)
+        descend = not (prune_rest or short)
 
-    dfs(0)
-    wall = time.perf_counter() - t0
-
-    if limit_hit:
-        return SolveReport(UNKNOWN, incumbent, root_bound, nodes_explored=nodes,
-                           wall_time_s=wall)
     if incumbent is None:
-        return SolveReport(INFEASIBLE, None, root_bound, nodes_explored=nodes,
-                           wall_time_s=wall)
-    return SolveReport(OPTIMAL, incumbent, incumbent_cost, nodes_explored=nodes,
-                       wall_time_s=wall)
+        return SolveReport(INFEASIBLE, None, root_bound, nodes_explored=nodes)
+    return SolveReport(OPTIMAL, incumbent, incumbent_cost, nodes_explored=nodes)
 
 
 # --------------------------------------------------------------------------
@@ -1045,12 +1021,10 @@ def solve_heuristic(model: Model, seed: int = 0) -> SolveReport:
     Failure to construct a solution yields `unknown`; `infeasible` is only
     reported when `capacity_infeasible` proves it, for either architecture.
     """
-    t0 = time.perf_counter()
     h = _Heuristic(model, seed)
     bound = h.state.lower_bound()
     if capacity_infeasible(model) is not None:
-        return SolveReport(INFEASIBLE, None, bound,
-                           wall_time_s=time.perf_counter() - t0)
+        return SolveReport(INFEASIBLE, None, bound)
 
     if model.transparent:
         ok = True
@@ -1070,8 +1044,7 @@ def solve_heuristic(model: Model, seed: int = 0) -> SolveReport:
         if ok:
             h.improve()
     if not ok or h.state.total_cost() is None:
-        return SolveReport(UNKNOWN, None, bound, iterations=h.moves,
-                           wall_time_s=time.perf_counter() - t0)
+        return SolveReport(UNKNOWN, None, bound, iterations=h.moves)
 
     sol = h.state.to_solution(h.flow_values() if not model.transparent else None)
     cost = h.state.total_cost()
@@ -1080,5 +1053,4 @@ def solve_heuristic(model: Model, seed: int = 0) -> SolveReport:
     if violations:
         raise AssertionError(f"heuristic produced an infeasible design: {violations[:3]}")
     status = OPTIMAL if cost == bound else FEASIBLE
-    return SolveReport(status, sol, bound, iterations=h.moves,
-                       wall_time_s=time.perf_counter() - t0)
+    return SolveReport(status, sol, bound, iterations=h.moves)

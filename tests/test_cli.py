@@ -355,6 +355,18 @@ def test_catalog_command(tmp_path):
     assert lines[1].split(",")[0] == "circuit"
 
 
+@pytest.mark.parametrize("bad", [["--speeds", "10,40"], ["--scale", "0.5"]],
+                         ids=["speed-40", "scale-below-1"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_catalog_bad_input_writes_nothing(tmp_path, capsys, bad, to_file):
+    out = tmp_path / "cat.csv"
+    assert main(["catalog", *bad] + (["--out", str(out)] if to_file else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+    assert not out.exists()
+
+
 def test_paths_command(tmp_path, capsys):
     rc = main(["paths", "--instance", str(DATA / "toy6.txt"),
                "--expect", "10", "--out", str(tmp_path / "paths.txt")])
@@ -373,6 +385,24 @@ def test_paths_command(tmp_path, capsys):
 def test_paths_rejects_zero_overrides(capsys, flag):
     assert main(["paths", "--instance", str(DATA / "toy6.txt"), flag, "0"]) == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expect", ["0", "-4"])
+def test_paths_rejects_expect_below_1(capsys, expect):
+    assert main(["paths", "--instance", str(DATA / "toy6.txt"), "--expect", expect]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--expect must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_grid_rejects_jobs_below_1(tmp_path, capsys, command, jobs):
+    out = tmp_path / "res"
+    assert main([command, "--instance", tri_file(tmp_path), "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_paths_requires_exactly_one_source(capsys):

@@ -47,7 +47,7 @@ def test_lambda_type_rejects_bad_input():
 
 
 def test_type1_35_slot_flagship_value():
-    mods = {m.name: m for m in enumerate_virtual_modules((10, 100))}
+    mods = {m.name: m for m in enumerate_virtual_modules()}
     m = mods["type1-35slot"]
     assert m.cost == F("901.75")
     assert m.switching_capacity == 4900
@@ -56,7 +56,7 @@ def test_type1_35_slot_flagship_value():
 
 
 def test_virtual_module_examples():
-    mods = {m.name: m for m in enumerate_virtual_modules((10, 100))}
+    mods = {m.name: m for m in enumerate_virtual_modules()}
     assert mods["type2-1slot"].cost == 28
     assert mods["type2-1slot"].switching_capacity == 120
     assert mods["type2-11slot"].cost == 188
@@ -72,7 +72,7 @@ def test_virtual_module_examples():
 
 
 def test_virtual_module_count_and_order():
-    mods = enumerate_virtual_modules((10, 100))
+    mods = enumerate_virtual_modules()
     assert len(mods) == 65
     assert [m.router_type for m in mods].count("type2") == 11
     assert [m.router_type for m in mods].count("type1") == 54
@@ -156,8 +156,11 @@ def test_catalog_respects_speed_subset():
 
 def test_single_speed_module_count_unchanged():
     # module list depends on slot counts, not on which circuits exist
-    assert len(enumerate_virtual_modules((10,))) == 65
-    assert len(enumerate_virtual_modules((100,))) == 65
+    catalogs = [build_cost_catalog(make_instance(
+        [("e1", "a", "b", 100)], pops=("a", "b"), demands=(("a", "b", 5),),
+        speeds=(speed,))) for speed in (10, 100)]
+    assert len(catalogs[0].virtual_modules) == 65
+    assert catalogs[0].virtual_modules == catalogs[1].virtual_modules
 
 
 def test_dump_catalog_csv():

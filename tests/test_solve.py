@@ -2,14 +2,15 @@
 
 import io
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import (make_instance, random_midsize_instance,
-                      random_tiny_instance, routable_instance,
-                      triangle_instance)
+from conftest import (make_instance, random_connected_edges,
+                      random_midsize_instance, random_tiny_instance,
+                      routable_instance, triangle_instance)
 from wdmplan.costcat import build_cost_catalog
 from wdmplan.formats import read_instance
 from wdmplan.milp import (build_model, build_transparent_variant, evaluate_cost,
@@ -276,6 +277,80 @@ def test_exact_node_budget_reports_unknown():
         assert 0 < report.bound <= report.solution.objective
 
 
+# (status, nodes explored, objective) of exact searches, recorded when the
+# search still recursed: one Python frame per branch variable
+TOY6_EXACT = {
+    ("transparent-core", None): ("optimal", 57667, Fraction(33923, 125)),
+    ("optimized", 2000): ("unknown", 2001, Fraction(30791, 50)),
+}
+TINY_EXACT = [  # tiny_instances(10, master_seed=2026): (optimized, transparent-core)
+    (("optimal", 4, Fraction(106711, 1250)),
+     ("optimal", 2, Fraction(36711, 1250))),
+    (("optimal", 26, Fraction(347001, 2500)),
+     ("optimal", 5, Fraction(137001, 2500))),
+    (("optimal", 8, Fraction(56579, 625)),
+     ("optimal", 3, Fraction(21579, 625))),
+    (("optimal", 2, Fraction(53108, 625)),
+     ("optimal", 2, Fraction(18108, 625))),
+    (("optimal", 38, Fraction(193293, 1250)),
+     ("optimal", 4, Fraction(94749, 1250))),
+    (("optimal", 7, Fraction(110353, 1250)),
+     ("optimal", 3, Fraction(40353, 1250))),
+    (("optimal", 2, Fraction(56282, 625)),
+     ("optimal", 2, Fraction(21282, 625))),
+    (("optimal", 4, Fraction(53054, 625)),
+     ("optimal", 2, Fraction(18054, 625))),
+    (("optimal", 4, Fraction(53198, 625)),
+     ("optimal", 2, Fraction(18198, 625))),
+    (("optimal", 7, Fraction(55028, 625)),
+     ("optimal", 3, Fraction(20028, 625))),
+]
+MIDSIZE_TRANSPARENT_EXACT = [  # six routable mid-size instances, rng seed 2026
+    ("optimal", 237, Fraction(334613, 2500)),
+    ("optimal", 104, Fraction(1137113, 2500)),
+    ("optimal", 10, Fraction(5452, 25)),
+    ("optimal", 7, Fraction(364681, 2500)),
+    ("optimal", 190, Fraction(252611, 2500)),
+    ("optimal", 17, Fraction(177291, 625)),
+]
+
+
+def _exact_outcome(model, max_nodes=None):
+    report = solve_exact(model, Limits(max_nodes=max_nodes) if max_nodes else None)
+    objective = report.solution.objective if report.solution else None
+    return report.status, report.nodes_explored, objective
+
+
+def test_exact_search_pinned():
+    """The same tree, node for node: toy6, tiny instances of both
+    architectures and mid-size transparent ones."""
+    toy6 = read_instance(TOY6.read_text())
+    models = {"optimized": build(toy6), "transparent-core": build_tra(toy6)}
+    for (arch, cap), outcome in TOY6_EXACT.items():
+        assert _exact_outcome(models[arch], cap) == outcome
+    for inst, pinned in zip(tiny_instances(10, master_seed=2026), TINY_EXACT, strict=True):
+        assert (_exact_outcome(build(inst)), _exact_outcome(build_tra(inst))) == pinned
+    rng = random.Random(2026)
+    for pinned in MIDSIZE_TRANSPARENT_EXACT:
+        inst, _cat = routable_instance(random_midsize_instance, rng)
+        assert _exact_outcome(build_tra(inst)) == pinned
+
+
+def test_exact_search_deeper_than_the_recursion_limit():
+    """1,800 branch variables: the search runs to its node limit and ends
+    `unknown` with the seeded design and the root bound."""
+    names, edges = random_connected_edges(random.Random(0), 9, 12)
+    pops = names[:6]
+    inst = make_instance(edges, pops, [(pops[0], pops[1], 40), (pops[2], pops[3], 25)],
+                         speeds=(10, 100), max_paths_per_pair=60, max_path_km=3000)
+    m = build(inst)
+    assert len(m.path_vars) > sys.getrecursionlimit()
+    report = solve_exact(m, Limits(max_nodes=2000))
+    assert (report.status, report.nodes_explored) == ("unknown", 2001)
+    assert check_feasibility(m, report.solution) == []
+    assert report.bound == DesignState(m).lower_bound() <= report.solution.objective
+
+
 def test_bounds_never_above_the_optimum():
     """Both solvers' bound is at most the HiGHS optimum of the LP export on
     random tiny and mid-size models of both architectures, and at most the
@@ -315,6 +390,7 @@ def test_both_solvers_report_the_same_bound_when_nothing_fits():
         assert capacity_infeasible(m) is None
         exact, heur = solve_exact(m), solve_heuristic(m)
         assert (exact.status, heur.status) == ("infeasible", "unknown")
+        assert exact.nodes_explored == 12
         assert exact.bound == heur.bound == DesignState(m).lower_bound() > 0
 
 
