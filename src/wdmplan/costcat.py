@@ -224,12 +224,6 @@ class CostCatalog:
     physical_modules: tuple[PhysicalNodeModule, ...]
     fiber_cost: dict  # edge id -> Fraction
 
-    def lambda_by_speed(self, speed: int) -> LambdaType:
-        for lt in self.lambda_types:
-            if lt.speed == speed:
-                return lt
-        raise KeyError(f"no {speed}G circuit type in catalog")
-
 
 def build_cost_catalog(instance) -> CostCatalog:
     """Price catalog for an instance (its speeds, transponder scale, links)."""

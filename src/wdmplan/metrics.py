@@ -22,7 +22,7 @@ from math import ceil
 from typing import IO
 
 from .milp import Model, ModelError, Solution, evaluate_cost, slot_surcharge
-from .netmodel import Instance, node_demand
+from .netmodel import MODE_OPTIMIZED, MODE_TRANSPARENT, Instance, node_demand
 
 TRANSIT_TOLERANCE = Fraction(1, 10**6)
 
@@ -32,8 +32,8 @@ EDGE_PORT_SHARE = {10: Fraction(19, 12), 100: Fraction(16)}
 
 def _pair_flow(model: Model, values: dict) -> dict[tuple, Fraction]:
     """Total bidirectional virtual flow per PoP pair."""
-    if model.transparent:
-        return dict(model.fixed_pair_flow)
+    if model.transparent:  # each demand rides its own direct hop
+        return {d.pair: Fraction(d.value) for d in model.instance.demands}
     totals: dict[tuple, Fraction] = {pair: Fraction(0) for pair in model.catalog.pair_paths}
     for (key, i, j), name in model.flow_vars.items():
         pair = (i, j) if i < j else (j, i)
@@ -91,14 +91,10 @@ def ip_transit(node: str, f_p: dict[int, Fraction], model: Model,
 def wdm_transit(node: str, f_p: dict[int, Fraction], model: Model) -> Fraction:
     """Optically switched flow at a node: carried through without termination.
 
-    Sum of f_p over every path containing the node minus the terminating
-    ones, leaving exactly the paths where the node is interior.
+    Sum of f_p over the paths whose interior holds the node.
     """
-    through = sum((f_p[model.catalog.index(p)]
-                   for p in model.catalog.paths_through(node)), Fraction(0))
-    terminated = sum((f_p[model.catalog.index(p)]
-                      for p in model.catalog.endpoint_paths(node)), Fraction(0))
-    return through - terminated
+    return sum((f_p[pid] for pid, p in enumerate(model.catalog.paths)
+                if node in p.interior), Fraction(0))
 
 
 def opacity(f_ip: Fraction, f_wdm: Fraction) -> Fraction | None:
@@ -226,7 +222,7 @@ def report(model: Model, solution: Solution, name: str = "",
     edge = edge_cost(model.instance)
     return TransitReport(
         name=name,
-        architecture="transparent-core" if model.transparent else "optimized",
+        architecture=MODE_TRANSPARENT if model.transparent else MODE_OPTIMIZED,
         status=status,
         path_flow=f_p,
         node_ip=node_ip,

@@ -42,7 +42,7 @@ from math import ceil
 from typing import IO
 
 from .costcat import SLOT_SURCHARGE_10G, CostCatalog, LambdaType
-from .netmodel import Instance, node_demand
+from .netmodel import MODE_OPTIMIZED, MODE_TRANSPARENT, Instance, node_demand
 from .pathgen import PathCatalog
 
 CONTINUOUS = "continuous"
@@ -62,7 +62,6 @@ class Variable:
     kind: str
     integrality: str
     obj: Fraction
-    meta: tuple
 
 
 @dataclass(frozen=True)
@@ -106,13 +105,11 @@ class Model:
         self.fiber_vars: dict[str, str] = {}       # edge id -> name
         self.vmod_vars: dict[tuple, str] = {}      # (node, module index) -> name
         self.pmod_vars: dict[tuple, str] = {}      # (node, module index) -> name
-        self.fixed_pair_flow: dict[tuple, Fraction] = {}  # transparent only
 
-    def add_var(self, name: str, kind: str, integrality: str, obj: Fraction,
-                meta: tuple) -> str:
+    def add_var(self, name: str, kind: str, integrality: str, obj: Fraction) -> str:
         if name in self.variables:
             raise ModelError(f"duplicate variable {name}")
-        self.variables[name] = Variable(name, kind, integrality, obj, meta)
+        self.variables[name] = Variable(name, kind, integrality, obj)
         return name
 
     def add_constr(self, name: str, kind: str, coeffs: dict, sense: str,
@@ -168,8 +165,7 @@ def build_model(instance: Instance, catalog: PathCatalog,
             for j in pops:
                 if i != j:
                     m.flow_vars[(key, i, j)] = m.add_var(
-                        f"f_{key}_{nidx[i]}_{nidx[j]}", "flow", CONTINUOUS,
-                        Fraction(0), ("flow", key, i, j))
+                        f"f_{key}_{nidx[i]}_{nidx[j]}", "flow", CONTINUOUS, Fraction(0))
     _add_design_vars(m, nidx, eidx)
 
     # flow conservation at every PoP for every commodity
@@ -231,8 +227,6 @@ def build_transparent_variant(instance: Instance, catalog: PathCatalog,
 
     demand_by_pair = {d.pair: Fraction(d.value) for d in instance.demands}
     for (i, j), plist in m.catalog.pair_paths.items():
-        fixed = demand_by_pair.get((i, j), Fraction(0))
-        m.fixed_pair_flow[(i, j)] = fixed
         coeffs = {}
         for p in plist:
             for lt in cost_catalog.lambda_types:
@@ -240,7 +234,7 @@ def build_transparent_variant(instance: Instance, catalog: PathCatalog,
                 coeffs[name] = Fraction(lt.routing_capacity)
         if coeffs:
             m.add_constr(f"vcap_{nidx[i]}_{nidx[j]}", "virtual-link-capacity",
-                         coeffs, ">=", fixed)
+                         coeffs, ">=", demand_by_pair.get((i, j), Fraction(0)))
 
     _add_design_constraints(m, nidx, eidx)
     return m
@@ -253,23 +247,19 @@ def _add_design_vars(m: Model, nidx: dict, eidx: dict,
     for pid, p in enumerate(m.catalog.paths):
         for lt in cc.lambda_types:
             m.path_vars[(pid, lt.speed)] = m.add_var(
-                f"yp_{pid}_{lt.speed}", "lightpath", INTEGER, lt.cost,
-                ("lightpath", pid, lt.speed))
+                f"yp_{pid}_{lt.speed}", "lightpath", INTEGER, lt.cost)
     for e in sorted(inst.graph.edges, key=lambda e: e.id):
         m.fiber_vars[e.id] = m.add_var(
-            f"ye_{eidx[e.id]}", "fiber", INTEGER, cc.fiber_cost[e.id],
-            ("fiber", e.id))
+            f"ye_{eidx[e.id]}", "fiber", INTEGER, cc.fiber_cost[e.id])
     for i in sorted(inst.pops):
         for midx, vm in enumerate(cc.virtual_modules):
             cost = Fraction(0) if router_cost_zero else vm.cost
             m.vmod_vars[(i, midx)] = m.add_var(
-                f"xn_{nidx[i]}_{midx}", "virtual-module", BINARY, cost,
-                ("virtual-module", i, midx))
+                f"xn_{nidx[i]}_{midx}", "virtual-module", BINARY, cost)
     for i in sorted(inst.graph.node_ids()):
         for midx, pm in enumerate(cc.physical_modules):
             m.pmod_vars[(i, midx)] = m.add_var(
-                f"xo_{nidx[i]}_{midx}", "physical-module", BINARY, pm.cost,
-                ("physical-module", i, midx))
+                f"xo_{nidx[i]}_{midx}", "physical-module", BINARY, pm.cost)
 
 
 def _add_design_constraints(m: Model, nidx: dict, eidx: dict) -> None:
@@ -417,7 +407,7 @@ def export_model(model: Model, out: IO[str]) -> None:
     sections.
     """
     out.write("\\ two-layer network design model\n")
-    out.write(f"\\ architecture: {'transparent-core' if model.transparent else 'optimized'}\n")
+    out.write(f"\\ architecture: {MODE_TRANSPARENT if model.transparent else MODE_OPTIMIZED}\n")
     obj = {name: v.obj for name, v in model.variables.items() if v.obj}
     out.write("Minimize\n")
     out.write(f" obj: {_lp_terms(obj) if obj else '0 ' + next(iter(model.variables))}\n")

@@ -202,13 +202,10 @@ class PathCatalog:
             p for plist in self.pair_paths.values() for p in plist)
         self._index = {p: idx for idx, p in enumerate(self.paths)}
         self._endpoint: dict[str, list[PhysPath]] = {}
-        self._through: dict[str, list[PhysPath]] = {}
         self._on_edge: dict[str, list[PhysPath]] = {}
         for p in self.paths:
             for n in p.ends:
                 self._endpoint.setdefault(n, []).append(p)
-            for n in p.nodes:
-                self._through.setdefault(n, []).append(p)
             for e in p.edges:
                 self._on_edge.setdefault(e, []).append(p)
 
@@ -218,10 +215,6 @@ class PathCatalog:
     def endpoint_paths(self, node: str) -> tuple[PhysPath, ...]:
         """Paths with an end node at `node` (the delta_P index)."""
         return tuple(self._endpoint.get(node, ()))
-
-    def paths_through(self, node: str) -> tuple[PhysPath, ...]:
-        """Paths containing `node`, endpoints included."""
-        return tuple(self._through.get(node, ()))
 
     def paths_on_edge(self, edge_id: str) -> tuple[PhysPath, ...]:
         return tuple(self._on_edge.get(edge_id, ()))
@@ -262,23 +255,34 @@ def dump_paths(catalog: PathCatalog, out: IO[str]) -> None:
 
 
 def load_paths(inp: IO[str], graph: PhysicalGraph) -> PathCatalog:
-    """Inverse of dump_paths; lengths are recomputed and checked."""
+    """Inverse of dump_paths; lengths are recomputed and checked. A pair
+    must come smaller id first (the solvers read a path's ends as its pair)
+    and a path once (its position is its id); a line that breaks either
+    rule, lacks fields, or does not walk from i to j at its stored length
+    raises `ValueError` naming the line."""
     pair_paths: dict[tuple[str, str], list[PhysPath]] = {}
-    for line in inp:
+    for lineno, line in enumerate(inp, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        if len(parts) < 4:
+            raise ValueError(f"line {lineno}: expected '<i> <j> <length> <edge> ...' "
+                             "or '<i> <j> - EMPTY'")
         i, j = parts[0], parts[1]
-        pair_paths.setdefault((i, j), [])
+        if i >= j:
+            raise ValueError(f"line {lineno}: pair {i} {j} is not listed smaller id first")
+        plist = pair_paths.setdefault((i, j), [])
         if parts[2] == "-" and parts[3] == "EMPTY":
             continue
         eids = tuple(parts[3:])
+        if any(p.edges == eids for p in plist):
+            raise ValueError(f"line {lineno}: duplicate {i}-{j} path")
         nodes = _walk_nodes(graph, i, eids)
         if nodes[-1] != j:
-            raise ValueError(f"edge walk of {i}-{j} path ends at {nodes[-1]}")
+            raise ValueError(f"line {lineno}: edge walk of {i}-{j} path ends at {nodes[-1]}")
         length = sum((graph.edge(e).length_km for e in eids), Fraction(0))
         if length != Fraction(parts[2]):
-            raise ValueError(f"stored length {parts[2]} != recomputed {length}")
-        pair_paths[(i, j)].append(PhysPath(edges=eids, nodes=nodes, length_km=length))
+            raise ValueError(f"line {lineno}: stored length {parts[2]} != recomputed {length}")
+        plist.append(PhysPath(edges=eids, nodes=nodes, length_km=length))
     return PathCatalog({k: tuple(v) for k, v in pair_paths.items()})

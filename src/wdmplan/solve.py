@@ -35,6 +35,7 @@ No external solver is involved.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import random
 from dataclasses import dataclass
@@ -221,6 +222,7 @@ def route_flows(model: Model, pair_capacity: dict) -> dict[str, Fraction] | None
             return None
 
     col = {name: n for n, name in enumerate(model.flow_vars.values())}
+    arcs_of_col = list(model.flow_vars)  # column -> (commodity key, i, j)
     eq_rows = []
     ub_rows = []
     for c in model.constraints:
@@ -228,7 +230,7 @@ def route_flows(model: Model, pair_capacity: dict) -> dict[str, Fraction] | None
             eq_rows.append(({col[v]: coef for v, coef in c.coeffs.items()}, c.rhs))
         elif c.kind == "virtual-link-capacity":
             flow = [v for v in c.coeffs if v in col]
-            _, _, i, j = model.variables[flow[0]].meta
+            _, i, j = arcs_of_col[col[flow[0]]]
             pair = (i, j) if i < j else (j, i)
             ub_rows.append(({col[v]: c.coeffs[v] for v in flow},
                             Fraction(pair_capacity[pair])))
@@ -237,7 +239,7 @@ def route_flows(model: Model, pair_capacity: dict) -> dict[str, Fraction] | None
     if point is None:
         return None
     arcs: dict[str, dict] = {}  # commodity key -> {(i, j): flow}
-    for n, (key, i, j) in enumerate(model.flow_vars):
+    for n, (key, i, j) in enumerate(arcs_of_col):
         arcs.setdefault(key, {})[(i, j)] = point.get(n, Fraction(0))
     flows = {}
     for key, arc in arcs.items():
@@ -354,14 +356,23 @@ class DesignState:
     proves the whole subtree infeasible.
     """
 
+    # Slots, not a `__dict__`: on CPython 3.11 and 3.12, `copy.copy` (which
+    # `clone` uses) of an instance with a `__dict__` slows every later
+    # attribute read on both objects, and the heuristic's kernel reads them.
+    __slots__ = ("model", "instance", "catalog", "prices", "lt", "lt_units", "y", "channels",
+                 "pair_capacity", "node_switch", "node_slot_units", "node_drops",
+                 "node_fiber_count", "circuit_cost", "fiber_cost", "vmod", "pmod", "vmod_total",
+                 "pmod_total", "broken", "_vmod_for", "_pmod_for", "_d_i", "_pair_demand",
+                 "_total_demand", "_per_gbps")
+
     def __init__(self, model: Model):
+        cc = model.cost_catalog
         self.model = model
         self.instance = model.instance
         self.catalog = model.catalog
-        self.cc = model.cost_catalog
-        self.prices = ScaledPrices(self.cc)
-        self.lt = {lt.speed: lt for lt in self.cc.lambda_types}
-        self.lt_units = {lt.speed: lt.slot_units for lt in self.cc.lambda_types}
+        self.prices = ScaledPrices(cc)
+        self.lt = {lt.speed: lt for lt in cc.lambda_types}
+        self.lt_units = {lt.speed: lt.slot_units for lt in cc.lambda_types}
         self.y: dict[tuple[int, int], int] = {}        # (path id, speed) -> count
         self.channels: dict[str, int] = {}             # edge id -> circuits
         self.pair_capacity: dict[tuple, int] = {   # pair -> routing capacity
@@ -382,40 +393,24 @@ class DesignState:
         # add-drop ports)
         self._vmod_for = cache(partial(_cheapest, self.prices.vmod, [
             (vm.switching_capacity, vm.slot_capacity * LambdaType.SLOT_UNITS)
-            for vm in self.cc.virtual_modules]))
+            for vm in cc.virtual_modules]))
         self._pmod_for = cache(partial(_cheapest, self.prices.pmod, [
-            (pm.fiber_capacity, pm.add_drop_ports) for pm in self.cc.physical_modules]))
+            (pm.fiber_capacity, pm.add_drop_ports) for pm in cc.physical_modules]))
         self._d_i = node_demand(self.instance)
         for i in self.instance.pops:
             self._update_vmod(i)
         # what `lower_bound` reads besides the state
         self._pair_demand = {d.pair: d.value for d in self.instance.demands}
         self._total_demand = self.instance.total_demand()
-        self._per_gbps = min(lt.cost / lt.routing_capacity for lt in self.cc.lambda_types)
+        self._per_gbps = min(lt.cost / lt.routing_capacity for lt in cc.lambda_types)
 
     def clone(self) -> "DesignState":
-        c = DesignState.__new__(DesignState)
-        c.model, c.instance, c.catalog, c.cc, c.prices, c.lt, c.lt_units = \
-            self.model, self.instance, self.catalog, self.cc, self.prices, self.lt, self.lt_units
-        c.y = dict(self.y)
-        c.channels = dict(self.channels)
-        c.pair_capacity = dict(self.pair_capacity)
-        c.node_switch = dict(self.node_switch)
-        c.node_slot_units = dict(self.node_slot_units)
-        c.node_drops = dict(self.node_drops)
-        c.node_fiber_count = dict(self.node_fiber_count)
-        c.circuit_cost = self.circuit_cost
-        c.fiber_cost = self.fiber_cost
-        c.vmod = dict(self.vmod)
-        c.pmod = dict(self.pmod)
-        c.vmod_total = self.vmod_total
-        c.pmod_total = self.pmod_total
-        c.broken = set(self.broken)
-        c._vmod_for = self._vmod_for  # memoization is shared, content is state-free
-        c._pmod_for = self._pmod_for
-        c._d_i = self._d_i
-        c._pair_demand, c._total_demand, c._per_gbps = \
-            self._pair_demand, self._total_demand, self._per_gbps
+        """A copy whose placement changes apart from this one's; the model,
+        the prices and the memoized module pickers stay shared."""
+        c = copy.copy(self)
+        for name in ("y", "channels", "pair_capacity", "node_switch", "node_slot_units",
+                     "node_drops", "node_fiber_count", "vmod", "pmod", "broken"):
+            setattr(c, name, getattr(self, name).copy())
         return c
 
     def _repick(self, picks: dict, pick_for, node: str, tag: str,
@@ -479,8 +474,7 @@ class DesignState:
                 for n in (e.u, e.v):
                     self.node_fiber_count[n] = self.node_fiber_count.get(n, 0) + new_f - old_f
                     touched_pmod.add(n)
-        pair = tuple(sorted(p.ends))
-        self.pair_capacity[pair] += lt.routing_capacity * count
+        self.pair_capacity[p.ends] += lt.routing_capacity * count
         for n in p.ends:
             self.node_switch[n] = self.node_switch.get(n, 0) + lt.switching_capacity * count
             self.node_slot_units[n] = self.node_slot_units.get(n, 0) + self.lt_units[speed] * count
@@ -656,7 +650,7 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
 # constructive heuristic with local search
 
 
-def _mix_options(demand: int, lambda_types: list[LambdaType]) -> list[dict[int, int]]:
+def _mix_options(demand: int, lambda_types: tuple[LambdaType, ...]) -> list[dict[int, int]]:
     """Candidate circuit-count mixes covering `demand` Gbps."""
     options = []
     for lt in lambda_types:
@@ -677,24 +671,22 @@ class _Heuristic:
         self.model = model
         self.inst = model.instance
         self.cat = model.catalog
-        self.cc = model.cost_catalog
         self.rng = random.Random(seed)
         self.state = DesignState(model)
         self.pair_flow: dict[tuple, int] = {
             pair: 0 for pair in self.cat.pair_paths}
-        self.routes: dict[int, list[str]] = {}  # demand index -> PoP sequence
-        self.demand_order: list[int] = []
+        # demand index -> PoP sequence, in the order the demands were routed
+        self.routes: dict[int, list[str]] = {}
         self.moves = 0
         # commodity key lookup for assembling flow variable values
         self.key_by_pair: dict[tuple, str] = {}
         for key, origin, sinks in model.commodities:
             for sink in sinks:
                 self.key_by_pair[(origin, sink)] = key
-        self.lambda_types = list(self.cc.lambda_types)
-        # pair -> [(path, path id, edge terms)], so the marginal-cost kernel
-        # never looks an edge or a path id up
+        # pair -> [(path length, path id, edge terms)], so the marginal-cost
+        # kernel never looks a path, an edge or a path id up
         self._pair_paths: dict[tuple, list] = {
-            pair: [(p, self.cat.index(p), self._edge_terms(p)) for p in plist]
+            pair: [(p.length_km, self.cat.index(p), self._edge_terms(p)) for p in plist]
             for pair, plist in self.cat.pair_paths.items()}
 
     # ---- marginal costs --------------------------------------------------
@@ -757,29 +749,31 @@ class _Heuristic:
         return cost
 
     def best_placement(self, pair: tuple, need: int):
-        """Cheapest (path, mix) providing >= `need` extra Gbps on a pair."""
+        """(scaled marginal cost, path id, mix) of the cheapest placement
+        providing >= `need` extra Gbps on a pair, or None."""
         options = []
-        for mix in _mix_options(need, self.lambda_types):
+        for mix in _mix_options(need, self.model.cost_catalog.lambda_types):
             base = self._mix_base(pair, mix)
             if base is not None:
                 options.append((mix, sum(mix.values()), base))
         best = None
         cutoff = inf  # the best cost so far; a dearer candidate cannot win
         # catalog paths run from the smaller end, so each path's ends are `pair`
-        for p, pid, edges in self._pair_paths.get(pair, ()):
+        for length, pid, edges in self._pair_paths.get(pair, ()):
             for mix, count, base in options:
                 if base > cutoff:
                     continue
                 c = self._marginal(pair, edges, count, base, cutoff)
                 if c is None:
                     continue
-                key = (c, p.length_km, pid)
+                key = (c, length, pid)
                 if best is None or key < best[0]:
-                    best = (key, p, mix)
+                    best = (key, mix)
                     cutoff = c
         if best is None:
             return None
-        return best[0][0], best[1], best[2]
+        (c, _, pid), mix = best
+        return c, pid, mix
 
     # ---- construct ---------------------------------------------------------
 
@@ -814,9 +808,8 @@ class _Heuristic:
                 heapq.heappush(heap, (cost + hc, hops + 1, seq + (w,)))
         return None
 
-    def place(self, path: PhysPath, mix: dict[int, int]) -> None:
+    def place(self, pid: int, mix: dict[int, int]) -> None:
         """Add a circuit mix on a physical path."""
-        pid = self.cat.index(path)
         for speed, n in mix.items():
             self.state.add_circuits(pid, speed, n)
 
@@ -829,15 +822,10 @@ class _Heuristic:
                 placed = self.best_placement(pair, need)
                 if placed is None:
                     return False
-                _, path, mix = placed
-                self.place(path, mix)
+                _, pid, mix = placed
+                self.place(pid, mix)
             self.pair_flow[pair] += amount
         return True
-
-    def unroute(self, seq: list[str], amount: int) -> None:
-        for i, j in zip(seq, seq[1:]):
-            pair = (i, j) if i < j else (j, i)
-            self.pair_flow[pair] -= amount
 
     def construct(self) -> bool:
         groups: dict[int, list] = {}
@@ -853,7 +841,6 @@ class _Heuristic:
             if seq is None or not self.apply_route(seq, d.value):
                 return False
             self.routes[idx] = seq
-            self.demand_order.append(idx)
         return True
 
     # ---- improve -----------------------------------------------------------
@@ -862,8 +849,7 @@ class _Heuristic:
         """Drop circuits whose capacity is not needed by the pair flow."""
         improved = False
         for (pid, speed) in sorted(self.state.y):
-            p = self.cat.paths[pid]
-            pair = tuple(sorted(p.ends))
+            pair = self.cat.paths[pid].ends
             lt = self.state.lt[speed]
             while self.state.y.get((pid, speed), 0) > 0 and \
                     self.state.pair_capacity[pair] - lt.routing_capacity >= self.pair_flow[pair]:
@@ -879,8 +865,7 @@ class _Heuristic:
             count = self.state.y.get((pid, speed), 0)
             if not count:
                 continue
-            p = self.cat.paths[pid]
-            pair = tuple(sorted(p.ends))
+            pair = self.cat.paths[pid].ends
             before = self.state.scaled_cost()
             if before is None:
                 continue
@@ -896,7 +881,6 @@ class _Heuristic:
                     self.moves += 1
                     before = after
                     pid = qid
-                    p = q
                 else:
                     self.state.add_circuits(qid, speed, -count)
                     self.state.add_circuits(pid, speed, count)
@@ -908,7 +892,7 @@ class _Heuristic:
         for pair in sorted(self.cat.pair_paths):
             flow = self.pair_flow[pair]
             placed = [(pid, speed) for (pid, speed) in sorted(self.state.y)
-                      if tuple(sorted(self.cat.paths[pid].ends)) == pair]
+                      if self.cat.paths[pid].ends == pair]
             if not placed or flow == 0:
                 continue
             before = self.state.scaled_cost()
@@ -919,8 +903,8 @@ class _Heuristic:
                 self.state.add_circuits(pid, speed, -self.state.y[(pid, speed)])
             repl = self.best_placement(pair, flow)
             if repl is not None:
-                _, path, mix = repl
-                self.place(path, mix)
+                _, pid, mix = repl
+                self.place(pid, mix)
                 after = self.state.scaled_cost()
                 if after is not None and after < before:
                     improved = True
@@ -932,7 +916,7 @@ class _Heuristic:
     def reroute_demands(self) -> bool:
         """Take a demand out, prune idle circuits, re-route; keep if cheaper."""
         improved = False
-        for idx in list(self.demand_order):
+        for idx in list(self.routes):
             d = self.inst.demands[idx]
             amount = d.value
             before = self.state.scaled_cost()
@@ -941,7 +925,8 @@ class _Heuristic:
             saved_state = self.state.clone()
             saved_flow = dict(self.pair_flow)
             saved_route = self.routes[idx]
-            self.unroute(saved_route, amount)
+            for i, j in zip(saved_route, saved_route[1:]):
+                self.pair_flow[(i, j) if i < j else (j, i)] -= amount
             self.prune_idle()
             seq = self.route_demand(d.u, d.v, amount)
             ok = seq is not None and self.apply_route(seq, amount)
@@ -994,7 +979,7 @@ def capacity_infeasible(model: Model) -> str | None:
     if model.transparent:
         circuits: dict[str, int] = {}
         for d in inst.demands:
-            fewest = min(sum(mix.values()) for mix in _mix_options(d.value, list(cc.lambda_types)))
+            fewest = min(sum(mix.values()) for mix in _mix_options(d.value, cc.lambda_types))
             for n in d.pair:
                 circuits[n] = circuits.get(n, 0) + fewest
     else:
@@ -1027,15 +1012,8 @@ def solve_heuristic(model: Model, seed: int = 0) -> SolveReport:
         return SolveReport(INFEASIBLE, None, bound)
 
     if model.transparent:
-        ok = True
-        for d in model.instance.demands:
-            h.pair_flow[d.pair] += d.value
-            placed = h.best_placement(d.pair, d.value)
-            if placed is None:
-                ok = False
-                break
-            _, path, mix = placed
-            h.place(path, mix)
+        # each demand rides its own direct hop
+        ok = all(h.apply_route(list(d.pair), d.value) for d in model.instance.demands)
         if ok:
             h.prune_idle()
             h.remix_pairs()

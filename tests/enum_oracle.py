@@ -84,7 +84,7 @@ def brute_force_optimum(instance):
     assert instance.speeds == (10,), "oracle handles 10G-only instances"
     cat = build_catalog(instance)
     cc = build_cost_catalog(instance)
-    lt = cc.lambda_by_speed(10)
+    lt = {lt.speed: lt for lt in cc.lambda_types}[10]
     d_i = node_demand(instance)
     pops = sorted(instance.pops)
     nodes = sorted(instance.graph.node_ids())

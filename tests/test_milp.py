@@ -151,9 +151,9 @@ def test_transparent_structure():
     assert all(len(plist) == 1 for plist in mt.catalog.pair_paths.values())
     vcap = [c for c in mt.constraints if c.kind == "virtual-link-capacity"]
     assert all(c.sense == ">=" for c in vcap)
-    assert sorted(c.rhs for c in vcap) == [12, 25, 40]
-    assert mt.fixed_pair_flow == {("a", "b"): 25, ("a", "c"): 12,
-                                  ("b", "c"): 40}
+    # each pair's row has the pair's demand as right-hand side
+    assert {c.name: c.rhs for c in vcap} == {"vcap_0_1": 25, "vcap_0_2": 12,
+                                             "vcap_1_2": 40}
     # router modules stay installable but free
     assert all(mt.variables[n].obj == 0 for n in mt.vmod_vars.values())
     assert any(mt.variables[n].obj > 0 for n in mt.pmod_vars.values())

@@ -164,13 +164,8 @@ def test_catalog_indexes():
     # global ids follow pair order
     assert [cat.index(p) for p in cat.paths] == list(range(len(cat)))
     for node in "abc":
-        ends = cat.endpoint_paths(node)
-        through = cat.paths_through(node)
-        assert set(ends) <= set(through)
-        for p in ends:
+        for p in cat.endpoint_paths(node):
             assert node in p.ends
-        for p in through:
-            assert node in p.nodes
     for eid in ("e1", "e2", "e3"):
         for p in cat.paths_on_edge(eid):
             assert eid in p.edges
@@ -210,3 +205,16 @@ def test_load_rejects_corrupt_lines():
         load_paths(io.StringIO("a c 100 e1\n"), g)
     with pytest.raises(ValueError, match="recomputed"):
         load_paths(io.StringIO("a c 999 e1 e2\n"), g)
+
+
+@pytest.mark.parametrize("text, message", [
+    # the model would read the path's ends (a, c) as a pair with no line
+    ("c a 200 e2 e1\n", "line 1: pair c a is not listed smaller id first"),
+    # two paths would share one id
+    ("a b 100 e1\n# again\na b 100 e1\n", "line 3: duplicate a-b path"),
+    ("a b\n", "line 1: expected"),
+    ("a c 200 e1 e2\nb c -\n", "line 2: expected"),
+], ids=["larger-id-first", "duplicate", "two-fields", "empty-marker-cut"])
+def test_load_rejects_lines_the_model_would_misread(text, message):
+    with pytest.raises(ValueError, match=message):
+        load_paths(io.StringIO(text), triangle_graph())

@@ -1,5 +1,6 @@
 """Exact and heuristic solver behaviour on small instances."""
 
+import copy
 import io
 import random
 import sys
@@ -467,7 +468,7 @@ def test_marginal_cost_kernel_matches_exact_totals():
                             assert placed is None
                         else:
                             c, _length, qid, mx = min(keys, key=lambda k: k[:3])
-                            assert placed == (c, cat.paths[qid], mx)
+                            assert placed == (c, qid, mx)
                     if st.y and rng.random() < 0.4:
                         (pid, speed), count = rng.choice(sorted(st.y.items()))
                         st.add_circuits(pid, speed, -rng.randint(1, count))
@@ -480,3 +481,56 @@ def test_marginal_cost_kernel_matches_exact_totals():
                 for st in earlier + [h.state]:
                     _assert_node_fibers(st, inst.graph)
     assert outcomes == {True, False}
+
+
+# what `DesignState.clone` copies; the other attributes are numbers, or are
+# shared on purpose (the model, the prices, the memoized module pickers)
+PLACEMENT = ("y", "channels", "pair_capacity", "node_switch", "node_slot_units",
+             "node_drops", "node_fiber_count", "vmod", "pmod", "broken")
+
+
+def _random_circuit_step(state, rng):
+    speeds = sorted(state.lt)
+    if state.y and rng.random() < 0.4:
+        (pid, speed), count = rng.choice(sorted(state.y.items()))
+        state.add_circuits(pid, speed, -rng.randint(1, count))
+    else:
+        state.add_circuits(rng.randrange(len(state.catalog.paths)),
+                           rng.choice(speeds), rng.randint(1, 20))
+
+
+@pytest.mark.parametrize("architecture", ["optimized", "transparent-core"])
+@pytest.mark.parametrize("instance", ["toy6", "midsize"])
+def test_clone_shares_no_mutable_state(instance, architecture):
+    """Circuits added to and removed from one side of a clone, up to a
+    broken node, leave every attribute of the other side as it was: the
+    original's when the clone changes, and the clone's when the original
+    changes."""
+    rng = random.Random(31)
+    if instance == "toy6":
+        inst = read_instance(TOY6.read_text())
+    else:
+        inst = routable_instance(random_midsize_instance, rng)[0]
+    model = (build if architecture == "optimized" else build_tra)(inst)
+    for clone_changes in (True, False):
+        state = DesignState(model)
+        for _ in range(10):
+            _random_circuit_step(state, rng)
+        twin = state.clone()
+        changed, kept = (twin, state) if clone_changes else (state, twin)
+        snapshot = {name: copy.deepcopy(getattr(kept, name)) for name in DesignState.__slots__}
+        # the model and the prices compare by identity, so their deep copies
+        # cannot be compared
+        compared = [name for name, value in snapshot.items() if value == getattr(kept, name)]
+        assert set(PLACEMENT) <= set(compared)
+        moved = set()
+        for step in range(32):
+            if step < 30:
+                _random_circuit_step(changed, rng)
+            else:  # far more circuits than any router or optical node takes
+                changed.add_circuits(0, min(changed.lt), 5000 if step == 30 else -5000)
+                assert changed.broken or step == 31
+            moved |= {name for name in PLACEMENT if getattr(changed, name) != snapshot[name]}
+            assert {name: getattr(kept, name) for name in compared} == \
+                {name: snapshot[name] for name in compared}
+        assert moved == set(PLACEMENT)
