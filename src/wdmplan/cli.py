@@ -2,7 +2,7 @@
 
 Subcommands
   run      solve a scenario grid: cells/<name>.json, summary.csv, comparison.csv
-  sweep    transponder-cost sweep over the same grid: sweep.csv
+  sweep    transponder-cost sweep, the grid's optimized cells: sweep.csv
   solve    one instance, one architecture: report JSON
   catalog  dump the cost catalog as CSV
   paths    build the admissible path catalog and report its size
@@ -42,7 +42,7 @@ from .milp import build_model, build_transparent_variant, export_model
 from .netmodel import (MODE_OPTIMIZED, MODE_TRANSPARENT, Instance,
                        scale_demand_matrix, synth_matrix)
 from .pathgen import PathCatalog, build_catalog, dump_paths
-from .solve import FEASIBLE, INFEASIBLE, OPTIMAL, UNKNOWN, solve_exact, solve_heuristic
+from .solve import INFEASIBLE, UNKNOWN, solve_exact, solve_heuristic
 
 SOLVERS = ("exact", "heuristic", "export-only")
 ARCHITECTURES = (MODE_OPTIMIZED, MODE_TRANSPARENT)
@@ -102,8 +102,7 @@ def parse_cell_name(name: str) -> CellSpec:
 class ScenarioConfig:
     instance: str
     matrix_name: str = "MTX"
-    matrix_source: str = "instance"      # "instance" | "synthetic"
-    synthetic: dict | None = None        # mode/weights/hub/hub_factor
+    synthetic: dict | None = None        # mode/weights/hub/hub_factor; None: the instance's
     volumes: tuple = ()                  # empty: keep the matrix total as is
     speeds: tuple = ((10, 100),)
     architectures: tuple = ARCHITECTURES
@@ -161,20 +160,21 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
         raise ConfigError(f"unknown matrix source {matrix_source!r}")
     synthetic = None
     if matrix_source == "synthetic":
-        synthetic = {k: v for k, v in matrix.items() if k not in ("name", "source")}
+        synthetic = {"weights": "uniform", "hub": None, "hub_factor": 1,
+                     **{k: v for k, v in matrix.items() if k not in ("name", "source")}}
         if synthetic.get("mode") not in ("decentralized", "centralized"):
             raise ConfigError(
                 "synthetic matrix needs mode 'decentralized' or 'centralized'")
-        weights = synthetic.get("weights", "uniform")
+        weights = synthetic["weights"]
         if weights != "uniform" and not (
                 isinstance(weights, dict)
                 and all(_is_number(w) and w > 0 for w in weights.values())):
             raise ConfigError("synthetic matrix weights must be 'uniform' or an object "
                               "of positive numbers")
-        hub = synthetic.get("hub")
+        hub = synthetic["hub"]
         if hub is not None and not isinstance(hub, str):
             raise ConfigError("synthetic matrix hub must be a PoP name")
-        hub_factor = synthetic.get("hub_factor", 1)
+        hub_factor = synthetic["hub_factor"]
         if not (_is_number(hub_factor) and hub_factor >= 1):
             raise ConfigError(f"synthetic matrix hub_factor {hub_factor!r} must be a "
                               "number >= 1")
@@ -223,10 +223,9 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
     if not isinstance(out, str):
         raise ConfigError("config key 'out' must be a directory path")
 
-    if matrix_source == "synthetic" and not volumes:
+    if synthetic is not None and not volumes:
         raise ConfigError("synthetic matrices need explicit target volumes")
-    return ScenarioConfig(instance=instance, matrix_name=matrix_name,
-                          matrix_source=matrix_source, synthetic=synthetic,
+    return ScenarioConfig(instance=instance, matrix_name=matrix_name, synthetic=synthetic,
                           volumes=tuple(volumes), speeds=tuple(speeds),
                           architectures=tuple(archs), scales=tuple(scales),
                           solver=solver, seed=seed, out=out)
@@ -236,29 +235,34 @@ def read_instance_file(path: str) -> Instance:
     return read_instance(Path(path).read_text())
 
 
-def scenario_grid(config: ScenarioConfig, base: Instance,
-                  architectures=None) -> list[CellSpec]:
+def scenario_grid(config: ScenarioConfig, base: Instance) -> list[CellSpec]:
+    """The grid's cells; two cells that would share a name (and so one
+    report file) are a configuration error."""
     volumes = config.volumes or (int(base.total_demand()),)
-    cells = []
+    cells, names = [], set()
     for volume in volumes:
         for speeds in config.speeds:
             for scale in config.scales:
-                for arch in (architectures or config.architectures):
-                    cells.append(CellSpec(config.matrix_name, volume, speeds,
-                                          scale, arch))
+                for arch in config.architectures:
+                    cell = CellSpec(config.matrix_name, volume, speeds, scale, arch)
+                    name = render_cell_name(cell)
+                    if name in names:
+                        raise ConfigError(f"two grid cells are named {name}: "
+                                          "a volume or transponder scale repeats")
+                    names.add(name)
+                    cells.append(cell)
     return cells
 
 
 def build_cell_instance(base: Instance, config: ScenarioConfig, cell: CellSpec) -> Instance:
     """The base instance re-targeted to one grid point."""
-    if config.matrix_source == "synthetic":
-        spec = config.synthetic or {}
-        weights = spec.get("weights", "uniform")
+    spec = config.synthetic
+    if spec is not None:
+        weights = spec["weights"]
         if weights == "uniform":
             weights = {i: 1 for i in base.pops}
         demands = synth_matrix(spec["mode"], base.pops, weights, cell.volume,
-                               hub=spec.get("hub"),
-                               hub_factor=spec.get("hub_factor", 1))
+                               hub=spec["hub"], hub_factor=spec["hub_factor"])
     else:
         raw = {d.pair: Fraction(d.value) for d in base.demands}
         demands = scale_demand_matrix(raw, cell.volume)
@@ -268,18 +272,34 @@ def build_cell_instance(base: Instance, config: ScenarioConfig, cell: CellSpec) 
         name=render_cell_name(cell))
 
 
-def build_and_solve(inst: Instance, cat: PathCatalog, cc: CostCatalog, solver: str,
-                    seed: int):
-    """The model of `inst.mode`'s architecture over the path catalog `cat`
-    and the cost catalog `cc`, and the solver's report (None for
-    export-only): the stage `run_cell` and `solve` share."""
+def solve_cell(inst: Instance, cat: PathCatalog, cc: CostCatalog, solver: str,
+               seed: int, name: str) -> dict:
+    """Build the model of `inst.mode`'s architecture over the path catalog
+    `cat` and the cost catalog `cc`, then solve or export it: the one stage
+    between a cell's instance and its outputs, for `run_cell` and `solve`.
+
+    Returns the status, the JSON document, the design report (whenever the
+    solver returns a design, `unknown` included), the LP text (export-only)
+    and the error (the solver gave up).
+    """
     build = build_transparent_variant if inst.mode == MODE_TRANSPARENT else build_model
     model = build(inst, cat, cc)
+    head = {"name": name, "architecture": inst.mode}
     if solver == "export-only":
-        return model, None
-    if solver == "exact":
-        return model, solve_exact(model)
-    return model, solve_heuristic(model, seed=seed)
+        buf = io.StringIO()
+        export_model(model, buf)
+        return {"status": "exported", "report": None, "lp": buf.getvalue(), "error": None,
+                "json": {**head, "status": "exported", "variables": len(model.variables),
+                         "constraints": len(model.constraints)}}
+    rep = solve_exact(model) if solver == "exact" else solve_heuristic(model, seed=seed)
+    status = "not feasible" if rep.status == INFEASIBLE else rep.status
+    tr = None if rep.solution is None else metrics.report(model, rep.solution, name=name,
+                                                           status=rep.status)
+    doc = {**head, "status": status} if tr is None else metrics.report_json(tr)
+    doc["solver"] = {"solver": solver, "status": rep.status,
+                     "nodes": rep.nodes_explored, "iterations": rep.iterations}
+    error = "solver gave up without a verdict" if rep.status == UNKNOWN else None
+    return {"status": status, "report": tr, "lp": None, "error": error, "json": doc}
 
 
 def run_cell(payload: dict) -> dict:
@@ -287,69 +307,43 @@ def run_cell(payload: dict) -> dict:
 
     The payload carries the config, the cell, the grid's base instance and
     path catalog, which every cell shares, and the cell's cost catalog.
-    Returns name/status plus whatever the merge step needs: the cell JSON
-    document, an optional LP export text, and an error message.
+    Returns `solve_cell`'s outcome plus the cell's name and architecture; an
+    exception other than a broken solver invariant becomes the cell's error.
     """
     config = payload["config"]
     cell = payload["cell"]
     name = render_cell_name(cell)
-    result = {"name": name, "architecture": cell.architecture, "status": "error",
-              "json": None, "lp": None, "error": None, "report": None}
-    head = {"name": name, "architecture": cell.architecture}
+    result = {"name": name, "architecture": cell.architecture}
     try:
         inst = build_cell_instance(payload["base"], config, cell)
-        model, rep = build_and_solve(inst, payload["catalog"], payload["cost_catalog"],
-                                     config.solver, config.seed)
-        if rep is None:
-            buf = io.StringIO()
-            export_model(model, buf)
-            result.update(status="exported", lp=buf.getvalue(),
-                          json={**head, "status": "exported",
-                                "variables": len(model.variables),
-                                "constraints": len(model.constraints)})
-            return result
-        solver_block = {"solver": config.solver, "status": rep.status,
-                        "nodes": rep.nodes_explored, "iterations": rep.iterations}
-        if rep.status == INFEASIBLE:
-            result.update(status="not feasible",
-                          json={**head, "status": "not feasible", "solver": solver_block})
-        elif rep.status in (OPTIMAL, FEASIBLE):
-            tr = metrics.report(model, rep.solution, name=name,
-                                status=rep.status)
-            doc = metrics.report_json(tr)
-            doc["solver"] = solver_block
-            result.update(status=rep.status, json=doc, report=tr)
-        else:
-            result.update(status=UNKNOWN,
-                          json={**head, "status": UNKNOWN, "solver": solver_block},
-                          error="solver gave up without a verdict")
+        result.update(solve_cell(inst, payload["catalog"], payload["cost_catalog"],
+                                 config.solver, config.seed, name))
     except AssertionError:
         raise  # a broken solver invariant must stay loud
     except Exception as exc:  # one failing cell must not abort the grid
         msg = str(exc) if isinstance(exc, (ValueError, OSError)) \
             else f"{type(exc).__name__}: {exc}"
-        result.update(status="error", error=msg,
-                      json={**head, "status": "error", "error": msg})
+        result.update(status="error", report=None, lp=None, error=msg,
+                      json={**result, "status": "error", "error": msg})
     return result
 
 
 def _check_synthetic(config: ScenarioConfig, base: Instance) -> None:
     """The synthetic matrix settings that need the instance: a weight for
     every PoP, and a hub among the PoPs."""
-    if config.matrix_source != "synthetic":
+    spec = config.synthetic
+    if spec is None:
         return
-    spec = config.synthetic or {}
-    weights = spec.get("weights", "uniform")
+    weights = spec["weights"]
     missing = [] if weights == "uniform" else [p for p in base.pops if p not in weights]
     if missing:
         raise ConfigError(f"synthetic matrix lacks weights for {missing}")
-    hub = spec.get("hub")
-    if spec.get("mode") == "centralized" and hub not in base.pops:
+    hub = spec["hub"]
+    if spec["mode"] == "centralized" and hub not in base.pops:
         raise ConfigError(f"synthetic matrix hub {hub!r} is not a PoP")
 
 
-def _solve_grid(config: ScenarioConfig, jobs: int, write_tables,
-                architectures=None) -> int:
+def _solve_grid(config: ScenarioConfig, jobs: int, write_tables) -> int:
     """Solve every cell of the grid, write the cell reports and the tables
     `write_tables(outdir, cells, results)` makes; the exit code.
 
@@ -360,14 +354,11 @@ def _solve_grid(config: ScenarioConfig, jobs: int, write_tables,
     """
     base = read_instance_file(config.instance)
     _check_synthetic(config, base)
-    cells = scenario_grid(config, base, architectures)
+    cells = scenario_grid(config, base)
     cat = build_catalog(base)
-    cost_catalogs = {}
-    for cell in cells:
-        key = (cell.speeds, cell.scale)
-        if key not in cost_catalogs:
-            cost_catalogs[key] = build_cost_catalog(
-                dataclasses.replace(base, speeds=cell.speeds, transponder_scale=cell.scale))
+    cost_catalogs = {(speeds, scale): build_cost_catalog(
+                         dataclasses.replace(base, speeds=speeds, transponder_scale=scale))
+                     for speeds, scale in dict.fromkeys((c.speeds, c.scale) for c in cells)}
     payloads = [{"config": config, "cell": cell, "base": base, "catalog": cat,
                  "cost_catalog": cost_catalogs[(cell.speeds, cell.scale)]}
                 for cell in cells]
@@ -400,7 +391,8 @@ def _cost_cells(res: dict | None) -> list[str]:
         return ["", "", ""]
     if res["report"] is None:
         return [res["status"]] * 3
-    return metrics.report_csv_row(res["report"])[3:6]
+    row = dict(zip(metrics.REPORT_COLUMNS, metrics.report_csv_row(res["report"])))
+    return [row["core_cost"], row["edge_cost"], row["total_cost"]]
 
 
 def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[dict]) -> None:
@@ -414,11 +406,8 @@ def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[dict]) 
 
     # architecture comparison, one row per scenario, as in the cost tables
     by_name = {res["name"]: res for res in results}
-    scenario_keys = []
-    for cell in cells:
-        key = dataclasses.replace(cell, architecture=MODE_OPTIMIZED)
-        if key not in scenario_keys:
-            scenario_keys.append(key)
+    scenario_keys = dict.fromkeys(dataclasses.replace(c, architecture=MODE_OPTIMIZED)
+                                  for c in cells)
     with open(outdir / "comparison.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["scenario", "transparent_core", "transparent_edge",
@@ -439,26 +428,18 @@ def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[dict]) 
 
 
 def _write_sweep_table(outdir: Path, cells: list[CellSpec], results: list[dict]) -> None:
+    """One row per scale: a cell's summary row with the scale in place of
+    its architecture and status (a failed cell shows its status instead)."""
+    columns = metrics.REPORT_COLUMNS[3:]  # after name, architecture and status
     with open(outdir / "sweep.csv", "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["name", "scale", "core_cost", "edge_cost", "total_cost",
-                    "f_ip", "f_wdm", "opacity", "lambdas", "ip_paths"])
+        w.writerow(["name", "scale"] + columns)
         for cell, res in zip(cells, results):
             base = [res["name"], f"{float(cell.scale):g}"]
             if res["report"] is not None:
                 w.writerow(base + metrics.report_csv_row(res["report"])[3:])
             else:
-                w.writerow(base + [res["status"]] + [""] * 7)
-
-
-def run_scenarios(config: ScenarioConfig, jobs: int = 1) -> int:
-    """Solve the whole grid and write cell reports plus the two tables."""
-    return _solve_grid(config, jobs, _write_run_tables)
-
-
-def sweep_transponder(config: ScenarioConfig, jobs: int = 1) -> int:
-    """Re-optimize per transponder scale; optimized architecture only."""
-    return _solve_grid(config, jobs, _write_sweep_table, (MODE_OPTIMIZED,))
+                w.writerow(base + [res["status"]] + [""] * (len(columns) - 1))
 
 
 # ----------------------------------------------------------------------------
@@ -508,26 +489,23 @@ def _parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     inst = dataclasses.replace(read_instance_file(args.instance), mode=args.architecture)
-    model, rep = build_and_solve(inst, build_catalog(inst), build_cost_catalog(inst),
-                                 args.solver, args.seed)
-    if rep.status == INFEASIBLE:
-        print("not feasible")
+    res = solve_cell(inst, build_catalog(inst), build_cost_catalog(inst), args.solver,
+                     args.seed, inst.name or Path(args.instance).stem)
+    tr = res["report"]
+    if tr is None:
+        print(res["status"])
         return 1
-    if rep.solution is None:
-        print(rep.status)
-        return 1
-    tr = metrics.report(model, rep.solution,
-                        name=inst.name or Path(args.instance).stem,
-                        status=rep.status)
+    doc = res["json"]
+    del doc["solver"]  # the report of one solve is the design's alone
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as f:
-            metrics.write_report_json(tr, f)
+        Path(args.out).write_text(text)
     else:
-        metrics.write_report_json(tr, sys.stdout)
-    print(f"{rep.status}: core {metrics.fmt_cost(tr.core_cost)} "
+        sys.stdout.write(text)
+    print(f"{res['status']}: core {metrics.fmt_cost(tr.core_cost)} "
           f"edge {metrics.fmt_cost(tr.edge_cost)} "
           f"total {metrics.fmt_cost(tr.total_cost)}", file=sys.stderr)
-    return 0
+    return 1 if res["error"] else 0
 
 
 def _cmd_catalog(args) -> int:
@@ -583,9 +561,11 @@ def main(argv=None) -> int:
         if args.command in ("run", "sweep") and args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         if args.command == "run":
-            return run_scenarios(load_config(args.config, args), jobs=args.jobs)
-        if args.command == "sweep":
-            return sweep_transponder(load_config(args.config, args), jobs=args.jobs)
+            return _solve_grid(load_config(args.config, args), args.jobs, _write_run_tables)
+        if args.command == "sweep":  # a run over the optimized architecture
+            config = dataclasses.replace(load_config(args.config, args),
+                                         architectures=(MODE_OPTIMIZED,))
+            return _solve_grid(config, args.jobs, _write_sweep_table)
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "catalog":

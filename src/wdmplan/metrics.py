@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import ceil
 from typing import IO
 
-from .milp import Model, ModelError, Solution, evaluate_cost, slot_surcharge
+from .milp import Model, ModelError, Solution, evaluate_cost
 from .netmodel import MODE_OPTIMIZED, MODE_TRANSPARENT, Instance, node_demand
 
 TRANSIT_TOLERANCE = Fraction(1, 10**6)

@@ -34,9 +34,8 @@ in the Model's lookup tables.
 
 from __future__ import annotations
 
-import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import IO

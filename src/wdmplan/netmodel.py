@@ -8,7 +8,7 @@ downstream cost arithmetic stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Iterable, Mapping

@@ -256,10 +256,11 @@ def dump_paths(catalog: PathCatalog, out: IO[str]) -> None:
 
 def load_paths(inp: IO[str], graph: PhysicalGraph) -> PathCatalog:
     """Inverse of dump_paths; lengths are recomputed and checked. A pair
-    must come smaller id first (the solvers read a path's ends as its pair)
-    and a path once (its position is its id); a line that breaks either
-    rule, lacks fields, or does not walk from i to j at its stored length
-    raises `ValueError` naming the line."""
+    must come smaller id first (the solvers read a path's ends as its pair),
+    a path once (its position is its id) and every path simple (the model
+    counts each of its edges once); a line that breaks a rule, lacks
+    fields, names an unknown edge, or does not walk from i to j at its
+    stored length raises `ValueError` naming the line."""
     pair_paths: dict[tuple[str, str], list[PhysPath]] = {}
     for lineno, line in enumerate(inp, start=1):
         line = line.strip()
@@ -278,11 +279,22 @@ def load_paths(inp: IO[str], graph: PhysicalGraph) -> PathCatalog:
         eids = tuple(parts[3:])
         if any(p.edges == eids for p in plist):
             raise ValueError(f"line {lineno}: duplicate {i}-{j} path")
-        nodes = _walk_nodes(graph, i, eids)
+        try:
+            stored = Fraction(parts[2])
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"line {lineno}: length {parts[2]!r} is not a number") from None
+        try:
+            nodes = _walk_nodes(graph, i, eids)
+        except KeyError as exc:
+            raise ValueError(f"line {lineno}: unknown edge {exc.args[0]}") from None
+        except ValueError as exc:  # an edge that does not touch the walk
+            raise ValueError(f"line {lineno}: {exc}") from None
         if nodes[-1] != j:
             raise ValueError(f"line {lineno}: edge walk of {i}-{j} path ends at {nodes[-1]}")
+        if len(set(nodes)) < len(nodes):
+            raise ValueError(f"line {lineno}: {i}-{j} path visits a node twice")
         length = sum((graph.edge(e).length_km for e in eids), Fraction(0))
-        if length != Fraction(parts[2]):
+        if length != stored:
             raise ValueError(f"line {lineno}: stored length {parts[2]} != recomputed {length}")
         plist.append(PhysPath(edges=eids, nodes=nodes, length_km=length))
     return PathCatalog({k: tuple(v) for k, v in pair_paths.items()})

@@ -84,6 +84,38 @@ def test_solve_reports_infeasible(tmp_path, capsys):
     assert "not feasible" in capsys.readouterr().out
 
 
+def test_solve_and_run_agree_on_an_unknown_solve_with_a_design(tmp_path, monkeypatch,
+                                                               capsys):
+    import wdmplan.cli as cli
+    from wdmplan.solve import Limits, solve_exact
+
+    monkeypatch.setattr(cli, "solve_exact",
+                        lambda model: solve_exact(model, Limits(max_nodes=2000)))
+    toy6 = str(DATA / "toy6.txt")
+    report = tmp_path / "report.json"
+    assert main(["solve", "--instance", toy6, "--solver", "exact",
+                 "--out", str(report)]) == 1
+    solved = json.loads(report.read_text())
+    assert solved["status"] == "unknown"
+    assert capsys.readouterr().err.startswith("unknown: core ")
+
+    cfg = {"instance": toy6, "architectures": ["optimized"], "solver": "exact",
+           "out": str(tmp_path / "res")}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(p)]) == 1
+    assert "solver gave up without a verdict" in capsys.readouterr().err
+    name = "10+100G-MTX-0.54T-OPT"
+    doc = json.loads((tmp_path / "res" / "cells" / f"{name}.json").read_text())
+    assert doc["status"] == "unknown"
+    assert doc["cost"] == solved["cost"]
+    assert doc["solver"]["nodes"] == 2001
+    rows = (tmp_path / "res" / "summary.csv").read_text().splitlines()
+    row = dict(zip(REPORT_COLUMNS, rows[1].split(",")))
+    assert row["name"] == name and row["status"] == "unknown"
+    assert row["total_cost"] == f"{solved['cost']['total']:.10g}"
+
+
 def test_missing_instance_is_config_error(capsys):
     rc = main(["solve", "--instance", "/nonexistent/nowhere.txt"])
     assert rc == 2
@@ -156,6 +188,10 @@ def test_run_renders_infeasible_cells(tmp_path):
     comparison = (tmp_path / "res" / "comparison.csv").read_text().splitlines()
     assert "not feasible" in comparison[1]
     assert comparison[1].split(",")[-1] == "n/a"
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "sweep")]) == 0
+    sweep = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert [row.split(",") for row in sweep[1:]] == [
+        ["10G-MTX-4.01T-OPT", "1", "not feasible"] + [""] * (len(REPORT_COLUMNS) - 4)]
 
 
 def test_run_records_unexpected_solver_errors(tmp_path, monkeypatch, capsys):
@@ -325,6 +361,21 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, bad):
     p.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(p)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()  # rejected before any cell ran
+
+
+@pytest.mark.parametrize("grid, name", [
+    ({"transponder_scales": [2, 2.0000001]}, "10G-MTX-0.1T-s2-OPT"),
+    ({"volumes": [100, 100]}, "10G-MTX-0.1T-OPT"),
+], ids=["scales-round-alike", "repeated-volume"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_grid_rejects_cells_that_share_a_name(tmp_path, capsys, grid, name, command):
+    cfg = {"instance": tri_file(tmp_path), "volumes": [100], "speeds": [[10]],
+           "out": str(tmp_path / "res"), **grid}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(p)]) == 2
+    assert f"two grid cells are named {name}" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()  # rejected before any cell ran
 
 

@@ -214,7 +214,14 @@ def test_load_rejects_corrupt_lines():
     ("a b 100 e1\n# again\na b 100 e1\n", "line 3: duplicate a-b path"),
     ("a b\n", "line 1: expected"),
     ("a c 200 e1 e2\nb c -\n", "line 2: expected"),
-], ids=["larger-id-first", "duplicate", "two-fields", "empty-marker-cut"])
+    ("a b 100 e9\n", "line 1: unknown edge e9"),
+    # e2 joins b and c: it does not leave a
+    ("a b 100 e2\n", "line 1: node 'a' not an endpoint of edge 'e2'"),
+    ("a b x e1\n", "line 1: length 'x' is not a number"),
+    # a -> b -> a -> c: the capacity rows would count e1 once, the design twice
+    ("a c 500 e1 e1 e3\n", "line 1: a-c path visits a node twice"),
+], ids=["larger-id-first", "duplicate", "two-fields", "empty-marker-cut", "unknown-edge",
+        "edge-off-walk", "bad-length", "repeated-node"])
 def test_load_rejects_lines_the_model_would_misread(text, message):
     with pytest.raises(ValueError, match=message):
         load_paths(io.StringIO(text), triangle_graph())
