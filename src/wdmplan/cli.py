@@ -38,7 +38,8 @@ from pathlib import Path
 from . import metrics
 from .costcat import CostCatalog, build_cost_catalog, dump_catalog_csv
 from .formats import read_instance, read_sndlib
-from .milp import build_model, build_transparent_variant, export_model
+from .milp import (ModelError, build_model, build_transparent_variant, export_model,
+                   frac_decimal)
 from .netmodel import (MODE_OPTIMIZED, MODE_TRANSPARENT, Instance,
                        scale_demand_matrix, synth_matrix)
 from .pathgen import PathCatalog, build_catalog, dump_paths
@@ -69,10 +70,12 @@ class CellSpec:
 
 
 def render_cell_name(cell: CellSpec) -> str:
+    """The cell's name; volume and scale as exact decimals, so the name
+    parses back (`load_config` admits only scales that have one)."""
     parts = [SPEED_TAGS[cell.speeds], cell.matrix,
-             f"{float(cell.volume) / 1000:g}T"]
+             f"{frac_decimal(Fraction(cell.volume, 1000))}T"]
     if cell.scale != 1:
-        parts.append(f"s{float(cell.scale):g}")
+        parts.append(f"s{frac_decimal(cell.scale)}")
     parts.append(ARCH_TAG[cell.architecture])
     return "-".join(parts)
 
@@ -207,6 +210,10 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
             raise ConfigError(f"bad transponder scale {s!r}") from None
         if f < 1:
             raise ConfigError(f"transponder scale {s!r} is below 1")
+        try:
+            frac_decimal(f)  # cell names and sweep.csv print it exactly
+        except ModelError:
+            raise ConfigError(f"transponder scale {s!r} has no finite decimal form") from None
         scales.append(f)
     for key, vals in (("speeds", speeds), ("architectures", archs),
                       ("transponder_scales", scales)):
@@ -435,7 +442,7 @@ def _write_sweep_table(outdir: Path, cells: list[CellSpec], results: list[dict])
         w = csv.writer(f)
         w.writerow(["name", "scale"] + columns)
         for cell, res in zip(cells, results):
-            base = [res["name"], f"{float(cell.scale):g}"]
+            base = [res["name"], frac_decimal(cell.scale)]
             if res["report"] is not None:
                 w.writerow(base + metrics.report_csv_row(res["report"])[3:])
             else:

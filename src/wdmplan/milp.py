@@ -336,7 +336,7 @@ def evaluate_cost(model: Model, solution: Solution | dict, final_cost: bool = Fa
     for name, var in model.variables.items():
         if name not in values:
             raise ModelError(f"missing variable value: {name}")
-        if var.obj:
+        if var.obj and values[name]:
             total += var.obj * values[name]
     if final_cost:
         total += slot_surcharge(model, values)
@@ -359,7 +359,7 @@ def slot_surcharge(model: Model, values: dict) -> Fraction:
     return total
 
 
-def _frac_decimal(x: Fraction) -> str:
+def frac_decimal(x: Fraction) -> str:
     """Exact plain-decimal rendering; errors if the denominator is not 2^a 5^b."""
     num, den = x.numerator, x.denominator
     if den == 1:
@@ -387,7 +387,7 @@ def _lp_terms(coeffs: dict) -> str:
     for name, coef in coeffs.items():
         if coef == 0:
             continue
-        mag = _frac_decimal(abs(coef))
+        mag = frac_decimal(abs(coef))
         op = "-" if coef < 0 else "+"
         if not parts and op == "+":
             parts.append(f"{mag} {name}" if mag != "1" else name)
@@ -413,7 +413,7 @@ def export_model(model: Model, out: IO[str]) -> None:
     out.write("Subject To\n")
     for c in model.constraints:
         sense = {"<=": "<=", ">=": ">=", "=": "="}[c.sense]
-        out.write(f" {c.name}: {_lp_terms(c.coeffs)} {sense} {_frac_decimal(c.rhs)}\n")
+        out.write(f" {c.name}: {_lp_terms(c.coeffs)} {sense} {frac_decimal(c.rhs)}\n")
     generals = [n for n, v in model.variables.items() if v.integrality == INTEGER]
     binaries = [n for n, v in model.variables.items() if v.integrality == BINARY]
     if generals:

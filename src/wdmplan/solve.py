@@ -2,7 +2,9 @@
 
 Three layers of machinery:
 
-* `check_feasibility` verifies a full variable assignment row by row.
+* `check_feasibility` verifies a full variable assignment row by row. It
+  skips zero values, which are most of a design's variables: a zero is
+  within every variable's bounds and adds nothing to a row.
 * `solve_exact` runs depth-first branch-and-bound over the circuit counts
   y_(path, speed), as one loop over an explicit stack that adds one circuit
   per step, so the model's size sets no depth limit. Fibers and node
@@ -25,6 +27,10 @@ Three layers of machinery:
   search then prunes idle circuits, swaps circuits to cheaper physical
   paths, re-optimizes the per-pair speed mix, and re-routes whole demands.
   All tie-breaks are ordered; the seed only shuffles equal-value demands.
+  The route search is bounded: once a route to the target is pushed, a hop
+  is priced only up to the cost that route leaves, as every marginal cost
+  term is >= 0 and a dearer entry would never leave the heap first. Routes
+  are those of the unbounded search.
 
 Results are exact: bounds, objectives and reports are `Fraction`s. Inside,
 `DesignState` and the heuristic's marginal costs count in scaled integers,
@@ -87,6 +93,8 @@ def check_feasibility(model: Model, solution: Solution | dict) -> list[str]:
             violations.append(f"{name}: no value")
             continue
         v = values[name]
+        if not v:  # zero is within every variable's bounds
+            continue
         if var.integrality == CONTINUOUS:
             if v < -CONTINUOUS_TOLERANCE:
                 violations.append(f"{name}: negative value {float(v)}")
@@ -97,14 +105,16 @@ def check_feasibility(model: Model, solution: Solution | dict) -> list[str]:
                 violations.append(f"{name}: binary variable set to {v}")
     if violations:
         return violations
+    continuous = {name for name, var in model.variables.items()
+                  if var.integrality == CONTINUOUS}
     for c in model.constraints:
         lhs = Fraction(0)
-        has_continuous = False
         for var, coef in c.coeffs.items():
-            lhs += coef * values[var]
-            if model.variables[var].integrality == CONTINUOUS:
-                has_continuous = True
-        tol = CONTINUOUS_TOLERANCE if has_continuous else Fraction(0)
+            x = values[var]
+            if x:
+                lhs += coef * x
+        # a row with any continuous variable, zero or not, gets the tolerance
+        tol = Fraction(0) if continuous.isdisjoint(c.coeffs) else CONTINUOUS_TOLERANCE
         bad = ((c.sense == "<=" and lhs > c.rhs + tol)
                or (c.sense == ">=" and lhs < c.rhs - tol)
                or (c.sense == "=" and abs(lhs - c.rhs) > tol))
@@ -748,17 +758,19 @@ class _Heuristic:
                 return None
         return cost
 
-    def best_placement(self, pair: tuple, need: int):
+    def best_placement(self, pair: tuple, need: int, cutoff: float = inf):
         """(scaled marginal cost, path id, mix) of the cheapest placement
-        providing >= `need` extra Gbps on a pair, or None."""
+        providing >= `need` extra Gbps on a pair, or None if none costs at
+        most `cutoff`."""
         options = []
         for mix in _mix_options(need, self.model.cost_catalog.lambda_types):
             base = self._mix_base(pair, mix)
             if base is not None:
                 options.append((mix, sum(mix.values()), base))
         best = None
-        cutoff = inf  # the best cost so far; a dearer candidate cannot win
-        # catalog paths run from the smaller end, so each path's ends are `pair`
+        # from here on `cutoff` is also the best cost so far: a dearer
+        # candidate cannot win, and an equal one may on length or path id.
+        # Catalog paths run from the smaller end, so each path's ends are `pair`
         for length, pid, edges in self._pair_paths.get(pair, ()):
             for mix, count, base in options:
                 if base > cutoff:
@@ -777,20 +789,28 @@ class _Heuristic:
 
     # ---- construct ---------------------------------------------------------
 
-    def hop_cost(self, i: str, j: str, amount: int) -> int | None:
+    def hop_cost(self, i: str, j: str, amount: int, cutoff: float = inf) -> int | None:
+        """Scaled marginal cost of carrying `amount` more on the hop i-j;
+        None if no placement fits, or none costs at most `cutoff`."""
         pair = (i, j) if i < j else (j, i)
         spare = self.state.pair_capacity[pair] - self.pair_flow[pair]
         need = amount - spare
         if need <= 0:
             return 0
-        placed = self.best_placement(pair, need)
+        placed = self.best_placement(pair, need, cutoff)
         return None if placed is None else placed[0]
 
     def route_demand(self, u: str, v: str, amount: int) -> list[str] | None:
-        """Cheapest virtual route by best-first search on marginal hop costs."""
+        """Cheapest virtual route by best-first search on marginal hop costs.
+
+        `ub` is the smallest key pushed for `v`. The first entry for `v` to
+        pop has a key of at most `ub`, so an entry dearer than `ub` never
+        pops: its hop is not priced beyond `ub - cost`. An entry costing
+        exactly `ub` is kept, as (cost, hops, seq) may rank it first."""
         pops = sorted(self.inst.pops)
         heap = [(0, 0, (u,))]
         done = set()
+        ub = inf
         while heap:
             cost, hops, seq = heapq.heappop(heap)
             at = seq[-1]
@@ -802,9 +822,11 @@ class _Heuristic:
             for w in pops:
                 if w in seq or w in done:
                     continue
-                hc = self.hop_cost(at, w, amount)
+                hc = self.hop_cost(at, w, amount, ub - cost)
                 if hc is None:
                     continue
+                if w == v:  # hc <= ub - cost, so this lowers or keeps ub
+                    ub = cost + hc
                 heapq.heappush(heap, (cost + hc, hops + 1, seq + (w,)))
         return None
 

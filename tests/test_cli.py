@@ -49,6 +49,33 @@ def test_cell_name_round_trip():
     assert render_cell_name(cases[3]) == "100G-M1-0.5T-s2.5-TRA"
 
 
+@pytest.mark.parametrize("volume, scale, name", [
+    (1234567, Fraction(1), "10G-MTX-1234.567T-OPT"),
+    (10**9, Fraction(1), "10G-MTX-1000000T-OPT"),
+    (1000, Fraction("1.333333"), "10G-MTX-1T-s1.333333-OPT"),
+    (1000, Fraction("2.0000001"), "10G-MTX-1T-s2.0000001-OPT"),
+], ids=["volume-7-digits", "volume-1e6-T", "scale-7-digits", "scale-near-2"])
+def test_cell_names_beyond_six_digits_round_trip(volume, scale, name):
+    """Volume and scale render as exact decimals, where six significant
+    digits would round them (1234.57T, 1e+06T, s1.33333, s2)."""
+    spec = CellSpec("MTX", volume, (10,), scale, "optimized")
+    assert render_cell_name(spec) == name
+    assert parse_cell_name(name) == spec
+
+
+def test_cell_names_six_digits_render_exactly_keep_their_bytes():
+    """Every name the old `:g` rendering printed exactly is unchanged,
+    among them the names of the toy6 grid."""
+    for volume in (1, 100, 120, 500, 999, 1000, 3000, 14000, 123456, 999999):
+        for scale in ("1", "1.5", "2", "2.5", "5", "10", "12.25", "1.00001", "999999"):
+            spec = CellSpec("MTX", volume, (10, 100), Fraction(scale), "transparent-core")
+            old = "-".join(["10+100G", "MTX", f"{float(volume) / 1000:g}T"]
+                           + ([f"s{float(spec.scale):g}"] if spec.scale != 1 else [])
+                           + ["TRA"])
+            assert render_cell_name(spec) == old
+            assert parse_cell_name(old) == spec
+
+
 def test_parse_cell_name_rejects_garbage():
     for bad in ("40G-DFN-3T-OPT", "10G-dfn-3T-OPT", "10G-DFN-3Q-OPT",
                 "10G-DFN-3T-XYZ", "10G-DFN-3T", "10G-DFN-3T-s0x-OPT"):
@@ -312,6 +339,8 @@ def test_config_validation(tmp_path, capsys):
     assert "uppercase" in capsys.readouterr().err
     assert run_cfg({"instance": base, "transponder_scales": [0.5]}) == 2
     assert "below 1" in capsys.readouterr().err
+    assert run_cfg({"instance": base, "transponder_scales": ["4/3"]}) == 2
+    assert "no finite decimal form" in capsys.readouterr().err
     assert run_cfg({"instance": base,
                     "matrix": {"source": "synthetic", "mode": "decentralized"}}) == 2
     assert "explicit target volumes" in capsys.readouterr().err
@@ -349,11 +378,12 @@ def test_config_validation(tmp_path, capsys):
     {"speeds": []},
     {"architectures": []},
     {"transponder_scales": []},
+    {"transponder_scales": ["4/3"]},
 ], ids=["matrix-name", "instance", "nested-speeds", "bool-volume", "bool-seed", "out",
         "architectures", "scales", "weights-number", "weight-zero", "weight-string",
         "weights-missing", "hub-factor-string", "hub-factor-below-1", "hub-factor-bool",
         "hub-number", "hub-not-pop", "hub-absent", "misspelt-key", "zero-volume",
-        "no-speeds", "no-architectures", "no-scales"])
+        "no-speeds", "no-architectures", "no-scales", "scale-without-decimal"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, bad):
     cfg = {"instance": tri_file(tmp_path), "volumes": [100], "speeds": [[10]],
            "out": str(tmp_path / "res"), **bad}
@@ -365,9 +395,9 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize("grid, name", [
-    ({"transponder_scales": [2, 2.0000001]}, "10G-MTX-0.1T-s2-OPT"),
+    ({"transponder_scales": [2, 2.0]}, "10G-MTX-0.1T-s2-OPT"),
     ({"volumes": [100, 100]}, "10G-MTX-0.1T-OPT"),
-], ids=["scales-round-alike", "repeated-volume"])
+], ids=["repeated-scale", "repeated-volume"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_grid_rejects_cells_that_share_a_name(tmp_path, capsys, grid, name, command):
     cfg = {"instance": tri_file(tmp_path), "volumes": [100], "speeds": [[10]],

@@ -1,11 +1,15 @@
 """Exact and heuristic solver behaviour on small instances."""
 
 import copy
+import heapq
 import io
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import inf
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,12 +18,12 @@ from conftest import (make_instance, random_connected_edges,
                       routable_instance, triangle_instance)
 from wdmplan.costcat import build_cost_catalog
 from wdmplan.formats import read_instance
-from wdmplan.milp import (build_model, build_transparent_variant, evaluate_cost,
-                          export_model)
+from wdmplan.milp import (BINARY, CONTINUOUS, ModelError, build_model,
+                          build_transparent_variant, evaluate_cost, export_model)
 from wdmplan.pathgen import build_catalog
-from wdmplan.solve import (DesignState, Limits, _Heuristic, _mix_options,
-                           capacity_infeasible, check_feasibility, route_flows,
-                           solve_exact, solve_heuristic)
+from wdmplan.solve import (CONTINUOUS_TOLERANCE, DesignState, Limits, _Heuristic,
+                           _mix_options, capacity_infeasible, check_feasibility,
+                           route_flows, solve_exact, solve_heuristic)
 
 pytest.importorskip("scipy.optimize")
 from enum_oracle import brute_force_optimum, lp_routable  # noqa: E402
@@ -423,6 +427,24 @@ def test_heuristic_results_pinned_on_toy6():
         assert report.iterations == moves
 
 
+# heuristic objective and local-search moves on three seeded mid-size
+# instances (seed 0), recorded before the route search was bounded
+MIDSIZE_HEURISTIC = {
+    1: (Fraction(576309, 500), 60),
+    2: (Fraction(855174, 625), 122),
+    6: (Fraction(1687549, 2500), 65),
+}
+
+
+def test_heuristic_results_pinned_on_midsize():
+    for instance_seed, (objective, moves) in MIDSIZE_HEURISTIC.items():
+        inst = routable_instance(random_midsize_instance, random.Random(instance_seed))[0]
+        report = solve_heuristic(build(inst), seed=0)
+        assert report.status == "feasible"
+        assert report.solution.objective == objective
+        assert report.iterations == moves
+
+
 def _assert_node_fibers(state, graph):
     for n in graph.node_ids():
         assert state.node_fibers(n) == sum(state.fibers(e.id) for e in graph.incident(n))
@@ -481,6 +503,253 @@ def test_marginal_cost_kernel_matches_exact_totals():
                 for st in earlier + [h.state]:
                     _assert_node_fibers(st, inst.graph)
     assert outcomes == {True, False}
+
+
+def _best_first_route(pops, hop, u, v):
+    """Best-first search that prices every hop in full (`hop(i, j)` is the
+    cost, or None for no placement): the route search before it bounded hop
+    prices by the cheapest route to `v`."""
+    heap = [(0, 0, (u,))]
+    done = set()
+    while heap:
+        cost, hops, seq = heapq.heappop(heap)
+        at = seq[-1]
+        if at == v:
+            return list(seq)
+        if at in done:
+            continue
+        done.add(at)
+        for w in sorted(pops):
+            if w in seq or w in done:
+                continue
+            hc = hop(at, w)
+            if hc is not None:
+                heapq.heappush(heap, (cost + hc, hops + 1, seq + (w,)))
+    return None
+
+
+def _full_hop_price(h, amount):
+    def hop(i, j):
+        pair = (i, j) if i < j else (j, i)
+        need = amount - (h.state.pair_capacity[pair] - h.pair_flow[pair])
+        if need <= 0:
+            return 0
+        placed = h.best_placement(pair, need)
+        return None if placed is None else placed[0]
+    return hop
+
+
+def test_bounded_route_search_matches_unbounded():
+    """On random placements and pair flows, route_demand returns the route
+    of a search that prices every hop in full, and best_placement under a
+    cutoff returns the unbounded result when it costs at most the cutoff
+    (ties included) and None otherwise."""
+    rng = random.Random(1618)
+    seen = Counter()
+    for maker in (random_tiny_instance, random_midsize_instance):
+        for _ in range(6):
+            inst, full_cat = routable_instance(maker, rng)
+            cc = build_cost_catalog(inst)
+            for m in (build_model(inst, full_cat, cc),
+                      build_transparent_variant(inst, full_cat, cc)):
+                h = _Heuristic(m, seed=0)
+
+                def counted(pair, need, cutoff=inf, place=h.best_placement):
+                    placed = place(pair, need, cutoff)
+                    seen["pruned"] += placed is None and place(pair, need) is not None
+                    return placed
+
+                pops = sorted(inst.pops)
+                pairs = sorted(m.catalog.pair_paths)
+                for _ in range(25):
+                    _random_circuit_step(h.state, rng)
+                    for pair, cap in h.state.pair_capacity.items():
+                        h.pair_flow[pair] = rng.randint(0, cap)
+                    u, v = rng.sample(pops, 2)
+                    amount = rng.randint(1, rng.choice((300, 300, 4000)))
+                    h.best_placement = counted
+                    route = h.route_demand(u, v, amount)
+                    del h.best_placement
+                    assert route == _best_first_route(pops, _full_hop_price(h, amount), u, v)
+                    seen["no-route" if route is None else "multi-hop" if len(route) > 2
+                         else "direct"] += 1
+
+                    pair = rng.choice(pairs)
+                    need = rng.randint(1, rng.choice((300, 300, 4000)))
+                    full = h.best_placement(pair, need)
+                    if full is None:
+                        for cutoff in (0, 10**12, inf):
+                            assert h.best_placement(pair, need, cutoff) is None
+                        continue
+                    c = full[0]
+                    for cutoff in (c, c + 1, inf, c - 1, rng.randint(0, c), -1):
+                        placed = h.best_placement(pair, need, cutoff)
+                        assert placed == (full if c <= cutoff else None)
+                        seen["tie" if c == cutoff else "over" if c > cutoff else "under"] += 1
+    # the bound pruned hops, and every outcome occurred
+    assert all(seen[k] for k in ("pruned", "tie", "over", "under", "direct", "multi-hop",
+                                 "no-route"))
+
+
+def test_bounded_route_search_keeps_ties():
+    """With hop costs drawn from a few small integers, so that routes of
+    equal cost abound, route_demand returns the unbounded search's route:
+    an entry costing exactly the bound can still rank first on hops or
+    PoP sequence."""
+    rng = random.Random(2024)
+    for _ in range(400):
+        pops = [f"p{i}" for i in range(rng.randint(3, 7))]
+        table = {(a, b): rng.choice((None, 0, 1, 1, 2, 2, 3, 5))
+                 for i, a in enumerate(pops) for b in pops[i + 1:]}
+
+        def hop(i, j, table=table):
+            return table[(i, j) if i < j else (j, i)]
+
+        def hop_cost(i, j, amount, cutoff=inf, hop=hop):
+            c = hop(i, j)
+            return None if c is None or c > cutoff else c
+
+        search = SimpleNamespace(inst=SimpleNamespace(pops=pops), hop_cost=hop_cost)
+        u, v = rng.sample(pops, 2)
+        assert _Heuristic.route_demand(search, u, v, 1) == _best_first_route(pops, hop, u, v)
+
+
+def test_row_tolerance_follows_any_continuous_variable_even_zero():
+    """A row holding a continuous variable gets the 1e-6 tolerance even when
+    that variable is 0; a pure-integer row is checked exactly."""
+    m = build(triangle_instance(demands=(("a", "b", 25),)))
+    values = dict(solve_exact(m).solution.values)
+    y = next(n for n in m.path_vars.values() if values[n])
+    idle_flow = next(n for n in m.flow_vars.values() if not values[n])
+    excess = Fraction(1, 10**7) / values[y]
+    m.add_constr("probe_mixed", "probe", {y: excess, idle_flow: Fraction(1)}, "<=", Fraction(0))
+    m.add_constr("probe_integer", "probe", {y: excess}, "<=", Fraction(0))
+    assert check_feasibility(m, values) == ["probe_integer (probe): 1e-07 <= 0.0 violated"]
+
+
+def _dense_check_feasibility(model, values):
+    """`check_feasibility` as it was before it skipped zero values: every
+    variable and every row term evaluated."""
+    violations = []
+    for name, var in model.variables.items():
+        if name not in values:
+            violations.append(f"{name}: no value")
+            continue
+        v = values[name]
+        if var.integrality == CONTINUOUS:
+            if v < -CONTINUOUS_TOLERANCE:
+                violations.append(f"{name}: negative value {float(v)}")
+        else:
+            if v != int(v) or v < 0:
+                violations.append(f"{name}: not a non-negative integer: {v}")
+            elif var.integrality == BINARY and v > 1:
+                violations.append(f"{name}: binary variable set to {v}")
+    if violations:
+        return violations
+    for c in model.constraints:
+        lhs = Fraction(0)
+        has_continuous = False
+        for var, coef in c.coeffs.items():
+            lhs += coef * values[var]
+            if model.variables[var].integrality == CONTINUOUS:
+                has_continuous = True
+        tol = CONTINUOUS_TOLERANCE if has_continuous else Fraction(0)
+        bad = ((c.sense == "<=" and lhs > c.rhs + tol)
+               or (c.sense == ">=" and lhs < c.rhs - tol)
+               or (c.sense == "=" and abs(lhs - c.rhs) > tol))
+        if bad:
+            violations.append(
+                f"{c.name} ({c.kind}): {float(lhs)} {c.sense} {float(c.rhs)} violated")
+    return violations
+
+
+def _dense_evaluate_cost(model, values):
+    """`evaluate_cost` (without the slot surcharge) as it was before it
+    skipped zero values."""
+    total = Fraction(0)
+    for name, var in model.variables.items():
+        if name not in values:
+            raise ModelError(f"missing variable value: {name}")
+        if var.obj:
+            total += var.obj * values[name]
+    return total
+
+
+def _perturb(model, values, rng):
+    """One random edit of an assignment: the bound breaches (negative,
+    fractional, binary 2, no value), a continuous value just below 0 within
+    and beyond the tolerance, and edits that break rows of every kind (a
+    fiber count set to 0 breaks the physical link capacity)."""
+    names = sorted(values)
+    kind = rng.randrange(10)
+    integer = [n for n in names if model.variables[n].integrality != CONTINUOUS]
+    continuous = [n for n in names if model.variables[n].integrality == CONTINUOUS]
+    binary = [n for n in names if model.variables[n].integrality == BINARY]
+    if kind == 0:
+        values[rng.choice(names)] = rng.choice((Fraction(0), 0))
+    elif kind == 1:
+        values[rng.choice(integer)] = Fraction(-rng.randint(1, 3))
+    elif kind == 2:
+        values[rng.choice(integer)] = Fraction(rng.randint(0, 4) * 2 + 1, 2)
+    elif kind == 3:
+        values[rng.choice(binary)] = Fraction(2)
+    elif kind == 4 and continuous:
+        values[rng.choice(continuous)] = rng.choice((Fraction(-1, 10**7), -CONTINUOUS_TOLERANCE,
+                                                     Fraction(-1, 10**5)))
+    elif kind == 5 and continuous:
+        name = rng.choice(continuous)
+        values[name] += rng.choice((Fraction(1, 10**7), Fraction(1, 10**5), Fraction(7, 3)))
+    elif kind == 6:  # circuits removed or added
+        name = rng.choice(sorted(model.path_vars.values()))
+        if name in values:
+            values[name] = max(0, values[name] + rng.choice((-2, -1, 1, 3)))
+    elif kind == 7:  # a chosen module dropped, or a second one chosen
+        chosen = rng.random() < 0.5
+        name = rng.choice([n for n in binary if bool(values[n]) == chosen] or binary)
+        values[name] = 1 - values[name]
+    elif kind == 8:
+        values[rng.choice(sorted(model.fiber_vars.values()))] = Fraction(0)
+    elif kind == 9 and rng.random() < 0.3:
+        del values[rng.choice(names)]
+
+
+@pytest.mark.parametrize("maker", [random_tiny_instance, random_midsize_instance],
+                         ids=["tiny", "midsize"])
+def test_sparse_checks_match_dense(maker):
+    """check_feasibility and evaluate_cost, which skip zero values, give
+    the violation lists and costs of the dense code on randomly perturbed
+    heuristic designs."""
+    rng = random.Random(4242)
+    kinds, senses, clean, bound_breaches = set(), set(), 0, 0
+    for _ in range(5):
+        inst, full_cat = routable_instance(maker, rng)
+        cc = build_cost_catalog(inst)
+        for m in (build_model(inst, full_cat, cc),
+                  build_transparent_variant(inst, full_cat, cc)):
+            design = solve_heuristic(m).solution.values
+            for _ in range(40):
+                values = dict(design)
+                for _ in range(rng.randint(0, 3)):
+                    _perturb(m, values, rng)
+                want = _dense_check_feasibility(m, values)
+                assert check_feasibility(m, values) == want
+                clean += not want
+                bound_breaches += any(": no value" in v or "integer" in v or "binary" in v
+                                      or "negative" in v for v in want)
+                rows = [v for v in want if v.endswith(" violated")]
+                kinds |= {v.split(" (", 1)[1].split(")", 1)[0] for v in rows}
+                senses |= {v.split()[-3] for v in rows}
+                if all(name in values for name in m.variables):
+                    assert evaluate_cost(m, values) == _dense_evaluate_cost(m, values)
+                else:
+                    with pytest.raises(ModelError, match="missing variable value") as got:
+                        evaluate_cost(m, values)
+                    with pytest.raises(ModelError) as ref:
+                        _dense_evaluate_cost(m, values)
+                    assert str(got.value) == str(ref.value)
+    assert clean and bound_breaches and senses == {"<=", ">=", "="}
+    assert kinds == {"flow-conservation", "virtual-link-capacity", "physical-link-capacity",
+                     "module-uniqueness", "virtual-node-capacity", "slot", "fiber", "add-drop"}
 
 
 # what `DesignState.clone` copies; the other attributes are numbers, or are
