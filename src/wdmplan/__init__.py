@@ -12,8 +12,7 @@ from .milp import (Model, ModelError, Solution, build_model,
                    build_transparent_variant, evaluate_cost, export_model,
                    import_solution)
 from .netmodel import (Demand, Edge, Instance, Node, PhysicalGraph,
-                       demand_report, node_demand, scale_demand_matrix,
-                       synth_matrix)
+                       node_demand, scale_demand_matrix, synth_matrix)
 from .pathgen import PathCatalog, PhysPath, build_catalog, k_shortest_bounded
 from .solve import (Limits, SolveReport, capacity_infeasible,
                     check_feasibility, solve_exact, solve_heuristic)
@@ -30,8 +29,8 @@ __all__ = [
     "Model", "ModelError", "Solution", "build_model",
     "build_transparent_variant", "evaluate_cost", "export_model",
     "import_solution",
-    "Demand", "Edge", "Instance", "Node", "PhysicalGraph", "demand_report",
-    "node_demand", "scale_demand_matrix", "synth_matrix",
+    "Demand", "Edge", "Instance", "Node", "PhysicalGraph", "node_demand",
+    "scale_demand_matrix", "synth_matrix",
     "PathCatalog", "PhysPath", "build_catalog", "k_shortest_bounded",
     "Limits", "SolveReport", "capacity_infeasible", "check_feasibility",
     "solve_exact", "solve_heuristic",

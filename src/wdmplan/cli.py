@@ -10,7 +10,8 @@ Subcommands
 A scenario grid is the cross product volumes x speed sets x transponder
 scales x architectures, each cell named like `10G-DFN-3T-OPT` (speed set,
 matrix token, total volume in Tbps, optional `s<scale>` when the transponder
-scale is not 1, architecture). Cell names parse back into their parameters.
+scale is not 1, architecture). Names print volume and scale exactly, and a
+grid whose cells would share a name is a configuration error.
 
 Exit codes: 0 success, 1 at least one cell failed (solver gave up, errored,
 or a requested report could not be produced; "not feasible" is a result, not
@@ -48,9 +49,7 @@ from .solve import INFEASIBLE, UNKNOWN, solve_exact, solve_heuristic
 SOLVERS = ("exact", "heuristic", "export-only")
 ARCHITECTURES = (MODE_OPTIMIZED, MODE_TRANSPARENT)
 ARCH_TAG = {MODE_OPTIMIZED: "OPT", MODE_TRANSPARENT: "TRA"}
-TAG_ARCH = {v: k for k, v in ARCH_TAG.items()}
 SPEED_TAGS = {(10,): "10G", (100,): "100G", (10, 100): "10+100G"}
-TAG_SPEEDS = {v: k for k, v in SPEED_TAGS.items()}
 MATRIX_TOKEN = re.compile(r"^[A-Z][A-Z0-9+]*$")
 
 
@@ -70,35 +69,14 @@ class CellSpec:
 
 
 def render_cell_name(cell: CellSpec) -> str:
-    """The cell's name; volume and scale as exact decimals, so the name
-    parses back (`load_config` admits only scales that have one)."""
+    """The cell's name; volume and scale as exact decimals (`load_config`
+    admits only scales that have one)."""
     parts = [SPEED_TAGS[cell.speeds], cell.matrix,
              f"{frac_decimal(Fraction(cell.volume, 1000))}T"]
     if cell.scale != 1:
         parts.append(f"s{frac_decimal(cell.scale)}")
     parts.append(ARCH_TAG[cell.architecture])
     return "-".join(parts)
-
-
-def parse_cell_name(name: str) -> CellSpec:
-    parts = name.split("-")
-    if len(parts) not in (4, 5):
-        raise ConfigError(f"malformed cell name {name!r}")
-    speed_tag, matrix, vol = parts[0], parts[1], parts[2]
-    scale = Fraction(1)
-    if len(parts) == 5:
-        if not re.match(r"^s\d+(\.\d+)?$", parts[3]):
-            raise ConfigError(f"malformed scale tag in {name!r}")
-        scale = Fraction(parts[3][1:])
-    arch_tag = parts[-1]
-    if speed_tag not in TAG_SPEEDS or arch_tag not in TAG_ARCH \
-            or not MATRIX_TOKEN.match(matrix) \
-            or not re.match(r"^\d+(\.\d+)?T$", vol):
-        raise ConfigError(f"malformed cell name {name!r}")
-    volume = Fraction(vol[:-1]) * 1000
-    if volume.denominator != 1:
-        raise ConfigError(f"volume in {name!r} is not a whole Gbps count")
-    return CellSpec(matrix, int(volume), TAG_SPEEDS[speed_tag], scale, TAG_ARCH[arch_tag])
 
 
 @dataclass
@@ -436,15 +414,15 @@ def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[dict]) 
 
 def _write_sweep_table(outdir: Path, cells: list[CellSpec], results: list[dict]) -> None:
     """One row per scale: a cell's summary row with the scale in place of
-    its architecture and status (a failed cell shows its status instead)."""
-    columns = metrics.REPORT_COLUMNS[3:]  # after name, architecture and status
+    its architecture (a cell without a design shows only its status)."""
+    columns = metrics.REPORT_COLUMNS[2:]  # after name and architecture
     with open(outdir / "sweep.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["name", "scale"] + columns)
         for cell, res in zip(cells, results):
             base = [res["name"], frac_decimal(cell.scale)]
             if res["report"] is not None:
-                w.writerow(base + metrics.report_csv_row(res["report"])[3:])
+                w.writerow(base + metrics.report_csv_row(res["report"])[2:])
             else:
                 w.writerow(base + [res["status"]] + [""] * (len(columns) - 1))
 

@@ -119,14 +119,13 @@ class VirtualNodeModule:
 
     router_type: str
     chassis: int
-    slots: int
     switching_capacity: int
     slot_capacity: int
     cost: Fraction
 
     @property
     def name(self) -> str:
-        return f"{self.router_type}-{self.slots}slot"
+        return f"{self.router_type}-{self.slot_capacity}slot"
 
 
 def enumerate_virtual_modules() -> list[VirtualNodeModule]:
@@ -140,7 +139,6 @@ def enumerate_virtual_modules() -> list[VirtualNodeModule]:
         modules.append(VirtualNodeModule(
             router_type="type2",
             chassis=1,
-            slots=slots,
             switching_capacity=TYPE2_SLOT_CAPACITY_GBPS * slots,
             slot_capacity=slots,
             cost=TYPE2_BASE_COST + TYPE2_SLOT_COST * slots,
@@ -153,7 +151,6 @@ def enumerate_virtual_modules() -> list[VirtualNodeModule]:
         modules.append(VirtualNodeModule(
             router_type="type1",
             chassis=chassis,
-            slots=slots,
             switching_capacity=TYPE1_SLOT_CAPACITY_GBPS * slots,
             slot_capacity=slots,
             cost=cost,

@@ -21,7 +21,8 @@ The native instance format is line-oriented:
     demand <u> <v> <gbps>
 
 Blank lines and `#` comments are ignored; `demand` lines with the same pair
-in either direction are merged by summation.
+in either direction are merged by summation. An unknown directive or `param`
+name, or a value that does not convert, is an error naming its line.
 """
 
 from __future__ import annotations
@@ -36,6 +37,16 @@ from .netmodel import (Demand, Edge, Instance, Node, PhysicalGraph,
                        as_fraction, merge_directed)
 
 EARTH_RADIUS_KM = 6371.0
+
+# `param` name -> (Instance keyword, converter of the value text)
+INSTANCE_PARAMS = {
+    "speeds": ("speeds", lambda text: tuple(int(s) for s in text.split())),
+    "channels-per-fiber": ("channels_per_fiber", int),
+    "max-path-km": ("max_path_km", int),
+    "max-paths-per-pair": ("max_paths_per_pair", int),
+    "transponder-scale": ("transponder_scale", as_fraction),
+    "mode": ("mode", str),
+}
 
 
 def great_circle_km(x1: float, y1: float, x2: float, y2: float) -> Fraction:
@@ -53,7 +64,6 @@ class SndlibNetwork:
 
     graph: PhysicalGraph
     raw_demands: dict = field(default_factory=dict)  # (u, v) -> Fraction
-    name: str = ""
 
 
 def _sndlib_sections(text: str) -> dict[str, list[str]]:
@@ -93,8 +103,7 @@ def _sndlib_sections(text: str) -> dict[str, list[str]]:
     return sections
 
 
-def read_sndlib(inp: IO[str] | str, length_source: str = "routing-cost",
-                name: str = "") -> SndlibNetwork:
+def read_sndlib(inp: IO[str] | str, length_source: str = "routing-cost") -> SndlibNetwork:
     """Parse SNDlib native text.
 
     `length_source`: "routing-cost" (default), "setup-cost", or
@@ -148,15 +157,14 @@ def read_sndlib(inp: IO[str] | str, length_source: str = "routing-cost",
         key = (u, v)
         raw[key] = raw.get(key, Fraction(0)) + as_fraction(value)
 
-    return SndlibNetwork(graph=PhysicalGraph(nodes, edges),
-                         raw_demands=merge_directed(raw), name=name)
+    return SndlibNetwork(graph=PhysicalGraph(nodes, edges), raw_demands=merge_directed(raw))
 
 
 def read_instance(inp: IO[str] | str) -> Instance:
     """Parse the native instance format documented in the module docstring."""
     text = inp if isinstance(inp, str) else inp.read()
     name = ""
-    params: dict[str, str] = {}
+    params = {}
     nodes: list[Node] = []
     edges: list[Edge] = []
     pops: list[str] = []
@@ -171,7 +179,10 @@ def read_instance(inp: IO[str] | str) -> Instance:
             if kind == "instance":
                 name = " ".join(args)
             elif kind == "param":
-                params[args[0]] = " ".join(args[1:])
+                if args[0] not in INSTANCE_PARAMS:
+                    raise ValueError(f"unknown param {args[0]!r}")
+                keyword, convert = INSTANCE_PARAMS[args[0]]
+                params[keyword] = convert(" ".join(args[1:]))
             elif kind == "node":
                 if len(args) == 1:
                     nodes.append(Node(id=args[0]))
@@ -187,7 +198,7 @@ def read_instance(inp: IO[str] | str) -> Instance:
                 raw_demands[key] = raw_demands.get(key, Fraction(0)) + as_fraction(args[2])
             else:
                 raise ValueError(f"unknown directive {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"instance file line {lineno}: {exc}") from exc
 
     merged = merge_directed(raw_demands)
@@ -198,21 +209,8 @@ def read_instance(inp: IO[str] | str) -> Instance:
                              f"(scale matrices before writing), got {val}")
         demands.append(Demand(u, v, int(val)))
 
-    kwargs = {}
-    if "speeds" in params:
-        kwargs["speeds"] = tuple(int(s) for s in params["speeds"].split())
-    if "channels-per-fiber" in params:
-        kwargs["channels_per_fiber"] = int(params["channels-per-fiber"])
-    if "max-path-km" in params:
-        kwargs["max_path_km"] = int(params["max-path-km"])
-    if "max-paths-per-pair" in params:
-        kwargs["max_paths_per_pair"] = int(params["max-paths-per-pair"])
-    if "transponder-scale" in params:
-        kwargs["transponder_scale"] = as_fraction(params["transponder-scale"])
-    if "mode" in params:
-        kwargs["mode"] = params["mode"]
     return Instance(graph=PhysicalGraph(nodes, edges), pops=tuple(pops),
-                    demands=tuple(demands), name=name, **kwargs)
+                    demands=tuple(demands), name=name, **params)
 
 
 def write_instance(instance: Instance, out: IO[str]) -> None:

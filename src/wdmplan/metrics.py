@@ -15,11 +15,9 @@ we guarantee reproducibility, not uniqueness.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import IO
 
 from .milp import Model, ModelError, Solution, evaluate_cost
 from .netmodel import MODE_OPTIMIZED, MODE_TRANSPARENT, Instance, node_demand
@@ -286,7 +284,3 @@ def report_csv_row(tr: TransitReport) -> list[str]:
             fmt_cost(tr.total_ip), fmt_cost(tr.total_wdm), fmt_opacity(tr.opacity),
             str(tr.lambda_count), str(tr.ip_path_count)]
 
-
-def write_report_json(tr: TransitReport, out: IO[str]) -> None:
-    json.dump(report_json(tr), out, indent=2, sort_keys=True)
-    out.write("\n")

@@ -57,8 +57,6 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class Variable:
-    name: str
-    kind: str
     integrality: str
     obj: Fraction
 
@@ -78,12 +76,6 @@ class Solution:
 
     values: dict
     objective: Fraction | None = None
-
-    def value(self, name: str) -> Fraction:
-        try:
-            return self.values[name]
-        except KeyError:
-            raise ModelError(f"missing variable value: {name}") from None
 
 
 class Model:
@@ -105,10 +97,10 @@ class Model:
         self.vmod_vars: dict[tuple, str] = {}      # (node, module index) -> name
         self.pmod_vars: dict[tuple, str] = {}      # (node, module index) -> name
 
-    def add_var(self, name: str, kind: str, integrality: str, obj: Fraction) -> str:
+    def add_var(self, name: str, integrality: str, obj: Fraction) -> str:
         if name in self.variables:
             raise ModelError(f"duplicate variable {name}")
-        self.variables[name] = Variable(name, kind, integrality, obj)
+        self.variables[name] = Variable(integrality, obj)
         return name
 
     def add_constr(self, name: str, kind: str, coeffs: dict, sense: str,
@@ -164,7 +156,7 @@ def build_model(instance: Instance, catalog: PathCatalog,
             for j in pops:
                 if i != j:
                     m.flow_vars[(key, i, j)] = m.add_var(
-                        f"f_{key}_{nidx[i]}_{nidx[j]}", "flow", CONTINUOUS, Fraction(0))
+                        f"f_{key}_{nidx[i]}_{nidx[j]}", CONTINUOUS, Fraction(0))
     _add_design_vars(m, nidx, eidx)
 
     # flow conservation at every PoP for every commodity
@@ -246,19 +238,19 @@ def _add_design_vars(m: Model, nidx: dict, eidx: dict,
     for pid, p in enumerate(m.catalog.paths):
         for lt in cc.lambda_types:
             m.path_vars[(pid, lt.speed)] = m.add_var(
-                f"yp_{pid}_{lt.speed}", "lightpath", INTEGER, lt.cost)
+                f"yp_{pid}_{lt.speed}", INTEGER, lt.cost)
     for e in sorted(inst.graph.edges, key=lambda e: e.id):
         m.fiber_vars[e.id] = m.add_var(
-            f"ye_{eidx[e.id]}", "fiber", INTEGER, cc.fiber_cost[e.id])
+            f"ye_{eidx[e.id]}", INTEGER, cc.fiber_cost[e.id])
     for i in sorted(inst.pops):
         for midx, vm in enumerate(cc.virtual_modules):
             cost = Fraction(0) if router_cost_zero else vm.cost
             m.vmod_vars[(i, midx)] = m.add_var(
-                f"xn_{nidx[i]}_{midx}", "virtual-module", BINARY, cost)
+                f"xn_{nidx[i]}_{midx}", BINARY, cost)
     for i in sorted(inst.graph.node_ids()):
         for midx, pm in enumerate(cc.physical_modules):
             m.pmod_vars[(i, midx)] = m.add_var(
-                f"xo_{nidx[i]}_{midx}", "physical-module", BINARY, pm.cost)
+                f"xo_{nidx[i]}_{midx}", BINARY, pm.cost)
 
 
 def _add_design_constraints(m: Model, nidx: dict, eidx: dict) -> None:

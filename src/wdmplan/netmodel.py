@@ -37,7 +37,6 @@ def as_fraction(value) -> Fraction:
 @dataclass(frozen=True)
 class Node:
     id: str
-    name: str = ""
     x: float | None = None
     y: float | None = None
 
@@ -285,15 +284,3 @@ def node_demand(instance: Instance) -> dict[str, int]:
         d[dem.v] += dem.value
     return d
 
-
-def demand_report(demands: Iterable[Demand]) -> dict:
-    """Aggregate demand statistics for eyeballing generated matrices.
-
-    Published traffic studies usually state only min/max pair values and the
-    total, so this is the level at which a regenerated matrix can be checked.
-    """
-    values = [d.value for d in demands]
-    if not values:
-        return {"pairs": 0, "total": 0, "min": None, "max": None}
-    return {"pairs": len(values), "total": sum(values),
-            "min": min(values), "max": max(values)}

@@ -448,14 +448,11 @@ class DesignState:
     def _update_pmod(self, node: str) -> None:
         self.pmod_total += self._repick(
             self.pmod, self._pmod_for, node, "o:" + node,
-            self.node_fibers(node), self.node_drops.get(node, 0))
+            self.node_fiber_count.get(node, 0), self.node_drops.get(node, 0))
 
     def fibers(self, edge_id: str) -> int:
         cpf = self.instance.channels_per_fiber
         return (self.channels.get(edge_id, 0) + cpf - 1) // cpf
-
-    def node_fibers(self, node: str) -> int:
-        return self.node_fiber_count.get(node, 0)
 
     def add_circuits(self, pid: int, speed: int, count: int) -> None:
         """Add (or with negative `count`, remove) circuits on a path."""
@@ -522,7 +519,7 @@ class DesignState:
             uncovered = max(0, self._total_demand - sum(cap.values()))
         return self.prices.exact(self._spent()) + uncovered * self._per_gbps
 
-    def to_solution(self, flow_values: dict[str, Fraction] | None = None) -> Solution | None:
+    def to_solution(self, flow_values: dict[str, Fraction]) -> Solution | None:
         """Assemble full variable values; None if modules do not fit."""
         if self.broken:
             return None
@@ -536,8 +533,7 @@ class DesignState:
             values[m.vmod_vars[(node, midx)]] = Fraction(1)
         for node, (_cost, midx) in self.pmod.items():
             values[m.pmod_vars[(node, midx)]] = Fraction(1)
-        if flow_values:
-            values.update(flow_values)
+        values.update(flow_values)
         return Solution(values)
 
 
@@ -1046,7 +1042,7 @@ def solve_heuristic(model: Model, seed: int = 0) -> SolveReport:
     if not ok or h.state.total_cost() is None:
         return SolveReport(UNKNOWN, None, bound, iterations=h.moves)
 
-    sol = h.state.to_solution(h.flow_values() if not model.transparent else None)
+    sol = h.state.to_solution(h.flow_values())
     cost = h.state.total_cost()
     sol.objective = cost
     violations = check_feasibility(model, sol)

@@ -1,18 +1,40 @@
 """Command line interface: names, configs, grids and outputs."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import make_instance, triangle_instance
-from wdmplan.cli import (CellSpec, ConfigError, main, parse_cell_name,
-                         render_cell_name)
-from wdmplan.formats import write_instance
+from wdmplan.cli import (CellSpec, ConfigError, ScenarioConfig, main,
+                         render_cell_name, scenario_grid)
+from wdmplan.formats import read_instance, write_instance
 from wdmplan.metrics import REPORT_COLUMNS
 
 DATA = Path(__file__).resolve().parents[1] / "data"
+
+SPEEDS_BY_TAG = {"10G": (10,), "100G": (100,), "10+100G": (10, 100)}
+ARCH_BY_TAG = {"OPT": "optimized", "TRA": "transparent-core"}
+# exactly the names `render_cell_name` writes for a grid cell: decimals
+# without leading or trailing zeros, a volume in whole Gbps, a scale of at
+# least 1, and no scale tag for scale 1
+CELL_NAME = re.compile(r"(10G|100G|10\+100G)-([A-Z][A-Z0-9+]*)-"
+                       r"(0|[1-9]\d*)(?:\.(\d{0,2}[1-9]))?T"
+                       r"(?:-s(?!1-)([1-9]\d*(?:\.\d*[1-9])?))?-(OPT|TRA)")
+
+
+def parse_cell_name(name):
+    """Reference parser: the cell a grid name stands for; any name that no
+    grid writes is an error."""
+    m = CELL_NAME.fullmatch(name)
+    if m is None:
+        raise ConfigError(f"malformed cell name {name!r}")
+    speeds, matrix, whole, frac, scale, arch = m.groups()
+    volume = Fraction(f"{whole}.{frac or 0}") * 1000
+    return CellSpec(matrix, int(volume), SPEEDS_BY_TAG[speeds], Fraction(scale or 1),
+                    ARCH_BY_TAG[arch])
 
 
 def write_inst(tmp_path, inst, name="inst.txt"):
@@ -49,6 +71,19 @@ def test_cell_name_round_trip():
     assert render_cell_name(cases[3]) == "100G-M1-0.5T-s2.5-TRA"
 
 
+def test_toy6_grid_names_round_trip():
+    """The names of the benchmark's 72-cell toy6 grid parse back into
+    their cells."""
+    config = ScenarioConfig(instance="toy6", matrix_name="TOY",
+                            volumes=(540, 1000, 2000, 4000),
+                            speeds=((10,), (100,), (10, 100)),
+                            scales=(Fraction(1), Fraction(2), Fraction(5)))
+    cells = scenario_grid(config, read_instance((DATA / "toy6.txt").read_text()))
+    assert len(cells) == 72
+    for cell in cells:
+        assert parse_cell_name(render_cell_name(cell)) == cell
+
+
 @pytest.mark.parametrize("volume, scale, name", [
     (1234567, Fraction(1), "10G-MTX-1234.567T-OPT"),
     (10**9, Fraction(1), "10G-MTX-1000000T-OPT"),
@@ -77,8 +112,13 @@ def test_cell_names_six_digits_render_exactly_keep_their_bytes():
 
 
 def test_parse_cell_name_rejects_garbage():
+    """Besides plain garbage, names that only differ from a written one in
+    how a number prints: a scale tag for scale 1, a trailing zero, a
+    leading zero, a volume below one Gbps and a scale below 1."""
     for bad in ("40G-DFN-3T-OPT", "10G-dfn-3T-OPT", "10G-DFN-3Q-OPT",
-                "10G-DFN-3T-XYZ", "10G-DFN-3T", "10G-DFN-3T-s0x-OPT"):
+                "10G-DFN-3T-XYZ", "10G-DFN-3T", "10G-DFN-3T-s0x-OPT",
+                "10G-MTX-1T-s1-OPT", "10G-MTX-3.0T-OPT", "10G-MTX-1T-s2.50-OPT",
+                "10G-MTX-03T-OPT", "10G-MTX-0.0005T-OPT", "10G-MTX-1T-s0.5-OPT"):
         with pytest.raises(ConfigError):
             parse_cell_name(bad)
 
@@ -139,6 +179,14 @@ def test_solve_and_run_agree_on_an_unknown_solve_with_a_design(tmp_path, monkeyp
     assert doc["solver"]["nodes"] == 2001
     rows = (tmp_path / "res" / "summary.csv").read_text().splitlines()
     row = dict(zip(REPORT_COLUMNS, rows[1].split(",")))
+    assert row["name"] == name and row["status"] == "unknown"
+    assert row["total_cost"] == f"{solved['cost']['total']:.10g}"
+
+    # sweep.csv says the row is an incumbent, not a solved design
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "sweep")]) == 1
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert rows[0].split(",") == ["name", "scale"] + REPORT_COLUMNS[2:]
+    row = dict(zip(rows[0].split(","), rows[1].split(",")))
     assert row["name"] == name and row["status"] == "unknown"
     assert row["total_cost"] == f"{solved['cost']['total']:.10g}"
 
@@ -218,7 +266,7 @@ def test_run_renders_infeasible_cells(tmp_path):
     assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "sweep")]) == 0
     sweep = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
     assert [row.split(",") for row in sweep[1:]] == [
-        ["10G-MTX-4.01T-OPT", "1", "not feasible"] + [""] * (len(REPORT_COLUMNS) - 4)]
+        ["10G-MTX-4.01T-OPT", "1", "not feasible"] + [""] * (len(REPORT_COLUMNS) - 3)]
 
 
 def test_run_records_unexpected_solver_errors(tmp_path, monkeypatch, capsys):
@@ -297,13 +345,14 @@ def test_sweep_csv(tmp_path):
     p.write_text(json.dumps(cfg))
     assert main(["sweep", "--config", str(p)]) == 0
     sweep = (tmp_path / "res" / "sweep.csv").read_text().splitlines()
-    assert sweep[0].startswith("name,scale,")
+    assert sweep[0].split(",") == ["name", "scale"] + REPORT_COLUMNS[2:]
     assert len(sweep) == 3
-    assert sweep[1].split(",")[1] == "1"
-    assert sweep[2].split(",")[1] == "5"
-    assert "10G-MTX-0.1T-s5-OPT" in sweep[2]
+    rows = [dict(zip(sweep[0].split(","), line.split(","))) for line in sweep[1:]]
+    assert [r["scale"] for r in rows] == ["1", "5"]
+    assert rows[1]["name"] == "10G-MTX-0.1T-s5-OPT"
+    assert {r["status"] for r in rows} <= {"optimal", "feasible"}
     # dearer circuits cannot make the design cheaper
-    assert float(sweep[2].split(",")[2]) >= float(sweep[1].split(",")[2])
+    assert float(rows[1]["core_cost"]) >= float(rows[0]["core_cost"])
 
 
 def test_export_only_writes_lp(tmp_path):

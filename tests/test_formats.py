@@ -1,6 +1,7 @@
 """Instance file round-trips and SNDlib parsing."""
 
 import io
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,8 +32,7 @@ DEMANDS (
 
 
 def test_read_sndlib_routing_cost_lengths():
-    net = read_sndlib(SND_FIXTURE, name="ring3")
-    assert net.name == "ring3"
+    net = read_sndlib(SND_FIXTURE)
     assert sorted(n.id for n in net.graph.nodes) == ["dortmund", "essen", "koeln"]
     assert net.graph.edge("l1").length_km == 36
     assert net.graph.edge("l2").length_km == 95
@@ -134,6 +134,24 @@ def test_read_instance_errors():
     bad_value = INSTANCE_TEXT.replace("demand a c 7", "demand a c 7.5")
     with pytest.raises(ValueError, match="positive integer"):
         read_instance(bad_value)
+
+
+
+@pytest.mark.parametrize("line, message", [
+    ("param max-paths-per-par 10", "line 8: unknown param 'max-paths-per-par'"),
+    ("param speeds 10 x", "line 8: invalid literal for int"),
+    ("param max-path-km 1.5", "line 8: invalid literal for int"),
+    ("param channels-per-fiber", "line 8: invalid literal for int"),
+    ("param transponder-scale 1/0", "line 8: "),
+    ("param", "line 8: "),
+], ids=["misspelt-name", "bad-speed", "fractional-km", "no-value", "zero-denominator",
+        "no-name"])
+def test_read_instance_rejects_bad_params_at_their_line(line, message):
+    """A misspelt param would otherwise leave its default in force (k stays
+    at 50); a bad value is reported at its line."""
+    text = INSTANCE_TEXT.replace("param mode optimized", line)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_instance(text)
 
 
 def test_shipped_demo_instance_parses():

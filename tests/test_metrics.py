@@ -1,7 +1,5 @@
 """Transit disaggregation, opacity and edge interface costs."""
 
-import io
-import json
 import random
 from fractions import Fraction
 
@@ -13,8 +11,7 @@ from wdmplan.costcat import build_cost_catalog
 from wdmplan.metrics import (REPORT_COLUMNS, ModelError, count_ip_paths,
                              disaggregate_flows, edge_cost, fmt_cost,
                              fmt_opacity, ip_transit, opacity, report,
-                             report_csv_row, report_json, wdm_transit,
-                             write_report_json)
+                             report_csv_row, report_json, wdm_transit)
 from wdmplan.milp import build_model, build_transparent_variant
 from wdmplan.netmodel import node_demand
 from wdmplan.pathgen import build_catalog
@@ -177,12 +174,9 @@ def test_report_on_solved_triangle():
     assert row[8] == "undefined"
 
     blob = report_json(tr)
+    assert blob["name"] == "tri"
     assert blob["cost"]["total"] == float(tr.total_cost)
     assert blob["opacity_display"] == "undefined"
-    buf = io.StringIO()
-    write_report_json(tr, buf)
-    assert json.loads(buf.getvalue())["name"] == "tri"
-    assert buf.getvalue().endswith("\n")
 
 
 def test_transparent_report_zero_ip_transit():

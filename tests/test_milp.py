@@ -50,8 +50,11 @@ def test_constraint_and_variable_census():
         "fiber": 3,
         "add-drop": 3,
     }
-    vkinds = Counter(v.kind for v in m.variables.values())
-    assert vkinds == {
+    tables = {"flow": m.flow_vars, "lightpath": m.path_vars, "fiber": m.fiber_vars,
+              "virtual-module": m.vmod_vars, "physical-module": m.pmod_vars}
+    # every variable sits in exactly one lookup table
+    assert sorted(n for t in tables.values() for n in t.values()) == sorted(m.variables)
+    assert {kind: len(t) for kind, t in tables.items()} == {
         "flow": 12,           # 2 commodities x 6 ordered PoP pairs
         "lightpath": 12,      # 6 admissible paths x 2 speeds
         "fiber": 3,
@@ -185,17 +188,17 @@ def test_import_text_and_xml():
     m = build(triangle_instance(demands=(("a", "b", 25),), speeds=(10,)))
     some_yp = next(iter(m.path_vars.values()))
     sol = import_solution(m, f"# solver output\n{some_yp} 2\nye_0 1.0000000004\n")
-    assert sol.value(some_yp) == 2
-    assert sol.value("ye_0") == 1
+    assert sol.values[some_yp] == 2
+    assert sol.values["ye_0"] == 1
     xml = (f'<?xml version="1.0"?><CPLEXSolution><variables>'
            f'<variable name="{some_yp}" index="0" value="2"/>'
            f'<variable name="ye_0" index="1" value="0.9999999996"/>'
            f'</variables></CPLEXSolution>')
     sol2 = import_solution(m, xml)
-    assert sol2.value(some_yp) == 2
-    assert sol2.value("ye_0") == 1
+    assert sol2.values[some_yp] == 2
+    assert sol2.values["ye_0"] == 1
     # unlisted variables default to zero
-    assert sol2.value(m.fiber_vars["e2"]) == 0
+    assert sol2.values[m.fiber_vars["e2"]] == 0
 
 
 def test_import_rejects_bad_input():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_graph, make_instance, triangle_instance
-from wdmplan.netmodel import (Demand, Instance, demand_report, merge_directed,
-                              node_demand, scale_demand_matrix, synth_matrix)
+from wdmplan.netmodel import (Demand, Instance, merge_directed, node_demand,
+                              scale_demand_matrix, synth_matrix)
 
 
 def vals(demands):
@@ -162,12 +162,6 @@ def test_node_demand_identity():
         assert sum(d.values()) == 2 * sum(v for _, _, v in demands)
         assert all(d[n] == 0 for n in d if n not in pops)
 
-
-def test_demand_report():
-    inst = triangle_instance(demands=(("a", "b", 5), ("a", "c", 12)))
-    rep = demand_report(inst.demands)
-    assert rep == {"pairs": 2, "total": 17, "min": 5, "max": 12}
-    assert demand_report([]) == {"pairs": 0, "total": 0, "min": None, "max": None}
 
 
 def test_instance_defaults():

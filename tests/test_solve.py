@@ -447,7 +447,7 @@ def test_heuristic_results_pinned_on_midsize():
 
 def _assert_node_fibers(state, graph):
     for n in graph.node_ids():
-        assert state.node_fibers(n) == sum(state.fibers(e.id) for e in graph.incident(n))
+        assert state.node_fiber_count.get(n, 0) == sum(state.fibers(e.id) for e in graph.incident(n))
 
 
 def test_marginal_cost_kernel_matches_exact_totals():
