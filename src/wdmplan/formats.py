@@ -22,7 +22,8 @@ The native instance format is line-oriented:
 
 Blank lines and `#` comments are ignored; `demand` lines with the same pair
 in either direction are merged by summation. An unknown directive or `param`
-name, or a value that does not convert, is an error naming its line.
+name, or a value that does not convert or that `Instance` rejects, is an
+error naming its line.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from math import asin, cos, radians, sin, sqrt
 from typing import IO
 
 from .netmodel import (Demand, Edge, Instance, Node, PhysicalGraph,
-                       as_fraction, merge_directed)
+                       as_fraction, check_param, merge_directed)
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -183,6 +184,7 @@ def read_instance(inp: IO[str] | str) -> Instance:
                     raise ValueError(f"unknown param {args[0]!r}")
                 keyword, convert = INSTANCE_PARAMS[args[0]]
                 params[keyword] = convert(" ".join(args[1:]))
+                check_param(keyword, params[keyword])
             elif kind == "node":
                 if len(args) == 1:
                     nodes.append(Node(id=args[0]))

@@ -218,6 +218,27 @@ def synth_matrix(mode: str, pops: Iterable[str], weights: Mapping[str, float],
     return scale_demand_matrix(raw, target_total)
 
 
+# scenario field of `Instance` -> the problem with a value, or None if it is fine
+PARAM_RULES = {
+    "speeds": lambda v: None if v and set(v) <= {10, 100}
+    else f"speeds must be a non-empty subset of (10, 100), got {v}",
+    "channels_per_fiber": lambda v: None if v >= 1 else "channels per fiber must be >= 1",
+    "max_path_km": lambda v: None if v > 0 else "path bound must be positive",
+    "max_paths_per_pair": lambda v: None if v >= 1 else "per-pair path limit must be positive",
+    "transponder_scale": lambda v: None if v >= 1 else "transponder scale must be >= 1",
+    "mode": lambda v: None if v in MODES else f"unknown mode {v!r}, expected one of {MODES}",
+}
+
+
+def check_param(name: str, value) -> None:
+    """Raise ValueError if `value` breaks the rule of the `Instance` field
+    `name`. `Instance` checks each scenario field here, and so does the
+    instance reader at the `param` line that sets it."""
+    problem = PARAM_RULES[name](value)
+    if problem:
+        raise ValueError(problem)
+
+
 @dataclass(frozen=True)
 class Instance:
     """One design problem: topology, PoPs, demands and scenario parameters."""
@@ -238,16 +259,8 @@ class Instance:
         object.__setattr__(self, "demands", tuple(self.demands))
         object.__setattr__(self, "speeds", tuple(sorted(set(self.speeds))))
         object.__setattr__(self, "transponder_scale", as_fraction(self.transponder_scale))
-        if not self.speeds or not set(self.speeds) <= {10, 100}:
-            raise ValueError(f"speeds must be a non-empty subset of (10, 100), got {self.speeds}")
-        if self.channels_per_fiber < 1:
-            raise ValueError("channels per fiber must be >= 1")
-        if self.max_path_km <= 0 or self.max_paths_per_pair < 1:
-            raise ValueError("path bound and per-pair path limit must be positive")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.transponder_scale < 1:
-            raise ValueError("transponder scale must be >= 1")
+        for name in PARAM_RULES:
+            check_param(name, getattr(self, name))
         unknown = [p for p in self.pops if not self.graph.has_node(p)]
         if unknown:
             raise ValueError(f"PoPs not in graph: {unknown}")

@@ -29,8 +29,13 @@ Three layers of machinery:
   All tie-breaks are ordered; the seed only shuffles equal-value demands.
   The route search is bounded: once a route to the target is pushed, a hop
   is priced only up to the cost that route leaves, as every marginal cost
-  term is >= 0 and a dearer entry would never leave the heap first. Routes
-  are those of the unbounded search.
+  term is >= 0 and a dearer entry would never leave the heap first; a hop
+  whose cheapest mix costs more in circuits alone (the mix floor) is skipped
+  before any mix is priced. Swaps are priced, not applied: with a (path,
+  speed)'s circuits taken off, each parallel path costs the state's cost
+  plus the mix's circuit and router term plus its fiber and optical-module
+  marginal, and only the last path taken gets the circuits back. Routes,
+  costs and move counts are those of the unbounded, applied search.
 
 Results are exact: bounds, objectives and reports are `Fraction`s. Inside,
 `DesignState` and the heuristic's marginal costs count in scaled integers,
@@ -694,6 +699,7 @@ class _Heuristic:
         self._pair_paths: dict[tuple, list] = {
             pair: [(p.length_km, self.cat.index(p), self._edge_terms(p)) for p in plist]
             for pair, plist in self.cat.pair_paths.items()}
+        self._mixes: dict[int, tuple[int, list]] = {}  # need -> `_mix_table`
 
     # ---- marginal costs --------------------------------------------------
     #
@@ -706,14 +712,12 @@ class _Heuristic:
         return tuple((eid, graph.edge(eid).u, graph.edge(eid).v, fiber[eid])
                      for eid in path.edges)
 
-    def _mix_base(self, ends: tuple[str, str], mix: dict[int, int]) -> int | None:
-        """Scaled circuit cost of a mix plus its router cost change at the
-        two ends (the part of the marginal cost every path of the pair
-        shares); None if an end router would outgrow every module."""
+    def _mix_base(self, ends: tuple[str, str], cost: int, sw: int, units: int) -> int | None:
+        """Scaled circuit cost `cost` of a mix plus its router cost change at
+        the two ends, where it adds `sw` switching and `units` slot units
+        (the part of the marginal cost every path of the pair shares); None
+        if an end router would outgrow every module."""
         st = self.state
-        cost = sum(st.prices.circuit[s] * n for s, n in mix.items())
-        sw = sum(st.lt[s].switching_capacity * n for s, n in mix.items())
-        units = sum(st.lt_units[s] * n for s, n in mix.items())
         for node in ends:
             after = st._vmod_for(st._d_i[node] + st.node_switch.get(node, 0) + sw,
                                  st.node_slot_units.get(node, 0) + units)
@@ -754,15 +758,37 @@ class _Heuristic:
                 return None
         return cost
 
+    def _mix_table(self, need: int) -> tuple[int, list]:
+        """(floor, rows) of the mixes covering `need` Gbps, memoized: a row
+        is (mix, circuit count, scaled circuit cost, switching, slot units),
+        and the floor is the least circuit cost of any row. Prices and
+        circuit types are the model's, so the table outlives every state."""
+        table = self._mixes.get(need)
+        if table is None:
+            st = self.state
+            rows = [(mix, sum(mix.values()),
+                     sum(st.prices.circuit[s] * n for s, n in mix.items()),
+                     sum(st.lt[s].switching_capacity * n for s, n in mix.items()),
+                     sum(st.lt_units[s] * n for s, n in mix.items()))
+                    for mix in _mix_options(need, self.model.cost_catalog.lambda_types)]
+            table = self._mixes[need] = (min(row[2] for row in rows), rows)
+        return table
+
     def best_placement(self, pair: tuple, need: int, cutoff: float = inf):
         """(scaled marginal cost, path id, mix) of the cheapest placement
         providing >= `need` extra Gbps on a pair, or None if none costs at
-        most `cutoff`."""
+        most `cutoff`. Every placement costs at least the floor of the mix
+        table, as router, fiber and optical-module terms are >= 0, so a
+        floor above `cutoff` ends the call before any mix is priced."""
+        floor, rows = self._mix_table(need)
+        if floor > cutoff:
+            return None
         options = []
-        for mix in _mix_options(need, self.model.cost_catalog.lambda_types):
-            base = self._mix_base(pair, mix)
-            if base is not None:
-                options.append((mix, sum(mix.values()), base))
+        for mix, count, cost, sw, units in rows:
+            if cost <= cutoff:  # a dearer one has a base above every later cutoff
+                base = self._mix_base(pair, cost, sw, units)
+                if base is not None:
+                    options.append((mix, count, base))
         best = None
         # from here on `cutoff` is also the best cost so far: a dearer
         # candidate cannot win, and an equal one may on length or path id.
@@ -877,31 +903,41 @@ class _Heuristic:
         return improved
 
     def swap_paths(self) -> bool:
-        """Move all circuits of one (path, speed) to a cheaper parallel path."""
+        """Move all circuits of one (path, speed) to a cheaper parallel path.
+
+        Candidates are priced, not applied. With the circuits off, the
+        design costs `s0`; on a parallel path it costs `s0` plus their
+        `_mix_base` (circuits and end routers: the ends and speed stay the
+        same) plus their `_marginal` fiber and optical-module cost there.
+        Paths are tried in catalog order and each strictly cheaper one is
+        taken, the moves applying every candidate in turn would make; the
+        circuits go back once, on the last path taken."""
         improved = False
-        for (pid, speed) in sorted(self.state.y):
-            count = self.state.y.get((pid, speed), 0)
+        st = self.state
+        for (pid, speed) in sorted(st.y):
+            count = st.y.get((pid, speed), 0)
             if not count:
                 continue
-            pair = self.cat.paths[pid].ends
-            before = self.state.scaled_cost()
+            before = st.scaled_cost()
             if before is None:
                 continue
-            for q in self.cat.pair_paths[pair]:
-                qid = self.cat.index(q)
-                if qid == pid:
-                    continue
-                self.state.add_circuits(pid, speed, -count)
-                self.state.add_circuits(qid, speed, count)
-                after = self.state.scaled_cost()
-                if after is not None and after < before:
-                    improved = True
-                    self.moves += 1
-                    before = after
-                    pid = qid
-                else:
-                    self.state.add_circuits(qid, speed, -count)
-                    self.state.add_circuits(pid, speed, count)
+            pair = self.cat.paths[pid].ends
+            st.add_circuits(pid, speed, -count)
+            s0 = st._spent()  # not broken: removing circuits only lowers requirements
+            base = self._mix_base(pair, st.prices.circuit[speed] * count,
+                                  st.lt[speed].switching_capacity * count,
+                                  st.lt_units[speed] * count)
+            if base is not None:
+                for _, qid, edges in self._pair_paths[pair]:
+                    if qid == pid:
+                        continue
+                    c = self._marginal(pair, edges, count, base, before - s0 - 1)
+                    if c is not None:  # s0 + c < before
+                        improved = True
+                        self.moves += 1
+                        before = s0 + c
+                        pid = qid
+            st.add_circuits(pid, speed, count)
         return improved
 
     def remix_pairs(self) -> bool:

@@ -144,11 +144,15 @@ def test_read_instance_errors():
     ("param channels-per-fiber", "line 8: invalid literal for int"),
     ("param transponder-scale 1/0", "line 8: "),
     ("param", "line 8: "),
+    ("param mode foo", "line 8: unknown mode 'foo'"),
+    ("param speeds 40", "line 8: speeds must be a non-empty subset of (10, 100), got (40,)"),
+    ("param channels-per-fiber 0", "line 8: channels per fiber must be >= 1"),
 ], ids=["misspelt-name", "bad-speed", "fractional-km", "no-value", "zero-denominator",
-        "no-name"])
+        "no-name", "unknown-mode", "unsupported-speed", "no-channels"])
 def test_read_instance_rejects_bad_params_at_their_line(line, message):
     """A misspelt param would otherwise leave its default in force (k stays
-    at 50); a bad value is reported at its line."""
+    at 50); a bad value is reported at its line, also one that converts but
+    that `Instance` rejects."""
     text = INSTANCE_TEXT.replace("param mode optimized", line)
     with pytest.raises(ValueError, match=re.escape(message)):
         read_instance(text)

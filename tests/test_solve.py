@@ -614,6 +614,158 @@ def test_bounded_route_search_keeps_ties():
         assert _Heuristic.route_demand(search, u, v, 1) == _best_first_route(pops, hop, u, v)
 
 
+def _applied_swap_paths(h, accepts):
+    """swap_paths as it was before swaps were priced: each candidate is
+    applied, costed and undone unless strictly cheaper. Appends the number
+    of paths taken for each (path, speed) it tries to `accepts`."""
+    improved = False
+    for (pid, speed) in sorted(h.state.y):
+        count = h.state.y.get((pid, speed), 0)
+        if not count:
+            continue
+        pair = h.cat.paths[pid].ends
+        before = h.state.scaled_cost()
+        if before is None:
+            continue
+        taken = 0
+        for q in h.cat.pair_paths[pair]:
+            qid = h.cat.index(q)
+            if qid == pid:
+                continue
+            h.state.add_circuits(pid, speed, -count)
+            h.state.add_circuits(qid, speed, count)
+            after = h.state.scaled_cost()
+            if after is not None and after < before:
+                improved = True
+                h.moves += 1
+                taken += 1
+                before = after
+                pid = qid
+            else:
+                h.state.add_circuits(qid, speed, -count)
+                h.state.add_circuits(pid, speed, count)
+        accepts.append(taken)
+    return improved
+
+
+def _twin(h):
+    """A second heuristic on a clone of h's state."""
+    twin = copy.copy(h)
+    twin.state = h.state.clone()
+    return twin
+
+
+def test_priced_swap_matches_applied_swap():
+    """swap_paths, which prices each parallel path, leaves the circuits,
+    the cost and the move count of the swap that applies every candidate,
+    and returns what it returns, on random placements: with single moves,
+    chains of moves and no move for a (path, speed)."""
+    rng = random.Random(5772)
+    accepts = []
+    for maker in (random_tiny_instance, random_midsize_instance):
+        for _ in range(8):
+            inst, full_cat = routable_instance(maker, rng)
+            cc = build_cost_catalog(inst)
+            for m in (build_model(inst, full_cat, cc),
+                      build_transparent_variant(inst, full_cat, cc)):
+                h = _Heuristic(m, seed=0)
+                for _ in range(12):
+                    for _ in range(rng.randint(1, 4)):
+                        _random_circuit_step(h.state, rng)
+                    ref = _twin(h)
+                    want = _applied_swap_paths(ref, accepts)
+                    assert h.swap_paths() == want
+                    assert h.state.y == ref.state.y
+                    assert h.state.scaled_cost() == ref.state.scaled_cost()
+                    assert h.moves == ref.moves
+                    _assert_node_fibers(h.state, inst.graph)
+    taken = Counter(min(n, 2) for n in accepts)
+    assert taken[0] and taken[1] and taken[2], taken
+
+
+def _floorless_best_placement(h, pair, need, cutoff=inf):
+    """best_placement as it was before the mix floor: every mix is priced
+    before the first comparison with the cutoff."""
+    st = h.state
+    options = []
+    for mix in _mix_options(need, h.model.cost_catalog.lambda_types):
+        base = sum(st.prices.circuit[s] * n for s, n in mix.items())
+        sw = sum(st.lt[s].switching_capacity * n for s, n in mix.items())
+        units = sum(st.lt_units[s] * n for s, n in mix.items())
+        for node in pair:
+            after = st._vmod_for(st._d_i[node] + st.node_switch.get(node, 0) + sw,
+                                 st.node_slot_units.get(node, 0) + units)
+            if after is None:
+                base = None
+                break
+            if not h.model.transparent:
+                before = st.vmod.get(node)
+                base += after[0] - (before[0] if before else 0)
+        if base is not None:
+            options.append((mix, sum(mix.values()), base))
+    best = None
+    for length, pid, edges in h._pair_paths.get(pair, ()):
+        for mix, count, base in options:
+            if base > cutoff:
+                continue
+            c = h._marginal(pair, edges, count, base, cutoff)
+            if c is None:
+                continue
+            key = (c, length, pid)
+            if best is None or key < best[0]:
+                best = (key, mix)
+                cutoff = c
+    if best is None:
+        return None
+    (c, _, pid), mix = best
+    return c, pid, mix
+
+
+def test_mix_floor_matches_floorless_placement():
+    """best_placement, which returns None before pricing any mix when the
+    cheapest mix's circuits already cost more than the cutoff, gives the
+    floorless search's result around its cost, just under the floor and
+    unbounded, on random placements and needs; and the floor ended calls."""
+    rng = random.Random(1414)
+    seen = Counter()
+    for maker in (random_tiny_instance, random_midsize_instance):
+        for _ in range(6):
+            inst, full_cat = routable_instance(maker, rng)
+            cc = build_cost_catalog(inst)
+            for m in (build_model(inst, full_cat, cc),
+                      build_transparent_variant(inst, full_cat, cc)):
+                h = _Heuristic(m, seed=0)
+                pairs = sorted(m.catalog.pair_paths)
+                priced = []
+
+                def counting(*args, mix_base=h._mix_base):
+                    priced.append(args)
+                    return mix_base(*args)
+
+                h._mix_base = counting
+                for _ in range(20):
+                    _random_circuit_step(h.state, rng)
+                    pair = rng.choice(pairs)
+                    need = rng.randint(1, rng.choice((300, 300, 4000)))
+                    floor = h._mix_table(need)[0]
+                    full = _floorless_best_placement(h, pair, need)
+                    cutoffs = [floor - 1, floor, inf]
+                    if full is not None:
+                        c = full[0]
+                        cutoffs += [c - 1, c, c + 1]
+                    for cutoff in cutoffs:
+                        priced.clear()
+                        got = h.best_placement(pair, need, cutoff)
+                        assert got == _floorless_best_placement(h, pair, need, cutoff)
+                        if floor > cutoff:
+                            assert got is None and not priced
+                            seen["floor"] += 1
+                        else:
+                            seen["priced"] += bool(priced)
+                            seen["none" if got is None else "placed"] += 1
+    assert all(seen[k] for k in ("floor", "priced", "none", "placed")), seen
+
+
 def test_row_tolerance_follows_any_continuous_variable_even_zero():
     """A row holding a continuous variable gets the 1e-6 tolerance even when
     that variable is 0; a pure-integer row is checked exactly."""
