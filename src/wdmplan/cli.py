@@ -41,15 +41,13 @@ from .costcat import CostCatalog, build_cost_catalog, dump_catalog_csv
 from .formats import read_instance, read_sndlib
 from .milp import (ModelError, build_model, build_transparent_variant, export_model,
                    frac_decimal)
-from .netmodel import (MODE_OPTIMIZED, MODE_TRANSPARENT, Instance,
+from .netmodel import (MODE_OPTIMIZED, MODE_TRANSPARENT, MODES, Instance, check_param,
                        scale_demand_matrix, synth_matrix)
 from .pathgen import PathCatalog, build_catalog, dump_paths
 from .solve import INFEASIBLE, UNKNOWN, solve_exact, solve_heuristic
 
 SOLVERS = ("exact", "heuristic", "export-only")
-ARCHITECTURES = (MODE_OPTIMIZED, MODE_TRANSPARENT)
 ARCH_TAG = {MODE_OPTIMIZED: "OPT", MODE_TRANSPARENT: "TRA"}
-SPEED_TAGS = {(10,): "10G", (100,): "100G", (10, 100): "10+100G"}
 MATRIX_TOKEN = re.compile(r"^[A-Z][A-Z0-9+]*$")
 
 
@@ -71,7 +69,7 @@ class CellSpec:
 def render_cell_name(cell: CellSpec) -> str:
     """The cell's name; volume and scale as exact decimals (`load_config`
     admits only scales that have one)."""
-    parts = [SPEED_TAGS[cell.speeds], cell.matrix,
+    parts = ["+".join(map(str, cell.speeds)) + "G", cell.matrix,
              f"{frac_decimal(Fraction(cell.volume, 1000))}T"]
     if cell.scale != 1:
         parts.append(f"s{frac_decimal(cell.scale)}")
@@ -86,7 +84,7 @@ class ScenarioConfig:
     synthetic: dict | None = None        # mode/weights/hub/hub_factor; None: the instance's
     volumes: tuple = ()                  # empty: keep the matrix total as is
     speeds: tuple = ((10, 100),)
-    architectures: tuple = ARCHITECTURES
+    architectures: tuple = MODES
     scales: tuple = (Fraction(1),)
     solver: str = "heuristic"
     seed: int = 0
@@ -104,7 +102,12 @@ def _is_number(v) -> bool:
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
-    """Config file merged with flag overrides; flags win."""
+    """Config file merged with flag overrides; flags win.
+
+    Checks the JSON types only (`true` is no number, a key that must be an
+    object is one); the rules on values are `netmodel`'s, which the grid
+    applies when it builds every cell's instance before any is solved.
+    """
     raw = {}
     if path:
         try:
@@ -141,53 +144,38 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
         raise ConfigError(f"unknown matrix source {matrix_source!r}")
     synthetic = None
     if matrix_source == "synthetic":
-        synthetic = {"weights": "uniform", "hub": None, "hub_factor": 1,
+        synthetic = {"mode": None, "weights": "uniform", "hub": None, "hub_factor": 1,
                      **{k: v for k, v in matrix.items() if k not in ("name", "source")}}
-        if synthetic.get("mode") not in ("decentralized", "centralized"):
-            raise ConfigError(
-                "synthetic matrix needs mode 'decentralized' or 'centralized'")
         weights = synthetic["weights"]
         if weights != "uniform" and not (
-                isinstance(weights, dict)
-                and all(_is_number(w) and w > 0 for w in weights.values())):
+                isinstance(weights, dict) and all(_is_number(w) for w in weights.values())):
             raise ConfigError("synthetic matrix weights must be 'uniform' or an object "
-                              "of positive numbers")
-        hub = synthetic["hub"]
-        if hub is not None and not isinstance(hub, str):
-            raise ConfigError("synthetic matrix hub must be a PoP name")
+                              "of numbers")
         hub_factor = synthetic["hub_factor"]
-        if not (_is_number(hub_factor) and hub_factor >= 1):
-            raise ConfigError(f"synthetic matrix hub_factor {hub_factor!r} must be a "
-                              "number >= 1")
+        if not _is_number(hub_factor):
+            raise ConfigError(f"synthetic matrix hub_factor {hub_factor!r} must be a number")
 
     volumes = raw.get("volumes", [])  # empty: the instance's own total
-    if not isinstance(volumes, list) or not all(_is_int(v) and v > 0 for v in volumes):
-        raise ConfigError("config key 'volumes' must be a list of positive integers")
+    if not isinstance(volumes, list) or not all(_is_int(v) for v in volumes):
+        raise ConfigError("config key 'volumes' must be a list of integers")
     speeds_raw = raw.get("speeds", [[10, 100]])
     if not isinstance(speeds_raw, list):
         raise ConfigError("config key 'speeds' must be a list of speed sets")
     speeds = []
     for s in speeds_raw:
-        t = (tuple(sorted(set(s))) if isinstance(s, list) and all(_is_int(v) for v in s)
-             else None)
-        if t not in SPEED_TAGS:
-            raise ConfigError(f"unsupported speed set {s!r}")
-        speeds.append(t)
-    archs = raw.get("architectures", list(ARCHITECTURES))
+        if not (isinstance(s, list) and all(_is_int(v) for v in s)):
+            raise ConfigError(f"speed set {s!r} must be a list of integers")
+        speeds.append(tuple(sorted(set(s))))
+    archs = raw.get("architectures", list(MODES))
     scales_raw = raw.get("transponder_scales", [1])
     if not isinstance(archs, list) or not isinstance(scales_raw, list):
         raise ConfigError("config keys 'architectures' and 'transponder_scales' must be lists")
-    for a in archs:
-        if a not in ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {a!r}")
     scales = []
     for s in scales_raw:
         try:
             f = Fraction(str(s))
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"bad transponder scale {s!r}") from None
-        if f < 1:
-            raise ConfigError(f"transponder scale {s!r} is below 1")
         try:
             frac_decimal(f)  # cell names and sweep.csv print it exactly
         except ModelError:
@@ -223,6 +211,8 @@ def read_instance_file(path: str) -> Instance:
 def scenario_grid(config: ScenarioConfig, base: Instance) -> list[CellSpec]:
     """The grid's cells; two cells that would share a name (and so one
     report file) are a configuration error."""
+    for arch in config.architectures:
+        check_param("mode", arch)  # a name tags only a known architecture
     volumes = config.volumes or (int(base.total_demand()),)
     cells, names = [], set()
     for volume in volumes:
@@ -258,7 +248,7 @@ def build_cell_instance(base: Instance, config: ScenarioConfig, cell: CellSpec) 
 
 
 def solve_cell(inst: Instance, cat: PathCatalog, cc: CostCatalog, solver: str,
-               seed: int, name: str) -> dict:
+               seed: int) -> dict:
     """Build the model of `inst.mode`'s architecture over the path catalog
     `cat` and the cost catalog `cc`, then solve or export it: the one stage
     between a cell's instance and its outputs, for `run_cell` and `solve`.
@@ -269,7 +259,7 @@ def solve_cell(inst: Instance, cat: PathCatalog, cc: CostCatalog, solver: str,
     """
     build = build_transparent_variant if inst.mode == MODE_TRANSPARENT else build_model
     model = build(inst, cat, cc)
-    head = {"name": name, "architecture": inst.mode}
+    head = {"name": inst.name, "architecture": inst.mode}
     if solver == "export-only":
         buf = io.StringIO()
         export_model(model, buf)
@@ -278,7 +268,8 @@ def solve_cell(inst: Instance, cat: PathCatalog, cc: CostCatalog, solver: str,
                          "constraints": len(model.constraints)}}
     rep = solve_exact(model) if solver == "exact" else solve_heuristic(model, seed=seed)
     status = "not feasible" if rep.status == INFEASIBLE else rep.status
-    tr = None if rep.solution is None else metrics.report(model, rep.solution, name=name,
+    tr = None if rep.solution is None else metrics.report(model, rep.solution,
+                                                           name=inst.name,
                                                            status=rep.status)
     doc = {**head, "status": status} if tr is None else metrics.report_json(tr)
     doc["solver"] = {"solver": solver, "status": rep.status,
@@ -290,19 +281,16 @@ def solve_cell(inst: Instance, cat: PathCatalog, cc: CostCatalog, solver: str,
 def run_cell(payload: dict) -> dict:
     """Solve one grid cell; pure function of the payload (worker-safe).
 
-    The payload carries the config, the cell, the grid's base instance and
-    path catalog, which every cell shares, and the cell's cost catalog.
+    The payload carries the cell's instance and cost catalog, the grid's
+    path catalog, which every cell shares, and the solver and seed.
     Returns `solve_cell`'s outcome plus the cell's name and architecture; an
     exception other than a broken solver invariant becomes the cell's error.
     """
-    config = payload["config"]
-    cell = payload["cell"]
-    name = render_cell_name(cell)
-    result = {"name": name, "architecture": cell.architecture}
+    inst = payload["instance"]
+    result = {"name": inst.name, "architecture": inst.mode}
     try:
-        inst = build_cell_instance(payload["base"], config, cell)
         result.update(solve_cell(inst, payload["catalog"], payload["cost_catalog"],
-                                 config.solver, config.seed, name))
+                                 payload["solver"], payload["seed"]))
     except AssertionError:
         raise  # a broken solver invariant must stay loud
     except Exception as exc:  # one failing cell must not abort the grid
@@ -313,40 +301,27 @@ def run_cell(payload: dict) -> dict:
     return result
 
 
-def _check_synthetic(config: ScenarioConfig, base: Instance) -> None:
-    """The synthetic matrix settings that need the instance: a weight for
-    every PoP, and a hub among the PoPs."""
-    spec = config.synthetic
-    if spec is None:
-        return
-    weights = spec["weights"]
-    missing = [] if weights == "uniform" else [p for p in base.pops if p not in weights]
-    if missing:
-        raise ConfigError(f"synthetic matrix lacks weights for {missing}")
-    hub = spec["hub"]
-    if spec["mode"] == "centralized" and hub not in base.pops:
-        raise ConfigError(f"synthetic matrix hub {hub!r} is not a PoP")
-
-
 def _solve_grid(config: ScenarioConfig, jobs: int, write_tables) -> int:
     """Solve every cell of the grid, write the cell reports and the tables
     `write_tables(outdir, cells, results)` makes; the exit code.
 
-    The instance file is read and the path catalog built once per grid:
-    the catalog depends only on the graph, the PoPs, k and the reach. The
-    cost catalog depends only on the links, the speed set and the price
-    scale, so each distinct (speeds, scale) pair of the grid gets one.
+    Every cell's instance is built first, so a value that breaks a rule
+    raises before any cell is solved or any file written. The instance
+    file is read and the path catalog built once per grid: the catalog
+    depends only on the graph, the PoPs, k and the reach. The cost catalog
+    depends only on the links, the speed set and the price scale, so each
+    distinct (speeds, scale) pair of the grid gets one.
     """
     base = read_instance_file(config.instance)
-    _check_synthetic(config, base)
     cells = scenario_grid(config, base)
+    instances = [build_cell_instance(base, config, cell) for cell in cells]
     cat = build_catalog(base)
-    cost_catalogs = {(speeds, scale): build_cost_catalog(
-                         dataclasses.replace(base, speeds=speeds, transponder_scale=scale))
-                     for speeds, scale in dict.fromkeys((c.speeds, c.scale) for c in cells)}
-    payloads = [{"config": config, "cell": cell, "base": base, "catalog": cat,
-                 "cost_catalog": cost_catalogs[(cell.speeds, cell.scale)]}
-                for cell in cells]
+    by_prices = {(inst.speeds, inst.transponder_scale): inst for inst in instances}
+    cost_catalogs = {key: build_cost_catalog(inst) for key, inst in by_prices.items()}
+    payloads = [{"instance": inst, "catalog": cat, "solver": config.solver,
+                 "seed": config.seed,
+                 "cost_catalog": cost_catalogs[(inst.speeds, inst.transponder_scale)]}
+                for inst in instances]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_cell, payloads))
@@ -449,7 +424,8 @@ def _parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser("solve", help="solve one instance")
     sv.add_argument("--instance", required=True)
-    sv.add_argument("--architecture", choices=ARCHITECTURES, default=MODE_OPTIMIZED)
+    sv.add_argument("--architecture", choices=MODES,
+                    help="default: the instance's `param mode`, else optimized")
     sv.add_argument("--solver", choices=("exact", "heuristic"), default="heuristic")
     sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--out", help="report JSON path (default: stdout)")
@@ -473,9 +449,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    inst = dataclasses.replace(read_instance_file(args.instance), mode=args.architecture)
+    inst = read_instance_file(args.instance)
+    inst = dataclasses.replace(inst, mode=args.architecture or inst.mode,
+                               name=inst.name or Path(args.instance).stem)
     res = solve_cell(inst, build_catalog(inst), build_cost_catalog(inst), args.solver,
-                     args.seed, inst.name or Path(args.instance).stem)
+                     args.seed)
     tr = res["report"]
     if tr is None:
         print(res["status"])

@@ -24,15 +24,13 @@ from fractions import Fraction
 from math import ceil
 from typing import IO, Iterable
 
-from .netmodel import as_fraction
+from .netmodel import SPEEDS, as_fraction, check_param
 
 # Circuit (transponder) unit costs and the gray short-reach interface costs,
 # per end.  A circuit needs one transponder and one SR plug at each end; for
 # 100G the SR plug is accounted in the router slot price instead.
 TRANSPONDER_COST = {10: Fraction(1), 100: Fraction(8)}
 SR_TRANSCEIVER_COST = {10: Fraction(1, 2), 100: Fraction(2)}
-
-SUPPORTED_SPEEDS = (10, 100)
 
 # Optical line equipment: one amplifier every 80 km (minus the terminal
 # sites), a gain equalizer at every fourth amplifier site, and dispersion
@@ -97,11 +95,9 @@ def lambda_type(speed: int, transponder_scale=1) -> LambdaType:
     `transponder_scale` multiplies the transponder unit price only (the SR
     plugs keep their price), which is how circuit-cost sweeps are expressed.
     """
-    if speed not in SUPPORTED_SPEEDS:
-        raise ValueError(f"unknown circuit speed {speed!r}, supported: {SUPPORTED_SPEEDS}")
+    check_param("speeds", (speed,))
     scale = as_fraction(transponder_scale)
-    if scale < 1:
-        raise ValueError(f"transponder scale must be >= 1, got {transponder_scale}")
+    check_param("transponder_scale", scale)
     if speed == 10:
         # two transponders plus two gray short-reach plugs
         cost = 2 * TRANSPONDER_COST[10] * scale + 2 * SR_TRANSCEIVER_COST[10]
@@ -233,7 +229,7 @@ def build_cost_catalog(instance) -> CostCatalog:
     )
 
 
-def dump_catalog_csv(out: IO[str], speeds: Iterable[int] = SUPPORTED_SPEEDS,
+def dump_catalog_csv(out: IO[str], speeds: Iterable[int] = SPEEDS,
                      transponder_scale=1) -> None:
     """Write the full catalog as CSV for auditing.
 

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping
 MODE_OPTIMIZED = "optimized"
 MODE_TRANSPARENT = "transparent-core"
 MODES = (MODE_OPTIMIZED, MODE_TRANSPARENT)
+SPEEDS = (10, 100)  # circuit speeds in Gbps; a scenario offers a non-empty subset
 
 DEFAULT_CHANNELS_PER_FIBER = 40
 DEFAULT_MAX_PATH_KM = 750
@@ -190,26 +191,33 @@ def synth_matrix(mode: str, pops: Iterable[str], weights: Mapping[str, float],
     `decentralized` uses raw_ij = w_i * w_j directly; `centralized`
     additionally amplifies one hub node's weight by `hub_factor` before
     taking products, concentrating traffic on pairs touching the hub.
+    Every value rule of a synthetic matrix is checked here: the mode, a
+    positive weight for every PoP, a hub among the PoPs (whenever one is
+    given) and a hub factor of at least 1.
     """
     pops = list(pops)
     if len(pops) < 2:
         raise ValueError("need at least 2 PoPs")
     if mode not in ("centralized", "decentralized"):
-        raise ValueError(f"unknown matrix mode {mode!r}")
+        raise ValueError(f"unknown matrix mode {mode!r}, expected 'centralized' or "
+                         "'decentralized'")
+    missing = [p for p in pops if p not in weights]
+    if missing:
+        raise ValueError(f"synthetic matrix lacks weights for {missing}")
     w = {}
     for p in pops:
         wp = as_fraction(weights[p])
         if wp <= 0:
             raise ValueError(f"weight of {p!r} must be positive")
         w[p] = wp
+    factor = as_fraction(hub_factor)
+    if factor < 1:
+        raise ValueError(f"hub factor must be >= 1, got {hub_factor}")
+    if hub is not None and hub not in pops:
+        raise ValueError(f"hub {hub!r} not among the PoPs")
     if mode == "centralized":
         if hub is None:
             raise ValueError("centralized mode needs a hub node")
-        if hub not in w:
-            raise ValueError(f"hub {hub!r} not among the PoPs")
-        factor = as_fraction(hub_factor)
-        if factor < 1:
-            raise ValueError(f"hub factor must be >= 1, got {hub_factor}")
         w[hub] *= factor
     raw = {}
     for i, a in enumerate(pops):
@@ -220,20 +228,21 @@ def synth_matrix(mode: str, pops: Iterable[str], weights: Mapping[str, float],
 
 # scenario field of `Instance` -> the problem with a value, or None if it is fine
 PARAM_RULES = {
-    "speeds": lambda v: None if v and set(v) <= {10, 100}
-    else f"speeds must be a non-empty subset of (10, 100), got {v}",
+    "speeds": lambda v: None if v and set(v) <= set(SPEEDS)
+    else f"unsupported speed set {v}: speeds must be a non-empty subset of {SPEEDS}",
     "channels_per_fiber": lambda v: None if v >= 1 else "channels per fiber must be >= 1",
     "max_path_km": lambda v: None if v > 0 else "path bound must be positive",
     "max_paths_per_pair": lambda v: None if v >= 1 else "per-pair path limit must be positive",
-    "transponder_scale": lambda v: None if v >= 1 else "transponder scale must be >= 1",
+    "transponder_scale": lambda v: None if v >= 1 else f"transponder scale {v} is below 1",
     "mode": lambda v: None if v in MODES else f"unknown mode {v!r}, expected one of {MODES}",
 }
 
 
 def check_param(name: str, value) -> None:
     """Raise ValueError if `value` breaks the rule of the `Instance` field
-    `name`. `Instance` checks each scenario field here, and so does the
-    instance reader at the `param` line that sets it."""
+    `name`. `Instance` checks each scenario field here, and so do the
+    instance reader at the `param` line that sets it and the price book's
+    `lambda_type`."""
     problem = PARAM_RULES[name](value)
     if problem:
         raise ValueError(problem)

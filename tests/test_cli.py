@@ -135,6 +135,18 @@ def test_solve_writes_report(tmp_path, capsys):
     assert "core" in err and "total" in err
 
 
+def test_solve_defaults_to_the_instance_architecture(tmp_path):
+    """Without `--architecture`, `solve` solves the instance's own `param
+    mode`; the flag still wins."""
+    path = tmp_path / "toy6-tra.txt"
+    path.write_text((DATA / "toy6.txt").read_text() + "param mode transparent-core\n")
+    out = tmp_path / "report.json"
+    for flag, arch in (([], "transparent-core"),
+                       (["--architecture", "optimized"], "optimized")):
+        assert main(["solve", "--instance", str(path), "--out", str(out)] + flag) == 0
+        assert json.loads(out.read_text())["architecture"] == arch
+
+
 def test_solve_exact_small(tmp_path, capsys):
     inst = triangle_instance(demands=(("a", "b", 25),))
     rc = main(["solve", "--instance", write_inst(tmp_path, inst),
@@ -374,11 +386,14 @@ def test_export_only_writes_lp(tmp_path):
 
 def test_config_validation(tmp_path, capsys):
     base = tri_file(tmp_path)
+    out = tmp_path / "res"
 
     def run_cfg(cfg):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(cfg))
-        return main(["run", "--config", str(p)])
+        rc = main(["run", "--config", str(p), "--out", str(out)])
+        assert not out.exists()  # rejected before any cell ran
+        return rc
 
     assert run_cfg({"instance": base, "bogus": 1}) == 2
     assert "unknown config key" in capsys.readouterr().err
@@ -428,11 +443,25 @@ def test_config_validation(tmp_path, capsys):
     {"architectures": []},
     {"transponder_scales": []},
     {"transponder_scales": ["4/3"]},
+    {"speeds": [[40]]},
+    {"speeds": [[]]},
+    {"transponder_scales": [0.5]},
+    {"architectures": ["bogus"]},
+    {"architectures": [["optimized"]]},
+    {"volumes": [-100]},
+    {"matrix": {"source": "synthetic"}},
+    {"matrix": {"source": "synthetic", "mode": ["centralized"]}},
+    {"matrix": {"source": "synthetic", "mode": "centralized", "hub": ["a"]}},
+    {"matrix": {"source": "synthetic", "mode": "decentralized", "hub": "zz"}},
+    {"matrix": {"source": "synthetic", "mode": "decentralized", "hub_factor": 0.5}},
 ], ids=["matrix-name", "instance", "nested-speeds", "bool-volume", "bool-seed", "out",
         "architectures", "scales", "weights-number", "weight-zero", "weight-string",
         "weights-missing", "hub-factor-string", "hub-factor-below-1", "hub-factor-bool",
         "hub-number", "hub-not-pop", "hub-absent", "misspelt-key", "zero-volume",
-        "no-speeds", "no-architectures", "no-scales", "scale-without-decimal"])
+        "no-speeds", "no-architectures", "no-scales", "scale-without-decimal",
+        "speed-40", "empty-speed-set", "scale-below-1", "unknown-architecture",
+        "nested-architecture", "negative-volume", "no-mode", "mode-list", "hub-list",
+        "decentralized-hub-not-pop", "decentralized-factor-below-1"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, bad):
     cfg = {"instance": tri_file(tmp_path), "volumes": [100], "speeds": [[10]],
            "out": str(tmp_path / "res"), **bad}
@@ -441,6 +470,18 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, bad):
     assert main(["run", "--config", str(p)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()  # rejected before any cell ran
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_grid_without_demand_exits_2_before_any_cell(tmp_path, capsys, command):
+    """An instance without demand lines and a grid without volumes give
+    cells of volume 0: a configuration error, found before any cell is
+    solved (such cells were once solved and reported as errors)."""
+    out = tmp_path / "res"
+    inst = write_inst(tmp_path, triangle_instance(demands=()))
+    assert main([command, "--instance", inst, "--out", str(out)]) == 2
+    assert "target total must be positive, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid, name", [

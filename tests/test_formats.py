@@ -145,7 +145,8 @@ def test_read_instance_errors():
     ("param transponder-scale 1/0", "line 8: "),
     ("param", "line 8: "),
     ("param mode foo", "line 8: unknown mode 'foo'"),
-    ("param speeds 40", "line 8: speeds must be a non-empty subset of (10, 100), got (40,)"),
+    ("param speeds 40",
+     "line 8: unsupported speed set (40,): speeds must be a non-empty subset of (10, 100)"),
     ("param channels-per-fiber 0", "line 8: channels per fiber must be >= 1"),
 ], ids=["misspelt-name", "bad-speed", "fractional-km", "no-value", "zero-denominator",
         "no-name", "unknown-mode", "unsupported-speed", "no-channels"])

@@ -1,6 +1,7 @@
 """Demand matrices, scaling and instance validation."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,20 @@ def test_synth_errors():
     with pytest.raises(ValueError, match="hub factor"):
         synth_matrix("centralized", ["a", "b"], {"a": 1, "b": 1}, 10,
                      hub="a", hub_factor=0.5)
+    # a missing weight names every PoP that lacks one (not a bare KeyError),
+    # and a hub or factor given to a decentralized matrix must be valid too
+    with pytest.raises(ValueError, match=re.escape("lacks weights for ['c', 'd']")):
+        synth_matrix("decentralized", ["a", "b", "c", "d"], {"a": 1, "b": 1}, 100)
+    with pytest.raises(ValueError, match=re.escape("lacks weights for ['c']")):
+        synth_matrix("centralized", ["a", "b", "c"], {"a": 1, "b": 1}, 100, hub="a")
+    with pytest.raises(ValueError, match="not among the PoPs"):
+        synth_matrix("decentralized", ["a", "b"], {"a": 1, "b": 1}, 10, hub="z")
+    with pytest.raises(ValueError, match="not among the PoPs"):
+        synth_matrix("centralized", ["a", "b"], {"a": 1, "b": 1}, 10, hub=["a"])
+    with pytest.raises(ValueError, match="hub factor"):
+        synth_matrix("decentralized", ["a", "b"], {"a": 1, "b": 1}, 10, hub_factor=0)
+    with pytest.raises(ValueError, match="unknown matrix mode None"):
+        synth_matrix(None, ["a", "b"], {"a": 1, "b": 1}, 10)
 
 
 def test_graph_validation():
