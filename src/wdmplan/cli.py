@@ -27,6 +27,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import re
@@ -210,22 +211,24 @@ def read_instance_file(path: str) -> Instance:
 
 def scenario_grid(config: ScenarioConfig, base: Instance) -> list[CellSpec]:
     """The grid's cells; two cells that would share a name (and so one
-    report file) are a configuration error."""
+    report file) are a configuration error, which names the config key
+    whose list repeats a value."""
     for arch in config.architectures:
         check_param("mode", arch)  # a name tags only a known architecture
-    volumes = config.volumes or (int(base.total_demand()),)
-    cells, names = [], set()
-    for volume in volumes:
-        for speeds in config.speeds:
-            for scale in config.scales:
-                for arch in config.architectures:
-                    cell = CellSpec(config.matrix_name, volume, speeds, scale, arch)
-                    name = render_cell_name(cell)
-                    if name in names:
-                        raise ConfigError(f"two grid cells are named {name}: "
-                                          "a volume or transponder scale repeats")
-                    names.add(name)
-                    cells.append(cell)
+    # config key -> values, in `CellSpec` order after the matrix
+    axes = {"volumes": config.volumes or (int(base.total_demand()),),
+            "speeds": config.speeds, "transponder_scales": config.scales,
+            "architectures": config.architectures}
+    cells, first = [], {}  # first: name -> the value indices that gave it
+    for at in itertools.product(*(range(len(vals)) for vals in axes.values())):
+        cell = CellSpec(config.matrix_name, *(vals[i] for vals, i in zip(axes.values(), at)))
+        name = render_cell_name(cell)
+        if name in first:
+            key = next(key for key, i, j in zip(axes, first[name], at) if i != j)
+            raise ConfigError(f"two grid cells are named {name}: "
+                              f"config key {key!r} repeats a value")
+        first[name] = at
+        cells.append(cell)
     return cells
 
 
@@ -314,7 +317,12 @@ def _solve_grid(config: ScenarioConfig, jobs: int, write_tables) -> int:
     """
     base = read_instance_file(config.instance)
     cells = scenario_grid(config, base)
-    instances = [build_cell_instance(base, config, cell) for cell in cells]
+    instances = []
+    for cell in cells:
+        try:
+            instances.append(build_cell_instance(base, config, cell))
+        except ValueError as exc:
+            raise ConfigError(f"cell {render_cell_name(cell)}: {exc}") from exc
     cat = build_catalog(base)
     by_prices = {(inst.speeds, inst.transponder_scale): inst for inst in instances}
     cost_catalogs = {key: build_cost_catalog(inst) for key, inst in by_prices.items()}

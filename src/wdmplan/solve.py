@@ -20,7 +20,11 @@ Three layers of machinery:
   forced (circuits, fibers, modules) to a completion term: every Gbps of
   demand still lacking virtual capacity costs at least the cheapest circuit
   cost per Gbps. The same function, taken on the empty design, is the
-  bound both solvers report when they do not prove an optimum.
+  bound both solvers report when they do not prove an optimum. The search
+  itself compares integers only: the state keeps the uncovered demand up to
+  date as circuits come and go, `DesignState.bound_key` is the bound times
+  a fixed whole factor, and the incumbent's cost is kept scaled, so a prune
+  and a leaf cost no `Fraction` arithmetic and visit the same nodes.
 * `solve_heuristic` builds a solution demand by demand (largest first) on a
   grooming graph: routing over existing spare circuit capacity is free,
   opening new circuits pays circuit + fiber + module marginal cost. A local
@@ -57,7 +61,6 @@ from math import ceil, inf, lcm
 from .costcat import LambdaType
 from .milp import BINARY, CONTINUOUS, Model, Solution
 from .netmodel import node_demand
-from .pathgen import PhysPath
 
 CONTINUOUS_TOLERANCE = Fraction(1, 10**6)
 
@@ -364,21 +367,23 @@ class DesignState:
 
     Fiber counts and node modules are derived, not chosen: fibers are the
     channel count rounded up, modules the cheapest sufficient catalog entry.
-    Their costs are maintained incrementally, as scaled integers (see
-    `ScaledPrices`), so branch-and-bound can bound in O(path length) per
-    step. `broken` holds nodes whose requirement exceeds every catalog
-    module; requirements grow monotonically with circuits, so a broken node
-    proves the whole subtree infeasible.
+    Their costs, and the demand still lacking virtual capacity, are
+    maintained incrementally, as scaled integers (see `ScaledPrices`), so a
+    branch-and-bound step costs O(path length) and its bound O(1).
+    `broken` holds nodes whose requirement exceeds every catalog module;
+    requirements grow monotonically with circuits, so a broken node proves
+    the whole subtree infeasible.
     """
 
     # Slots, not a `__dict__`: on CPython 3.11 and 3.12, `copy.copy` (which
     # `clone` uses) of an instance with a `__dict__` slows every later
     # attribute read on both objects, and the heuristic's kernel reads them.
-    __slots__ = ("model", "instance", "catalog", "prices", "lt", "lt_units", "y", "channels",
-                 "pair_capacity", "node_switch", "node_slot_units", "node_drops",
+    __slots__ = ("model", "instance", "catalog", "prices", "lt", "lt_units", "path_edges", "y",
+                 "channels", "pair_capacity", "node_switch", "node_slot_units", "node_drops",
                  "node_fiber_count", "circuit_cost", "fiber_cost", "vmod", "pmod", "vmod_total",
-                 "pmod_total", "broken", "_vmod_for", "_pmod_for", "_d_i", "_pair_demand",
-                 "_total_demand", "_per_gbps")
+                 "pmod_total", "broken", "_vmod_for", "_pmod_for", "_d_i", "_optical_tag",
+                 "_pair_demand", "_total_demand", "_uncovered", "_capacity_total", "_gbps_num",
+                 "_gbps_den")
 
     def __init__(self, model: Model):
         cc = model.cost_catalog
@@ -388,6 +393,11 @@ class DesignState:
         self.prices = ScaledPrices(cc)
         self.lt = {lt.speed: lt for lt in cc.lambda_types}
         self.lt_units = {lt.speed: lt.slot_units for lt in cc.lambda_types}
+        # path id -> ((edge id, u, v, scaled fiber price), ...), shared by clones
+        graph = self.instance.graph
+        self.path_edges = [tuple((eid, graph.edge(eid).u, graph.edge(eid).v,
+                                  self.prices.fiber[eid]) for eid in p.edges)
+                           for p in self.catalog.paths]
         self.y: dict[tuple[int, int], int] = {}        # (path id, speed) -> count
         self.channels: dict[str, int] = {}             # edge id -> circuits
         self.pair_capacity: dict[tuple, int] = {   # pair -> routing capacity
@@ -412,16 +422,27 @@ class DesignState:
         self._pmod_for = cache(partial(_cheapest, self.prices.pmod, [
             (pm.fiber_capacity, pm.add_drop_ports) for pm in cc.physical_modules]))
         self._d_i = node_demand(self.instance)
+        # node -> its optical module's `broken` tag, built once, not per step
+        self._optical_tag = {n: "o:" + n for n in self._d_i}
         for i in self.instance.pops:
-            self._update_vmod(i)
-        # what `lower_bound` reads besides the state
+            self.vmod_total += self._repick(self.vmod, self._vmod_for, i, i, self._d_i[i], 0)
+        # what `bound_key` reads besides the costs: the demand still lacking
+        # virtual capacity, summed per pair in the transparent variant
+        # (`_uncovered`) and in total otherwise (from `_capacity_total`), both
+        # kept up to date by `add_circuits`; and the cheapest scaled circuit
+        # price per Gbps, `_gbps_num / _gbps_den`
         self._pair_demand = {d.pair: d.value for d in self.instance.demands}
         self._total_demand = self.instance.total_demand()
-        self._per_gbps = min(lt.cost / lt.routing_capacity for lt in cc.lambda_types)
+        self._uncovered = sum(self._pair_demand.values())
+        self._capacity_total = 0
+        per_gbps = min(Fraction(self.prices.circuit[lt.speed], lt.routing_capacity)
+                       for lt in cc.lambda_types)
+        self._gbps_num, self._gbps_den = per_gbps.numerator, per_gbps.denominator
 
     def clone(self) -> "DesignState":
         """A copy whose placement changes apart from this one's; the model,
-        the prices and the memoized module pickers stay shared."""
+        the prices, the path edge table and the memoized module pickers stay
+        shared."""
         c = copy.copy(self)
         for name in ("y", "channels", "pair_capacity", "node_switch", "node_slot_units",
                      "node_drops", "node_fiber_count", "vmod", "pmod", "broken"):
@@ -445,16 +466,6 @@ class DesignState:
             picks[node] = new
         return (new[0] if new else 0) - (old[0] if old else 0)
 
-    def _update_vmod(self, node: str) -> None:
-        self.vmod_total += self._repick(
-            self.vmod, self._vmod_for, node, node,
-            self._d_i[node] + self.node_switch.get(node, 0), self.node_slot_units.get(node, 0))
-
-    def _update_pmod(self, node: str) -> None:
-        self.pmod_total += self._repick(
-            self.pmod, self._pmod_for, node, "o:" + node,
-            self.node_fiber_count.get(node, 0), self.node_drops.get(node, 0))
-
     def fibers(self, edge_id: str) -> int:
         cpf = self.instance.channels_per_fiber
         return (self.channels.get(edge_id, 0) + cpf - 1) // cpf
@@ -463,37 +474,51 @@ class DesignState:
         """Add (or with negative `count`, remove) circuits on a path."""
         if count == 0:
             return
-        p = self.catalog.paths[pid]
-        lt = self.lt[speed]
-        new_y = self.y.get((pid, speed), 0) + count
+        key = (pid, speed)
+        new_y = self.y.get(key, 0) + count
         if new_y < 0:
             raise ValueError("negative circuit count")
         if new_y:
-            self.y[(pid, speed)] = new_y
+            self.y[key] = new_y
         else:
-            self.y.pop((pid, speed), None)
+            self.y.pop(key, None)
         self.circuit_cost += self.prices.circuit[speed] * count
-        touched_pmod = set(p.ends)
-        for eid in p.edges:
-            old_f = self.fibers(eid)
-            self.channels[eid] = self.channels.get(eid, 0) + count
-            if not self.channels[eid]:
-                del self.channels[eid]
-            new_f = self.fibers(eid)
-            if new_f != old_f:
-                self.fiber_cost += self.prices.fiber[eid] * (new_f - old_f)
-                e = self.instance.graph.edge(eid)
-                for n in (e.u, e.v):
-                    self.node_fiber_count[n] = self.node_fiber_count.get(n, 0) + new_f - old_f
-                    touched_pmod.add(n)
-        self.pair_capacity[p.ends] += lt.routing_capacity * count
-        for n in p.ends:
-            self.node_switch[n] = self.node_switch.get(n, 0) + lt.switching_capacity * count
-            self.node_slot_units[n] = self.node_slot_units.get(n, 0) + self.lt_units[speed] * count
-            self.node_drops[n] = self.node_drops.get(n, 0) + count
-            self._update_vmod(n)
+        ends = self.catalog.paths[pid].ends
+        touched_pmod = set(ends)
+        cpf = self.instance.channels_per_fiber
+        channels, fiber_count = self.channels, self.node_fiber_count
+        for eid, u, v, fiber_price in self.path_edges[pid]:
+            ch = channels.get(eid, 0)
+            if ch + count:
+                channels[eid] = ch + count
+            else:
+                del channels[eid]
+            delta = (ch + count + cpf - 1) // cpf - (ch + cpf - 1) // cpf
+            if delta:
+                self.fiber_cost += fiber_price * delta
+                fiber_count[u] = fiber_count.get(u, 0) + delta
+                fiber_count[v] = fiber_count.get(v, 0) + delta
+                touched_pmod.add(u)
+                touched_pmod.add(v)
+        lt = self.lt[speed]
+        old_cap = self.pair_capacity[ends]
+        new_cap = old_cap + lt.routing_capacity * count
+        self.pair_capacity[ends] = new_cap
+        if self.model.transparent:
+            dv = self._pair_demand.get(ends, 0)
+            self._uncovered += max(0, dv - new_cap) - max(0, dv - old_cap)
+        else:
+            self._capacity_total += new_cap - old_cap
+        switch, units, drops = self.node_switch, self.node_slot_units, self.node_drops
+        for n in ends:
+            switch[n] = switch.get(n, 0) + lt.switching_capacity * count
+            units[n] = units.get(n, 0) + self.lt_units[speed] * count
+            drops[n] = drops.get(n, 0) + count
+            self.vmod_total += self._repick(self.vmod, self._vmod_for, n, n,
+                                            self._d_i[n] + switch[n], units[n])
         for n in touched_pmod:
-            self._update_pmod(n)
+            self.pmod_total += self._repick(self.pmod, self._pmod_for, n, self._optical_tag[n],
+                                            fiber_count.get(n, 0), drops.get(n, 0))
 
     def _spent(self) -> int:
         """Scaled circuit + fiber + module cost; routers count only in the
@@ -510,6 +535,16 @@ class DesignState:
         scaled = self.scaled_cost()
         return None if scaled is None else self.prices.exact(scaled)
 
+    def bound_key(self) -> int:
+        """`lower_bound` times `prices.scale` times `_gbps_den`, a whole
+        number: the scaled cost so far times `_gbps_den`, plus `_gbps_num`
+        for each Gbps of demand not yet covered."""
+        if self.model.transparent:
+            uncovered = self._uncovered
+        else:
+            uncovered = max(0, self._total_demand - self._capacity_total)
+        return self._spent() * self._gbps_den + uncovered * self._gbps_num
+
     def lower_bound(self) -> Fraction:
         """A lower bound on the cost of every design that adds circuits to
         this one: the cost so far plus the cheapest circuit price per Gbps
@@ -517,12 +552,7 @@ class DesignState:
         variant, in total otherwise). Costs and requirements only grow with
         circuits. `broken` is not looked at: a broken state has no
         completion, so any number bounds it."""
-        cap = self.pair_capacity
-        if self.model.transparent:
-            uncovered = sum(max(0, dv - cap[pair]) for pair, dv in self._pair_demand.items())
-        else:
-            uncovered = max(0, self._total_demand - sum(cap.values()))
-        return self.prices.exact(self._spent()) + uncovered * self._per_gbps
+        return Fraction(self.bound_key(), self.prices.scale * self._gbps_den)
 
     def to_solution(self, flow_values: dict[str, Fraction]) -> Solution | None:
         """Assemble full variable values; None if modules do not fit."""
@@ -595,11 +625,14 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
                 if ub:
                     branch.append((pair, pid, lt.speed, ub))
 
+    # the incumbent's cost is kept scaled (see `ScaledPrices`), and a node is
+    # pruned when its `bound_key` reaches it times the key's extra factor
     incumbent: Solution | None = None
-    incumbent_cost: Fraction | None = None
+    best: int | None = None
+    den = state._gbps_den
     seeded = solve_heuristic(model, seed=0)
     if seeded.solution is not None:
-        incumbent, incumbent_cost = seeded.solution, seeded.solution.objective
+        incumbent, best = seeded.solution, state.prices.of(seeded.solution.objective)
 
     flow_cache: dict[tuple, dict | None] = {}
     pair_order = sorted(cat.pair_paths)
@@ -615,16 +648,16 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
                 # every variable is set: a leaf. It is never broken, as the
                 # search descends only from unbroken states and
                 # `capacity_infeasible` turned away a broken root.
-                cost = state.total_cost()
+                cost = state._spent()
                 flows = {}
                 if not model.transparent:
                     capkey = tuple(state.pair_capacity[pair] for pair in pair_order)
                     if capkey not in flow_cache:
                         flow_cache[capkey] = route_flows(model, state.pair_capacity)
                     flows = flow_cache[capkey]
-                if flows is not None and (incumbent_cost is None or cost < incumbent_cost):
-                    incumbent, incumbent_cost = state.to_solution(flows), cost
-                    incumbent.objective = cost
+                if flows is not None and (best is None or cost < best):
+                    incumbent, best = state.to_solution(flows), cost
+                    incumbent.objective = state.prices.exact(cost)
             # back up past pruned and exhausted variables
             while values and (prune_rest or values[-1] == branch[len(values) - 1][3]):
                 _, pid, speed, _ = branch[len(values) - 1]
@@ -649,12 +682,12 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
         # dominated: dropping one circuit keeps every flow feasible; short:
         # later values may still fix this pair
         prune_rest = bool(state.broken) or dominated or (
-            not short and incumbent_cost is not None and state.lower_bound() >= incumbent_cost)
+            not short and best is not None and state.bound_key() >= best * den)
         descend = not (prune_rest or short)
 
     if incumbent is None:
         return SolveReport(INFEASIBLE, None, root_bound, nodes_explored=nodes)
-    return SolveReport(OPTIMAL, incumbent, incumbent_cost, nodes_explored=nodes)
+    return SolveReport(OPTIMAL, incumbent, incumbent.objective, nodes_explored=nodes)
 
 
 # --------------------------------------------------------------------------
@@ -694,10 +727,10 @@ class _Heuristic:
         for key, origin, sinks in model.commodities:
             for sink in sinks:
                 self.key_by_pair[(origin, sink)] = key
-        # pair -> [(path length, path id, edge terms)], so the marginal-cost
-        # kernel never looks a path, an edge or a path id up
+        # pair -> [(path length, path id)]; the marginal-cost kernel reads a
+        # path's edges from the state's `path_edges`
         self._pair_paths: dict[tuple, list] = {
-            pair: [(p.length_km, self.cat.index(p), self._edge_terms(p)) for p in plist]
+            pair: [(p.length_km, self.cat.index(p)) for p in plist]
             for pair, plist in self.cat.pair_paths.items()}
         self._mixes: dict[int, tuple[int, list]] = {}  # need -> `_mix_table`
 
@@ -705,12 +738,6 @@ class _Heuristic:
     #
     # In integer units of 1/`state.prices.scale` (see `ScaledPrices`), so they
     # order and tie exactly as `Fraction` costs would.
-
-    def _edge_terms(self, path: PhysPath) -> tuple:
-        """(edge id, u, v, scaled fiber cost) for each edge of a path."""
-        graph, fiber = self.inst.graph, self.state.prices.fiber
-        return tuple((eid, graph.edge(eid).u, graph.edge(eid).v, fiber[eid])
-                     for eid in path.edges)
 
     def _mix_base(self, ends: tuple[str, str], cost: int, sw: int, units: int) -> int | None:
         """Scaled circuit cost `cost` of a mix plus its router cost change at
@@ -728,16 +755,16 @@ class _Heuristic:
                 cost += after[0] - (before[0] if before else 0)
         return cost
 
-    def _marginal(self, ends: tuple[str, str], edges: tuple, count: int, cost: int,
+    def _marginal(self, ends: tuple[str, str], pid: int, count: int, cost: int,
                   cutoff: float = inf) -> int | None:
         """`cost` plus the fiber and optical-module cost of `count` more
-        circuits along `edges`; None if a node breaks, or as soon as the
+        circuits on path `pid`; None if a node breaks, or as soon as the
         sum exceeds `cutoff` (every term is >= 0: a larger requirement never
         gets a cheaper cheapest module)."""
         st = self.state
         cpf = self.inst.channels_per_fiber
         extra_f = {ends[0]: 0, ends[1]: 0}  # node -> fibers added on incident edges
-        for eid, u, v, fiber_cost in edges:
+        for eid, u, v, fiber_cost in st.path_edges[pid]:
             ch = st.channels.get(eid, 0)
             delta = (ch + count + cpf - 1) // cpf - (ch + cpf - 1) // cpf
             if delta:
@@ -793,11 +820,11 @@ class _Heuristic:
         # from here on `cutoff` is also the best cost so far: a dearer
         # candidate cannot win, and an equal one may on length or path id.
         # Catalog paths run from the smaller end, so each path's ends are `pair`
-        for length, pid, edges in self._pair_paths.get(pair, ()):
+        for length, pid in self._pair_paths.get(pair, ()):
             for mix, count, base in options:
                 if base > cutoff:
                     continue
-                c = self._marginal(pair, edges, count, base, cutoff)
+                c = self._marginal(pair, pid, count, base, cutoff)
                 if c is None:
                     continue
                 key = (c, length, pid)
@@ -928,10 +955,10 @@ class _Heuristic:
                                   st.lt[speed].switching_capacity * count,
                                   st.lt_units[speed] * count)
             if base is not None:
-                for _, qid, edges in self._pair_paths[pair]:
+                for _, qid in self._pair_paths[pair]:
                     if qid == pid:
                         continue
-                    c = self._marginal(pair, edges, count, base, before - s0 - 1)
+                    c = self._marginal(pair, qid, count, base, before - s0 - 1)
                     if c is not None:  # s0 + c < before
                         improved = True
                         self.moves += 1

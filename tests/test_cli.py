@@ -468,7 +468,10 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, bad):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(p)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if bad == {"speeds": [[40]]}:  # found while building the cell's instance
+        assert "error: cell 40G-MTX-0.1T-OPT: unsupported speed set (40,)" in err
     assert not (tmp_path / "res").exists()  # rejected before any cell ran
 
 
@@ -480,22 +483,35 @@ def test_grid_without_demand_exits_2_before_any_cell(tmp_path, capsys, command):
     out = tmp_path / "res"
     inst = write_inst(tmp_path, triangle_instance(demands=()))
     assert main([command, "--instance", inst, "--out", str(out)]) == 2
-    assert "target total must be positive, got 0" in capsys.readouterr().err
+    assert "error: cell 10+100G-MTX-0T-OPT: target total must be positive, got 0" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid, name", [
-    ({"transponder_scales": [2, 2.0]}, "10G-MTX-0.1T-s2-OPT"),
-    ({"volumes": [100, 100]}, "10G-MTX-0.1T-OPT"),
-], ids=["repeated-scale", "repeated-volume"])
-@pytest.mark.parametrize("command", ["run", "sweep"])
-def test_grid_rejects_cells_that_share_a_name(tmp_path, capsys, grid, name, command):
+SHARED_NAMES = [  # (case, grid, the name two cells share, the key that repeats)
+    ("repeated-scale", {"transponder_scales": [2, 2.0]}, "10G-MTX-0.1T-s2-OPT",
+     "transponder_scales"),
+    ("repeated-volume", {"volumes": [100, 100]}, "10G-MTX-0.1T-OPT", "volumes"),
+    ("repeated-speed-set", {"speeds": [[10], [10]]}, "10G-MTX-0.1T-OPT", "speeds"),
+    ("repeated-architecture", {"architectures": ["optimized", "optimized"]},
+     "10G-MTX-0.1T-OPT", "architectures"),
+]
+
+
+# `sweep` replaces the architectures with the optimized one, so a repeated
+# architecture is a `run` case only
+@pytest.mark.parametrize("command, grid, name, key", [
+    pytest.param(command, grid, name, key, id=f"{command}-{case}")
+    for command in ("run", "sweep") for case, grid, name, key in SHARED_NAMES
+    if command == "run" or "architectures" not in grid])
+def test_grid_rejects_cells_that_share_a_name(tmp_path, capsys, command, grid, name, key):
     cfg = {"instance": tri_file(tmp_path), "volumes": [100], "speeds": [[10]],
            "out": str(tmp_path / "res"), **grid}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     assert main([command, "--config", str(p)]) == 2
-    assert f"two grid cells are named {name}" in capsys.readouterr().err
+    assert f"two grid cells are named {name}: config key {key!r} repeats a value" \
+        in capsys.readouterr().err
     assert not (tmp_path / "res").exists()  # rejected before any cell ran
 
 

@@ -1,6 +1,7 @@
 """Exact and heuristic solver behaviour on small instances."""
 
 import copy
+import dataclasses
 import heapq
 import io
 import random
@@ -407,6 +408,57 @@ def test_root_bound_pinned_on_toy6():
     assert DesignState(build_tra(inst)).lower_bound() == Fraction(432, 5)
 
 
+def _recomputed_bound(state):
+    """`DesignState.lower_bound` as it was before the state kept the
+    uncovered demand: every pair's (or the total) demand re-summed from the
+    capacities, priced at the cheapest `Fraction` circuit cost per Gbps."""
+    inst, cc = state.instance, state.model.cost_catalog
+    cap = state.pair_capacity
+    if state.model.transparent:
+        uncovered = sum(max(0, d.value - cap[d.pair]) for d in inst.demands)
+    else:
+        uncovered = max(0, inst.total_demand() - sum(cap.values()))
+    per_gbps = min(lt.cost / lt.routing_capacity for lt in cc.lambda_types)
+    return state.prices.exact(state._spent()) + uncovered * per_gbps
+
+
+def test_incremental_bound_matches_recomputed():
+    """After every step of random circuit additions and removals, some down
+    to zero circuits, the kept bound equals the recomputed one, and
+    `bound_key` is it times the price scale and the denominator of the
+    cheapest scaled price per Gbps: on tiny and mid-size models of both
+    architectures, at a whole and at a fractional transponder scale (whose
+    per-Gbps price is no whole number of scaled units)."""
+    rng = random.Random(6174)
+    dens = Counter()
+    for maker in [random_tiny_instance] * 6 + [random_midsize_instance] * 4:
+        base, cat = routable_instance(maker, rng)
+        for scale in (Fraction(1), Fraction(1234567, 10**6)):
+            inst = dataclasses.replace(base, transponder_scale=scale)
+            cc = build_cost_catalog(inst)
+            for m in (build_model(inst, cat, cc), build_transparent_variant(inst, cat, cc)):
+                state = DesignState(m)
+                prices = state.prices
+                den = min(Fraction(prices.circuit[lt.speed], lt.routing_capacity)
+                          for lt in cc.lambda_types).denominator
+                dens[den > 1] += 1
+                for step in range(40):
+                    if step % 10 == 9 and state.y:  # take a (path, speed) to zero
+                        (pid, speed), count = rng.choice(sorted(state.y.items()))
+                        state.add_circuits(pid, speed, -count)
+                    else:
+                        _random_circuit_step(state, rng)
+                    want = _recomputed_bound(state)
+                    assert state.lower_bound() == want
+                    assert state.bound_key() == want * prices.scale * den
+                while state.y:  # back to the empty design
+                    (pid, speed), count = sorted(state.y.items())[0]
+                    state.add_circuits(pid, speed, -count)
+                assert state.bound_key() == DesignState(m).bound_key()
+                assert state.lower_bound() == _recomputed_bound(state)
+    assert dens[True] and dens[False], dens
+
+
 # heuristic objective and local-search moves on the shipped toy6 instance,
 # recorded before the marginal-cost kernel moved to scaled integers
 TOY6_HEURISTIC = {
@@ -704,11 +756,11 @@ def _floorless_best_placement(h, pair, need, cutoff=inf):
         if base is not None:
             options.append((mix, sum(mix.values()), base))
     best = None
-    for length, pid, edges in h._pair_paths.get(pair, ()):
+    for length, pid in h._pair_paths.get(pair, ()):
         for mix, count, base in options:
             if base > cutoff:
                 continue
-            c = h._marginal(pair, edges, count, base, cutoff)
+            c = h._marginal(pair, pid, count, base, cutoff)
             if c is None:
                 continue
             key = (c, length, pid)
@@ -905,7 +957,8 @@ def test_sparse_checks_match_dense(maker):
 
 
 # what `DesignState.clone` copies; the other attributes are numbers, or are
-# shared on purpose (the model, the prices, the memoized module pickers)
+# shared on purpose (the model, the prices, the path edge table, the memoized
+# module pickers)
 PLACEMENT = ("y", "channels", "pair_capacity", "node_switch", "node_slot_units",
              "node_drops", "node_fiber_count", "vmod", "pmod", "broken")
 
