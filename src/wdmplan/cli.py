@@ -42,8 +42,8 @@ from .costcat import CostCatalog, build_cost_catalog, dump_catalog_csv
 from .formats import read_instance, read_sndlib
 from .milp import (ModelError, build_model, build_transparent_variant, export_model,
                    frac_decimal)
-from .netmodel import (MODE_OPTIMIZED, MODE_TRANSPARENT, MODES, Instance, check_param,
-                       scale_demand_matrix, synth_matrix)
+from .netmodel import (MODE_OPTIMIZED, MODE_TRANSPARENT, MODES, Instance, as_fraction,
+                       check_param, scale_demand_matrix, synth_matrix)
 from .pathgen import PathCatalog, build_catalog, dump_paths
 from .solve import INFEASIBLE, UNKNOWN, solve_exact, solve_heuristic
 
@@ -482,7 +482,7 @@ def _cmd_solve(args) -> int:
 def _cmd_catalog(args) -> int:
     speeds = tuple(int(s) for s in args.speeds.split(","))
     buf = io.StringIO()  # complete before --out is opened: bad input leaves no file
-    dump_catalog_csv(buf, speeds=speeds, transponder_scale=Fraction(args.scale))
+    dump_catalog_csv(buf, speeds=speeds, transponder_scale=as_fraction(args.scale))
     if args.out:
         with open(args.out, "w", newline="") as f:
             f.write(buf.getvalue())

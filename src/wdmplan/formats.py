@@ -39,7 +39,7 @@ from .netmodel import (Demand, Edge, Instance, Node, PhysicalGraph,
 
 EARTH_RADIUS_KM = 6371.0
 
-# `param` name -> (Instance keyword, converter of the value text)
+# `param` name -> (Instance keyword, value text converter), in writing order
 INSTANCE_PARAMS = {
     "speeds": ("speeds", lambda text: tuple(int(s) for s in text.split())),
     "channels-per-fiber": ("channels_per_fiber", int),
@@ -135,6 +135,8 @@ def read_sndlib(inp: IO[str] | str, length_source: str = "routing-cost") -> Sndl
         fields = rest.replace("(", " ( ").split()
         # preCap preCapCost routingCost setupCost ( modules... )
         if length_source == "coordinates":
+            if u not in by_id or v not in by_id:
+                raise ValueError(f"link {eid} references an unknown node")
             a, b = by_id[u], by_id[v]
             if a.x is None or b.x is None:
                 raise ValueError(f"node without coordinates on link {eid}")
@@ -200,7 +202,7 @@ def read_instance(inp: IO[str] | str) -> Instance:
                 raw_demands[key] = raw_demands.get(key, Fraction(0)) + as_fraction(args[2])
             else:
                 raise ValueError(f"unknown directive {kind!r}")
-        except (IndexError, ValueError, ZeroDivisionError) as exc:
+        except (IndexError, ValueError) as exc:
             raise ValueError(f"instance file line {lineno}: {exc}") from exc
 
     merged = merge_directed(raw_demands)
@@ -218,12 +220,10 @@ def read_instance(inp: IO[str] | str) -> Instance:
 def write_instance(instance: Instance, out: IO[str]) -> None:
     """Serialize an instance; read_instance(write_instance(x)) == x."""
     out.write(f"instance {instance.name}\n")
-    out.write(f"param speeds {' '.join(str(s) for s in instance.speeds)}\n")
-    out.write(f"param channels-per-fiber {instance.channels_per_fiber}\n")
-    out.write(f"param max-path-km {instance.max_path_km}\n")
-    out.write(f"param max-paths-per-pair {instance.max_paths_per_pair}\n")
-    out.write(f"param transponder-scale {instance.transponder_scale}\n")
-    out.write(f"param mode {instance.mode}\n")
+    for name, (keyword, _) in INSTANCE_PARAMS.items():
+        value = getattr(instance, keyword)
+        text = " ".join(map(str, value)) if isinstance(value, tuple) else value
+        out.write(f"param {name} {text}\n")
     for n in instance.graph.nodes:
         if n.x is not None:
             out.write(f"node {n.id} {n.x} {n.y}\n")

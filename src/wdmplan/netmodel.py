@@ -27,12 +27,16 @@ def as_fraction(value) -> Fraction:
     """Exact rational from int/str/Fraction, or the decimal reading of a float.
 
     Floats go through `str` so `0.3` becomes 3/10, not its binary expansion.
+    Text that is no number, `1/0` included, raises `ValueError`.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return Fraction(str(value))
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 @dataclass(frozen=True)

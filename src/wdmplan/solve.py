@@ -39,7 +39,9 @@ Three layers of machinery:
   speed)'s circuits taken off, each parallel path costs the state's cost
   plus the mix's circuit and router term plus its fiber and optical-module
   marginal, and only the last path taken gets the circuits back. Routes,
-  costs and move counts are those of the unbounded, applied search.
+  costs and move counts are those of the unbounded, applied search. A move
+  that does not pay is undone by restoring the circuit counts it started
+  from (`DesignState.restore`), which every other field follows.
 
 Results are exact: bounds, objectives and reports are `Fraction`s. Inside,
 `DesignState` and the heuristic's marginal costs count in scaled integers,
@@ -50,7 +52,6 @@ No external solver is involved.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import random
 from dataclasses import dataclass
@@ -373,18 +374,15 @@ class DesignState:
     `broken` holds nodes whose requirement exceeds every catalog module;
     requirements grow monotonically with circuits, so a broken node proves
     the whole subtree infeasible.
+
+    Every field `add_circuits` writes is a function of the circuit counts
+    `y` alone, whatever steps led there: a snapshot of a design is
+    `dict(state.y)`, and `restore` goes back to it.
     """
 
-    # Slots, not a `__dict__`: on CPython 3.11 and 3.12, `copy.copy` (which
-    # `clone` uses) of an instance with a `__dict__` slows every later
-    # attribute read on both objects, and the heuristic's kernel reads them.
-    __slots__ = ("model", "instance", "catalog", "prices", "lt", "lt_units", "path_edges", "y",
-                 "channels", "pair_capacity", "node_switch", "node_slot_units", "node_drops",
-                 "node_fiber_count", "circuit_cost", "fiber_cost", "vmod", "pmod", "vmod_total",
-                 "pmod_total", "broken", "_vmod_for", "_pmod_for", "_d_i", "_optical_tag",
-                 "_pair_demand", "_total_demand", "_uncovered", "_capacity_total", "_gbps_num",
-                 "_gbps_den")
-
+    # 29 fields at most: CPython 3.11 and 3.12 keep up to 29 attributes of an
+    # instance inline, and past that every attribute read goes through a
+    # dict (at 31 fields, exact-small `wall_s` read 5% higher)
     def __init__(self, model: Model):
         cc = model.cost_catalog
         self.model = model
@@ -393,7 +391,7 @@ class DesignState:
         self.prices = ScaledPrices(cc)
         self.lt = {lt.speed: lt for lt in cc.lambda_types}
         self.lt_units = {lt.speed: lt.slot_units for lt in cc.lambda_types}
-        # path id -> ((edge id, u, v, scaled fiber price), ...), shared by clones
+        # path id -> ((edge id, u, v, scaled fiber price), ...)
         graph = self.instance.graph
         self.path_edges = [tuple((eid, graph.edge(eid).u, graph.edge(eid).v,
                                   self.prices.fiber[eid]) for eid in p.edges)
@@ -402,10 +400,11 @@ class DesignState:
         self.channels: dict[str, int] = {}             # edge id -> circuits
         self.pair_capacity: dict[tuple, int] = {   # pair -> routing capacity
             pair: 0 for pair in self.catalog.pair_paths}
-        self.node_switch: dict[str, int] = {}          # PoP -> terminating A' load
-        self.node_slot_units: dict[str, int] = {}      # PoP -> slot units
-        self.node_drops: dict[str, int] = {}           # node -> terminations
-        self.node_fiber_count: dict[str, int] = {}     # node -> incident fibers
+        # node -> load; every node from the start, so no key comes or goes
+        self.node_switch = dict.fromkeys(graph.node_ids(), 0)       # terminating A' load
+        self.node_slot_units = dict.fromkeys(graph.node_ids(), 0)   # slot units
+        self.node_drops = dict.fromkeys(graph.node_ids(), 0)        # terminations
+        self.node_fiber_count = dict.fromkeys(graph.node_ids(), 0)  # incident fibers
         self.circuit_cost = 0                          # scaled, like every cost here
         self.fiber_cost = 0
         self.vmod: dict[str, tuple] = {}               # PoP -> (cost, module idx)
@@ -427,27 +426,16 @@ class DesignState:
         for i in self.instance.pops:
             self.vmod_total += self._repick(self.vmod, self._vmod_for, i, i, self._d_i[i], 0)
         # what `bound_key` reads besides the costs: the demand still lacking
-        # virtual capacity, summed per pair in the transparent variant
-        # (`_uncovered`) and in total otherwise (from `_capacity_total`), both
-        # kept up to date by `add_circuits`; and the cheapest scaled circuit
-        # price per Gbps, `_gbps_num / _gbps_den`
+        # virtual capacity, kept up to date by `add_circuits` (`_uncovered`:
+        # summed per pair in the transparent variant, and otherwise the total
+        # demand minus the total capacity, which goes below 0 once capacity
+        # exceeds demand); and the cheapest scaled circuit price per Gbps,
+        # `_gbps_num / _gbps_den`
         self._pair_demand = {d.pair: d.value for d in self.instance.demands}
-        self._total_demand = self.instance.total_demand()
         self._uncovered = sum(self._pair_demand.values())
-        self._capacity_total = 0
         per_gbps = min(Fraction(self.prices.circuit[lt.speed], lt.routing_capacity)
                        for lt in cc.lambda_types)
         self._gbps_num, self._gbps_den = per_gbps.numerator, per_gbps.denominator
-
-    def clone(self) -> "DesignState":
-        """A copy whose placement changes apart from this one's; the model,
-        the prices, the path edge table and the memoized module pickers stay
-        shared."""
-        c = copy.copy(self)
-        for name in ("y", "channels", "pair_capacity", "node_switch", "node_slot_units",
-                     "node_drops", "node_fiber_count", "vmod", "pmod", "broken"):
-            setattr(c, name, getattr(self, name).copy())
-        return c
 
     def _repick(self, picks: dict, pick_for, node: str, tag: str,
                 first: int, second: int) -> int:
@@ -496,8 +484,8 @@ class DesignState:
             delta = (ch + count + cpf - 1) // cpf - (ch + cpf - 1) // cpf
             if delta:
                 self.fiber_cost += fiber_price * delta
-                fiber_count[u] = fiber_count.get(u, 0) + delta
-                fiber_count[v] = fiber_count.get(v, 0) + delta
+                fiber_count[u] += delta
+                fiber_count[v] += delta
                 touched_pmod.add(u)
                 touched_pmod.add(v)
         lt = self.lt[speed]
@@ -508,17 +496,24 @@ class DesignState:
             dv = self._pair_demand.get(ends, 0)
             self._uncovered += max(0, dv - new_cap) - max(0, dv - old_cap)
         else:
-            self._capacity_total += new_cap - old_cap
+            self._uncovered -= new_cap - old_cap
         switch, units, drops = self.node_switch, self.node_slot_units, self.node_drops
         for n in ends:
-            switch[n] = switch.get(n, 0) + lt.switching_capacity * count
-            units[n] = units.get(n, 0) + self.lt_units[speed] * count
-            drops[n] = drops.get(n, 0) + count
+            switch[n] += lt.switching_capacity * count
+            units[n] += self.lt_units[speed] * count
+            drops[n] += count
             self.vmod_total += self._repick(self.vmod, self._vmod_for, n, n,
                                             self._d_i[n] + switch[n], units[n])
         for n in touched_pmod:
             self.pmod_total += self._repick(self.pmod, self._pmod_for, n, self._optical_tag[n],
-                                            fiber_count.get(n, 0), drops.get(n, 0))
+                                            fiber_count[n], drops[n])
+
+    def restore(self, y: dict) -> None:
+        """Go back to the circuit counts `y`, a snapshot `dict(state.y)`, by
+        `add_circuits` on each count that differs; every other field follows
+        the counts."""
+        for key in {key for key, _ in self.y.items() ^ y.items()}:
+            self.add_circuits(*key, y.get(key, 0) - self.y.get(key, 0))
 
     def _spent(self) -> int:
         """Scaled circuit + fiber + module cost; routers count only in the
@@ -539,10 +534,7 @@ class DesignState:
         """`lower_bound` times `prices.scale` times `_gbps_den`, a whole
         number: the scaled cost so far times `_gbps_den`, plus `_gbps_num`
         for each Gbps of demand not yet covered."""
-        if self.model.transparent:
-            uncovered = self._uncovered
-        else:
-            uncovered = max(0, self._total_demand - self._capacity_total)
+        uncovered = max(0, self._uncovered)
         return self._spent() * self._gbps_den + uncovered * self._gbps_num
 
     def lower_bound(self) -> Fraction:
@@ -746,8 +738,8 @@ class _Heuristic:
         if an end router would outgrow every module."""
         st = self.state
         for node in ends:
-            after = st._vmod_for(st._d_i[node] + st.node_switch.get(node, 0) + sw,
-                                 st.node_slot_units.get(node, 0) + units)
+            after = st._vmod_for(st._d_i[node] + st.node_switch[node] + sw,
+                                 st.node_slot_units[node] + units)
             if after is None:
                 return None
             if not self.model.transparent:
@@ -775,8 +767,8 @@ class _Heuristic:
                 extra_f[v] = extra_f.get(v, 0) + delta
         for node, df in extra_f.items():
             extra_d = count if node in ends else 0
-            after = st._pmod_for(st.node_fiber_count.get(node, 0) + df,
-                                 st.node_drops.get(node, 0) + extra_d)
+            after = st._pmod_for(st.node_fiber_count[node] + df,
+                                 st.node_drops[node] + extra_d)
             if after is None:
                 return None
             before = st.pmod.get(node)
@@ -979,7 +971,7 @@ class _Heuristic:
             before = self.state.scaled_cost()
             if before is None:
                 continue
-            saved = self.state.clone()
+            saved = dict(self.state.y)
             for (pid, speed) in placed:
                 self.state.add_circuits(pid, speed, -self.state.y[(pid, speed)])
             repl = self.best_placement(pair, flow)
@@ -991,7 +983,7 @@ class _Heuristic:
                     improved = True
                     self.moves += 1
                     continue
-            self.state = saved
+            self.state.restore(saved)
         return improved
 
     def reroute_demands(self) -> bool:
@@ -1003,10 +995,10 @@ class _Heuristic:
             before = self.state.scaled_cost()
             if before is None:
                 continue
-            saved_state = self.state.clone()
+            saved_y = dict(self.state.y)
             saved_flow = dict(self.pair_flow)
-            saved_route = self.routes[idx]
-            for i, j in zip(saved_route, saved_route[1:]):
+            route = self.routes[idx]
+            for i, j in zip(route, route[1:]):
                 self.pair_flow[(i, j) if i < j else (j, i)] -= amount
             self.prune_idle()
             seq = self.route_demand(d.u, d.v, amount)
@@ -1017,9 +1009,8 @@ class _Heuristic:
                 improved = True
                 self.moves += 1
             else:
-                self.state = saved_state
+                self.state.restore(saved_y)
                 self.pair_flow = saved_flow
-                self.routes[idx] = saved_route
         return improved
 
     def improve(self) -> None:

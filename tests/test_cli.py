@@ -542,8 +542,8 @@ def test_catalog_command(tmp_path):
     assert lines[1].split(",")[0] == "circuit"
 
 
-@pytest.mark.parametrize("bad", [["--speeds", "10,40"], ["--scale", "0.5"]],
-                         ids=["speed-40", "scale-below-1"])
+@pytest.mark.parametrize("bad", [["--speeds", "10,40"], ["--scale", "0.5"], ["--scale", "1/0"]],
+                         ids=["speed-40", "scale-below-1", "scale-zero-denominator"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_catalog_bad_input_writes_nothing(tmp_path, capsys, bad, to_file):
     out = tmp_path / "cat.csv"

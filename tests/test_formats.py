@@ -67,6 +67,20 @@ def test_read_sndlib_errors():
         read_sndlib(zero_cost)
 
 
+@pytest.mark.parametrize("old, new, length_source, message", [
+    ("36.00 40.00", "1/0 40.00", "routing-cost", "zero denominator"),
+    ("1 22.00", "1 1/0", "routing-cost", "zero denominator"),
+    ("l3 ( essen koeln )", "l3 ( essen zz )", "coordinates", "l3 references an unknown node"),
+], ids=["link-length", "demand-value", "unknown-link-end"])
+def test_read_sndlib_rejects_malformed_numbers_and_ends(old, new, length_source, message):
+    """A `1/0` routing cost or demand value, and a link end no node names,
+    raise `ValueError`, which the CLI reports with exit status 2."""
+    text = SND_FIXTURE.replace(old, new)
+    assert text != SND_FIXTURE
+    with pytest.raises(ValueError, match=message):
+        read_sndlib(text, length_source=length_source)
+
+
 def test_great_circle_quarter_meridian():
     # pole to equator along a meridian is a quarter of the circumference
     q = great_circle_km(0.0, 0.0, 0.0, 90.0)

@@ -1,11 +1,14 @@
 """Exact and heuristic solver behaviour on small instances."""
 
+import ast
 import copy
 import dataclasses
 import heapq
+import inspect
 import io
 import random
 import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
 from math import inf
@@ -506,7 +509,8 @@ def test_marginal_cost_kernel_matches_exact_totals():
     """best_placement picks the (cost, length, path id) minimum of the scaled
     total_cost differences of applying each mix on each path of the pair,
     skipping the candidates that break a node, and incremental node fiber
-    counts match a recount, over random add/remove sequences and clones."""
+    counts match a recount, over random add/remove sequences and states
+    restored onto fresh ones."""
     rng = random.Random(2718)
     outcomes = set()
     for maker in (random_tiny_instance, random_midsize_instance):
@@ -518,6 +522,7 @@ def test_marginal_cost_kernel_matches_exact_totals():
                       build_transparent_variant(inst, full_cat, cc)):
                 cat = m.catalog
                 h = _Heuristic(m, seed=0)
+                trial = DesignState(m)
                 earlier = []
                 for step in range(40):
                     st = h.state
@@ -529,7 +534,7 @@ def test_marginal_cost_kernel_matches_exact_totals():
                         keys = []  # 4000 Gbps of 10G circuits can break a node
                         for q in cat.pair_paths[pair]:
                             for mx in _mix_options(need, list(cc.lambda_types)):
-                                trial = st.clone()
+                                trial.restore(st.y)
                                 for speed, n in mx.items():
                                     trial.add_circuits(cat.index(q), speed, n)
                                 after = trial.scaled_cost()
@@ -551,7 +556,8 @@ def test_marginal_cost_kernel_matches_exact_totals():
                                         rng.choice(speeds), rng.randint(1, 20))
                     if step % 10 == 9:
                         earlier.append(st)
-                        h.state = st.clone()
+                        h.state = DesignState(m)
+                        h.state.restore(st.y)
                 for st in earlier + [h.state]:
                     _assert_node_fibers(st, inst.graph)
     assert outcomes == {True, False}
@@ -701,9 +707,10 @@ def _applied_swap_paths(h, accepts):
 
 
 def _twin(h):
-    """A second heuristic on a clone of h's state."""
+    """A second heuristic on a fresh state restored to h's circuits."""
     twin = copy.copy(h)
-    twin.state = h.state.clone()
+    twin.state = DesignState(h.model)
+    twin.state.restore(h.state.y)
     return twin
 
 
@@ -956,13 +963,6 @@ def test_sparse_checks_match_dense(maker):
                      "module-uniqueness", "virtual-node-capacity", "slot", "fiber", "add-drop"}
 
 
-# what `DesignState.clone` copies; the other attributes are numbers, or are
-# shared on purpose (the model, the prices, the path edge table, the memoized
-# module pickers)
-PLACEMENT = ("y", "channels", "pair_capacity", "node_switch", "node_slot_units",
-             "node_drops", "node_fiber_count", "vmod", "pmod", "broken")
-
-
 def _random_circuit_step(state, rng):
     speeds = sorted(state.lt)
     if state.y and rng.random() < 0.4:
@@ -973,38 +973,69 @@ def _random_circuit_step(state, rng):
                            rng.choice(speeds), rng.randint(1, 20))
 
 
+def _maintained_fields():
+    """The fields `add_circuits`, and the `_repick` it calls, keep up to
+    date, read from their code: each `self.<field>` they name other than to
+    look an entry or an attribute up in it (as `self.lt[speed]`,
+    `self._pair_demand.get(ends)` or `self.instance.channels_per_fiber`
+    do), that is, assigned, bound to a local, passed on or changed in place
+    (as `self.y.pop(key)` is)."""
+    names = set()
+    for method in (DesignState.add_circuits, DesignState._repick):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
+        calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        lookups = {id(node.value) for node in ast.walk(tree)
+                   if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load))
+                   or (isinstance(node, ast.Attribute)
+                       and (id(node) not in calls or node.attr == "get"))}
+        names |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "self" and id(node) not in lookups}
+    return names
+
+
 @pytest.mark.parametrize("architecture", ["optimized", "transparent-core"])
 @pytest.mark.parametrize("instance", ["toy6", "midsize"])
-def test_clone_shares_no_mutable_state(instance, architecture):
-    """Circuits added to and removed from one side of a clone, up to a
-    broken node, leave every attribute of the other side as it was: the
-    original's when the clone changes, and the clone's when the original
-    changes."""
+def test_state_follows_circuit_counts(instance, architecture):
+    """Every field of a design state follows its circuit counts `y`: over
+    random steps, up to a broken node and back, a fresh state restored to
+    the state's `y` equals it, and `restore` to an earlier `y` gives back
+    every earlier value. The steps move every field `add_circuits` keeps
+    up to date."""
     rng = random.Random(31)
     if instance == "toy6":
         inst = read_instance(TOY6.read_text())
     else:
         inst = routable_instance(random_midsize_instance, rng)[0]
     model = (build if architecture == "optimized" else build_tra)(inst)
-    for clone_changes in (True, False):
-        state = DesignState(model)
-        for _ in range(10):
+    # the fields that compare by value: two fresh states agree on them, and
+    # so do their deep copies. The model's own objects, the prices and the
+    # memoized module pickers compare by identity.
+    fresh, other = vars(DesignState(model)), vars(DesignState(model))
+    compared = [name for name, value in fresh.items()
+                if value == other[name] and copy.deepcopy(value) == value]
+
+    def values(state):
+        return {name: copy.deepcopy(getattr(state, name)) for name in compared}
+
+    state = DesignState(model)
+    seen = [(dict(state.y), values(state))]
+    moved = set()
+    for step in range(40):
+        if step == 30:  # far more circuits than any router or optical node takes
+            state.add_circuits(0, min(state.lt), 5000)
+            assert state.broken
+        else:
             _random_circuit_step(state, rng)
-        twin = state.clone()
-        changed, kept = (twin, state) if clone_changes else (state, twin)
-        snapshot = {name: copy.deepcopy(getattr(kept, name)) for name in DesignState.__slots__}
-        # the model and the prices compare by identity, so their deep copies
-        # cannot be compared
-        compared = [name for name, value in snapshot.items() if value == getattr(kept, name)]
-        assert set(PLACEMENT) <= set(compared)
-        moved = set()
-        for step in range(32):
-            if step < 30:
-                _random_circuit_step(changed, rng)
-            else:  # far more circuits than any router or optical node takes
-                changed.add_circuits(0, min(changed.lt), 5000 if step == 30 else -5000)
-                assert changed.broken or step == 31
-            moved |= {name for name in PLACEMENT if getattr(changed, name) != snapshot[name]}
-            assert {name: getattr(kept, name) for name in compared} == \
-                {name: snapshot[name] for name in compared}
-        assert moved == set(PLACEMENT)
+        now = values(state)
+        moved |= {name for name in compared if now[name] != fresh[name]}
+        twin = DesignState(model)
+        twin.restore(state.y)
+        assert values(twin) == now
+        seen.append((dict(state.y), now))
+        if step == 30 or step % 5 == 4:
+            # back from the broken node to the step before it, else anywhere
+            y, then = seen[-2] if step == 30 else rng.choice(seen)
+            state.restore(y)
+            assert values(state) == then
+    assert moved == _maintained_fields() & set(compared)
