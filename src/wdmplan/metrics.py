@@ -53,10 +53,9 @@ def disaggregate_flows(model: Model, solution: Solution | dict) -> dict[int, Fra
     f_p: dict[int, Fraction] = {pid: Fraction(0) for pid in range(len(cat.paths))}
     for pair, total in sorted(_pair_flow(model, values).items()):
         remaining = total
-        for p in cat.pair_paths[pair]:
+        for pid in cat.pair_ids[pair]:
             if remaining <= 0:
                 break
-            pid = cat.index(p)
             capacity = sum((lt.routing_capacity * values[model.path_vars[(pid, lt.speed)]]
                             for lt in lts), Fraction(0))
             take = min(remaining, capacity)
@@ -76,8 +75,7 @@ def ip_transit(node: str, f_p: dict[int, Fraction], model: Model,
     Half of what the node's terminating light paths carry beyond its own
     demand: (sum of f_p over paths ending at the node - d(i)) / 2.
     """
-    terminated = sum((f_p[model.catalog.index(p)]
-                      for p in model.catalog.endpoint_paths(node)), Fraction(0))
+    terminated = sum((f_p[pid] for pid in model.catalog.endpoint_ids(node)), Fraction(0))
     value = (terminated - d_i) / 2
     if value < -TRANSIT_TOLERANCE:
         raise ModelError(

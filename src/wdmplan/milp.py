@@ -49,6 +49,8 @@ INTEGER = "integer"
 BINARY = "binary"
 
 SNAP_TOLERANCE = Fraction(1, 10**6)
+# shared by every row that has these coefficients (a Fraction is immutable)
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
 class ModelError(ValueError):
@@ -114,6 +116,13 @@ class Model:
         return Solution({name: Fraction(0) for name in self.variables})
 
 
+def _path_terms(m: Model, pids, coefs: list) -> dict:
+    """Row terms of the circuit variables of paths `pids`: `coefs` holds a
+    (speed, coefficient) per circuit type. A catalog index lists a path's id
+    once, as its ends differ and it uses each edge once."""
+    return {m.path_vars[(pid, speed)]: coef for pid in pids for speed, coef in coefs}
+
+
 def _indexers(instance: Instance):
     nidx = {n: i for i, n in enumerate(sorted(instance.graph.node_ids()))}
     eidx = {e: i for i, e in enumerate(sorted(e.id for e in instance.graph.edges))}
@@ -156,7 +165,7 @@ def build_model(instance: Instance, catalog: PathCatalog,
             for j in pops:
                 if i != j:
                     m.flow_vars[(key, i, j)] = m.add_var(
-                        f"f_{key}_{nidx[i]}_{nidx[j]}", CONTINUOUS, Fraction(0))
+                        f"f_{key}_{nidx[i]}_{nidx[j]}", CONTINUOUS, _ZERO)
     _add_design_vars(m, nidx, eidx)
 
     # flow conservation at every PoP for every commodity
@@ -167,8 +176,8 @@ def build_model(instance: Instance, catalog: PathCatalog,
             for j in pops:
                 if j == i:
                     continue
-                coeffs[m.flow_vars[(key, i, j)]] = Fraction(1)
-                coeffs[m.flow_vars[(key, j, i)]] = Fraction(-1)
+                coeffs[m.flow_vars[(key, i, j)]] = _ONE
+                coeffs[m.flow_vars[(key, j, i)]] = _MINUS_ONE
             if i == origin:
                 rhs = Fraction(supply)
             else:
@@ -177,18 +186,17 @@ def build_model(instance: Instance, catalog: PathCatalog,
                          coeffs, "=", rhs)
 
     # virtual link capacity per unordered PoP pair
-    for (i, j), plist in m.catalog.pair_paths.items():
+    neg_capacity = [(lt.speed, Fraction(-lt.routing_capacity))
+                    for lt in cost_catalog.lambda_types]
+    for (i, j), pids in m.catalog.pair_ids.items():
         coeffs = {}
         for key, _origin, _sinks in commodities:
-            coeffs[m.flow_vars[(key, i, j)]] = Fraction(1)
-            coeffs[m.flow_vars[(key, j, i)]] = Fraction(1)
-        for p in plist:
-            for lt in cost_catalog.lambda_types:
-                name = m.path_vars[(m.catalog.index(p), lt.speed)]
-                coeffs[name] = Fraction(-lt.routing_capacity)
+            coeffs[m.flow_vars[(key, i, j)]] = _ONE
+            coeffs[m.flow_vars[(key, j, i)]] = _ONE
+        coeffs.update(_path_terms(m, pids, neg_capacity))
         if coeffs:
             m.add_constr(f"vcap_{nidx[i]}_{nidx[j]}", "virtual-link-capacity",
-                         coeffs, "<=", Fraction(0))
+                         coeffs, "<=", _ZERO)
 
     _add_design_constraints(m, nidx, eidx)
     return m
@@ -217,15 +225,12 @@ def build_transparent_variant(instance: Instance, catalog: PathCatalog,
     _add_design_vars(m, nidx, eidx, router_cost_zero=True)
 
     demand_by_pair = {d.pair: Fraction(d.value) for d in instance.demands}
-    for (i, j), plist in m.catalog.pair_paths.items():
-        coeffs = {}
-        for p in plist:
-            for lt in cost_catalog.lambda_types:
-                name = m.path_vars[(m.catalog.index(p), lt.speed)]
-                coeffs[name] = Fraction(lt.routing_capacity)
+    capacity = [(lt.speed, Fraction(lt.routing_capacity)) for lt in cost_catalog.lambda_types]
+    for (i, j), pids in m.catalog.pair_ids.items():
+        coeffs = _path_terms(m, pids, capacity)
         if coeffs:
             m.add_constr(f"vcap_{nidx[i]}_{nidx[j]}", "virtual-link-capacity",
-                         coeffs, ">=", demand_by_pair.get((i, j), Fraction(0)))
+                         coeffs, ">=", demand_by_pair.get((i, j), _ZERO))
 
     _add_design_constraints(m, nidx, eidx)
     return m
@@ -244,7 +249,7 @@ def _add_design_vars(m: Model, nidx: dict, eidx: dict,
             f"ye_{eidx[e.id]}", INTEGER, cc.fiber_cost[e.id])
     for i in sorted(inst.pops):
         for midx, vm in enumerate(cc.virtual_modules):
-            cost = Fraction(0) if router_cost_zero else vm.cost
+            cost = _ZERO if router_cost_zero else vm.cost
             m.vmod_vars[(i, midx)] = m.add_var(
                 f"xn_{nidx[i]}_{midx}", BINARY, cost)
     for i in sorted(inst.graph.node_ids()):
@@ -260,59 +265,59 @@ def _add_design_constraints(m: Model, nidx: dict, eidx: dict) -> None:
     d_i = node_demand(inst)
     slot_units = cc.lambda_types[0].SLOT_UNITS
 
+    # each coefficient is made once and shared by every row it appears in
+    ones = [(lt.speed, _ONE) for lt in cc.lambda_types]
+    switching = [(lt.speed, Fraction(lt.switching_capacity)) for lt in cc.lambda_types]
+    slot_use = [(lt.speed, Fraction(lt.slot_units)) for lt in cc.lambda_types]
+    fiber_channels = Fraction(-inst.channels_per_fiber)
+    # per module: (capacity, slots) of a router, (fibers, add-drop) of an
+    # optical node, as the negative coefficients of its rows
+    router_terms = [(Fraction(-vm.switching_capacity), Fraction(-vm.slot_capacity * slot_units))
+                    for vm in cc.virtual_modules]
+    oxc_terms = [(Fraction(-pm.fiber_capacity), Fraction(-pm.add_drop_ports))
+                 for pm in cc.physical_modules]
+
     # channels on each physical link fit into activated fibers
     for e in sorted(inst.graph.edges, key=lambda e: e.id):
-        coeffs = {}
-        for p in cat.paths_on_edge(e.id):
-            for lt in cc.lambda_types:
-                coeffs[m.path_vars[(cat.index(p), lt.speed)]] = Fraction(1)
-        coeffs[m.fiber_vars[e.id]] = Fraction(-inst.channels_per_fiber)
+        coeffs = _path_terms(m, cat.ids_on_edge(e.id), ones)
+        coeffs[m.fiber_vars[e.id]] = fiber_channels
         m.add_constr(f"pcap_{eidx[e.id]}", "physical-link-capacity",
-                     coeffs, "<=", Fraction(0))
+                     coeffs, "<=", _ZERO)
 
     # at most one module per node and layer
     for i in sorted(inst.pops):
-        coeffs = {m.vmod_vars[(i, midx)]: Fraction(1)
+        coeffs = {m.vmod_vars[(i, midx)]: _ONE
                   for midx in range(len(cc.virtual_modules))}
         m.add_constr(f"one_router_{nidx[i]}", "module-uniqueness",
-                     coeffs, "<=", Fraction(1))
+                     coeffs, "<=", _ONE)
     for i in sorted(inst.graph.node_ids()):
-        coeffs = {m.pmod_vars[(i, midx)]: Fraction(1)
+        coeffs = {m.pmod_vars[(i, midx)]: _ONE
                   for midx in range(len(cc.physical_modules))}
         m.add_constr(f"one_oxc_{nidx[i]}", "module-uniqueness",
-                     coeffs, "<=", Fraction(1))
+                     coeffs, "<=", _ONE)
 
     # router capacity and slots at each PoP
     for i in sorted(inst.pops):
-        cap = {}
-        slots = {}
-        for p in cat.endpoint_paths(i):
-            for lt in cc.lambda_types:
-                name = m.path_vars[(cat.index(p), lt.speed)]
-                cap[name] = cap.get(name, Fraction(0)) + lt.switching_capacity
-                slots[name] = slots.get(name, Fraction(0)) + lt.slot_units
-        for midx, vm in enumerate(cc.virtual_modules):
-            cap[m.vmod_vars[(i, midx)]] = Fraction(-vm.switching_capacity)
-            slots[m.vmod_vars[(i, midx)]] = Fraction(-vm.slot_capacity * slot_units)
+        pids = cat.endpoint_ids(i)
+        cap = _path_terms(m, pids, switching)
+        slots = _path_terms(m, pids, slot_use)
+        for midx, (cap_coef, slot_coef) in enumerate(router_terms):
+            cap[m.vmod_vars[(i, midx)]] = cap_coef
+            slots[m.vmod_vars[(i, midx)]] = slot_coef
         m.add_constr(f"ncap_{nidx[i]}", "virtual-node-capacity",
                      cap, "<=", Fraction(-d_i[i]))
-        m.add_constr(f"slots_{nidx[i]}", "slot", slots, "<=", Fraction(0))
+        m.add_constr(f"slots_{nidx[i]}", "slot", slots, "<=", _ZERO)
 
     # fibers and terminating circuits at each optical site
     for i in sorted(inst.graph.node_ids()):
-        fib = {}
-        for e in inst.graph.incident(i):
-            fib[m.fiber_vars[e.id]] = fib.get(m.fiber_vars[e.id], Fraction(0)) + 1
-        drop = {}
-        for p in cat.endpoint_paths(i):
-            for lt in cc.lambda_types:
-                name = m.path_vars[(cat.index(p), lt.speed)]
-                drop[name] = drop.get(name, Fraction(0)) + 1
-        for midx, pm in enumerate(cc.physical_modules):
-            fib[m.pmod_vars[(i, midx)]] = Fraction(-pm.fiber_capacity)
-            drop[m.pmod_vars[(i, midx)]] = Fraction(-pm.add_drop_ports)
-        m.add_constr(f"fibers_{nidx[i]}", "fiber", fib, "<=", Fraction(0))
-        m.add_constr(f"adddrop_{nidx[i]}", "add-drop", drop, "<=", Fraction(0))
+        # `incident` lists each edge once, as a graph has no self-loops
+        fib = {m.fiber_vars[e.id]: _ONE for e in inst.graph.incident(i)}
+        drop = _path_terms(m, cat.endpoint_ids(i), ones)
+        for midx, (fib_coef, drop_coef) in enumerate(oxc_terms):
+            fib[m.pmod_vars[(i, midx)]] = fib_coef
+            drop[m.pmod_vars[(i, midx)]] = drop_coef
+        m.add_constr(f"fibers_{nidx[i]}", "fiber", fib, "<=", _ZERO)
+        m.add_constr(f"adddrop_{nidx[i]}", "add-drop", drop, "<=", _ZERO)
 
 
 def evaluate_cost(model: Model, solution: Solution | dict, final_cost: bool = False) -> Fraction:
@@ -342,9 +347,8 @@ def slot_surcharge(model: Model, values: dict) -> Fraction:
     total = Fraction(0)
     cat = model.catalog
     for i in sorted(model.instance.pops):
-        circuits = Fraction(0)
-        for p in cat.endpoint_paths(i):
-            circuits += values[model.path_vars[(cat.index(p), 10)]]
+        circuits = sum((values[model.path_vars[(pid, 10)]] for pid in cat.endpoint_ids(i)),
+                       Fraction(0))
         if circuits:
             slots_10g = ceil(circuits / LambdaType.SLOT_UNITS)
             total += SLOT_SURCHARGE_10G * slots_10g
@@ -374,17 +378,33 @@ def frac_decimal(x: Fraction) -> str:
     return f"{sign}{whole}.{str(frac).rjust(k, '0')}"
 
 
-def _lp_terms(coeffs: dict) -> str:
+def _term_prefixes(coef: Fraction) -> tuple[str, str] | None:
+    """What an LP term with coefficient `coef` writes before its variable
+    name, as the first term and as a later one; None for a zero term."""
+    if coef == 0:
+        return None
+    mag = frac_decimal(abs(coef))
+    lead = "" if mag == "1" else f"{mag} "
+    if coef < 0:
+        return f"- {lead}", f"- {lead}"
+    return lead, f"+ {lead}"
+
+
+def _lp_terms(coeffs: dict, rendered: dict) -> str:
+    """`coeffs` as an LP expression. `rendered` maps the id of each
+    coefficient object seen so far to the object and its `_term_prefixes`;
+    the entry keeps the object alive, so its id is not reused while the dict
+    lives. The model builders share coefficient objects between rows, so a
+    lookup by id replaces hashing a `Fraction` (pure Python) per term."""
     parts = []
     for name, coef in coeffs.items():
-        if coef == 0:
-            continue
-        mag = frac_decimal(abs(coef))
-        op = "-" if coef < 0 else "+"
-        if not parts and op == "+":
-            parts.append(f"{mag} {name}" if mag != "1" else name)
-        else:
-            parts.append(f"{op} {mag} {name}" if mag != "1" else f"{op} {name}")
+        try:
+            prefixes = rendered[id(coef)][1]
+        except KeyError:
+            prefixes = _term_prefixes(coef)
+            rendered[id(coef)] = (coef, prefixes)
+        if prefixes is not None:
+            parts.append(prefixes[1 if parts else 0] + name)
     if not parts:
         raise ModelError("empty expression in LP export")
     return " ".join(parts)
@@ -397,15 +417,18 @@ def export_model(model: Model, out: IO[str]) -> None:
     LP-format default lower bound 0; integrality goes to General/Binary
     sections.
     """
+    # a model has many terms but few distinct coefficient objects, so each
+    # is rendered once (see `_lp_terms`)
+    rendered: dict[int, tuple[Fraction, tuple[str, str] | None]] = {}
     out.write("\\ two-layer network design model\n")
     out.write(f"\\ architecture: {MODE_TRANSPARENT if model.transparent else MODE_OPTIMIZED}\n")
     obj = {name: v.obj for name, v in model.variables.items() if v.obj}
     out.write("Minimize\n")
-    out.write(f" obj: {_lp_terms(obj) if obj else '0 ' + next(iter(model.variables))}\n")
+    out.write(f" obj: {_lp_terms(obj, rendered) if obj else '0 ' + next(iter(model.variables))}\n")
     out.write("Subject To\n")
     for c in model.constraints:
         sense = {"<=": "<=", ">=": ">=", "=": "="}[c.sense]
-        out.write(f" {c.name}: {_lp_terms(c.coeffs)} {sense} {frac_decimal(c.rhs)}\n")
+        out.write(f" {c.name}: {_lp_terms(c.coeffs, rendered)} {sense} {frac_decimal(c.rhs)}\n")
     generals = [n for n, v in model.variables.items() if v.integrality == INTEGER]
     binaries = [n for n, v in model.variables.items() if v.integrality == BINARY]
     if generals:

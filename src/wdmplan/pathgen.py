@@ -3,6 +3,12 @@
 For every unordered PoP pair we enumerate up to K shortest simple paths whose
 length stays within the optical reach (default 750 km, no regeneration).
 Enumeration is a Yen-style deviation search on the physical multigraph.
+Each spur search is goal-directed (A*): it ranks a partial path by its
+length plus its end node's whole-graph distance to the target, which
+`_distances_to` computes once per target and which is a consistent lower
+bound on every spur subgraph. Each search still returns the lex-min
+shortest path under its bans (see `_dijkstra`), so the catalog is the one
+plain Dijkstra order gives; only fewer heap entries are made and popped.
 
 Ordering contract: within a pair, paths are sorted by (length, edge-id
 sequence); the lexicographic tiebreak makes catalogs reproducible across runs
@@ -100,15 +106,32 @@ def _dijkstra(sg: _ScaledGraph, source: str, target: str, to_target: dict[str, i
     than `max_len`.
 
     Ties resolve to the lexicographically smallest edge-id sequence; returns
-    (length, edge ids) or None. A state whose length plus the distance from
-    its node to the target (`to_target`) exceeds `max_len` is dropped, as no
-    completion of it fits; the cut drops a node's cheapest state only if it
-    drops all of them, so the path found is the one found without it.
+    (length, edge ids) or None.
+
+    The search is goal-directed (A*): the heap is ordered by
+    `(length + to_target[node], edge ids)` and each entry carries its exact
+    length. `to_target` holds whole-graph distances, so on any subgraph left
+    by the bans it is a consistent lower bound, and the first pop of a node
+    still has the node's shortest length. All entries for one node share
+    the same `to_target` term, so among them the order is `(length, edge
+    ids)`, as in plain Dijkstra. A tie across nodes cannot pop a node ahead
+    of the prefix of its lex-min shortest path: if that path is `X + (e,)`
+    and another entry for the node holds `Y` at the same key, then
+    `X + (e,) < Y` implies `X < Y`, and the consistent bound gives `X` a key
+    no larger, so `X` pops first.
+
+    A state whose length plus `to_target` exceeds `max_len` is dropped, as
+    no completion of it fits; the cut drops a node's cheapest state only if
+    it drops all of them, so the path found is the one found without it.
     """
+    h = to_target.get(source)
+    if h is None or h > max_len:
+        return None
     done = set(banned_nodes)
-    heap: list[tuple[int, tuple[str, ...], str]] = [(0, (), source)]
+    # (length + to_target, edge ids, length, node)
+    heap: list[tuple[int, tuple[str, ...], int, str]] = [(h, (), 0, source)]
     while heap:
-        dist, eids, u = heapq.heappop(heap)
+        _, eids, dist, u = heapq.heappop(heap)
         if u in done:
             continue
         if u == target:
@@ -120,7 +143,7 @@ def _dijkstra(sg: _ScaledGraph, source: str, target: str, to_target: dict[str, i
             nd = dist + length
             h = to_target.get(w)
             if h is not None and nd + h <= max_len:
-                heapq.heappush(heap, (nd, eids + (eid,), w))
+                heapq.heappush(heap, (nd + h, eids + (eid,), nd, w))
     return None
 
 
@@ -193,31 +216,36 @@ class PathCatalog:
 
     `pair_paths[(i, j)]` is the ordered per-pair list (i < j); `paths` is the
     global union in pair order, and a path's position in it serves as its
-    stable id for variable naming.
+    stable id for variable naming. `pair_ids[(i, j)]` is the range of the
+    pair's ids, and the endpoint and edge indexes hold ids too.
     """
 
     def __init__(self, pair_paths: dict[tuple[str, str], tuple[PhysPath, ...]]):
         self.pair_paths = dict(sorted(pair_paths.items()))
         self.paths: tuple[PhysPath, ...] = tuple(
             p for plist in self.pair_paths.values() for p in plist)
-        self._index = {p: idx for idx, p in enumerate(self.paths)}
-        self._endpoint: dict[str, list[PhysPath]] = {}
-        self._on_edge: dict[str, list[PhysPath]] = {}
-        for p in self.paths:
+        self.pair_ids: dict[tuple[str, str], range] = {}
+        start = 0
+        for pair, plist in self.pair_paths.items():
+            self.pair_ids[pair] = range(start, start + len(plist))
+            start += len(plist)
+        endpoint: dict[str, list[int]] = {}
+        on_edge: dict[str, list[int]] = {}
+        for pid, p in enumerate(self.paths):
             for n in p.ends:
-                self._endpoint.setdefault(n, []).append(p)
+                endpoint.setdefault(n, []).append(pid)
             for e in p.edges:
-                self._on_edge.setdefault(e, []).append(p)
+                on_edge.setdefault(e, []).append(pid)
+        self._endpoint = {n: tuple(ids) for n, ids in endpoint.items()}
+        self._on_edge = {e: tuple(ids) for e, ids in on_edge.items()}
 
-    def index(self, path: PhysPath) -> int:
-        return self._index[path]
+    def endpoint_ids(self, node: str) -> tuple[int, ...]:
+        """Ids of the paths with an end node at `node` (the delta_P index)."""
+        return self._endpoint.get(node, ())
 
-    def endpoint_paths(self, node: str) -> tuple[PhysPath, ...]:
-        """Paths with an end node at `node` (the delta_P index)."""
-        return tuple(self._endpoint.get(node, ()))
-
-    def paths_on_edge(self, edge_id: str) -> tuple[PhysPath, ...]:
-        return tuple(self._on_edge.get(edge_id, ()))
+    def ids_on_edge(self, edge_id: str) -> tuple[int, ...]:
+        """Ids of the paths that use edge `edge_id`."""
+        return self._on_edge.get(edge_id, ())
 
     def empty_pairs(self) -> tuple[tuple[str, str], ...]:
         """PoP pairs with no admissible path at all."""

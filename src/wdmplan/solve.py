@@ -606,9 +606,8 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
     demand_by_pair = state._pair_demand
     # branch order: pairs in catalog order, paths within pair, speeds ascending
     branch: list[tuple[tuple, int, int, int]] = []  # (pair, path id, speed, ub)
-    for pair, plist in cat.pair_paths.items():
-        for p in plist:
-            pid = cat.index(p)
+    for pair, pids in cat.pair_ids.items():
+        for pid in pids:
             for lt in cc.lambda_types:
                 if model.transparent:
                     ub = ceil(Fraction(demand_by_pair.get(pair, 0)) / lt.routing_capacity)
@@ -722,8 +721,8 @@ class _Heuristic:
         # pair -> [(path length, path id)]; the marginal-cost kernel reads a
         # path's edges from the state's `path_edges`
         self._pair_paths: dict[tuple, list] = {
-            pair: [(p.length_km, self.cat.index(p)) for p in plist]
-            for pair, plist in self.cat.pair_paths.items()}
+            pair: [(self.cat.paths[pid].length_km, pid) for pid in pids]
+            for pair, pids in self.cat.pair_ids.items()}
         self._mixes: dict[int, tuple[int, list]] = {}  # need -> `_mix_table`
 
     # ---- marginal costs --------------------------------------------------
@@ -987,7 +986,8 @@ class _Heuristic:
         return improved
 
     def reroute_demands(self) -> bool:
-        """Take a demand out, prune idle circuits, re-route; keep if cheaper."""
+        """Take a demand out, prune idle circuits, re-route; keep if cheaper.
+        A demand whose removal frees no circuit stays on its route."""
         improved = False
         for idx in list(self.routes):
             d = self.inst.demands[idx]
@@ -1000,7 +1000,12 @@ class _Heuristic:
             route = self.routes[idx]
             for i, j in zip(route, route[1:]):
                 self.pair_flow[(i, j) if i < j else (j, i)] -= amount
-            self.prune_idle()
+            if not self.prune_idle():
+                # nothing freed: the state still costs `before`, and a route
+                # can only add circuits, which never lower a cost, so the
+                # attempt would be rejected
+                self.pair_flow = saved_flow
+                continue
             seq = self.route_demand(d.u, d.v, amount)
             ok = seq is not None and self.apply_route(seq, amount)
             after = self.state.scaled_cost() if ok else None

@@ -59,8 +59,8 @@ def relay_model():
     values[m.flow_vars[("0", "a", "b")]] = Fraction(30)
     values[m.flow_vars[("0", "b", "c")]] = Fraction(10)
     values[m.flow_vars[("1", "b", "c")]] = Fraction(30)
-    direct_ab = m.catalog.index(m.catalog.pair_paths[("a", "b")][0])
-    direct_bc = m.catalog.index(m.catalog.pair_paths[("b", "c")][0])
+    direct_ab = m.catalog.pair_ids[("a", "b")][0]
+    direct_bc = m.catalog.pair_ids[("b", "c")][0]
     values[m.path_vars[(direct_ab, 10)]] = Fraction(3)
     values[m.path_vars[(direct_bc, 10)]] = Fraction(4)
     return inst, m, values, direct_ab, direct_bc
@@ -87,11 +87,11 @@ def test_optical_bypass_counts_as_wdm_transit():
     values = dict(m.zero_solution().values)
     values[m.flow_vars[("0", "a", "c")]] = Fraction(10)
     # shortest a-c path runs a-b-c, so b is interior
-    via_b = m.catalog.pair_paths[("a", "c")][0]
-    assert via_b.interior == ("b",)
-    values[m.path_vars[(m.catalog.index(via_b), 10)]] = Fraction(1)
+    via_b = m.catalog.pair_ids[("a", "c")][0]
+    assert m.catalog.paths[via_b].interior == ("b",)
+    values[m.path_vars[(via_b, 10)]] = Fraction(1)
     f_p = disaggregate_flows(m, values)
-    assert f_p[m.catalog.index(via_b)] == 10
+    assert f_p[via_b] == 10
     d_i = node_demand(inst)
     assert wdm_transit("b", f_p, m) == 10
     assert ip_transit("b", f_p, m, d_i["b"]) == 0
@@ -101,15 +101,15 @@ def test_optical_bypass_counts_as_wdm_transit():
 def test_disaggregation_fills_shortest_path_first():
     inst = triangle_instance(demands=(("a", "b", 15),), speeds=(10,))
     m = build(inst)
-    plist = m.catalog.pair_paths[("a", "b")]
-    assert len(plist) == 2 and len(plist[0]) == 1
+    first, second = m.catalog.pair_ids[("a", "b")]
+    assert len(m.catalog.paths[first]) == 1
     values = dict(m.zero_solution().values)
     values[m.flow_vars[("0", "a", "b")]] = Fraction(15)
-    values[m.path_vars[(m.catalog.index(plist[0]), 10)]] = Fraction(1)
-    values[m.path_vars[(m.catalog.index(plist[1]), 10)]] = Fraction(1)
+    values[m.path_vars[(first, 10)]] = Fraction(1)
+    values[m.path_vars[(second, 10)]] = Fraction(1)
     f_p = disaggregate_flows(m, values)
-    assert f_p[m.catalog.index(plist[0])] == 10
-    assert f_p[m.catalog.index(plist[1])] == 5
+    assert f_p[first] == 10
+    assert f_p[second] == 5
 
 
 def test_disaggregation_rejects_uncovered_flow():
@@ -117,8 +117,7 @@ def test_disaggregation_rejects_uncovered_flow():
     m = build(inst)
     values = dict(m.zero_solution().values)
     values[m.flow_vars[("0", "a", "b")]] = Fraction(15)
-    plist = m.catalog.pair_paths[("a", "b")]
-    values[m.path_vars[(m.catalog.index(plist[0]), 10)]] = Fraction(1)
+    values[m.path_vars[(m.catalog.pair_ids[("a", "b")][0], 10)]] = Fraction(1)
     with pytest.raises(ModelError, match="pair a-b exceeds"):
         disaggregate_flows(m, values)
 

@@ -1,5 +1,6 @@
 """Model construction, cost evaluation and LP interchange."""
 
+import hashlib
 import io
 import random
 import re
@@ -8,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (make_instance, random_tiny_instance, routable_instance,
-                      triangle_instance)
+from conftest import (make_instance, random_connected_edges, random_tiny_instance,
+                      routable_instance, triangle_instance)
 from wdmplan.costcat import build_cost_catalog, fiber_link_cost
 from wdmplan.milp import (ModelError, build_model, build_transparent_variant,
                           evaluate_cost, export_model, import_solution,
@@ -220,3 +221,39 @@ def test_export_import_round_trip():
     dump = "\n".join(f"{n} {v}" for n, v in report.solution.values.items() if v)
     sol = import_solution(m, dump)
     assert evaluate_cost(m, sol) == evaluate_cost(m, report.solution)
+
+
+def pinned_lp_instance():
+    rng = random.Random(47)
+    names, edges = random_connected_edges(rng, 12, 9, min_len=80, max_len=500)
+    pops = sorted(rng.sample(names, 6))
+    demands = [(a, b, rng.randint(1, 260)) for i, a in enumerate(pops) for b in pops[i + 1:]
+               if rng.random() < 0.6]
+    return make_instance(edges, pops, demands, speeds=(10, 100), max_paths_per_pair=6,
+                         max_path_km=1200)
+
+
+def test_models_hold_only_fractions():
+    # the phase-1 simplex in `route_flows` divides coefficients and
+    # right-hand sides, so an int or a float must not slip in
+    inst = pinned_lp_instance()
+    for m in (build(inst), build_tra(inst)):
+        assert all(type(v.obj) is Fraction for v in m.variables.values())
+        for c in m.constraints:
+            assert type(c.rhs) is Fraction
+            assert all(type(x) is Fraction for x in c.coeffs.values())
+
+
+def test_lp_export_bytes_pinned():
+    # any change to a row, a term's order, a coefficient or its rendering
+    # shows here (71 paths over 15 pairs, 10G and 100G circuits)
+    inst = pinned_lp_instance()
+    digests = []
+    for m in (build(inst), build_tra(inst)):
+        buf = io.StringIO()
+        export_model(m, buf)
+        digests.append(hashlib.sha256(buf.getvalue().encode()).hexdigest())
+    assert digests == [
+        "3fd4d5870be83a0a5bddd47f99e3dcd3914eddc6b6d4045224a45d7fcb4bb6ac",
+        "2c783cb1f06508d502f7b2308aa8682fa51a8ccf1740cfa4d47748389fb502c6",
+    ]

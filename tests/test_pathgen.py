@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_graph, make_instance, random_connected_edges
-from wdmplan.pathgen import (build_catalog, dump_paths, k_shortest_bounded,
-                             load_paths)
+from wdmplan.pathgen import (_distances_to, _dijkstra, _ScaledGraph, build_catalog,
+                             dump_paths, k_shortest_bounded, load_paths)
 
 
 def triangle_graph():
@@ -55,8 +55,9 @@ def test_argument_errors():
         k_shortest_bounded(g, "a", "b", 0, 100)
 
 
-def all_simple_paths(graph, i, j, bound):
-    """Exhaustive reference enumeration, ascending (length, edge ids)."""
+def all_simple_paths(graph, i, j, bound, banned_nodes=(), banned_edges=()):
+    """Exhaustive reference enumeration, ascending (length, edge ids), of
+    the paths that avoid the banned nodes and edges."""
     out = []
 
     def extend(node, eids, nids, length):
@@ -65,7 +66,7 @@ def all_simple_paths(graph, i, j, bound):
             return
         for e in graph.incident(node):
             w = e.other(node)
-            if w in nids:
+            if w in nids or w in banned_nodes or e.id in banned_edges:
                 continue
             nl = length + e.length_km
             if nl > bound:
@@ -123,6 +124,46 @@ def test_matches_exhaustive_enumeration_decimal_lengths_and_ties():
     assert reach_paths >= 10
 
 
+def test_spur_search_matches_brute_force():
+    # the goal-directed spur search must return the lex-min shortest simple
+    # path under its bans: lengths from a small pool tie often, every graph
+    # has parallel edges, ids run past e9 ("e10" < "e2"), and the length cap
+    # is sometimes exactly a path's length, which must be kept
+    pool = [Fraction(x) for x in ("40.5", "81", "121.5", "123.4", "61.7")]
+    rng = random.Random(37)
+    found = capped = 0
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        names, edges = random_connected_edges(rng, n, rng.randint(3, 8))
+        edges = [(e, u, v, rng.choice(pool)) for e, u, v, _ in edges]
+        for _ in range(rng.randint(1, 3)):
+            _, u, v, length = rng.choice(edges)
+            edges.append((f"e{len(edges)}", u, v, rng.choice((length, rng.choice(pool)))))
+        g = make_graph(edges)
+        source, target = rng.sample(names, 2)
+        reach = Fraction(rng.randint(1200, 4000), 10)
+        sg = _ScaledGraph(g, reach)
+        to_target = _distances_to(sg, target)
+        others = [x for x in names if x not in (source, target)]
+        banned_nodes = set(rng.sample(others, rng.randint(0, min(2, len(others)))))
+        banned_edges = frozenset(e[0] for e in rng.sample(edges, rng.randint(0, 3)))
+        ref = all_simple_paths(g, source, target, reach, banned_nodes, banned_edges)
+        max_len = reach
+        if ref and rng.random() < 0.5:
+            max_len = rng.choice(ref)[0]  # a path exactly at the cap
+            capped += 1
+        elif ref and rng.random() < 0.5:
+            max_len = ref[0][0] - pool[0]  # below the shortest: no path
+        expect = next(((length, eids) for length, eids in ref if length <= max_len), None)
+        got = _dijkstra(sg, source, target, to_target, int(max_len * sg.scale),
+                        banned_nodes=banned_nodes, banned_edges=banned_edges)
+        if got is not None:
+            got = (Fraction(got[0], sg.scale), got[1])
+            found += 1
+        assert got == expect
+    assert found >= 100 and capped >= 50
+
+
 def test_catalog_bytes_pinned():
     # any change to the set of paths, their order or their lengths shows here
     rng = random.Random(41)
@@ -161,18 +202,18 @@ def test_catalog_indexes():
     cat = build_catalog(inst)
     assert set(cat.pair_paths) == {("a", "b"), ("a", "c"), ("b", "c")}
     assert len(cat) == sum(len(v) for v in cat.pair_paths.values())
-    # global ids follow pair order
-    assert [cat.index(p) for p in cat.paths] == list(range(len(cat)))
+    # global ids follow pair order, and each pair's ids are one range
+    assert [pid for ids in cat.pair_ids.values() for pid in ids] == list(range(len(cat)))
+    assert all([cat.paths[pid] for pid in cat.pair_ids[pair]] == list(plist)
+               for pair, plist in cat.pair_paths.items())
+    # cross check the id indexes against a full scan, ids ascending
     for node in "abc":
-        for p in cat.endpoint_paths(node):
-            assert node in p.ends
+        expect = tuple(pid for pid, p in enumerate(cat.paths) if node in p.ends)
+        assert cat.endpoint_ids(node) == expect and expect
     for eid in ("e1", "e2", "e3"):
-        for p in cat.paths_on_edge(eid):
-            assert eid in p.edges
-    # cross check the edge index against a full scan
-    for eid in ("e1", "e2", "e3"):
-        expect = [p for p in cat.paths if eid in p.edges]
-        assert list(cat.paths_on_edge(eid)) == expect
+        expect = tuple(pid for pid, p in enumerate(cat.paths) if eid in p.edges)
+        assert cat.ids_on_edge(eid) == expect and expect
+    assert cat.endpoint_ids("zz") == () and cat.ids_on_edge("e9") == ()
     assert cat.empty_pairs() == ()
 
 

@@ -532,16 +532,16 @@ def test_marginal_cost_kernel_matches_exact_totals():
                         pair = rng.choice(sorted(cat.pair_paths))
                         need = rng.randint(1, rng.choice((300, 300, 300, 4000)))
                         keys = []  # 4000 Gbps of 10G circuits can break a node
-                        for q in cat.pair_paths[pair]:
+                        for qid in cat.pair_ids[pair]:
                             for mx in _mix_options(need, list(cc.lambda_types)):
                                 trial.restore(st.y)
                                 for speed, n in mx.items():
-                                    trial.add_circuits(cat.index(q), speed, n)
+                                    trial.add_circuits(qid, speed, n)
                                 after = trial.scaled_cost()
                                 outcomes.add(after is None)
                                 if after is not None:
-                                    keys.append((after - before, q.length_km,
-                                                 cat.index(q), mx))
+                                    keys.append((after - before, cat.paths[qid].length_km,
+                                                 qid, mx))
                         placed = h.best_placement(pair, need)
                         if not keys:
                             assert placed is None
@@ -686,8 +686,7 @@ def _applied_swap_paths(h, accepts):
         if before is None:
             continue
         taken = 0
-        for q in h.cat.pair_paths[pair]:
-            qid = h.cat.index(q)
+        for qid in h.cat.pair_ids[pair]:
             if qid == pid:
                 continue
             h.state.add_circuits(pid, speed, -count)
