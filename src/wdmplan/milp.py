@@ -130,15 +130,9 @@ def _indexers(instance: Instance):
 
 
 def build_model(instance: Instance, catalog: PathCatalog,
-                cost_catalog: CostCatalog, aggregation: str = "source") -> Model:
-    """Construct the optimized-architecture model.
-
-    `aggregation` is "source" (flow variables shared by demands with the same
-    source endpoint) or "none" (one commodity per demand; only used to
-    validate that aggregation preserves optima).
-    """
-    if aggregation not in ("source", "none"):
-        raise ModelError(f"unknown aggregation {aggregation!r}")
+                cost_catalog: CostCatalog) -> Model:
+    """Construct the optimized-architecture model; demands with the same
+    source share one commodity, and so its flow variables."""
     for d in instance.demands:
         if not catalog.pair_paths.get(d.pair):
             raise ModelError(f"no admissible path for demand pair {d.u}-{d.v}")
@@ -149,15 +143,11 @@ def build_model(instance: Instance, catalog: PathCatalog,
 
     # commodities: (key, origin, {sink: amount})
     commodities = []
-    if aggregation == "source":
-        by_source: dict[str, dict[str, int]] = {}
-        for d in instance.demands:
-            by_source.setdefault(d.u, {})[d.v] = d.value
-        for s in sorted(by_source):
-            commodities.append((f"{nidx[s]}", s, by_source[s]))
-    else:
-        for ki, d in enumerate(sorted(instance.demands)):
-            commodities.append((f"k{ki}", d.u, {d.v: d.value}))
+    by_source: dict[str, dict[str, int]] = {}
+    for d in instance.demands:
+        by_source.setdefault(d.u, {})[d.v] = d.value
+    for s in sorted(by_source):
+        commodities.append((f"{nidx[s]}", s, by_source[s]))
     m.commodities = commodities
 
     for key, _origin, _sinks in commodities:

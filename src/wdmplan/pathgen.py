@@ -285,10 +285,11 @@ def dump_paths(catalog: PathCatalog, out: IO[str]) -> None:
 def load_paths(inp: IO[str], graph: PhysicalGraph) -> PathCatalog:
     """Inverse of dump_paths; lengths are recomputed and checked. A pair
     must come smaller id first (the solvers read a path's ends as its pair),
-    a path once (its position is its id) and every path simple (the model
-    counts each of its edges once); a line that breaks a rule, lacks
-    fields, names an unknown edge, or does not walk from i to j at its
-    stored length raises `ValueError` naming the line."""
+    its paths once each (a position is an id) in (length, edge ids) order
+    (the solvers take a pair's first path as its shortest), and every path
+    simple (the model counts each of its edges once); a line that breaks a
+    rule, lacks fields, names an unknown edge, or does not walk from i to j
+    at its stored length raises `ValueError` naming the line."""
     pair_paths: dict[tuple[str, str], list[PhysPath]] = {}
     for lineno, line in enumerate(inp, start=1):
         line = line.strip()
@@ -305,8 +306,6 @@ def load_paths(inp: IO[str], graph: PhysicalGraph) -> PathCatalog:
         if parts[2] == "-" and parts[3] == "EMPTY":
             continue
         eids = tuple(parts[3:])
-        if any(p.edges == eids for p in plist):
-            raise ValueError(f"line {lineno}: duplicate {i}-{j} path")
         try:
             stored = Fraction(parts[2])
         except (ValueError, ZeroDivisionError):
@@ -324,5 +323,10 @@ def load_paths(inp: IO[str], graph: PhysicalGraph) -> PathCatalog:
         length = sum((graph.edge(e).length_km for e in eids), Fraction(0))
         if length != stored:
             raise ValueError(f"line {lineno}: stored length {parts[2]} != recomputed {length}")
+        if plist and (length, eids) <= (plist[-1].length_km, plist[-1].edges):
+            # in order, a path listed twice would follow itself
+            if eids == plist[-1].edges:
+                raise ValueError(f"line {lineno}: duplicate {i}-{j} path")
+            raise ValueError(f"line {lineno}: {i}-{j} path listed out of (length, edge ids) order")
         plist.append(PhysPath(edges=eids, nodes=nodes, length_km=length))
     return PathCatalog({k: tuple(v) for k, v in pair_paths.items()})

@@ -46,8 +46,10 @@ Three layers of machinery:
 Results are exact: bounds, objectives and reports are `Fraction`s. Inside,
 `DesignState` and the heuristic's marginal costs count in scaled integers,
 every catalog price times the LCM of the price denominators (see
-`ScaledPrices`), which compare and tie exactly as the `Fraction` prices do.
-No external solver is involved.
+`ModelTables`), which compare and tie exactly as the `Fraction` prices do.
+What no circuit changes (prices, per-path edges, module pickers) is built
+once per solve in a `ModelTables`; a `DesignState` holds only the circuit
+counts and what follows from them. No external solver is involved.
 """
 
 from __future__ import annotations
@@ -326,30 +328,78 @@ def _find_cycle(succ: dict) -> list | None:
 # design state: circuit placement with incrementally tracked derived costs
 
 
-class ScaledPrices:
-    """The cost catalog in integer units of 1/`scale`.
+class ModelTables:
+    """What the solvers read of one model that no circuit count changes,
+    built once per solve and shared by every `DesignState` of it.
 
-    `scale` is the LCM of every price denominator, so each price times
-    `scale` is whole. Capacities, slot units, fiber counts and demands are
-    integers already, so sums and comparisons of scaled prices order exactly
-    as the `Fraction` prices do.
+    Prices are in integer units of 1/`scale`: `scale` is the LCM of every
+    price denominator, so each price times `scale` is whole. Capacities,
+    slot units, fiber counts and demands are integers already, so sums and
+    comparisons of scaled prices order exactly as the `Fraction` prices do.
     """
 
-    def __init__(self, cc):
+    def __init__(self, model: Model):
+        cc = model.cost_catalog
+        self.model = model
+        self.instance = inst = model.instance
+        self.catalog = cat = model.catalog
+        self.transparent = model.transparent
+        self.channels_per_fiber = inst.channels_per_fiber
         prices = ([lt.cost for lt in cc.lambda_types] + list(cc.fiber_cost.values())
                   + [vm.cost for vm in cc.virtual_modules]
                   + [pm.cost for pm in cc.physical_modules])
         self.scale = lcm(*(Fraction(c).denominator for c in prices))
-        self.circuit = {lt.speed: self.of(lt.cost) for lt in cc.lambda_types}
-        self.fiber = {eid: self.of(c) for eid, c in cc.fiber_cost.items()}
-        self.vmod = [self.of(vm.cost) for vm in cc.virtual_modules]
-        self.pmod = [self.of(pm.cost) for pm in cc.physical_modules]
+        self.circuit_price = {lt.speed: self.of(lt.cost) for lt in cc.lambda_types}
+        self.lt = {lt.speed: lt for lt in cc.lambda_types}
+        self.lt_units = {lt.speed: lt.slot_units for lt in cc.lambda_types}
+        # path id -> ((edge id, u, v, scaled fiber price), ...), and its ends
+        graph = inst.graph
+        self.path_edges = [tuple((eid, graph.edge(eid).u, graph.edge(eid).v,
+                                  self.of(cc.fiber_cost[eid])) for eid in p.edges)
+                           for p in cat.paths]
+        self.ends = [p.ends for p in cat.paths]
+        # cheapest sufficient module per requirement, (scaled cost, index) or
+        # None: routers by (switching, slot units), optical nodes by (fibers,
+        # add-drop ports)
+        vms, pms = cc.virtual_modules, cc.physical_modules
+        self.vmod_for = cache(partial(_cheapest, [self.of(vm.cost) for vm in vms], [
+            (vm.switching_capacity, vm.slot_capacity * LambdaType.SLOT_UNITS) for vm in vms]))
+        self.pmod_for = cache(partial(_cheapest, [self.of(pm.cost) for pm in pms], [
+            (pm.fiber_capacity, pm.add_drop_ports) for pm in pms]))
+        self.d_i = node_demand(inst)
+        # node -> its optical module's `broken` tag, built once, not per step
+        self.optical_tag = {n: "o:" + n for n in self.d_i}
+        self.pair_demand = {d.pair: d.value for d in inst.demands}
+        # the cheapest scaled circuit price per Gbps, `gbps_num / gbps_den`
+        per_gbps = min(Fraction(self.circuit_price[lt.speed], lt.routing_capacity)
+                       for lt in cc.lambda_types)
+        self.gbps_num, self.gbps_den = per_gbps.numerator, per_gbps.denominator
+        # commodity key lookup for assembling flow variable values
+        self.key_by_pair: dict[tuple, str] = {}
+        for key, origin, sinks in model.commodities:
+            for sink in sinks:
+                self.key_by_pair[(origin, sink)] = key
+        self._mixes: dict[int, tuple[int, list]] = {}  # need -> `mix_table`
 
     def of(self, price) -> int:
         return int(price * self.scale)
 
     def exact(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale)
+
+    def mix_table(self, need: int) -> tuple[int, list]:
+        """(floor, rows) of the mixes covering `need` Gbps, memoized: a row
+        is (mix, circuit count, scaled circuit cost, switching, slot units),
+        and the floor is the least circuit cost of any row."""
+        table = self._mixes.get(need)
+        if table is None:
+            rows = [(mix, sum(mix.values()),
+                     sum(self.circuit_price[s] * n for s, n in mix.items()),
+                     sum(self.lt[s].switching_capacity * n for s, n in mix.items()),
+                     sum(self.lt_units[s] * n for s, n in mix.items()))
+                    for mix in _mix_options(need, self.model.cost_catalog.lambda_types)]
+            table = self._mixes[need] = (min(row[2] for row in rows), rows)
+        return table
 
 
 def _cheapest(costs: list[int], capacities: list[tuple[int, int]], first: int,
@@ -364,47 +414,36 @@ def _cheapest(costs: list[int], capacities: list[tuple[int, int]], first: int,
 
 
 class DesignState:
-    """Mutable circuit placement.
+    """Mutable circuit placement on the `tables` of one model.
 
     Fiber counts and node modules are derived, not chosen: fibers are the
     channel count rounded up, modules the cheapest sufficient catalog entry.
     Their costs, and the demand still lacking virtual capacity, are
-    maintained incrementally, as scaled integers (see `ScaledPrices`), so a
+    maintained incrementally, as scaled integers (see `ModelTables`), so a
     branch-and-bound step costs O(path length) and its bound O(1).
     `broken` holds nodes whose requirement exceeds every catalog module;
     requirements grow monotonically with circuits, so a broken node proves
     the whole subtree infeasible.
 
-    Every field `add_circuits` writes is a function of the circuit counts
-    `y` alone, whatever steps led there: a snapshot of a design is
-    `dict(state.y)`, and `restore` goes back to it.
+    Every field but `tables` is one `add_circuits` writes, a function of the
+    circuit counts `y` alone, whatever steps led there: a snapshot of a
+    design is `dict(state.y)`, and `restore` goes back to it. Any number of
+    states may share one `tables`.
     """
 
-    # 29 fields at most: CPython 3.11 and 3.12 keep up to 29 attributes of an
-    # instance inline, and past that every attribute read goes through a
-    # dict (at 31 fields, exact-small `wall_s` read 5% higher)
-    def __init__(self, model: Model):
-        cc = model.cost_catalog
-        self.model = model
-        self.instance = model.instance
-        self.catalog = model.catalog
-        self.prices = ScaledPrices(cc)
-        self.lt = {lt.speed: lt for lt in cc.lambda_types}
-        self.lt_units = {lt.speed: lt.slot_units for lt in cc.lambda_types}
-        # path id -> ((edge id, u, v, scaled fiber price), ...)
-        graph = self.instance.graph
-        self.path_edges = [tuple((eid, graph.edge(eid).u, graph.edge(eid).v,
-                                  self.prices.fiber[eid]) for eid in p.edges)
-                           for p in self.catalog.paths]
+    # per-model facts live in `tables`: CPython 3.11/3.12 inline at most 29 fields
+    def __init__(self, tables: ModelTables):
+        self.tables = tables
+        nodes = tables.instance.graph.node_ids()
         self.y: dict[tuple[int, int], int] = {}        # (path id, speed) -> count
         self.channels: dict[str, int] = {}             # edge id -> circuits
         self.pair_capacity: dict[tuple, int] = {   # pair -> routing capacity
-            pair: 0 for pair in self.catalog.pair_paths}
+            pair: 0 for pair in tables.catalog.pair_paths}
         # node -> load; every node from the start, so no key comes or goes
-        self.node_switch = dict.fromkeys(graph.node_ids(), 0)       # terminating A' load
-        self.node_slot_units = dict.fromkeys(graph.node_ids(), 0)   # slot units
-        self.node_drops = dict.fromkeys(graph.node_ids(), 0)        # terminations
-        self.node_fiber_count = dict.fromkeys(graph.node_ids(), 0)  # incident fibers
+        self.node_switch = dict.fromkeys(nodes, 0)       # terminating A' load
+        self.node_slot_units = dict.fromkeys(nodes, 0)   # slot units
+        self.node_drops = dict.fromkeys(nodes, 0)        # terminations
+        self.node_fiber_count = dict.fromkeys(nodes, 0)  # incident fibers
         self.circuit_cost = 0                          # scaled, like every cost here
         self.fiber_cost = 0
         self.vmod: dict[str, tuple] = {}               # PoP -> (cost, module idx)
@@ -412,30 +451,13 @@ class DesignState:
         self.vmod_total = 0
         self.pmod_total = 0
         self.broken: set[str] = set()
-        # cheapest sufficient module per requirement, (scaled cost, index) or
-        # None: routers by (switching, slot units), optical nodes by (fibers,
-        # add-drop ports)
-        self._vmod_for = cache(partial(_cheapest, self.prices.vmod, [
-            (vm.switching_capacity, vm.slot_capacity * LambdaType.SLOT_UNITS)
-            for vm in cc.virtual_modules]))
-        self._pmod_for = cache(partial(_cheapest, self.prices.pmod, [
-            (pm.fiber_capacity, pm.add_drop_ports) for pm in cc.physical_modules]))
-        self._d_i = node_demand(self.instance)
-        # node -> its optical module's `broken` tag, built once, not per step
-        self._optical_tag = {n: "o:" + n for n in self._d_i}
-        for i in self.instance.pops:
-            self.vmod_total += self._repick(self.vmod, self._vmod_for, i, i, self._d_i[i], 0)
+        for i in tables.instance.pops:
+            self.vmod_total += self._repick(self.vmod, tables.vmod_for, i, i, tables.d_i[i], 0)
         # what `bound_key` reads besides the costs: the demand still lacking
-        # virtual capacity, kept up to date by `add_circuits` (`_uncovered`:
-        # summed per pair in the transparent variant, and otherwise the total
-        # demand minus the total capacity, which goes below 0 once capacity
-        # exceeds demand); and the cheapest scaled circuit price per Gbps,
-        # `_gbps_num / _gbps_den`
-        self._pair_demand = {d.pair: d.value for d in self.instance.demands}
-        self._uncovered = sum(self._pair_demand.values())
-        per_gbps = min(Fraction(self.prices.circuit[lt.speed], lt.routing_capacity)
-                       for lt in cc.lambda_types)
-        self._gbps_num, self._gbps_den = per_gbps.numerator, per_gbps.denominator
+        # virtual capacity, kept up to date by `add_circuits` (summed per pair
+        # in the transparent variant, and otherwise the total demand minus
+        # the total capacity, which goes below 0 once capacity exceeds demand)
+        self._uncovered = sum(tables.pair_demand.values())
 
     def _repick(self, picks: dict, pick_for, node: str, tag: str,
                 first: int, second: int) -> int:
@@ -455,7 +477,7 @@ class DesignState:
         return (new[0] if new else 0) - (old[0] if old else 0)
 
     def fibers(self, edge_id: str) -> int:
-        cpf = self.instance.channels_per_fiber
+        cpf = self.tables.channels_per_fiber
         return (self.channels.get(edge_id, 0) + cpf - 1) // cpf
 
     def add_circuits(self, pid: int, speed: int, count: int) -> None:
@@ -470,12 +492,13 @@ class DesignState:
             self.y[key] = new_y
         else:
             self.y.pop(key, None)
-        self.circuit_cost += self.prices.circuit[speed] * count
-        ends = self.catalog.paths[pid].ends
+        t = self.tables
+        self.circuit_cost += t.circuit_price[speed] * count
+        ends = t.ends[pid]
         touched_pmod = set(ends)
-        cpf = self.instance.channels_per_fiber
+        cpf = t.channels_per_fiber
         channels, fiber_count = self.channels, self.node_fiber_count
-        for eid, u, v, fiber_price in self.path_edges[pid]:
+        for eid, u, v, fiber_price in t.path_edges[pid]:
             ch = channels.get(eid, 0)
             if ch + count:
                 channels[eid] = ch + count
@@ -488,24 +511,24 @@ class DesignState:
                 fiber_count[v] += delta
                 touched_pmod.add(u)
                 touched_pmod.add(v)
-        lt = self.lt[speed]
+        lt = t.lt[speed]
         old_cap = self.pair_capacity[ends]
         new_cap = old_cap + lt.routing_capacity * count
         self.pair_capacity[ends] = new_cap
-        if self.model.transparent:
-            dv = self._pair_demand.get(ends, 0)
+        if t.transparent:
+            dv = t.pair_demand.get(ends, 0)
             self._uncovered += max(0, dv - new_cap) - max(0, dv - old_cap)
         else:
             self._uncovered -= new_cap - old_cap
         switch, units, drops = self.node_switch, self.node_slot_units, self.node_drops
         for n in ends:
             switch[n] += lt.switching_capacity * count
-            units[n] += self.lt_units[speed] * count
+            units[n] += t.lt_units[speed] * count
             drops[n] += count
-            self.vmod_total += self._repick(self.vmod, self._vmod_for, n, n,
-                                            self._d_i[n] + switch[n], units[n])
+            self.vmod_total += self._repick(self.vmod, t.vmod_for, n, n,
+                                            t.d_i[n] + switch[n], units[n])
         for n in touched_pmod:
-            self.pmod_total += self._repick(self.pmod, self._pmod_for, n, self._optical_tag[n],
+            self.pmod_total += self._repick(self.pmod, t.pmod_for, n, t.optical_tag[n],
                                             fiber_count[n], drops[n])
 
     def restore(self, y: dict) -> None:
@@ -519,23 +542,24 @@ class DesignState:
         """Scaled circuit + fiber + module cost; routers count only in the
         optimized model."""
         total = self.circuit_cost + self.fiber_cost + self.pmod_total
-        return total if self.model.transparent else total + self.vmod_total
+        return total if self.tables.transparent else total + self.vmod_total
 
     def scaled_cost(self) -> int | None:
-        """`total_cost` in units of 1/`prices.scale`."""
+        """`total_cost` in units of 1/`tables.scale`."""
         return None if self.broken else self._spent()
 
     def total_cost(self) -> Fraction | None:
         """Circuit + fiber + module cost; None while any node is broken."""
         scaled = self.scaled_cost()
-        return None if scaled is None else self.prices.exact(scaled)
+        return None if scaled is None else self.tables.exact(scaled)
 
     def bound_key(self) -> int:
-        """`lower_bound` times `prices.scale` times `_gbps_den`, a whole
-        number: the scaled cost so far times `_gbps_den`, plus `_gbps_num`
-        for each Gbps of demand not yet covered."""
+        """`lower_bound` times `tables.scale` times `tables.gbps_den`, a
+        whole number: the scaled cost so far times `gbps_den`, plus
+        `gbps_num` for each Gbps of demand not yet covered."""
+        t = self.tables
         uncovered = max(0, self._uncovered)
-        return self._spent() * self._gbps_den + uncovered * self._gbps_num
+        return self._spent() * t.gbps_den + uncovered * t.gbps_num
 
     def lower_bound(self) -> Fraction:
         """A lower bound on the cost of every design that adds circuits to
@@ -544,17 +568,17 @@ class DesignState:
         variant, in total otherwise). Costs and requirements only grow with
         circuits. `broken` is not looked at: a broken state has no
         completion, so any number bounds it."""
-        return Fraction(self.bound_key(), self.prices.scale * self._gbps_den)
+        return Fraction(self.bound_key(), self.tables.scale * self.tables.gbps_den)
 
     def to_solution(self, flow_values: dict[str, Fraction]) -> Solution | None:
         """Assemble full variable values; None if modules do not fit."""
         if self.broken:
             return None
-        m = self.model
+        m = self.tables.model
         values = {name: Fraction(0) for name in m.variables}
         for (pid, speed), count in self.y.items():
             values[m.path_vars[(pid, speed)]] = Fraction(count)
-        for e in self.instance.graph.edges:
+        for e in m.instance.graph.edges:
             values[m.fiber_vars[e.id]] = Fraction(self.fibers(e.id))
         for node, (_cost, midx) in self.vmod.items():
             values[m.vmod_vars[(node, midx)]] = Fraction(1)
@@ -598,12 +622,13 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
         sol.objective = Fraction(0)
         return SolveReport(OPTIMAL, sol, Fraction(0), nodes_explored=1)
 
-    state = DesignState(model)
+    tables = ModelTables(model)
+    state = DesignState(tables)
     root_bound = state.lower_bound()
     if capacity_infeasible(model) is not None:
         return SolveReport(INFEASIBLE, None, root_bound)
 
-    demand_by_pair = state._pair_demand
+    demand_by_pair = tables.pair_demand
     # branch order: pairs in catalog order, paths within pair, speeds ascending
     branch: list[tuple[tuple, int, int, int]] = []  # (pair, path id, speed, ub)
     for pair, pids in cat.pair_ids.items():
@@ -616,14 +641,14 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
                 if ub:
                     branch.append((pair, pid, lt.speed, ub))
 
-    # the incumbent's cost is kept scaled (see `ScaledPrices`), and a node is
+    # the incumbent's cost is kept scaled (see `ModelTables`), and a node is
     # pruned when its `bound_key` reaches it times the key's extra factor
     incumbent: Solution | None = None
     best: int | None = None
-    den = state._gbps_den
+    den = tables.gbps_den
     seeded = solve_heuristic(model, seed=0)
     if seeded.solution is not None:
-        incumbent, best = seeded.solution, state.prices.of(seeded.solution.objective)
+        incumbent, best = seeded.solution, tables.of(seeded.solution.objective)
 
     flow_cache: dict[tuple, dict | None] = {}
     pair_order = sorted(cat.pair_paths)
@@ -648,7 +673,7 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
                     flows = flow_cache[capkey]
                 if flows is not None and (best is None or cost < best):
                     incumbent, best = state.to_solution(flows), cost
-                    incumbent.objective = state.prices.exact(cost)
+                    incumbent.objective = tables.exact(cost)
             # back up past pruned and exhausted variables
             while values and (prune_rest or values[-1] == branch[len(values) - 1][3]):
                 _, pid, speed, _ = branch[len(values) - 1]
@@ -667,7 +692,7 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
         # a rule that prunes the rest holds for every larger value too, as
         # requirements and costs only grow with circuits
         dominated = values[-1] > 0 and not model.transparent \
-            and state.pair_capacity[pair] - state.lt[speed].routing_capacity >= total
+            and state.pair_capacity[pair] - tables.lt[speed].routing_capacity >= total
         short = model.transparent and idx == last_var_of_pair[pair] \
             and state.pair_capacity[pair] < demand_by_pair.get(pair, 0)
         # dominated: dropping one circuit keeps every flow feasible; short:
@@ -703,31 +728,18 @@ def _mix_options(demand: int, lambda_types: tuple[LambdaType, ...]) -> list[dict
 
 class _Heuristic:
     def __init__(self, model: Model, seed: int):
-        self.model = model
-        self.inst = model.instance
-        self.cat = model.catalog
+        self.tables = ModelTables(model)
         self.rng = random.Random(seed)
-        self.state = DesignState(model)
+        self.state = DesignState(self.tables)
         self.pair_flow: dict[tuple, int] = {
-            pair: 0 for pair in self.cat.pair_paths}
+            pair: 0 for pair in model.catalog.pair_paths}
         # demand index -> PoP sequence, in the order the demands were routed
         self.routes: dict[int, list[str]] = {}
         self.moves = 0
-        # commodity key lookup for assembling flow variable values
-        self.key_by_pair: dict[tuple, str] = {}
-        for key, origin, sinks in model.commodities:
-            for sink in sinks:
-                self.key_by_pair[(origin, sink)] = key
-        # pair -> [(path length, path id)]; the marginal-cost kernel reads a
-        # path's edges from the state's `path_edges`
-        self._pair_paths: dict[tuple, list] = {
-            pair: [(self.cat.paths[pid].length_km, pid) for pid in pids]
-            for pair, pids in self.cat.pair_ids.items()}
-        self._mixes: dict[int, tuple[int, list]] = {}  # need -> `_mix_table`
 
     # ---- marginal costs --------------------------------------------------
     #
-    # In integer units of 1/`state.prices.scale` (see `ScaledPrices`), so they
+    # In integer units of 1/`tables.scale` (see `ModelTables`), so they
     # order and tie exactly as `Fraction` costs would.
 
     def _mix_base(self, ends: tuple[str, str], cost: int, sw: int, units: int) -> int | None:
@@ -735,13 +747,13 @@ class _Heuristic:
         the two ends, where it adds `sw` switching and `units` slot units
         (the part of the marginal cost every path of the pair shares); None
         if an end router would outgrow every module."""
-        st = self.state
+        st, t = self.state, self.tables
         for node in ends:
-            after = st._vmod_for(st._d_i[node] + st.node_switch[node] + sw,
-                                 st.node_slot_units[node] + units)
+            after = t.vmod_for(t.d_i[node] + st.node_switch[node] + sw,
+                               st.node_slot_units[node] + units)
             if after is None:
                 return None
-            if not self.model.transparent:
+            if not t.transparent:
                 before = st.vmod.get(node)
                 cost += after[0] - (before[0] if before else 0)
         return cost
@@ -752,10 +764,10 @@ class _Heuristic:
         circuits on path `pid`; None if a node breaks, or as soon as the
         sum exceeds `cutoff` (every term is >= 0: a larger requirement never
         gets a cheaper cheapest module)."""
-        st = self.state
-        cpf = self.inst.channels_per_fiber
+        st, t = self.state, self.tables
+        cpf = t.channels_per_fiber
         extra_f = {ends[0]: 0, ends[1]: 0}  # node -> fibers added on incident edges
-        for eid, u, v, fiber_cost in st.path_edges[pid]:
+        for eid, u, v, fiber_cost in t.path_edges[pid]:
             ch = st.channels.get(eid, 0)
             delta = (ch + count + cpf - 1) // cpf - (ch + cpf - 1) // cpf
             if delta:
@@ -766,8 +778,8 @@ class _Heuristic:
                 extra_f[v] = extra_f.get(v, 0) + delta
         for node, df in extra_f.items():
             extra_d = count if node in ends else 0
-            after = st._pmod_for(st.node_fiber_count[node] + df,
-                                 st.node_drops[node] + extra_d)
+            after = t.pmod_for(st.node_fiber_count[node] + df,
+                               st.node_drops[node] + extra_d)
             if after is None:
                 return None
             before = st.pmod.get(node)
@@ -776,29 +788,14 @@ class _Heuristic:
                 return None
         return cost
 
-    def _mix_table(self, need: int) -> tuple[int, list]:
-        """(floor, rows) of the mixes covering `need` Gbps, memoized: a row
-        is (mix, circuit count, scaled circuit cost, switching, slot units),
-        and the floor is the least circuit cost of any row. Prices and
-        circuit types are the model's, so the table outlives every state."""
-        table = self._mixes.get(need)
-        if table is None:
-            st = self.state
-            rows = [(mix, sum(mix.values()),
-                     sum(st.prices.circuit[s] * n for s, n in mix.items()),
-                     sum(st.lt[s].switching_capacity * n for s, n in mix.items()),
-                     sum(st.lt_units[s] * n for s, n in mix.items()))
-                    for mix in _mix_options(need, self.model.cost_catalog.lambda_types)]
-            table = self._mixes[need] = (min(row[2] for row in rows), rows)
-        return table
-
     def best_placement(self, pair: tuple, need: int, cutoff: float = inf):
         """(scaled marginal cost, path id, mix) of the cheapest placement
-        providing >= `need` extra Gbps on a pair, or None if none costs at
-        most `cutoff`. Every placement costs at least the floor of the mix
-        table, as router, fiber and optical-module terms are >= 0, so a
-        floor above `cutoff` ends the call before any mix is priced."""
-        floor, rows = self._mix_table(need)
+        providing >= `need` extra Gbps on a pair, the first in path id and
+        mix order among equals, or None if none costs at most `cutoff`.
+        Every placement costs at least the floor of the mix table, as
+        router, fiber and optical-module terms are >= 0, so a floor above
+        `cutoff` ends the call before any mix is priced."""
+        floor, rows = self.tables.mix_table(need)
         if floor > cutoff:
             return None
         options = []
@@ -808,24 +805,16 @@ class _Heuristic:
                 if base is not None:
                     options.append((mix, count, base))
         best = None
-        # from here on `cutoff` is also the best cost so far: a dearer
-        # candidate cannot win, and an equal one may on length or path id.
-        # Catalog paths run from the smaller end, so each path's ends are `pair`
-        for length, pid in self._pair_paths.get(pair, ()):
+        # from here on `cutoff` is just below the best cost so far: as path
+        # ids come in order, an equal candidate never wins. Catalog paths run
+        # from the smaller end, so each path's ends are `pair`
+        for pid in self.tables.catalog.pair_ids[pair]:
             for mix, count, base in options:
-                if base > cutoff:
-                    continue
-                c = self._marginal(pair, pid, count, base, cutoff)
-                if c is None:
-                    continue
-                key = (c, length, pid)
-                if best is None or key < best[0]:
-                    best = (key, mix)
-                    cutoff = c
-        if best is None:
-            return None
-        (c, _, pid), mix = best
-        return c, pid, mix
+                if base <= cutoff:
+                    c = self._marginal(pair, pid, count, base, cutoff)
+                    if c is not None:
+                        best, cutoff = (c, pid, mix), c - 1
+        return best
 
     # ---- construct ---------------------------------------------------------
 
@@ -847,7 +836,7 @@ class _Heuristic:
         pop has a key of at most `ub`, so an entry dearer than `ub` never
         pops: its hop is not priced beyond `ub - cost`. An entry costing
         exactly `ub` is kept, as (cost, hops, seq) may rank it first."""
-        pops = sorted(self.inst.pops)
+        pops = sorted(self.tables.instance.pops)
         heap = [(0, 0, (u,))]
         done = set()
         ub = inf
@@ -891,7 +880,7 @@ class _Heuristic:
 
     def construct(self) -> bool:
         groups: dict[int, list] = {}
-        for idx, d in enumerate(self.inst.demands):
+        for idx, d in enumerate(self.tables.instance.demands):
             groups.setdefault(d.value, []).append((idx, d))
         order = []
         for value in sorted(groups, reverse=True):
@@ -910,12 +899,13 @@ class _Heuristic:
     def prune_idle(self) -> bool:
         """Drop circuits whose capacity is not needed by the pair flow."""
         improved = False
-        for (pid, speed) in sorted(self.state.y):
-            pair = self.cat.paths[pid].ends
-            lt = self.state.lt[speed]
-            while self.state.y.get((pid, speed), 0) > 0 and \
-                    self.state.pair_capacity[pair] - lt.routing_capacity >= self.pair_flow[pair]:
-                self.state.add_circuits(pid, speed, -1)
+        st, t = self.state, self.tables
+        for (pid, speed) in sorted(st.y):
+            pair = t.ends[pid]
+            cap = t.lt[speed].routing_capacity
+            while st.y.get((pid, speed), 0) > 0 and \
+                    st.pair_capacity[pair] - cap >= self.pair_flow[pair]:
+                st.add_circuits(pid, speed, -1)
                 improved = True
                 self.moves += 1
         return improved
@@ -931,7 +921,7 @@ class _Heuristic:
         taken, the moves applying every candidate in turn would make; the
         circuits go back once, on the last path taken."""
         improved = False
-        st = self.state
+        st, t = self.state, self.tables
         for (pid, speed) in sorted(st.y):
             count = st.y.get((pid, speed), 0)
             if not count:
@@ -939,14 +929,14 @@ class _Heuristic:
             before = st.scaled_cost()
             if before is None:
                 continue
-            pair = self.cat.paths[pid].ends
+            pair = t.ends[pid]
             st.add_circuits(pid, speed, -count)
             s0 = st._spent()  # not broken: removing circuits only lowers requirements
-            base = self._mix_base(pair, st.prices.circuit[speed] * count,
-                                  st.lt[speed].switching_capacity * count,
-                                  st.lt_units[speed] * count)
+            base = self._mix_base(pair, t.circuit_price[speed] * count,
+                                  t.lt[speed].switching_capacity * count,
+                                  t.lt_units[speed] * count)
             if base is not None:
-                for _, qid in self._pair_paths[pair]:
+                for qid in t.catalog.pair_ids[pair]:
                     if qid == pid:
                         continue
                     c = self._marginal(pair, qid, count, base, before - s0 - 1)
@@ -961,28 +951,29 @@ class _Heuristic:
     def remix_pairs(self) -> bool:
         """Re-optimize the circuit mix of one pair from scratch."""
         improved = False
-        for pair in sorted(self.cat.pair_paths):
+        st, t = self.state, self.tables
+        speeds = sorted(t.lt)
+        for pair, pids in t.catalog.pair_ids.items():  # in sorted pair order
             flow = self.pair_flow[pair]
-            placed = [(pid, speed) for (pid, speed) in sorted(self.state.y)
-                      if self.cat.paths[pid].ends == pair]
+            placed = [(pid, speed) for pid in pids for speed in speeds if (pid, speed) in st.y]
             if not placed or flow == 0:
                 continue
-            before = self.state.scaled_cost()
+            before = st.scaled_cost()
             if before is None:
                 continue
-            saved = dict(self.state.y)
+            saved = dict(st.y)
             for (pid, speed) in placed:
-                self.state.add_circuits(pid, speed, -self.state.y[(pid, speed)])
+                st.add_circuits(pid, speed, -st.y[(pid, speed)])
             repl = self.best_placement(pair, flow)
             if repl is not None:
                 _, pid, mix = repl
                 self.place(pid, mix)
-                after = self.state.scaled_cost()
+                after = st.scaled_cost()
                 if after is not None and after < before:
                     improved = True
                     self.moves += 1
                     continue
-            self.state.restore(saved)
+            st.restore(saved)
         return improved
 
     def reroute_demands(self) -> bool:
@@ -990,7 +981,7 @@ class _Heuristic:
         A demand whose removal frees no circuit stays on its route."""
         improved = False
         for idx in list(self.routes):
-            d = self.inst.demands[idx]
+            d = self.tables.instance.demands[idx]
             amount = d.value
             before = self.state.scaled_cost()
             if before is None:
@@ -1031,12 +1022,13 @@ class _Heuristic:
     # ---- final assembly ------------------------------------------------------
 
     def flow_values(self) -> dict[str, Fraction]:
+        t = self.tables
         flows: dict[str, Fraction] = {}
         for idx, seq in self.routes.items():
-            d = self.inst.demands[idx]
-            key = self.key_by_pair[(d.u, d.v)]
+            d = t.instance.demands[idx]
+            key = t.key_by_pair[(d.u, d.v)]
             for i, j in zip(seq, seq[1:]):
-                name = self.model.flow_vars[(key, i, j)]
+                name = t.model.flow_vars[(key, i, j)]
                 flows[name] = flows.get(name, Fraction(0)) + d.value
         return flows
 

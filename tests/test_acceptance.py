@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines
 inline; without -s they still appear for failing checks.
 """
 
+import io
 import random
 import time
 from fractions import Fraction
@@ -22,12 +23,6 @@ from wdmplan.milp import (build_model, build_transparent_variant,
 from wdmplan.netmodel import Instance
 from wdmplan.pathgen import build_catalog
 from wdmplan.solve import check_feasibility, solve_exact, solve_heuristic
-
-pytest.importorskip("scipy.optimize")
-import io  # noqa: E402
-
-from enum_oracle import brute_force_optimum  # noqa: E402
-from lp_mip import solve_lp_text  # noqa: E402
 
 TINY_SEED = 20260814
 MID_SEED = 814
@@ -80,6 +75,8 @@ def test_criterion_2_opacity_values():
 
 
 def test_criterion_3_exact_equals_enumeration():
+    pytest.importorskip("scipy.optimize")
+    from enum_oracle import brute_force_optimum
     t0 = time.perf_counter()
     checked = 0
     mismatches = []
@@ -133,6 +130,8 @@ def test_criterion_4_heuristic_feasible_and_bounded():
 
 
 def test_criterion_5_external_mip_round_trip():
+    pytest.importorskip("scipy.optimize")
+    from lp_mip import solve_lp_text
     tol = Fraction(1, 10**6)
     bad = []
     for inst in tiny_instances(3):

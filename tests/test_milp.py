@@ -12,17 +12,18 @@ import pytest
 from conftest import (make_instance, random_connected_edges, random_tiny_instance,
                       routable_instance, triangle_instance)
 from wdmplan.costcat import build_cost_catalog, fiber_link_cost
-from wdmplan.milp import (ModelError, build_model, build_transparent_variant,
-                          evaluate_cost, export_model, import_solution,
-                          slot_surcharge)
+from wdmplan.milp import (CONTINUOUS, Model, ModelError, _add_design_constraints,
+                          _add_design_vars, _indexers, _path_terms, build_model,
+                          build_transparent_variant, evaluate_cost, export_model,
+                          import_solution, slot_surcharge)
 from wdmplan.pathgen import build_catalog
 from wdmplan.solve import solve_exact
 
 
-def build(inst, aggregation="source"):
+def build(inst):
     cat = build_catalog(inst)
     cc = build_cost_catalog(inst)
-    return build_model(inst, cat, cc, aggregation=aggregation)
+    return build_model(inst, cat, cc)
 
 
 def build_tra(inst):
@@ -88,12 +89,45 @@ def test_demand_on_missing_path_rejected():
         build_transparent_variant(inst, cat, cc)
 
 
-def test_unknown_aggregation_rejected():
-    inst = full_triangle()
+def _per_demand_model(inst):
+    """`build_model` with one commodity per demand, where the model shares
+    one among the demands of a source: its flow variables, conservation
+    rows and link capacity rows per demand, every other row the same."""
     cat = build_catalog(inst)
-    cc = build_cost_catalog(inst)
-    with pytest.raises(ModelError, match="unknown aggregation"):
-        build_model(inst, cat, cc, aggregation="destination")
+    m = Model(inst, cat, build_cost_catalog(inst))
+    nidx, eidx = _indexers(inst)
+    pops = sorted(inst.pops)
+    m.commodities = [(f"k{ki}", d.u, {d.v: d.value})
+                     for ki, d in enumerate(sorted(inst.demands))]
+    for key, _origin, _sinks in m.commodities:
+        for i in pops:
+            for j in pops:
+                if i != j:
+                    m.flow_vars[(key, i, j)] = m.add_var(
+                        f"f_{key}_{nidx[i]}_{nidx[j]}", CONTINUOUS, Fraction(0))
+    _add_design_vars(m, nidx, eidx)
+    for key, origin, sinks in m.commodities:
+        for i in pops:
+            coeffs = {}
+            for j in pops:
+                if j != i:
+                    coeffs[m.flow_vars[(key, i, j)]] = Fraction(1)
+                    coeffs[m.flow_vars[(key, j, i)]] = Fraction(-1)
+            rhs = sum(sinks.values()) if i == origin else -sinks.get(i, 0)
+            m.add_constr(f"conserve_{key}_{nidx[i]}", "flow-conservation",
+                         coeffs, "=", Fraction(rhs))
+    neg_capacity = [(lt.speed, Fraction(-lt.routing_capacity))
+                    for lt in m.cost_catalog.lambda_types]
+    for (i, j), pids in cat.pair_ids.items():
+        coeffs = {}
+        for key, _origin, _sinks in m.commodities:
+            coeffs[m.flow_vars[(key, i, j)]] = Fraction(1)
+            coeffs[m.flow_vars[(key, j, i)]] = Fraction(1)
+        coeffs.update(_path_terms(m, pids, neg_capacity))
+        m.add_constr(f"vcap_{nidx[i]}_{nidx[j]}", "virtual-link-capacity",
+                     coeffs, "<=", Fraction(0))
+    _add_design_constraints(m, nidx, eidx)
+    return m
 
 
 def test_aggregation_preserves_optimum():
@@ -101,13 +135,13 @@ def test_aggregation_preserves_optimum():
     done = 0
     while done < 3:
         inst, _cat = routable_instance(random_tiny_instance, rng)
-        agg = solve_exact(build(inst, "source"))
-        per = solve_exact(build(inst, "none"))
+        agg = solve_exact(build(inst))
+        per = solve_exact(_per_demand_model(inst))
         if agg.status != "optimal":
             continue
         assert per.status == "optimal"
-        a = evaluate_cost(build(inst, "source"), agg.solution)
-        b = evaluate_cost(build(inst, "none"), per.solution)
+        a = evaluate_cost(build(inst), agg.solution)
+        b = evaluate_cost(_per_demand_model(inst), per.solution)
         assert a == b
         done += 1
 

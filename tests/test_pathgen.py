@@ -253,6 +253,8 @@ def test_load_rejects_corrupt_lines():
     ("c a 200 e2 e1\n", "line 1: pair c a is not listed smaller id first"),
     # two paths would share one id
     ("a b 100 e1\n# again\na b 100 e1\n", "line 3: duplicate a-b path"),
+    # the transparent variant would take the 300 km path as a-c's shortest
+    ("a c 300 e3\na c 200 e1 e2\n", "line 2: a-c path listed out of .length, edge ids. order"),
     ("a b\n", "line 1: expected"),
     ("a c 200 e1 e2\nb c -\n", "line 2: expected"),
     ("a b 100 e9\n", "line 1: unknown edge e9"),
@@ -261,8 +263,8 @@ def test_load_rejects_corrupt_lines():
     ("a b x e1\n", "line 1: length 'x' is not a number"),
     # a -> b -> a -> c: the capacity rows would count e1 once, the design twice
     ("a c 500 e1 e1 e3\n", "line 1: a-c path visits a node twice"),
-], ids=["larger-id-first", "duplicate", "two-fields", "empty-marker-cut", "unknown-edge",
-        "edge-off-walk", "bad-length", "repeated-node"])
+], ids=["larger-id-first", "duplicate", "out-of-order", "two-fields", "empty-marker-cut",
+        "unknown-edge", "edge-off-walk", "bad-length", "repeated-node"])
 def test_load_rejects_lines_the_model_would_misread(text, message):
     with pytest.raises(ValueError, match=message):
         load_paths(io.StringIO(text), triangle_graph())

@@ -25,13 +25,9 @@ from wdmplan.formats import read_instance
 from wdmplan.milp import (BINARY, CONTINUOUS, ModelError, build_model,
                           build_transparent_variant, evaluate_cost, export_model)
 from wdmplan.pathgen import build_catalog
-from wdmplan.solve import (CONTINUOUS_TOLERANCE, DesignState, Limits, _Heuristic,
+from wdmplan.solve import (CONTINUOUS_TOLERANCE, DesignState, Limits, ModelTables, _Heuristic,
                            _mix_options, capacity_infeasible, check_feasibility,
                            route_flows, solve_exact, solve_heuristic)
-
-pytest.importorskip("scipy.optimize")
-from enum_oracle import brute_force_optimum, lp_routable  # noqa: E402
-from lp_mip import solve_lp_text  # noqa: E402
 
 TOY6 = Path(__file__).resolve().parents[1] / "data" / "toy6.txt"
 
@@ -53,6 +49,11 @@ def tiny_instances(n, master_seed=1234):
     return [routable_instance(random_tiny_instance, rng)[0] for _ in range(n)]
 
 
+def _root_bound(model):
+    """The lower bound of the empty design."""
+    return DesignState(ModelTables(model)).lower_bound()
+
+
 def test_triangle_frozen_values():
     inst = triangle_instance(demands=(("a", "b", 25),))
     m = build(inst)
@@ -72,6 +73,8 @@ def test_triangle_frozen_values():
 
 
 def test_exact_matches_enumeration_oracle():
+    pytest.importorskip("scipy.optimize")
+    from enum_oracle import brute_force_optimum
     for inst in tiny_instances(8):
         m = build(inst)
         report = solve_exact(m)
@@ -174,6 +177,8 @@ def test_route_flows_agrees_with_independent_lp():
     """route_flows finds flows exactly when an independent LP (one commodity
     per demand, HiGHS) routes the demands, and its flows keep every
     conservation row exactly and every pair within its capacity."""
+    pytest.importorskip("scipy.optimize")
+    from enum_oracle import lp_routable
     rng = random.Random(31)
     outcomes = []
     for _ in range(6):
@@ -282,7 +287,7 @@ def test_exact_node_budget_reports_unknown():
     for model, cap in ((m, 1), (build(toy6), 300)):
         report = solve_exact(model, Limits(max_nodes=cap))
         assert report.status == "unknown"
-        assert report.bound == DesignState(model).lower_bound()
+        assert report.bound == _root_bound(model)
         assert 0 < report.bound <= report.solution.objective
 
 
@@ -357,19 +362,22 @@ def test_exact_search_deeper_than_the_recursion_limit():
     report = solve_exact(m, Limits(max_nodes=2000))
     assert (report.status, report.nodes_explored) == ("unknown", 2001)
     assert check_feasibility(m, report.solution) == []
-    assert report.bound == DesignState(m).lower_bound() <= report.solution.objective
+    assert report.bound == _root_bound(m) <= report.solution.objective
 
 
 def test_bounds_never_above_the_optimum():
     """Both solvers' bound is at most the HiGHS optimum of the LP export on
     random tiny and mid-size models of both architectures, and at most the
     enumerated optimum on tiny optimized ones."""
+    pytest.importorskip("scipy.optimize")
+    from enum_oracle import brute_force_optimum
+    from lp_mip import solve_lp_text
     rng = random.Random(4242)
     checked = 0
     for maker in [random_tiny_instance] * 8 + [random_midsize_instance] * 3:
         inst, _cat = routable_instance(maker, rng)
         for m in (build(inst), build_tra(inst)):
-            root = DesignState(m).lower_bound()
+            root = _root_bound(m)
             heur = solve_heuristic(m)
             exact = solve_exact(m, Limits(max_nodes=300))
             assert heur.bound == root
@@ -400,29 +408,30 @@ def test_both_solvers_report_the_same_bound_when_nothing_fits():
         exact, heur = solve_exact(m), solve_heuristic(m)
         assert (exact.status, heur.status) == ("infeasible", "unknown")
         assert exact.nodes_explored == 12
-        assert exact.bound == heur.bound == DesignState(m).lower_bound() > 0
+        assert exact.bound == heur.bound == _root_bound(m) > 0
 
 
 def test_root_bound_pinned_on_toy6():
     """Circuits for the demand at the cheapest price per Gbps, plus, in the
     optimized model, the cheapest router for each PoP's own demand."""
     inst = read_instance(TOY6.read_text())
-    assert DesignState(build(inst)).lower_bound() == Fraction(1632, 5)
-    assert DesignState(build_tra(inst)).lower_bound() == Fraction(432, 5)
+    assert _root_bound(build(inst)) == Fraction(1632, 5)
+    assert _root_bound(build_tra(inst)) == Fraction(432, 5)
 
 
 def _recomputed_bound(state):
     """`DesignState.lower_bound` as it was before the state kept the
     uncovered demand: every pair's (or the total) demand re-summed from the
     capacities, priced at the cheapest `Fraction` circuit cost per Gbps."""
-    inst, cc = state.instance, state.model.cost_catalog
+    t = state.tables
+    inst, cc = t.instance, t.model.cost_catalog
     cap = state.pair_capacity
-    if state.model.transparent:
+    if t.transparent:
         uncovered = sum(max(0, d.value - cap[d.pair]) for d in inst.demands)
     else:
         uncovered = max(0, inst.total_demand() - sum(cap.values()))
     per_gbps = min(lt.cost / lt.routing_capacity for lt in cc.lambda_types)
-    return state.prices.exact(state._spent()) + uncovered * per_gbps
+    return t.exact(state._spent()) + uncovered * per_gbps
 
 
 def test_incremental_bound_matches_recomputed():
@@ -440,9 +449,9 @@ def test_incremental_bound_matches_recomputed():
             inst = dataclasses.replace(base, transponder_scale=scale)
             cc = build_cost_catalog(inst)
             for m in (build_model(inst, cat, cc), build_transparent_variant(inst, cat, cc)):
-                state = DesignState(m)
-                prices = state.prices
-                den = min(Fraction(prices.circuit[lt.speed], lt.routing_capacity)
+                tables = ModelTables(m)
+                state = DesignState(tables)
+                den = min(Fraction(tables.circuit_price[lt.speed], lt.routing_capacity)
                           for lt in cc.lambda_types).denominator
                 dens[den > 1] += 1
                 for step in range(40):
@@ -453,11 +462,11 @@ def test_incremental_bound_matches_recomputed():
                         _random_circuit_step(state, rng)
                     want = _recomputed_bound(state)
                     assert state.lower_bound() == want
-                    assert state.bound_key() == want * prices.scale * den
+                    assert state.bound_key() == want * tables.scale * den
                 while state.y:  # back to the empty design
                     (pid, speed), count = sorted(state.y.items())[0]
                     state.add_circuits(pid, speed, -count)
-                assert state.bound_key() == DesignState(m).bound_key()
+                assert state.bound_key() == DesignState(tables).bound_key()
                 assert state.lower_bound() == _recomputed_bound(state)
     assert dens[True] and dens[False], dens
 
@@ -522,7 +531,7 @@ def test_marginal_cost_kernel_matches_exact_totals():
                       build_transparent_variant(inst, full_cat, cc)):
                 cat = m.catalog
                 h = _Heuristic(m, seed=0)
-                trial = DesignState(m)
+                trial = DesignState(h.tables)
                 earlier = []
                 for step in range(40):
                     st = h.state
@@ -556,7 +565,7 @@ def test_marginal_cost_kernel_matches_exact_totals():
                                         rng.choice(speeds), rng.randint(1, 20))
                     if step % 10 == 9:
                         earlier.append(st)
-                        h.state = DesignState(m)
+                        h.state = DesignState(h.tables)
                         h.state.restore(st.y)
                 for st in earlier + [h.state]:
                     _assert_node_fibers(st, inst.graph)
@@ -667,7 +676,8 @@ def test_bounded_route_search_keeps_ties():
             c = hop(i, j)
             return None if c is None or c > cutoff else c
 
-        search = SimpleNamespace(inst=SimpleNamespace(pops=pops), hop_cost=hop_cost)
+        search = SimpleNamespace(tables=SimpleNamespace(instance=SimpleNamespace(pops=pops)),
+                                 hop_cost=hop_cost)
         u, v = rng.sample(pops, 2)
         assert _Heuristic.route_demand(search, u, v, 1) == _best_first_route(pops, hop, u, v)
 
@@ -681,12 +691,12 @@ def _applied_swap_paths(h, accepts):
         count = h.state.y.get((pid, speed), 0)
         if not count:
             continue
-        pair = h.cat.paths[pid].ends
+        pair = h.tables.catalog.paths[pid].ends
         before = h.state.scaled_cost()
         if before is None:
             continue
         taken = 0
-        for qid in h.cat.pair_ids[pair]:
+        for qid in h.tables.catalog.pair_ids[pair]:
             if qid == pid:
                 continue
             h.state.add_circuits(pid, speed, -count)
@@ -708,7 +718,7 @@ def _applied_swap_paths(h, accepts):
 def _twin(h):
     """A second heuristic on a fresh state restored to h's circuits."""
     twin = copy.copy(h)
-    twin.state = DesignState(h.model)
+    twin.state = DesignState(h.tables)
     twin.state.restore(h.state.y)
     return twin
 
@@ -744,25 +754,26 @@ def test_priced_swap_matches_applied_swap():
 def _floorless_best_placement(h, pair, need, cutoff=inf):
     """best_placement as it was before the mix floor: every mix is priced
     before the first comparison with the cutoff."""
-    st = h.state
+    st, t = h.state, h.tables
     options = []
-    for mix in _mix_options(need, h.model.cost_catalog.lambda_types):
-        base = sum(st.prices.circuit[s] * n for s, n in mix.items())
-        sw = sum(st.lt[s].switching_capacity * n for s, n in mix.items())
-        units = sum(st.lt_units[s] * n for s, n in mix.items())
+    for mix in _mix_options(need, t.model.cost_catalog.lambda_types):
+        base = sum(t.circuit_price[s] * n for s, n in mix.items())
+        sw = sum(t.lt[s].switching_capacity * n for s, n in mix.items())
+        units = sum(t.lt_units[s] * n for s, n in mix.items())
         for node in pair:
-            after = st._vmod_for(st._d_i[node] + st.node_switch.get(node, 0) + sw,
-                                 st.node_slot_units.get(node, 0) + units)
+            after = t.vmod_for(t.d_i[node] + st.node_switch.get(node, 0) + sw,
+                               st.node_slot_units.get(node, 0) + units)
             if after is None:
                 base = None
                 break
-            if not h.model.transparent:
+            if not t.transparent:
                 before = st.vmod.get(node)
                 base += after[0] - (before[0] if before else 0)
         if base is not None:
             options.append((mix, sum(mix.values()), base))
     best = None
-    for length, pid in h._pair_paths.get(pair, ()):
+    for pid in t.catalog.pair_ids[pair]:
+        length = t.catalog.paths[pid].length_km
         for mix, count, base in options:
             if base > cutoff:
                 continue
@@ -805,7 +816,7 @@ def test_mix_floor_matches_floorless_placement():
                     _random_circuit_step(h.state, rng)
                     pair = rng.choice(pairs)
                     need = rng.randint(1, rng.choice((300, 300, 4000)))
-                    floor = h._mix_table(need)[0]
+                    floor = h.tables.mix_table(need)[0]
                     full = _floorless_best_placement(h, pair, need)
                     cutoffs = [floor - 1, floor, inf]
                     if full is not None:
@@ -963,22 +974,22 @@ def test_sparse_checks_match_dense(maker):
 
 
 def _random_circuit_step(state, rng):
-    speeds = sorted(state.lt)
+    speeds = sorted(state.tables.lt)
     if state.y and rng.random() < 0.4:
         (pid, speed), count = rng.choice(sorted(state.y.items()))
         state.add_circuits(pid, speed, -rng.randint(1, count))
     else:
-        state.add_circuits(rng.randrange(len(state.catalog.paths)),
+        state.add_circuits(rng.randrange(len(state.tables.catalog.paths)),
                            rng.choice(speeds), rng.randint(1, 20))
 
 
 def _maintained_fields():
     """The fields `add_circuits`, and the `_repick` it calls, keep up to
     date, read from their code: each `self.<field>` they name other than to
-    look an entry or an attribute up in it (as `self.lt[speed]`,
-    `self._pair_demand.get(ends)` or `self.instance.channels_per_fiber`
-    do), that is, assigned, bound to a local, passed on or changed in place
-    (as `self.y.pop(key)` is)."""
+    look an entry or an attribute up in it (as `self.pair_capacity[ends]`
+    or `self.y.get(key, 0)` do), that is, assigned, bound to a local (as
+    `self.tables` is), passed on or changed in place (as `self.y.pop(key)`
+    is)."""
     names = set()
     for method in (DesignState.add_circuits, DesignState._repick):
         tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
@@ -993,48 +1004,78 @@ def _maintained_fields():
     return names
 
 
-@pytest.mark.parametrize("architecture", ["optimized", "transparent-core"])
-@pytest.mark.parametrize("instance", ["toy6", "midsize"])
-def test_state_follows_circuit_counts(instance, architecture):
-    """Every field of a design state follows its circuit counts `y`: over
-    random steps, up to a broken node and back, a fresh state restored to
-    the state's `y` equals it, and `restore` to an earlier `y` gives back
-    every earlier value. The steps move every field `add_circuits` keeps
-    up to date."""
-    rng = random.Random(31)
+def _state_model(instance, architecture, rng):
     if instance == "toy6":
         inst = read_instance(TOY6.read_text())
     else:
         inst = routable_instance(random_midsize_instance, rng)[0]
-    model = (build if architecture == "optimized" else build_tra)(inst)
-    # the fields that compare by value: two fresh states agree on them, and
-    # so do their deep copies. The model's own objects, the prices and the
-    # memoized module pickers compare by identity.
-    fresh, other = vars(DesignState(model)), vars(DesignState(model))
-    compared = [name for name, value in fresh.items()
-                if value == other[name] and copy.deepcopy(value) == value]
+    return (build if architecture == "optimized" else build_tra)(inst)
 
-    def values(state):
-        return {name: copy.deepcopy(getattr(state, name)) for name in compared}
 
-    state = DesignState(model)
-    seen = [(dict(state.y), values(state))]
+def _state_values(state):
+    """Copies of every field of a design state but its shared `tables`."""
+    return {name: copy.deepcopy(value) for name, value in vars(state).items()
+            if name != "tables"}
+
+
+@pytest.mark.parametrize("architecture", ["optimized", "transparent-core"])
+@pytest.mark.parametrize("instance", ["toy6", "midsize"])
+def test_state_follows_circuit_counts(instance, architecture):
+    """Every field of a design state but its `tables` is one `add_circuits`
+    keeps up to date, and follows its circuit counts `y`: over random
+    steps, up to a broken node and back, a fresh state restored to the
+    state's `y` equals it, and `restore` to an earlier `y` gives back every
+    earlier value. The steps move every field."""
+    rng = random.Random(31)
+    tables = ModelTables(_state_model(instance, architecture, rng))
+    state = DesignState(tables)
+    # a per-model table kept on the state would be a field no step writes
+    assert set(vars(state)) - {"tables"} <= _maintained_fields()
+    fresh = _state_values(state)
+    seen = [(dict(state.y), fresh)]
     moved = set()
     for step in range(40):
         if step == 30:  # far more circuits than any router or optical node takes
-            state.add_circuits(0, min(state.lt), 5000)
+            state.add_circuits(0, min(tables.lt), 5000)
             assert state.broken
         else:
             _random_circuit_step(state, rng)
-        now = values(state)
-        moved |= {name for name in compared if now[name] != fresh[name]}
-        twin = DesignState(model)
+        now = _state_values(state)
+        moved |= {name for name in now if now[name] != fresh[name]}
+        twin = DesignState(tables)
         twin.restore(state.y)
-        assert values(twin) == now
+        assert _state_values(twin) == now
         seen.append((dict(state.y), now))
         if step == 30 or step % 5 == 4:
             # back from the broken node to the step before it, else anywhere
             y, then = seen[-2] if step == 30 else rng.choice(seen)
             state.restore(y)
-            assert values(state) == then
-    assert moved == _maintained_fields() & set(compared)
+            assert _state_values(state) == then
+    assert moved == set(fresh)
+
+
+@pytest.mark.parametrize("architecture", ["optimized", "transparent-core"])
+@pytest.mark.parametrize("instance", ["toy6", "midsize"])
+def test_states_on_one_tables_are_independent(instance, architecture):
+    """Two design states built on one `ModelTables`: random steps on one,
+    up to a broken node and back and with restores, leave the other equal
+    to a fresh state, and the stepped one equals a state on tables of its
+    own restored to the same circuits."""
+    rng = random.Random(47)
+    model = _state_model(instance, architecture, rng)
+    tables = ModelTables(model)
+    state, bystander = DesignState(tables), DesignState(tables)
+    fresh = _state_values(DesignState(ModelTables(model)))
+    seen = [dict(state.y)]
+    for step in range(40):
+        if step == 30:
+            state.add_circuits(0, min(tables.lt), 5000)
+        else:
+            _random_circuit_step(state, rng)
+        seen.append(dict(state.y))
+        if step == 30 or step % 5 == 4:
+            state.restore(seen[-2] if step == 30 else rng.choice(seen))
+        assert _state_values(bystander) == fresh
+    alone = DesignState(ModelTables(model))
+    alone.restore(state.y)
+    assert state.y and _state_values(alone) == _state_values(state)
