@@ -132,14 +132,22 @@ def _indexers(instance: Instance):
 def build_model(instance: Instance, catalog: PathCatalog,
                 cost_catalog: CostCatalog) -> Model:
     """Construct the optimized-architecture model; demands with the same
-    source share one commodity, and so its flow variables."""
+    source share one commodity, and so its flow variables. The catalog must
+    list exactly the PoP pairs: each gets a capacity row for its flows."""
+    pops = sorted(instance.pops)
+    pop_pairs = {(i, j) for i in pops for j in pops if i < j}
+    missing = min(pop_pairs - catalog.pair_paths.keys(), default=None)
+    if missing:
+        raise ModelError(f"path catalog lacks PoP pair {missing[0]}-{missing[1]}")
+    extra = min(catalog.pair_paths.keys() - pop_pairs, default=None)
+    if extra:
+        raise ModelError(f"path catalog pair {extra[0]}-{extra[1]} is not a pair of PoPs")
     for d in instance.demands:
         if not catalog.pair_paths.get(d.pair):
             raise ModelError(f"no admissible path for demand pair {d.u}-{d.v}")
 
     m = Model(instance, catalog, cost_catalog)
     nidx, eidx = _indexers(instance)
-    pops = sorted(instance.pops)
 
     # commodities: (key, origin, {sink: amount})
     commodities = []

@@ -358,27 +358,24 @@ class ModelTables:
                                   self.of(cc.fiber_cost[eid])) for eid in p.edges)
                            for p in cat.paths]
         self.ends = [p.ends for p in cat.paths]
-        # cheapest sufficient module per requirement, (scaled cost, index) or
-        # None: routers by (switching, slot units), optical nodes by (fibers,
-        # add-drop ports)
+        # cheapest sufficient module per requirement (see `_cheapest`):
+        # routers by (switching, slot units), priced as the model's objective
+        # prices them (free in the transparent variant), optical nodes by
+        # (fibers, add-drop ports)
         vms, pms = cc.virtual_modules, cc.physical_modules
-        self.vmod_for = cache(partial(_cheapest, [self.of(vm.cost) for vm in vms], [
+        router_prices = [0 if model.transparent else self.of(vm.cost) for vm in vms]
+        self.vmod_for = cache(partial(_cheapest, router_prices, [
             (vm.switching_capacity, vm.slot_capacity * LambdaType.SLOT_UNITS) for vm in vms]))
         self.pmod_for = cache(partial(_cheapest, [self.of(pm.cost) for pm in pms], [
             (pm.fiber_capacity, pm.add_drop_ports) for pm in pms]))
         self.d_i = node_demand(inst)
-        # node -> its optical module's `broken` tag, built once, not per step
-        self.optical_tag = {n: "o:" + n for n in self.d_i}
         self.pair_demand = {d.pair: d.value for d in inst.demands}
         # the cheapest scaled circuit price per Gbps, `gbps_num / gbps_den`
         per_gbps = min(Fraction(self.circuit_price[lt.speed], lt.routing_capacity)
                        for lt in cc.lambda_types)
         self.gbps_num, self.gbps_den = per_gbps.numerator, per_gbps.denominator
-        # commodity key lookup for assembling flow variable values
-        self.key_by_pair: dict[tuple, str] = {}
-        for key, origin, sinks in model.commodities:
-            for sink in sinks:
-                self.key_by_pair[(origin, sink)] = key
+        # demand source -> its commodity key, for assembling flow values
+        self.commodity_of = {origin: key for key, origin, _sinks in model.commodities}
         self._mixes: dict[int, tuple[int, list]] = {}  # need -> `mix_table`
 
     def of(self, price) -> int:
@@ -405,7 +402,10 @@ class ModelTables:
 def _cheapest(costs: list[int], capacities: list[tuple[int, int]], first: int,
               second: int) -> tuple | None:
     """(scaled cost, index) of the cheapest module whose capacity pair covers
-    (first, second), or None; the first of equals wins."""
+    (first, second), the first of equals; (0, None) for a zero requirement,
+    which needs no module; None if no module covers it."""
+    if not (first or second):
+        return 0, None
     best = None
     for midx, ((cap1, cap2), cost) in enumerate(zip(capacities, costs)):
         if cap1 >= first and cap2 >= second and (best is None or cost < best[0]):
@@ -417,13 +417,15 @@ class DesignState:
     """Mutable circuit placement on the `tables` of one model.
 
     Fiber counts and node modules are derived, not chosen: fibers are the
-    channel count rounded up, modules the cheapest sufficient catalog entry.
-    Their costs, and the demand still lacking virtual capacity, are
-    maintained incrementally, as scaled integers (see `ModelTables`), so a
-    branch-and-bound step costs O(path length) and its bound O(1).
-    `broken` holds nodes whose requirement exceeds every catalog module;
-    requirements grow monotonically with circuits, so a broken node proves
-    the whole subtree infeasible.
+    channel count rounded up, modules the cheapest sufficient catalog entry
+    (a pick of `ModelTables.vmod_for` / `pmod_for` per PoP in `vmod` and per
+    node in `pmod`). The cost of all of it, `spent`, and the demand still
+    lacking virtual capacity are maintained incrementally, as scaled
+    integers (see `ModelTables`), so a branch-and-bound step costs O(path
+    length) and its bound O(1). `broken` counts the nodes whose requirement
+    exceeds every catalog module (their pick is None, and adds nothing to
+    `spent`); requirements grow monotonically with circuits, so a broken
+    node proves the whole subtree infeasible.
 
     Every field but `tables` is one `add_circuits` writes, a function of the
     circuit counts `y` alone, whatever steps led there: a snapshot of a
@@ -431,7 +433,7 @@ class DesignState:
     states may share one `tables`.
     """
 
-    # per-model facts live in `tables`: CPython 3.11/3.12 inline at most 29 fields
+    # 13 fields, per-model facts in `tables`: CPython 3.11/3.12 inline at most 29
     def __init__(self, tables: ModelTables):
         self.tables = tables
         nodes = tables.instance.graph.node_ids()
@@ -444,37 +446,27 @@ class DesignState:
         self.node_slot_units = dict.fromkeys(nodes, 0)   # slot units
         self.node_drops = dict.fromkeys(nodes, 0)        # terminations
         self.node_fiber_count = dict.fromkeys(nodes, 0)  # incident fibers
-        self.circuit_cost = 0                          # scaled, like every cost here
-        self.fiber_cost = 0
-        self.vmod: dict[str, tuple] = {}               # PoP -> (cost, module idx)
-        self.pmod: dict[str, tuple] = {}               # node -> (cost, module idx)
-        self.vmod_total = 0
-        self.pmod_total = 0
-        self.broken: set[str] = set()
+        self.spent = 0  # scaled circuit + fiber + module cost, the model's objective
+        # node -> (scaled cost, module idx) or None; every PoP and every node
+        # from the start, with no module while the requirement is zero
+        self.vmod = dict.fromkeys(tables.instance.pops, (0, None))
+        self.pmod = dict.fromkeys(nodes, (0, None))
+        self.broken = 0
         for i in tables.instance.pops:
-            self.vmod_total += self._repick(self.vmod, tables.vmod_for, i, i, tables.d_i[i], 0)
-        # what `bound_key` reads besides the costs: the demand still lacking
+            self._repick(self.vmod, tables.vmod_for, i, tables.d_i[i], 0)
+        # what `bound_key` reads besides `spent`: the demand still lacking
         # virtual capacity, kept up to date by `add_circuits` (summed per pair
         # in the transparent variant, and otherwise the total demand minus
         # the total capacity, which goes below 0 once capacity exceeds demand)
         self._uncovered = sum(tables.pair_demand.values())
 
-    def _repick(self, picks: dict, pick_for, node: str, tag: str,
-                first: int, second: int) -> int:
+    def _repick(self, picks: dict, pick_for, node: str, first: int, second: int) -> None:
         """Re-pick `node`'s module in `picks` for the requirement (first,
-        second), none for a zero one; the node is `broken` (as `tag`) while
-        no module fits. Returns the scaled cost change."""
-        new = pick_for(first, second) if first or second else None
-        if new is None and (first or second):
-            self.broken.add(tag)
-        else:
-            self.broken.discard(tag)
-        old = picks.get(node)
-        if new is None:
-            picks.pop(node, None)
-        else:
-            picks[node] = new
-        return (new[0] if new else 0) - (old[0] if old else 0)
+        second), and update `spent` and `broken` by the change."""
+        old = picks[node]
+        new = picks[node] = pick_for(first, second)
+        self.spent += (new[0] if new else 0) - (old[0] if old else 0)
+        self.broken += (new is None) - (old is None)
 
     def fibers(self, edge_id: str) -> int:
         cpf = self.tables.channels_per_fiber
@@ -493,7 +485,7 @@ class DesignState:
         else:
             self.y.pop(key, None)
         t = self.tables
-        self.circuit_cost += t.circuit_price[speed] * count
+        self.spent += t.circuit_price[speed] * count
         ends = t.ends[pid]
         touched_pmod = set(ends)
         cpf = t.channels_per_fiber
@@ -506,7 +498,7 @@ class DesignState:
                 del channels[eid]
             delta = (ch + count + cpf - 1) // cpf - (ch + cpf - 1) // cpf
             if delta:
-                self.fiber_cost += fiber_price * delta
+                self.spent += fiber_price * delta
                 fiber_count[u] += delta
                 fiber_count[v] += delta
                 touched_pmod.add(u)
@@ -525,11 +517,9 @@ class DesignState:
             switch[n] += lt.switching_capacity * count
             units[n] += t.lt_units[speed] * count
             drops[n] += count
-            self.vmod_total += self._repick(self.vmod, t.vmod_for, n, n,
-                                            t.d_i[n] + switch[n], units[n])
+            self._repick(self.vmod, t.vmod_for, n, t.d_i[n] + switch[n], units[n])
         for n in touched_pmod:
-            self.pmod_total += self._repick(self.pmod, t.pmod_for, n, t.optical_tag[n],
-                                            fiber_count[n], drops[n])
+            self._repick(self.pmod, t.pmod_for, n, fiber_count[n], drops[n])
 
     def restore(self, y: dict) -> None:
         """Go back to the circuit counts `y`, a snapshot `dict(state.y)`, by
@@ -538,15 +528,9 @@ class DesignState:
         for key in {key for key, _ in self.y.items() ^ y.items()}:
             self.add_circuits(*key, y.get(key, 0) - self.y.get(key, 0))
 
-    def _spent(self) -> int:
-        """Scaled circuit + fiber + module cost; routers count only in the
-        optimized model."""
-        total = self.circuit_cost + self.fiber_cost + self.pmod_total
-        return total if self.tables.transparent else total + self.vmod_total
-
     def scaled_cost(self) -> int | None:
         """`total_cost` in units of 1/`tables.scale`."""
-        return None if self.broken else self._spent()
+        return None if self.broken else self.spent
 
     def total_cost(self) -> Fraction | None:
         """Circuit + fiber + module cost; None while any node is broken."""
@@ -559,7 +543,7 @@ class DesignState:
         `gbps_num` for each Gbps of demand not yet covered."""
         t = self.tables
         uncovered = max(0, self._uncovered)
-        return self._spent() * t.gbps_den + uncovered * t.gbps_num
+        return self.spent * t.gbps_den + uncovered * t.gbps_num
 
     def lower_bound(self) -> Fraction:
         """A lower bound on the cost of every design that adds circuits to
@@ -580,10 +564,10 @@ class DesignState:
             values[m.path_vars[(pid, speed)]] = Fraction(count)
         for e in m.instance.graph.edges:
             values[m.fiber_vars[e.id]] = Fraction(self.fibers(e.id))
-        for node, (_cost, midx) in self.vmod.items():
-            values[m.vmod_vars[(node, midx)]] = Fraction(1)
-        for node, (_cost, midx) in self.pmod.items():
-            values[m.pmod_vars[(node, midx)]] = Fraction(1)
+        for picks, names in ((self.vmod, m.vmod_vars), (self.pmod, m.pmod_vars)):
+            for node, (_cost, midx) in picks.items():
+                if midx is not None:
+                    values[names[(node, midx)]] = Fraction(1)
         values.update(flow_values)
         return Solution(values)
 
@@ -622,11 +606,14 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
         sol.objective = Fraction(0)
         return SolveReport(OPTIMAL, sol, Fraction(0), nodes_explored=1)
 
+    # the seed runs `capacity_infeasible` and reports its proof at the root
+    # bound, with no node explored
+    seeded = solve_heuristic(model, seed=0)
+    if seeded.status == INFEASIBLE:
+        return seeded
     tables = ModelTables(model)
     state = DesignState(tables)
     root_bound = state.lower_bound()
-    if capacity_infeasible(model) is not None:
-        return SolveReport(INFEASIBLE, None, root_bound)
 
     demand_by_pair = tables.pair_demand
     # branch order: pairs in catalog order, paths within pair, speeds ascending
@@ -646,7 +633,6 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
     incumbent: Solution | None = None
     best: int | None = None
     den = tables.gbps_den
-    seeded = solve_heuristic(model, seed=0)
     if seeded.solution is not None:
         incumbent, best = seeded.solution, tables.of(seeded.solution.objective)
 
@@ -664,7 +650,7 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
                 # every variable is set: a leaf. It is never broken, as the
                 # search descends only from unbroken states and
                 # `capacity_infeasible` turned away a broken root.
-                cost = state._spent()
+                cost = state.spent
                 flows = {}
                 if not model.transparent:
                     capkey = tuple(state.pair_capacity[pair] for pair in pair_order)
@@ -746,16 +732,16 @@ class _Heuristic:
         """Scaled circuit cost `cost` of a mix plus its router cost change at
         the two ends, where it adds `sw` switching and `units` slot units
         (the part of the marginal cost every path of the pair shares); None
-        if an end router would outgrow every module."""
+        if an end router would outgrow every module. An end's present pick
+        is never None past that check: requirements only grow, so a broken
+        end gives a None `after` first."""
         st, t = self.state, self.tables
         for node in ends:
             after = t.vmod_for(t.d_i[node] + st.node_switch[node] + sw,
                                st.node_slot_units[node] + units)
             if after is None:
                 return None
-            if not t.transparent:
-                before = st.vmod.get(node)
-                cost += after[0] - (before[0] if before else 0)
+            cost += after[0] - st.vmod[node][0]
         return cost
 
     def _marginal(self, ends: tuple[str, str], pid: int, count: int, cost: int,
@@ -763,7 +749,8 @@ class _Heuristic:
         """`cost` plus the fiber and optical-module cost of `count` more
         circuits on path `pid`; None if a node breaks, or as soon as the
         sum exceeds `cutoff` (every term is >= 0: a larger requirement never
-        gets a cheaper cheapest module)."""
+        gets a cheaper cheapest module). As in `_mix_base`, a node's
+        present pick is read only once its `after` is not None."""
         st, t = self.state, self.tables
         cpf = t.channels_per_fiber
         extra_f = {ends[0]: 0, ends[1]: 0}  # node -> fibers added on incident edges
@@ -782,8 +769,7 @@ class _Heuristic:
                                st.node_drops[node] + extra_d)
             if after is None:
                 return None
-            before = st.pmod.get(node)
-            cost += after[0] - (before[0] if before else 0)
+            cost += after[0] - st.pmod[node][0]
             if cost > cutoff:
                 return None
         return cost
@@ -931,7 +917,7 @@ class _Heuristic:
                 continue
             pair = t.ends[pid]
             st.add_circuits(pid, speed, -count)
-            s0 = st._spent()  # not broken: removing circuits only lowers requirements
+            s0 = st.spent  # not broken: removing circuits only lowers requirements
             base = self._mix_base(pair, t.circuit_price[speed] * count,
                                   t.lt[speed].switching_capacity * count,
                                   t.lt_units[speed] * count)
@@ -1026,7 +1012,7 @@ class _Heuristic:
         flows: dict[str, Fraction] = {}
         for idx, seq in self.routes.items():
             d = t.instance.demands[idx]
-            key = t.key_by_pair[(d.u, d.v)]
+            key = t.commodity_of[d.u]
             for i, j in zip(seq, seq[1:]):
                 name = t.model.flow_vars[(key, i, j)]
                 flows[name] = flows.get(name, Fraction(0)) + d.value

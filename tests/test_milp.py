@@ -16,7 +16,7 @@ from wdmplan.milp import (CONTINUOUS, Model, ModelError, _add_design_constraints
                           _add_design_vars, _indexers, _path_terms, build_model,
                           build_transparent_variant, evaluate_cost, export_model,
                           import_solution, slot_surcharge)
-from wdmplan.pathgen import build_catalog
+from wdmplan.pathgen import build_catalog, dump_paths, load_paths
 from wdmplan.solve import solve_exact
 
 
@@ -87,6 +87,27 @@ def test_demand_on_missing_path_rejected():
         build_model(inst, cat, cc)
     with pytest.raises(ModelError, match="transparent infeasible: unreachable pair a-c"):
         build_transparent_variant(inst, cat, cc)
+
+
+def test_catalog_must_list_exactly_the_pop_pairs():
+    """A catalog that lacks a PoP pair would leave its flows without a
+    capacity row, and one with a pair of non-PoPs has no flows for it: both
+    are refused at build time, naming the pair. The transparent variant
+    reads only the demand pairs, and solves the cut catalog."""
+    inst = triangle_instance()
+    buf = io.StringIO()
+    dump_paths(build_catalog(inst), buf)
+    cut = load_paths(io.StringIO("".join(line for line in buf.getvalue().splitlines(True)
+                                         if line.startswith("a b "))), inst.graph)
+    cc = build_cost_catalog(inst)
+    with pytest.raises(ModelError, match="path catalog lacks PoP pair a-c"):
+        build_model(inst, cut, cc)
+    report = solve_exact(build_transparent_variant(inst, cut, cc))
+    assert (report.status, report.solution.objective) == ("optimal", Fraction(1749, 50))
+    two_pops = make_instance([("e1", "a", "b", 100), ("e2", "b", "c", 100),
+                              ("e3", "a", "c", 300)], pops=("a", "b"), demands=(("a", "b", 25),))
+    with pytest.raises(ModelError, match="path catalog pair a-c is not a pair of PoPs"):
+        build_model(two_pops, build_catalog(inst), build_cost_catalog(two_pops))
 
 
 def _per_demand_model(inst):

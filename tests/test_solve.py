@@ -3,6 +3,7 @@
 import ast
 import copy
 import dataclasses
+import hashlib
 import heapq
 import inspect
 import io
@@ -350,6 +351,33 @@ def test_exact_search_pinned():
         assert _exact_outcome(build_tra(inst)) == pinned
 
 
+# recorded before the design state kept one running cost
+SOLUTION_VALUES_DIGEST = "7f36911064f244059dd1da02365a3ceccdf6d3466d25178070eca95150581a9e"
+
+
+def test_solution_values_pinned():
+    """Every variable value both solvers return, pinned by one sha256 over
+    status, bound, nodes, iterations and the sorted nonzero values: toy6 and
+    three mid-size instances, both architectures, the heuristic at seeds 0
+    and 1 and the exact search capped at 2,000 nodes. Cell outputs carry
+    only flows, transit and costs, so a module pick, fiber count or circuit
+    placement swapped for one of equal cost shows only here."""
+    rng = random.Random(2027)
+    instances = [read_instance(TOY6.read_text())]
+    instances += [routable_instance(random_midsize_instance, rng)[0] for _ in range(3)]
+    lines = []
+    for inst in instances:
+        for m in (build(inst), build_tra(inst)):
+            reports = [solve_heuristic(m, seed=0), solve_heuristic(m, seed=1),
+                       solve_exact(m, Limits(max_nodes=2000))]
+            for r in reports:
+                values = r.solution.values if r.solution else {}
+                lines.append(f"{r.status} {r.bound} {r.nodes_explored} {r.iterations}")
+                lines += [f"{name} {v}" for name, v in sorted(values.items()) if v]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SOLUTION_VALUES_DIGEST
+
+
 def test_exact_search_deeper_than_the_recursion_limit():
     """1,800 branch variables: the search runs to its node limit and ends
     `unknown` with the seeded design and the root bound."""
@@ -431,7 +459,7 @@ def _recomputed_bound(state):
     else:
         uncovered = max(0, inst.total_demand() - sum(cap.values()))
     per_gbps = min(lt.cost / lt.routing_capacity for lt in cc.lambda_types)
-    return t.exact(state._spent()) + uncovered * per_gbps
+    return t.exact(state.spent) + uncovered * per_gbps
 
 
 def test_incremental_bound_matches_recomputed():
@@ -766,9 +794,7 @@ def _floorless_best_placement(h, pair, need, cutoff=inf):
             if after is None:
                 base = None
                 break
-            if not t.transparent:
-                before = st.vmod.get(node)
-                base += after[0] - (before[0] if before else 0)
+            base += after[0] - st.vmod[node][0]
         if base is not None:
             options.append((mix, sum(mix.values()), base))
     best = None
@@ -987,9 +1013,9 @@ def _maintained_fields():
     """The fields `add_circuits`, and the `_repick` it calls, keep up to
     date, read from their code: each `self.<field>` they name other than to
     look an entry or an attribute up in it (as `self.pair_capacity[ends]`
-    or `self.y.get(key, 0)` do), that is, assigned, bound to a local (as
-    `self.tables` is), passed on or changed in place (as `self.y.pop(key)`
-    is)."""
+    or `self.y.get(key, 0)` do), that is, assigned (as `self.spent += ...`
+    is), bound to a local (as `self.tables` is), passed on (as `self.vmod`
+    is) or changed in place (as `self.y.pop(key)` is)."""
     names = set()
     for method in (DesignState.add_circuits, DesignState._repick):
         tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
@@ -1052,6 +1078,45 @@ def test_state_follows_circuit_counts(instance, architecture):
             state.restore(y)
             assert _state_values(state) == then
     assert moved == set(fresh)
+
+
+DESIGN_ROW_KINDS = {"physical-link-capacity", "module-uniqueness", "virtual-node-capacity",
+                    "slot", "fiber", "add-drop"}
+
+
+@pytest.mark.parametrize("architecture", ["optimized", "transparent-core"])
+@pytest.mark.parametrize("instance", ["toy6", "midsize"])
+def test_state_cost_is_the_model_objective(instance, architecture):
+    """The running cost of a design state is the model's objective of its
+    design: over random steps, up to a broken node and back, an unbroken
+    state costs what `evaluate_cost` gives its variable values, and those
+    values keep every design row (the flow rows wait for flows); `broken`
+    counts the nodes whose pick is None."""
+    rng = random.Random(59)
+    model = _state_model(instance, architecture, rng)
+    state = DesignState(ModelTables(model))
+    priced = 0
+    for step in range(41):
+        if step == 30:  # far more circuits than any router or optical node takes
+            saved = dict(state.y)
+            state.add_circuits(0, min(state.tables.lt), 5000)
+        elif step == 31:
+            state.restore(saved)
+        else:
+            _random_circuit_step(state, rng)
+        picks = list(state.vmod.values()) + list(state.pmod.values())
+        assert state.broken == picks.count(None)
+        assert state.broken or step != 30
+        if state.broken:
+            assert state.total_cost() is None and state.to_solution({}) is None
+            continue
+        solution = state.to_solution({})
+        assert state.total_cost() == evaluate_cost(model, solution)
+        violated = [v for v in check_feasibility(model, solution)
+                    if v.split(" (", 1)[1].split(")", 1)[0] in DESIGN_ROW_KINDS]
+        assert violated == []
+        priced += 1
+    assert priced >= 30
 
 
 @pytest.mark.parametrize("architecture", ["optimized", "transparent-core"])
