@@ -74,7 +74,7 @@ class Constraint:
 
 @dataclass
 class Solution:
-    """Variable assignment; `objective` caches the evaluated cost."""
+    """Variable assignment; a solver prices what it builds in `objective`."""
 
     values: dict
     objective: Fraction | None = None
@@ -113,7 +113,7 @@ class Model:
         self.constraints.append(Constraint(name, kind, dict(coeffs), sense, rhs))
 
     def zero_solution(self) -> Solution:
-        return Solution({name: Fraction(0) for name in self.variables})
+        return Solution({name: Fraction(0) for name in self.variables}, Fraction(0))
 
 
 def _path_terms(m: Model, pids, coefs: list) -> dict:
@@ -440,13 +440,23 @@ def export_model(model: Model, out: IO[str]) -> None:
     out.write("End\n")
 
 
+def _solution_value(text: str, where: str, via_float: bool) -> Fraction:
+    """`text` as a `Fraction`, a decimal through its nearest double if
+    `via_float`; `ModelError` naming `where` if it is not a finite number."""
+    try:
+        return Fraction(str(float(text))) if via_float and "/" not in text else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ModelError(f"{where}: value {text!r} is not a finite number") from None
+
+
 def import_solution(model: Model, inp: IO[str] | str) -> Solution:
     """Read a solver solution: either `<varname> <value>` lines (with `#`
     comments) or the XML layout mainstream solvers emit (variable name/value
     attributes).
 
     Unlisted variables default to 0. Integer/binary variables are snapped to
-    the nearest integer when within 1e-6 (solver float noise), else rejected.
+    the nearest integer when within 1e-6 (solver float noise), else rejected,
+    and a value that is not a finite number raises `ModelError`.
     """
     text = inp if isinstance(inp, str) else inp.read()
     raw: dict[str, Fraction] = {}
@@ -454,7 +464,8 @@ def import_solution(model: Model, inp: IO[str] | str) -> Solution:
     if stripped.startswith("<"):
         root = ET.fromstring(text)
         for var in root.iter("variable"):
-            raw[var.attrib["name"]] = Fraction(str(var.attrib["value"]))
+            name, value = var.attrib["name"], var.attrib["value"]
+            raw[name] = _solution_value(value, f"variable {name}", via_float=False)
     else:
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
@@ -463,7 +474,7 @@ def import_solution(model: Model, inp: IO[str] | str) -> Solution:
             parts = line.split()
             if len(parts) != 2:
                 raise ModelError(f"solution line {lineno}: expected '<name> <value>'")
-            raw[parts[0]] = Fraction(parts[1]) if "/" in parts[1] else Fraction(str(float(parts[1])))
+            raw[parts[0]] = _solution_value(parts[1], f"solution line {lineno}", via_float=True)
 
     values = {}
     for name, var in model.variables.items():

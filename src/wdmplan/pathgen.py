@@ -287,10 +287,12 @@ def load_paths(inp: IO[str], graph: PhysicalGraph) -> PathCatalog:
     must come smaller id first (the solvers read a path's ends as its pair),
     its paths once each (a position is an id) in (length, edge ids) order
     (the solvers take a pair's first path as its shortest), and every path
-    simple (the model counts each of its edges once); a line that breaks a
-    rule, lacks fields, names an unknown edge, or does not walk from i to j
-    at its stored length raises `ValueError` naming the line."""
+    simple (the model counts each of its edges once), and a pair marked
+    `EMPTY` lists no path; a line that breaks a rule, lacks fields, names an
+    unknown edge, or does not walk from i to j at its stored length raises
+    `ValueError` naming the line."""
     pair_paths: dict[tuple[str, str], list[PhysPath]] = {}
+    empty: set[tuple[str, str]] = set()
     for lineno, line in enumerate(inp, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -303,7 +305,11 @@ def load_paths(inp: IO[str], graph: PhysicalGraph) -> PathCatalog:
         if i >= j:
             raise ValueError(f"line {lineno}: pair {i} {j} is not listed smaller id first")
         plist = pair_paths.setdefault((i, j), [])
-        if parts[2] == "-" and parts[3] == "EMPTY":
+        marked = parts[2] == "-" and parts[3] == "EMPTY"
+        if (marked and plist) or (not marked and (i, j) in empty):
+            raise ValueError(f"line {lineno}: pair {i} {j} is marked EMPTY and lists paths")
+        if marked:
+            empty.add((i, j))
             continue
         eids = tuple(parts[3:])
         try:

@@ -42,6 +42,10 @@ Three layers of machinery:
   costs and move counts are those of the unbounded, applied search. A move
   that does not pay is undone by restoring the circuit counts it started
   from (`DesignState.restore`), which every other field follows.
+  Every design the heuristic holds fits the catalog, so its cost is its
+  `DesignState.spent`: `capacity_infeasible` turns away a model whose empty
+  design does not fit, `best_placement` offers only placements after which
+  every module fits, and removing circuits only lowers requirements.
 
 Results are exact: bounds, objectives and reports are `Fraction`s. Inside,
 `DesignState` and the heuristic's marginal costs count in scaled integers,
@@ -424,8 +428,8 @@ class DesignState:
     integers (see `ModelTables`), so a branch-and-bound step costs O(path
     length) and its bound O(1). `broken` counts the nodes whose requirement
     exceeds every catalog module (their pick is None, and adds nothing to
-    `spent`); requirements grow monotonically with circuits, so a broken
-    node proves the whole subtree infeasible.
+    `spent`). It matters only to the exact search, as the heuristic never
+    breaks a node: requirements grow with circuits, so one ends a subtree.
 
     Every field but `tables` is one `add_circuits` writes, a function of the
     circuit counts `y` alone, whatever steps led there: a snapshot of a
@@ -528,15 +532,6 @@ class DesignState:
         for key in {key for key, _ in self.y.items() ^ y.items()}:
             self.add_circuits(*key, y.get(key, 0) - self.y.get(key, 0))
 
-    def scaled_cost(self) -> int | None:
-        """`total_cost` in units of 1/`tables.scale`."""
-        return None if self.broken else self.spent
-
-    def total_cost(self) -> Fraction | None:
-        """Circuit + fiber + module cost; None while any node is broken."""
-        scaled = self.scaled_cost()
-        return None if scaled is None else self.tables.exact(scaled)
-
     def bound_key(self) -> int:
         """`lower_bound` times `tables.scale` times `tables.gbps_den`, a
         whole number: the scaled cost so far times `gbps_den`, plus
@@ -554,10 +549,11 @@ class DesignState:
         completion, so any number bounds it."""
         return Fraction(self.bound_key(), self.tables.scale * self.tables.gbps_den)
 
-    def to_solution(self, flow_values: dict[str, Fraction]) -> Solution | None:
-        """Assemble full variable values; None if modules do not fit."""
+    def to_solution(self, flow_values: dict[str, Fraction]) -> Solution:
+        """Full variable values of this design and `flow_values`, priced at
+        `spent`. Neither solver builds a solution of a broken design."""
         if self.broken:
-            return None
+            raise AssertionError(f"a solution of a design with {self.broken} broken nodes")
         m = self.tables.model
         values = {name: Fraction(0) for name in m.variables}
         for (pid, speed), count in self.y.items():
@@ -569,7 +565,7 @@ class DesignState:
                 if midx is not None:
                     values[names[(node, midx)]] = Fraction(1)
         values.update(flow_values)
-        return Solution(values)
+        return Solution(values, self.tables.exact(self.spent))
 
 
 # --------------------------------------------------------------------------
@@ -602,9 +598,7 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
     total = inst.total_demand()
 
     if total == 0:
-        sol = model.zero_solution()
-        sol.objective = Fraction(0)
-        return SolveReport(OPTIMAL, sol, Fraction(0), nodes_explored=1)
+        return SolveReport(OPTIMAL, model.zero_solution(), Fraction(0), nodes_explored=1)
 
     # the seed runs `capacity_infeasible` and reports its proof at the root
     # bound, with no node explored
@@ -659,7 +653,6 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
                     flows = flow_cache[capkey]
                 if flows is not None and (best is None or cost < best):
                     incumbent, best = state.to_solution(flows), cost
-                    incumbent.objective = tables.exact(cost)
             # back up past pruned and exhausted variables
             while values and (prune_rest or values[-1] == branch[len(values) - 1][3]):
                 _, pid, speed, _ = branch[len(values) - 1]
@@ -733,8 +726,7 @@ class _Heuristic:
         the two ends, where it adds `sw` switching and `units` slot units
         (the part of the marginal cost every path of the pair shares); None
         if an end router would outgrow every module. An end's present pick
-        is never None past that check: requirements only grow, so a broken
-        end gives a None `after` first."""
+        is never None: the heuristic holds no broken design."""
         st, t = self.state, self.tables
         for node in ends:
             after = t.vmod_for(t.d_i[node] + st.node_switch[node] + sw,
@@ -750,7 +742,7 @@ class _Heuristic:
         circuits on path `pid`; None if a node breaks, or as soon as the
         sum exceeds `cutoff` (every term is >= 0: a larger requirement never
         gets a cheaper cheapest module). As in `_mix_base`, a node's
-        present pick is read only once its `after` is not None."""
+        present pick is never None."""
         st, t = self.state, self.tables
         cpf = t.channels_per_fiber
         extra_f = {ends[0]: 0, ends[1]: 0}  # node -> fibers added on incident edges
@@ -912,12 +904,10 @@ class _Heuristic:
             count = st.y.get((pid, speed), 0)
             if not count:
                 continue
-            before = st.scaled_cost()
-            if before is None:
-                continue
+            before = st.spent
             pair = t.ends[pid]
             st.add_circuits(pid, speed, -count)
-            s0 = st.spent  # not broken: removing circuits only lowers requirements
+            s0 = st.spent
             base = self._mix_base(pair, t.circuit_price[speed] * count,
                                   t.lt[speed].switching_capacity * count,
                                   t.lt_units[speed] * count)
@@ -944,9 +934,7 @@ class _Heuristic:
             placed = [(pid, speed) for pid in pids for speed in speeds if (pid, speed) in st.y]
             if not placed or flow == 0:
                 continue
-            before = st.scaled_cost()
-            if before is None:
-                continue
+            before = st.spent
             saved = dict(st.y)
             for (pid, speed) in placed:
                 st.add_circuits(pid, speed, -st.y[(pid, speed)])
@@ -954,8 +942,7 @@ class _Heuristic:
             if repl is not None:
                 _, pid, mix = repl
                 self.place(pid, mix)
-                after = st.scaled_cost()
-                if after is not None and after < before:
+                if st.spent < before:
                     improved = True
                     self.moves += 1
                     continue
@@ -969,9 +956,7 @@ class _Heuristic:
         for idx in list(self.routes):
             d = self.tables.instance.demands[idx]
             amount = d.value
-            before = self.state.scaled_cost()
-            if before is None:
-                continue
+            before = self.state.spent
             saved_y = dict(self.state.y)
             saved_flow = dict(self.pair_flow)
             route = self.routes[idx]
@@ -984,9 +969,8 @@ class _Heuristic:
                 self.pair_flow = saved_flow
                 continue
             seq = self.route_demand(d.u, d.v, amount)
-            ok = seq is not None and self.apply_route(seq, amount)
-            after = self.state.scaled_cost() if ok else None
-            if ok and after is not None and after < before:
+            if seq is not None and self.apply_route(seq, amount) \
+                    and self.state.spent < before:
                 self.routes[idx] = seq
                 improved = True
                 self.moves += 1
@@ -1076,14 +1060,12 @@ def solve_heuristic(model: Model, seed: int = 0) -> SolveReport:
         ok = h.construct()
         if ok:
             h.improve()
-    if not ok or h.state.total_cost() is None:
+    if not ok:
         return SolveReport(UNKNOWN, None, bound, iterations=h.moves)
 
     sol = h.state.to_solution(h.flow_values())
-    cost = h.state.total_cost()
-    sol.objective = cost
     violations = check_feasibility(model, sol)
     if violations:
         raise AssertionError(f"heuristic produced an infeasible design: {violations[:3]}")
-    status = OPTIMAL if cost == bound else FEASIBLE
+    status = OPTIMAL if sol.objective == bound else FEASIBLE
     return SolveReport(status, sol, bound, iterations=h.moves)

@@ -266,6 +266,15 @@ def test_import_rejects_bad_input():
         import_solution(m, "zz_surprise 1\n")
     with pytest.raises(ModelError, match="expected"):
         import_solution(m, "just-one-token\n")
+    # a value that is not a finite number names its line or its variable
+    for value in ("1/0", "abc", "inf", "nan"):
+        with pytest.raises(ModelError, match=f"solution line 2: value '{value}' is not"):
+            import_solution(m, f"{some_yp} 2\nye_0 {value}\n")
+        xml = (f'<?xml version="1.0"?><CPLEXSolution><variables>'
+               f'<variable name="ye_0" index="0" value="{value}"/>'
+               f'</variables></CPLEXSolution>')
+        with pytest.raises(ModelError, match=f"variable ye_0: value '{value}' is not"):
+            import_solution(m, xml)
 
 
 def test_export_import_round_trip():

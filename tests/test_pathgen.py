@@ -263,8 +263,12 @@ def test_load_rejects_corrupt_lines():
     ("a b x e1\n", "line 1: length 'x' is not a number"),
     # a -> b -> a -> c: the capacity rows would count e1 once, the design twice
     ("a c 500 e1 e1 e3\n", "line 1: a-c path visits a node twice"),
+    # the catalog would hold a path for a pair its file says has none
+    ("a b - EMPTY\na b 100 e1\n", "line 2: pair a b is marked EMPTY and lists paths"),
+    ("a b 100 e1\na b - EMPTY\n", "line 2: pair a b is marked EMPTY and lists paths"),
 ], ids=["larger-id-first", "duplicate", "out-of-order", "two-fields", "empty-marker-cut",
-        "unknown-edge", "edge-off-walk", "bad-length", "repeated-node"])
+        "unknown-edge", "edge-off-walk", "bad-length", "repeated-node", "empty-then-path",
+        "path-then-empty"])
 def test_load_rejects_lines_the_model_would_misread(text, message):
     with pytest.raises(ValueError, match=message):
         load_paths(io.StringIO(text), triangle_graph())

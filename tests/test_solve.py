@@ -26,6 +26,7 @@ from wdmplan.formats import read_instance
 from wdmplan.milp import (BINARY, CONTINUOUS, ModelError, build_model,
                           build_transparent_variant, evaluate_cost, export_model)
 from wdmplan.pathgen import build_catalog
+from wdmplan import solve as solve_module
 from wdmplan.solve import (CONTINUOUS_TOLERANCE, DesignState, Limits, ModelTables, _Heuristic,
                            _mix_options, capacity_infeasible, check_feasibility,
                            route_flows, solve_exact, solve_heuristic)
@@ -117,6 +118,86 @@ def test_heuristic_deterministic_per_seed():
     assert a.solution.values == b.solution.values
     c = solve_heuristic(m, seed=12)
     assert check_feasibility(m, c.solution) == []
+
+
+def tight_instance(rng):
+    """A 10G-only net whose demands fill its optical nodes' add-drop ports:
+    16 sites, 18 chords, 6 PoPs, 4 paths per pair, full-mesh demands of 40
+    Gbps up to 480, 720 or 960 Gbps."""
+    names, edges = random_connected_edges(rng, 16, 18, 30, 130)
+    pops = rng.sample(names, 6)
+    top = rng.choice((480, 720, 960))
+    demands = [(min(a, b), max(a, b), rng.randint(40, top))
+               for i, a in enumerate(pops) for b in pops[i + 1:]]
+    return make_instance(edges, pops, demands, speeds=(10,),
+                         max_paths_per_pair=4, max_path_km=750)
+
+
+def _checked(name):
+    def method(self, *args):
+        out = getattr(_Heuristic, name)(self, *args)
+        assert self.state.broken == 0, f"a node broken after {name}"
+        self.checked[name] += 1
+        return out
+    return method
+
+
+class _UnbrokenHeuristic(_Heuristic):
+    """A heuristic that asserts its design has no broken node after each
+    route it applies (the transparent variant's direct hops among them),
+    after construct, after each move it counts and after each phase."""
+
+    def __init__(self, model, seed):
+        self.checked = Counter()
+        super().__init__(model, seed)
+
+    @property
+    def moves(self):
+        return self._moves
+
+    @moves.setter
+    def moves(self, n):
+        assert self.state.broken == 0, "a node broken after a move"
+        self.checked["move"] += 1
+        self._moves = n
+
+    apply_route = _checked("apply_route")
+    construct = _checked("construct")
+    prune_idle = _checked("prune_idle")
+    swap_paths = _checked("swap_paths")
+    remix_pairs = _checked("remix_pairs")
+    reroute_demands = _checked("reroute_demands")
+
+
+def test_heuristic_never_holds_a_broken_design(monkeypatch):
+    """Every design the heuristic holds fits the catalog, so its cost is
+    `DesignState.spent`: on random tiny, mid-size and tight 10G-only nets,
+    in both architectures, no node is broken after a route is applied, after
+    construct or after any move or phase. Tight nets are where a placement
+    that broke an optical node would show; some of them end `unknown`, a
+    construct that ran out of ports, and some get as far as the local
+    search."""
+    made = []
+
+    def heuristic(model, seed):
+        made.append(_UnbrokenHeuristic(model, seed))
+        return made[-1]
+
+    monkeypatch.setattr(solve_module, "_Heuristic", heuristic)
+    rng = random.Random(404)
+    statuses = Counter()
+    for maker, runs in ((random_tiny_instance, 10), (random_midsize_instance, 10),
+                        (tight_instance, 10)):
+        for _ in range(runs):
+            inst, cat = routable_instance(maker, rng)
+            cc = build_cost_catalog(inst)
+            for m in (build_model(inst, cat, cc), build_transparent_variant(inst, cat, cc)):
+                report = solve_heuristic(m, seed=rng.randrange(2))
+                statuses[maker, report.status] += 1
+    checked = sum((h.checked for h in made), Counter())
+    assert all(checked[name] for name in ("apply_route", "construct", "move", "prune_idle",
+                                          "swap_paths", "remix_pairs", "reroute_demands"))
+    assert statuses[tight_instance, "feasible"] and statuses[tight_instance, "unknown"]
 
 
 def test_zero_demand_is_free():
@@ -542,9 +623,14 @@ def _assert_node_fibers(state, graph):
         assert state.node_fiber_count.get(n, 0) == sum(state.fibers(e.id) for e in graph.incident(n))
 
 
+def _cost(state):
+    """The scaled cost of a design, or None if a node is broken."""
+    return None if state.broken else state.spent
+
+
 def test_marginal_cost_kernel_matches_exact_totals():
     """best_placement picks the (cost, length, path id) minimum of the scaled
-    total_cost differences of applying each mix on each path of the pair,
+    cost differences of applying each mix on each path of the pair,
     skipping the candidates that break a node, and incremental node fiber
     counts match a recount, over random add/remove sequences and states
     restored onto fresh ones."""
@@ -564,7 +650,7 @@ def test_marginal_cost_kernel_matches_exact_totals():
                 for step in range(40):
                     st = h.state
                     _assert_node_fibers(st, inst.graph)
-                    before = st.scaled_cost()
+                    before = _cost(st)
                     if before is not None:
                         pair = rng.choice(sorted(cat.pair_paths))
                         need = rng.randint(1, rng.choice((300, 300, 300, 4000)))
@@ -574,7 +660,7 @@ def test_marginal_cost_kernel_matches_exact_totals():
                                 trial.restore(st.y)
                                 for speed, n in mx.items():
                                     trial.add_circuits(qid, speed, n)
-                                after = trial.scaled_cost()
+                                after = _cost(trial)
                                 outcomes.add(after is None)
                                 if after is not None:
                                     keys.append((after - before, cat.paths[qid].length_km,
@@ -720,7 +806,7 @@ def _applied_swap_paths(h, accepts):
         if not count:
             continue
         pair = h.tables.catalog.paths[pid].ends
-        before = h.state.scaled_cost()
+        before = _cost(h.state)
         if before is None:
             continue
         taken = 0
@@ -729,7 +815,7 @@ def _applied_swap_paths(h, accepts):
                 continue
             h.state.add_circuits(pid, speed, -count)
             h.state.add_circuits(qid, speed, count)
-            after = h.state.scaled_cost()
+            after = _cost(h.state)
             if after is not None and after < before:
                 improved = True
                 h.moves += 1
@@ -754,8 +840,9 @@ def _twin(h):
 def test_priced_swap_matches_applied_swap():
     """swap_paths, which prices each parallel path, leaves the circuits,
     the cost and the move count of the swap that applies every candidate,
-    and returns what it returns, on random placements: with single moves,
-    chains of moves and no move for a (path, speed)."""
+    and returns what it returns, on random unbroken placements (the
+    heuristic holds no other): with single moves, chains of moves and no
+    move for a (path, speed)."""
     rng = random.Random(5772)
     accepts = []
     for maker in (random_tiny_instance, random_midsize_instance):
@@ -768,11 +855,13 @@ def test_priced_swap_matches_applied_swap():
                 for _ in range(12):
                     for _ in range(rng.randint(1, 4)):
                         _random_circuit_step(h.state, rng)
+                    if h.state.broken:
+                        continue
                     ref = _twin(h)
                     want = _applied_swap_paths(ref, accepts)
                     assert h.swap_paths() == want
                     assert h.state.y == ref.state.y
-                    assert h.state.scaled_cost() == ref.state.scaled_cost()
+                    assert h.state.spent == ref.state.spent
                     assert h.moves == ref.moves
                     _assert_node_fibers(h.state, inst.graph)
     taken = Counter(min(n, 2) for n in accepts)
@@ -1088,10 +1177,11 @@ DESIGN_ROW_KINDS = {"physical-link-capacity", "module-uniqueness", "virtual-node
 @pytest.mark.parametrize("instance", ["toy6", "midsize"])
 def test_state_cost_is_the_model_objective(instance, architecture):
     """The running cost of a design state is the model's objective of its
-    design: over random steps, up to a broken node and back, an unbroken
-    state costs what `evaluate_cost` gives its variable values, and those
-    values keep every design row (the flow rows wait for flows); `broken`
-    counts the nodes whose pick is None."""
+    design: over random steps, up to a broken node and back, the solution
+    of an unbroken state is priced at what `evaluate_cost` gives its
+    variable values, and those values keep every design row (the flow rows
+    wait for flows); `broken` counts the nodes whose pick is None, and a
+    broken state has no solution."""
     rng = random.Random(59)
     model = _state_model(instance, architecture, rng)
     state = DesignState(ModelTables(model))
@@ -1108,10 +1198,11 @@ def test_state_cost_is_the_model_objective(instance, architecture):
         assert state.broken == picks.count(None)
         assert state.broken or step != 30
         if state.broken:
-            assert state.total_cost() is None and state.to_solution({}) is None
+            with pytest.raises(AssertionError):
+                state.to_solution({})
             continue
         solution = state.to_solution({})
-        assert state.total_cost() == evaluate_cost(model, solution)
+        assert solution.objective == evaluate_cost(model, solution)
         violated = [v for v in check_feasibility(model, solution)
                     if v.split(" (", 1)[1].split(")", 1)[0] in DESIGN_ROW_KINDS]
         assert violated == []
