@@ -455,16 +455,24 @@ def import_solution(model: Model, inp: IO[str] | str) -> Solution:
     attributes).
 
     Unlisted variables default to 0. Integer/binary variables are snapped to
-    the nearest integer when within 1e-6 (solver float noise), else rejected,
-    and a value that is not a finite number raises `ModelError`.
+    the nearest integer when within 1e-6 (solver float noise), else rejected.
+    A value that is not a finite number, an XML `<variable>` without a name or
+    a value, and XML that does not parse raise `ModelError`.
     """
     text = inp if isinstance(inp, str) else inp.read()
     raw: dict[str, Fraction] = {}
     stripped = text.lstrip()
     if stripped.startswith("<"):
-        root = ET.fromstring(text)
+        try:
+            root = ET.fromstring(text)
+        except ET.ParseError as e:
+            raise ModelError(f"solution XML does not parse: {e}") from None
         for var in root.iter("variable"):
-            name, value = var.attrib["name"], var.attrib["value"]
+            name, value = var.get("name"), var.get("value")
+            if name is None:
+                raise ModelError("solution XML: a <variable> has no name")
+            if value is None:
+                raise ModelError(f"variable {name}: no value")
             raw[name] = _solution_value(value, f"variable {name}", via_float=False)
     else:
         for lineno, line in enumerate(text.splitlines(), start=1):

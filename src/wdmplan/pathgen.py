@@ -288,9 +288,9 @@ def load_paths(inp: IO[str], graph: PhysicalGraph) -> PathCatalog:
     its paths once each (a position is an id) in (length, edge ids) order
     (the solvers take a pair's first path as its shortest), and every path
     simple (the model counts each of its edges once), and a pair marked
-    `EMPTY` lists no path; a line that breaks a rule, lacks fields, names an
-    unknown edge, or does not walk from i to j at its stored length raises
-    `ValueError` naming the line."""
+    `EMPTY` lists no path, nor anything after the marker; a line that breaks
+    a rule, lacks fields, names an unknown edge, or does not walk from i to j
+    at its stored length raises `ValueError` naming the line."""
     pair_paths: dict[tuple[str, str], list[PhysPath]] = {}
     empty: set[tuple[str, str]] = set()
     for lineno, line in enumerate(inp, start=1):
@@ -309,6 +309,8 @@ def load_paths(inp: IO[str], graph: PhysicalGraph) -> PathCatalog:
         if (marked and plist) or (not marked and (i, j) in empty):
             raise ValueError(f"line {lineno}: pair {i} {j} is marked EMPTY and lists paths")
         if marked:
+            if len(parts) > 4:
+                raise ValueError(f"line {lineno}: text after the EMPTY marker of pair {i} {j}")
             empty.add((i, j))
             continue
         eids = tuple(parts[3:])

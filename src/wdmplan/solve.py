@@ -35,13 +35,13 @@ Three layers of machinery:
   is priced only up to the cost that route leaves, as every marginal cost
   term is >= 0 and a dearer entry would never leave the heap first; a hop
   whose cheapest mix costs more in circuits alone (the mix floor) is skipped
-  before any mix is priced. Swaps are priced, not applied: with a (path,
-  speed)'s circuits taken off, each parallel path costs the state's cost
-  plus the mix's circuit and router term plus its fiber and optical-module
-  marginal, and only the last path taken gets the circuits back. Routes,
-  costs and move counts are those of the unbounded, applied search. A move
-  that does not pay is undone by restoring the circuit counts it started
-  from (`DesignState.restore`), which every other field follows.
+  before any mix is priced. Swaps and remixes are priced, not applied: with
+  the circuits taken off, one path scan prices each placement (circuit and
+  router term, then fiber and optical-module marginal) under the cutoff
+  "strictly cheaper", and the circuits go back once. A re-route is applied
+  and compared, as its hops share PoPs and module prices are step functions;
+  one that does not pay is undone by `DesignState.restore`. Routes, costs
+  and move counts are those of the unbounded, applied search.
   Every design the heuristic holds fits the catalog, so its cost is its
   `DesignState.spent`: `capacity_infeasible` turns away a model whose empty
   design does not fit, `best_placement` offers only placements after which
@@ -433,8 +433,8 @@ class DesignState:
 
     Every field but `tables` is one `add_circuits` writes, a function of the
     circuit counts `y` alone, whatever steps led there: a snapshot of a
-    design is `dict(state.y)`, and `restore` goes back to it. Any number of
-    states may share one `tables`.
+    design is `dict(state.y)`, and `restore` goes back to it (the heuristic's
+    re-route undoes itself so). Any number of states may share one `tables`.
     """
 
     # 13 fields, per-model facts in `tables`: CPython 3.11/3.12 inline at most 29
@@ -776,13 +776,20 @@ class _Heuristic:
         floor, rows = self.tables.mix_table(need)
         if floor > cutoff:
             return None
+        return self._scan(pair, rows, cutoff)[0]
+
+    def _scan(self, pair: tuple, rows: list, cutoff: float) -> tuple[tuple | None, int]:
+        """The first cheapest (scaled marginal cost, path id, mix) of a
+        mix-table row of `rows` on a path of `pair`, or None if none costs at
+        most `cutoff`; and how often the best improved, the moves applying
+        each candidate in turn and keeping a strictly cheaper one would make."""
         options = []
         for mix, count, cost, sw, units in rows:
             if cost <= cutoff:  # a dearer one has a base above every later cutoff
                 base = self._mix_base(pair, cost, sw, units)
                 if base is not None:
                     options.append((mix, count, base))
-        best = None
+        best, improved = None, 0
         # from here on `cutoff` is just below the best cost so far: as path
         # ids come in order, an equal candidate never wins. Catalog paths run
         # from the smaller end, so each path's ends are `pair`
@@ -791,8 +798,8 @@ class _Heuristic:
                 if base <= cutoff:
                     c = self._marginal(pair, pid, count, base, cutoff)
                     if c is not None:
-                        best, cutoff = (c, pid, mix), c - 1
-        return best
+                        best, cutoff, improved = (c, pid, mix), c - 1, improved + 1
+        return best, improved
 
     # ---- construct ---------------------------------------------------------
 
@@ -891,13 +898,9 @@ class _Heuristic:
     def swap_paths(self) -> bool:
         """Move all circuits of one (path, speed) to a cheaper parallel path.
 
-        Candidates are priced, not applied. With the circuits off, the
-        design costs `s0`; on a parallel path it costs `s0` plus their
-        `_mix_base` (circuits and end routers: the ends and speed stay the
-        same) plus their `_marginal` fiber and optical-module cost there.
-        Paths are tried in catalog order and each strictly cheaper one is
-        taken, the moves applying every candidate in turn would make; the
-        circuits go back once, on the last path taken."""
+        Priced, not applied: with the circuits off, `_scan` prices them on
+        each path of the pair under the cutoff "strictly cheaper than now"
+        (their own path prices at exactly that, so it is never taken)."""
         improved = False
         st, t = self.state, self.tables
         for (pid, speed) in sorted(st.y):
@@ -905,53 +908,48 @@ class _Heuristic:
             if not count:
                 continue
             before = st.spent
-            pair = t.ends[pid]
             st.add_circuits(pid, speed, -count)
-            s0 = st.spent
-            base = self._mix_base(pair, t.circuit_price[speed] * count,
-                                  t.lt[speed].switching_capacity * count,
-                                  t.lt_units[speed] * count)
-            if base is not None:
-                for qid in t.catalog.pair_ids[pair]:
-                    if qid == pid:
-                        continue
-                    c = self._marginal(pair, qid, count, base, before - s0 - 1)
-                    if c is not None:  # s0 + c < before
-                        improved = True
-                        self.moves += 1
-                        before = s0 + c
-                        pid = qid
+            row = ({speed: count}, count, t.circuit_price[speed] * count,
+                   t.lt[speed].switching_capacity * count, t.lt_units[speed] * count)
+            best, taken = self._scan(t.ends[pid], [row], before - st.spent - 1)
+            if best is not None:
+                improved = True
+                self.moves += taken
+                pid = best[1]
             st.add_circuits(pid, speed, count)
         return improved
 
     def remix_pairs(self) -> bool:
-        """Re-optimize the circuit mix of one pair from scratch."""
+        """Re-optimize the circuit mix of one pair from scratch, if that pays:
+        with the pair's circuits off, `best_placement` prices its flow under
+        the cutoff "strictly cheaper than now"; if none is, they go back."""
         improved = False
         st, t = self.state, self.tables
         speeds = sorted(t.lt)
         for pair, pids in t.catalog.pair_ids.items():  # in sorted pair order
             flow = self.pair_flow[pair]
-            placed = [(pid, speed) for pid in pids for speed in speeds if (pid, speed) in st.y]
+            placed = [(pid, speed, st.y[(pid, speed)])
+                      for pid in pids for speed in speeds if (pid, speed) in st.y]
             if not placed or flow == 0:
                 continue
             before = st.spent
-            saved = dict(st.y)
-            for (pid, speed) in placed:
-                st.add_circuits(pid, speed, -st.y[(pid, speed)])
-            repl = self.best_placement(pair, flow)
-            if repl is not None:
-                _, pid, mix = repl
-                self.place(pid, mix)
-                if st.spent < before:
-                    improved = True
-                    self.moves += 1
-                    continue
-            st.restore(saved)
+            for pid, speed, count in placed:
+                st.add_circuits(pid, speed, -count)
+            repl = self.best_placement(pair, flow, before - st.spent - 1)
+            if repl is None:
+                for pid, speed, count in placed:
+                    st.add_circuits(pid, speed, count)
+                continue
+            self.place(*repl[1:])
+            improved = True
+            self.moves += 1
         return improved
 
     def reroute_demands(self) -> bool:
         """Take a demand out, prune idle circuits, re-route; keep if cheaper.
-        A demand whose removal frees no circuit stays on its route."""
+        A demand whose removal frees no circuit stays on its route. A re-route
+        is applied, then compared: its hops share PoPs and module prices are
+        step functions, so its hop prices need not sum to its cost."""
         improved = False
         for idx in list(self.routes):
             d = self.tables.instance.demands[idx]
@@ -1054,7 +1052,6 @@ def solve_heuristic(model: Model, seed: int = 0) -> SolveReport:
         # each demand rides its own direct hop
         ok = all(h.apply_route(list(d.pair), d.value) for d in model.instance.demands)
         if ok:
-            h.prune_idle()
             h.remix_pairs()
     else:
         ok = h.construct()

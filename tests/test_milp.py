@@ -275,6 +275,13 @@ def test_import_rejects_bad_input():
                f'</variables></CPLEXSolution>')
         with pytest.raises(ModelError, match=f"variable ye_0: value '{value}' is not"):
             import_solution(m, xml)
+    # an XML variable lacking an attribute, and XML that does not parse
+    with pytest.raises(ModelError, match="variable ye_0: no value"):
+        import_solution(m, '<r><variable name="ye_0"/></r>')
+    with pytest.raises(ModelError, match="a <variable> has no name"):
+        import_solution(m, '<r><variable value="1"/></r>')
+    with pytest.raises(ModelError, match="solution XML does not parse: unclosed token"):
+        import_solution(m, "<r><variable")
 
 
 def test_export_import_round_trip():

@@ -266,9 +266,11 @@ def test_load_rejects_corrupt_lines():
     # the catalog would hold a path for a pair its file says has none
     ("a b - EMPTY\na b 100 e1\n", "line 2: pair a b is marked EMPTY and lists paths"),
     ("a b 100 e1\na b - EMPTY\n", "line 2: pair a b is marked EMPTY and lists paths"),
+    # the catalog would drop what follows the marker unread
+    ("a c 200 e1 e2\na b - EMPTY junk\n", "line 2: text after the EMPTY marker of pair a b"),
 ], ids=["larger-id-first", "duplicate", "out-of-order", "two-fields", "empty-marker-cut",
         "unknown-edge", "edge-off-walk", "bad-length", "repeated-node", "empty-then-path",
-        "path-then-empty"])
+        "path-then-empty", "empty-marker-trailing"])
 def test_load_rejects_lines_the_model_would_misread(text, message):
     with pytest.raises(ValueError, match=message):
         load_paths(io.StringIO(text), triangle_graph())

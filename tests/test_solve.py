@@ -868,6 +868,94 @@ def test_priced_swap_matches_applied_swap():
     assert taken[0] and taken[1] and taken[2], taken
 
 
+def _applied_remix_pairs(h, outcomes):
+    """remix_pairs as it was before remixes were priced: each pair's best
+    mix is applied, costed and undone by `restore` unless strictly cheaper.
+    Counts the remixes kept and rejected in `outcomes`."""
+    improved = False
+    st, t = h.state, h.tables
+    speeds = sorted(t.lt)
+    for pair, pids in t.catalog.pair_ids.items():
+        flow = h.pair_flow[pair]
+        placed = [(pid, speed) for pid in pids for speed in speeds if (pid, speed) in st.y]
+        if not placed or flow == 0:
+            continue
+        before = st.spent
+        saved = dict(st.y)
+        for (pid, speed) in placed:
+            st.add_circuits(pid, speed, -st.y[(pid, speed)])
+        repl = h.best_placement(pair, flow)
+        if repl is not None:
+            _, pid, mix = repl
+            h.place(pid, mix)
+            if st.spent < before:
+                improved = True
+                h.moves += 1
+                outcomes["kept"] += 1
+                continue
+        st.restore(saved)
+        outcomes["rejected"] += 1
+    return improved
+
+
+def test_priced_remix_matches_applied_remix():
+    """remix_pairs, which prices each pair's new mix under the cutoff
+    "strictly cheaper" before it places it, leaves the circuits, the cost
+    and the move count of the remix that applies the mix and restores the
+    design when it does not pay, and returns what it returns, on random
+    unbroken placements with random pair flows up to each pair's capacity;
+    both kept and rejected remixes occur."""
+    rng = random.Random(6931)
+    outcomes = Counter()
+    for maker in (random_tiny_instance, random_midsize_instance):
+        for _ in range(8):
+            inst, full_cat = routable_instance(maker, rng)
+            cc = build_cost_catalog(inst)
+            for m in (build_model(inst, full_cat, cc),
+                      build_transparent_variant(inst, full_cat, cc)):
+                h = _Heuristic(m, seed=0)
+                for _ in range(12):
+                    for _ in range(rng.randint(1, 4)):
+                        _random_circuit_step(h.state, rng)
+                    if h.state.broken:
+                        continue
+                    for pair, cap in h.state.pair_capacity.items():
+                        h.pair_flow[pair] = rng.randint(0, cap)
+                    ref = _twin(h)
+                    want = _applied_remix_pairs(ref, outcomes)
+                    assert h.remix_pairs() == want
+                    assert h.state.y == ref.state.y
+                    assert h.state.spent == ref.state.spent
+                    assert h.moves == ref.moves
+                    _assert_node_fibers(h.state, inst.graph)
+    assert outcomes["kept"] and outcomes["rejected"], outcomes
+
+
+def test_direct_hops_leave_no_idle_circuit():
+    """The transparent variant places each demand on its own direct hop,
+    with a mix from `_mix_options` that no circuit can be dropped from, so
+    `prune_idle` finds nothing to drop there: on random tiny and mid-size
+    nets it returns False and leaves the circuits and the move count as
+    they are. solve_heuristic relies on this and goes straight to the
+    remix."""
+    rng = random.Random(1123)
+    placed = 0
+    for maker in (random_tiny_instance, random_midsize_instance):
+        for _ in range(15):
+            inst, cat = routable_instance(maker, rng)
+            m = build_transparent_variant(inst, cat, build_cost_catalog(inst))
+            if capacity_infeasible(m) is not None:
+                continue
+            h = _Heuristic(m, seed=0)
+            if not all(h.apply_route(list(d.pair), d.value) for d in inst.demands):
+                continue
+            placed += 1
+            y, moves = dict(h.state.y), h.moves
+            assert h.prune_idle() is False
+            assert h.state.y == y and h.moves == moves
+    assert placed >= 20, placed
+
+
 def _floorless_best_placement(h, pair, need, cutoff=inf):
     """best_placement as it was before the mix floor: every mix is priced
     before the first comparison with the cutoff."""
