@@ -10,6 +10,10 @@ disaggregation onto light paths and the decomposition into routing paths use
 fixed deterministic tie-breaks (shortest first, then identifier order). Other
 tie-breaks can give different per-node transit splits for the same design;
 we guarantee reproducibility, not uniqueness.
+
+`decompose` is the one split of a commodity's flow into origin-to-sink
+paths (fewest hops first): the IP-path count reads it, and the exact
+solver rebuilds its flows from it, so a flow it returns carries no cycle.
 """
 
 from __future__ import annotations
@@ -124,43 +128,50 @@ def edge_cost(instance: Instance) -> Fraction:
 
 
 def count_ip_paths(model: Model, solution: Solution | dict) -> int:
-    """Number of distinct routing paths carrying positive flow.
-
-    Each commodity's flow is decomposed into origin-to-sink paths (fewest
-    hops first, then smallest node sequence); entries are counted per
-    (commodity origin, path). Cycle components carry no demand and are
-    ignored. In the transparent variant every demand is its own direct hop.
-    """
+    """Number of routing paths carrying positive flow: the paths `decompose`
+    splits each commodity's flow into. In the transparent variant every
+    demand is its own direct hop."""
     values = solution.values if isinstance(solution, Solution) else solution
     if model.transparent:
         return sum(1 for d in model.instance.demands if d.value > 0)
-    paths: set[tuple] = set()
+    count = 0
     for key, origin, sinks in model.commodities:
-        residual: dict[tuple, Fraction] = {}
-        for (k, i, j), name in model.flow_vars.items():
-            if k == key and values[name] > 0:
-                residual[(i, j)] = values[name]
-        for sink in sorted(sinks):
-            remaining = Fraction(sinks[sink])
-            while remaining > 0:
-                seq = _shortest_positive_path(residual, origin, sink)
-                if seq is None:
-                    raise ModelError(
-                        f"flow for source {origin} cannot deliver "
-                        f"{float(remaining)} Gbps to {sink}")
-                amount = min([remaining]
-                             + [residual[(a, b)] for a, b in zip(seq, seq[1:])])
-                for a, b in zip(seq, seq[1:]):
-                    residual[(a, b)] -= amount
-                    if residual[(a, b)] == 0:
-                        del residual[(a, b)]
-                remaining -= amount
-                paths.add((origin, seq))
-    return len(paths)
+        arcs = {(i, j): values[n] for (k, i, j), n in model.flow_vars.items() if k == key}
+        count += len(decompose(arcs, origin, sinks))
+    return count
 
 
-def _shortest_positive_path(residual: dict, origin: str, sink: str) -> tuple | None:
-    """Fewest-hop path over positive-residual arcs, ties by node sequence."""
+def decompose(arcs: dict, origin: str, sinks: dict) -> list[tuple[tuple, Fraction]]:
+    """One commodity's flow {(i, j): Gbps} as origin-to-sink paths
+    [(PoP sequence, Gbps)]: sinks in sorted order, each served by fewest-hop
+    paths over the arcs with flow left, ties to the smallest sequence. Flow
+    that no path takes, cycles included, is left out; each sequence comes
+    once. A sink the flow cannot deliver raises `ModelError`."""
+    residual = dict(arcs)
+    paths = []
+    for sink in sorted(sinks):
+        remaining = Fraction(sinks[sink])
+        while remaining > 0:
+            seq = _fewest_hops(residual, origin, sink)
+            if seq is None:
+                raise ModelError(
+                    f"flow for source {origin} cannot deliver "
+                    f"{float(remaining)} Gbps to {sink}")
+            hops = list(zip(seq, seq[1:]))
+            amount = min([remaining] + [residual[hop] for hop in hops])
+            for hop in hops:
+                residual[hop] -= amount
+            remaining -= amount
+            paths.append((seq, amount))
+    return paths
+
+
+def _fewest_hops(residual: dict, origin: str, sink: str) -> tuple | None:
+    """Fewest-hop path over the arcs of `residual` with flow left, ties by
+    node sequence."""
+    succ: dict[str, list] = {}
+    for a, b in sorted(arc for arc, v in residual.items() if v > 0):
+        succ.setdefault(a, []).append(b)
     heap = [(0, (origin,))]
     seen: set[str] = set()
     while heap:
@@ -171,8 +182,8 @@ def _shortest_positive_path(residual: dict, origin: str, sink: str) -> tuple | N
         if at in seen:
             continue
         seen.add(at)
-        for (a, b) in sorted(residual):
-            if a == at and b not in seq:
+        for b in succ.get(at, ()):
+            if b not in seq:
                 heapq.heappush(heap, (hops + 1, seq + (b,)))
     return None
 

@@ -425,8 +425,7 @@ def export_model(model: Model, out: IO[str]) -> None:
     out.write(f" obj: {_lp_terms(obj, rendered) if obj else '0 ' + next(iter(model.variables))}\n")
     out.write("Subject To\n")
     for c in model.constraints:
-        sense = {"<=": "<=", ">=": ">=", "=": "="}[c.sense]
-        out.write(f" {c.name}: {_lp_terms(c.coeffs, rendered)} {sense} {frac_decimal(c.rhs)}\n")
+        out.write(f" {c.name}: {_lp_terms(c.coeffs, rendered)} {c.sense} {frac_decimal(c.rhs)}\n")
     generals = [n for n, v in model.variables.items() if v.integrality == INTEGER]
     binaries = [n for n, v in model.variables.items() if v.integrality == BINARY]
     if generals:

@@ -66,6 +66,7 @@ from fractions import Fraction
 from math import ceil, inf, lcm
 
 from .costcat import LambdaType
+from .metrics import decompose
 from .milp import BINARY, CONTINUOUS, Model, Solution
 from .netmodel import node_demand
 
@@ -231,7 +232,9 @@ def route_flows(model: Model, pair_capacity: dict) -> dict[str, Fraction] | None
     are, and the flow terms of each `virtual-link-capacity` row with
     `pair_capacity` of its pair as right-hand side; columns follow
     `model.flow_vars`. Cheap necessary conditions (total capacity, per-node
-    incident capacity) run before the simplex.
+    incident capacity) run before the simplex. Each commodity's flow is
+    rebuilt from the paths `metrics.decompose` finds in the simplex point:
+    the point less the cycles a basic point may carry, so it keeps every row.
     """
     if not model.commodities:
         return {}
@@ -263,69 +266,23 @@ def route_flows(model: Model, pair_capacity: dict) -> dict[str, Fraction] | None
     point = _phase1_simplex(len(col), eq_rows, ub_rows)
     if point is None:
         return None
-    arcs: dict[str, dict] = {}  # commodity key -> {(i, j): flow}
-    for n, (key, i, j) in enumerate(arcs_of_col):
-        arcs.setdefault(key, {})[(i, j)] = point.get(n, Fraction(0))
-    flows = {}
-    for key, arc in arcs.items():
-        _cancel_cycles(arc)
-        for (i, j), v in arc.items():
-            flows[model.flow_vars[(key, i, j)]] = v
+    arcs: dict[str, dict] = {key: {} for key, _, _ in model.commodities}
+    for n, v in point.items():
+        key, i, j = arcs_of_col[n]
+        arcs[key][(i, j)] = v
+    return _flow_values(model, [(key, seq, amount)
+                                for key, origin, sinks in model.commodities
+                                for seq, amount in decompose(arcs[key], origin, sinks)])
+
+
+def _flow_values(model: Model, paths) -> dict[str, Fraction]:
+    """The value of every flow variable of `model` when each (commodity
+    key, PoP sequence, Gbps) of `paths` carries its Gbps along its hops."""
+    flows = dict.fromkeys(model.flow_vars.values(), Fraction(0))
+    for key, seq, amount in paths:
+        for i, j in zip(seq, seq[1:]):
+            flows[model.flow_vars[(key, i, j)]] += amount
     return flows
-
-
-def _cancel_cycles(arc: dict) -> None:
-    """Strip circulation from one commodity's flow, in place.
-
-    Basic feasible points of the phase-1 program may carry flow around
-    cycles (including i->j->i back-and-forth); conservation and pair
-    capacities survive the cancellation, and the remaining flow decomposes
-    into origin-to-sink paths only, which keeps transit metrics meaningful.
-    """
-    for (i, j), v in list(arc.items()):
-        if i < j and v and arc[(j, i)]:
-            back = min(v, arc[(j, i)])
-            arc[(i, j)] -= back
-            arc[(j, i)] -= back
-    while True:
-        succ = {}
-        for (i, j), v in arc.items():
-            if v:
-                succ.setdefault(i, []).append(j)
-        cycle = _find_cycle(succ)
-        if cycle is None:
-            return
-        slack = min(arc[(cycle[k], cycle[k + 1])] for k in range(len(cycle) - 1))
-        for k in range(len(cycle) - 1):
-            arc[(cycle[k], cycle[k + 1])] -= slack
-
-
-def _find_cycle(succ: dict) -> list | None:
-    """Any directed cycle as a node list [v0, ..., v0], or None."""
-    colors = {}
-    for start in succ:
-        if colors.get(start):
-            continue
-        stack = [(start, iter(succ.get(start, ())))]
-        colors[start] = "active"
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if colors.get(nxt) == "active":
-                    return path[path.index(nxt):] + [nxt]
-                if colors.get(nxt) is None:
-                    colors[nxt] = "active"
-                    path.append(nxt)
-                    stack.append((nxt, iter(succ.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                colors[node] = "done"
-                path.pop()
-                stack.pop()
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -378,8 +335,6 @@ class ModelTables:
         per_gbps = min(Fraction(self.circuit_price[lt.speed], lt.routing_capacity)
                        for lt in cc.lambda_types)
         self.gbps_num, self.gbps_den = per_gbps.numerator, per_gbps.denominator
-        # demand source -> its commodity key, for assembling flow values
-        self.commodity_of = {origin: key for key, origin, _sinks in model.commodities}
         self._mixes: dict[int, tuple[int, list]] = {}  # need -> `mix_table`
 
     def of(self, price) -> int:
@@ -388,16 +343,20 @@ class ModelTables:
     def exact(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale)
 
+    def mix_row(self, mix: dict[int, int]) -> tuple:
+        """(mix, circuit count, scaled circuit cost, switching, slot units)
+        of a circuit mix {speed: count}."""
+        return (mix, sum(mix.values()),
+                sum(self.circuit_price[s] * n for s, n in mix.items()),
+                sum(self.lt[s].switching_capacity * n for s, n in mix.items()),
+                sum(self.lt_units[s] * n for s, n in mix.items()))
+
     def mix_table(self, need: int) -> tuple[int, list]:
         """(floor, rows) of the mixes covering `need` Gbps, memoized: a row
-        is (mix, circuit count, scaled circuit cost, switching, slot units),
-        and the floor is the least circuit cost of any row."""
+        is a `mix_row`, and the floor is the least circuit cost of any row."""
         table = self._mixes.get(need)
         if table is None:
-            rows = [(mix, sum(mix.values()),
-                     sum(self.circuit_price[s] * n for s, n in mix.items()),
-                     sum(self.lt[s].switching_capacity * n for s, n in mix.items()),
-                     sum(self.lt_units[s] * n for s, n in mix.items()))
+            rows = [self.mix_row(mix)
                     for mix in _mix_options(need, self.model.cost_catalog.lambda_types)]
             table = self._mixes[need] = (min(row[2] for row in rows), rows)
         return table
@@ -631,7 +590,6 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
         incumbent, best = seeded.solution, tables.of(seeded.solution.objective)
 
     flow_cache: dict[tuple, dict | None] = {}
-    pair_order = sorted(cat.pair_paths)
     last_var_of_pair = {pair: idx for idx, (pair, _, _, _) in enumerate(branch)}
     values: list[int] = []  # values[k] circuits sit on branch[k]
     nodes = 0
@@ -647,7 +605,7 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
                 cost = state.spent
                 flows = {}
                 if not model.transparent:
-                    capkey = tuple(state.pair_capacity[pair] for pair in pair_order)
+                    capkey = tuple(state.pair_capacity.values())
                     if capkey not in flow_cache:
                         flow_cache[capkey] = route_flows(model, state.pair_capacity)
                     flows = flow_cache[capkey]
@@ -874,6 +832,9 @@ class _Heuristic:
             order.extend(block)
         for idx, d in order:
             seq = self.route_demand(d.u, d.v, d.value)
+            if seq is None:  # a leaner design of the demands so far may leave room
+                self.improve()
+                seq = self.route_demand(d.u, d.v, d.value)
             if seq is None or not self.apply_route(seq, d.value):
                 return False
             self.routes[idx] = seq
@@ -909,9 +870,8 @@ class _Heuristic:
                 continue
             before = st.spent
             st.add_circuits(pid, speed, -count)
-            row = ({speed: count}, count, t.circuit_price[speed] * count,
-                   t.lt[speed].switching_capacity * count, t.lt_units[speed] * count)
-            best, taken = self._scan(t.ends[pid], [row], before - st.spent - 1)
+            best, taken = self._scan(t.ends[pid], [t.mix_row({speed: count})],
+                                     before - st.spent - 1)
             if best is not None:
                 improved = True
                 self.moves += taken
@@ -987,19 +947,6 @@ class _Heuristic:
             if not changed:
                 break
 
-    # ---- final assembly ------------------------------------------------------
-
-    def flow_values(self) -> dict[str, Fraction]:
-        t = self.tables
-        flows: dict[str, Fraction] = {}
-        for idx, seq in self.routes.items():
-            d = t.instance.demands[idx]
-            key = t.commodity_of[d.u]
-            for i, j in zip(seq, seq[1:]):
-                name = t.model.flow_vars[(key, i, j)]
-                flows[name] = flows.get(name, Fraction(0)) + d.value
-        return flows
-
 
 def capacity_infeasible(model: Model) -> str | None:
     """A proof that no design can fit, if one is visible from node totals.
@@ -1060,7 +1007,10 @@ def solve_heuristic(model: Model, seed: int = 0) -> SolveReport:
     if not ok:
         return SolveReport(UNKNOWN, None, bound, iterations=h.moves)
 
-    sol = h.state.to_solution(h.flow_values())
+    key_of = {origin: key for key, origin, _sinks in model.commodities}
+    demands = model.instance.demands
+    sol = h.state.to_solution(_flow_values(model, [
+        (key_of[demands[idx].u], seq, demands[idx].value) for idx, seq in h.routes.items()]))
     violations = check_feasibility(model, sol)
     if violations:
         raise AssertionError(f"heuristic produced an infeasible design: {violations[:3]}")

@@ -9,7 +9,7 @@ from conftest import (random_midsize_instance, routable_instance,
                       triangle_instance)
 from wdmplan.costcat import build_cost_catalog
 from wdmplan.metrics import (REPORT_COLUMNS, ModelError, count_ip_paths,
-                             disaggregate_flows, edge_cost, fmt_cost,
+                             decompose, disaggregate_flows, edge_cost, fmt_cost,
                              fmt_opacity, ip_transit, opacity, report,
                              report_csv_row, report_json, wdm_transit)
 from wdmplan.milp import build_model, build_transparent_variant
@@ -79,6 +79,29 @@ def test_disaggregation_and_electrical_relay():
     assert wdm_transit("b", f_p, m) == 0
     assert opacity(Fraction(10), Fraction(0)) == 100
     assert count_ip_paths(m, values) == 3
+
+
+def test_cycles_of_flow_carry_no_ip_path():
+    """Flow around a cycle adds no routing path: a 2-cycle b-c-b on the
+    first commodity and a 3-cycle a-b-c-a on the second leave the count at
+    relay_model's 3, and the decomposition at its paths."""
+    _inst, m, values, _ab, _bc = relay_model()
+    for key, cycle in (("0", "bcb"), ("1", "abca")):
+        for i, j in zip(cycle, cycle[1:]):
+            values[m.flow_vars[(key, i, j)]] += 4
+    assert count_ip_paths(m, values) == 3
+    arcs = {(i, j): values[name] for (k, i, j), name in m.flow_vars.items() if k == "0"}
+    assert decompose(arcs, "a", {"c": 10, "b": 20}) == [
+        (("a", "b"), 20), (("a", "b", "c"), 10)]
+
+
+def test_undeliverable_flow_names_its_source():
+    _inst, m, values, _ab, _bc = relay_model()
+    values[m.flow_vars[("1", "b", "c")]] = Fraction(20)  # 30 Gbps due at c
+    with pytest.raises(ModelError, match="source b cannot deliver 10.0 Gbps to c"):
+        count_ip_paths(m, values)
+    with pytest.raises(ModelError, match="source a cannot deliver 10.0 Gbps to c"):
+        decompose({("a", "b"): 30}, "a", {"b": 20, "c": 10})
 
 
 def test_optical_bypass_counts_as_wdm_transit():

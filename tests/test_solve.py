@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import hashlib
 import heapq
+import importlib.util
 import inspect
 import io
 import random
@@ -23,6 +24,7 @@ from conftest import (make_instance, random_connected_edges,
                       routable_instance, triangle_instance)
 from wdmplan.costcat import build_cost_catalog
 from wdmplan.formats import read_instance
+from wdmplan.metrics import decompose
 from wdmplan.milp import (BINARY, CONTINUOUS, ModelError, build_model,
                           build_transparent_variant, evaluate_cost, export_model)
 from wdmplan.pathgen import build_catalog
@@ -31,7 +33,8 @@ from wdmplan.solve import (CONTINUOUS_TOLERANCE, DesignState, Limits, ModelTable
                            _mix_options, capacity_infeasible, check_feasibility,
                            route_flows, solve_exact, solve_heuristic)
 
-TOY6 = Path(__file__).resolve().parents[1] / "data" / "toy6.txt"
+ROOT = Path(__file__).resolve().parents[1]
+TOY6 = ROOT / "data" / "toy6.txt"
 
 
 def build(inst):
@@ -302,6 +305,44 @@ def test_route_flows_agrees_with_independent_lp():
                            capacity)
     capacity[("b", "c")] = 40
     assert route_flows(m, capacity) is not None
+
+
+def test_route_flows_send_a_circulating_relay_direct():
+    """The simplex point here carries flow both ways on every pair. Taking
+    its cycles out arc by arc could leave the relay a-b-c; the flow rebuilt
+    from its paths takes the fewest-hop one, a-c direct."""
+    inst = triangle_instance(demands=(("a", "c", 7),))
+    m = build(inst)
+    flows = route_flows(m, {("a", "b"): 20, ("a", "c"): 100, ("b", "c"): 200})
+    assert {name: v for name, v in flows.items() if v} == {"f_0_0_2": 7}
+
+
+def test_route_flows_carry_no_cycle():
+    """Each commodity's flow from route_flows is exactly the flow rebuilt
+    from its own fewest-hop decomposition: every arc's flow lies on an
+    origin-to-sink path, so none circulates."""
+    rng = random.Random(404)
+    routed = 0
+    for maker, n_models in ((random_tiny_instance, 12), (random_midsize_instance, 3)):
+        for _ in range(n_models):
+            inst, _cat = routable_instance(maker, rng)
+            m = build(inst)
+            total = int(inst.total_demand())
+            for _ in range(6):
+                capacity = {pair: rng.randrange(0, total + 11, 10)
+                            for pair in m.catalog.pair_paths}
+                flows = route_flows(m, capacity)
+                if flows is None:
+                    continue
+                routed += 1
+                for key, origin, sinks in m.commodities:
+                    arcs = {(i, j): flows[name] for (k, i, j), name in m.flow_vars.items()
+                            if k == key and flows[name]}
+                    rebuilt = Counter()
+                    for seq, amount in decompose(arcs, origin, sinks):
+                        rebuilt.update({hop: amount for hop in zip(seq, seq[1:])})
+                    assert rebuilt == arcs
+    assert routed >= 40
 
 
 @pytest.mark.parametrize("volume, proof", [
@@ -598,6 +639,22 @@ def test_heuristic_results_pinned_on_toy6():
         assert report.status == "feasible"
         assert report.solution.objective == objective
         assert report.iterations == moves
+
+
+def test_heuristic_improves_before_giving_up():
+    """On this 50-site, 17-PoP network, k=10 paths per pair, the cold start
+    finds no route for one demand: the leaf s16 hangs off s00, whose optical
+    node already holds the largest module's 10 fibers, and its one link is
+    full. Improving the partial design frees room, and the search finds a
+    route on the second try."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    m = build(gen.synthetic_network(random.Random(1), 50, 17, 10))
+    report = solve_heuristic(m)
+    assert report.status == "feasible"
+    assert report.solution.objective == Fraction("10345.8928")
+    assert check_feasibility(m, report.solution) == []
 
 
 # heuristic objective and local-search moves on three seeded mid-size
