@@ -38,10 +38,11 @@ Three layers of machinery:
   before any mix is priced. Swaps and remixes are priced, not applied: with
   the circuits taken off, one path scan prices each placement (circuit and
   router term, then fiber and optical-module marginal) under the cutoff
-  "strictly cheaper", and the circuits go back once. A re-route is applied
-  and compared, as its hops share PoPs and module prices are step functions;
-  one that does not pay is undone by `DesignState.restore`. Routes, costs
-  and move counts are those of the unbounded, applied search.
+  "strictly cheaper", and the circuits go back once. A route is priced as
+  it will be applied, with its earlier hops' placements on the state (its
+  hops share PoPs, and module prices are step functions), so it always
+  applies, and a re-route is made only if it costs less than the circuits
+  it freed. Routes and costs are those of the unbounded search.
   Every design the heuristic holds fits the catalog, so its cost is its
   `DesignState.spent`: `capacity_infeasible` turns away a model whose empty
   design does not fit, `best_placement` offers only placements after which
@@ -391,9 +392,9 @@ class DesignState:
     breaks a node: requirements grow with circuits, so one ends a subtree.
 
     Every field but `tables` is one `add_circuits` writes, a function of the
-    circuit counts `y` alone, whatever steps led there: a snapshot of a
-    design is `dict(state.y)`, and `restore` goes back to it (the heuristic's
-    re-route undoes itself so). Any number of states may share one `tables`.
+    circuit counts `y` alone, whatever steps led there, so putting back
+    circuits taken off gives back every field. Any number of states may
+    share one `tables`.
     """
 
     # 13 fields, per-model facts in `tables`: CPython 3.11/3.12 inline at most 29
@@ -483,13 +484,6 @@ class DesignState:
             self._repick(self.vmod, t.vmod_for, n, t.d_i[n] + switch[n], units[n])
         for n in touched_pmod:
             self._repick(self.pmod, t.pmod_for, n, fiber_count[n], drops[n])
-
-    def restore(self, y: dict) -> None:
-        """Go back to the circuit counts `y`, a snapshot `dict(state.y)`, by
-        `add_circuits` on each count that differs; every other field follows
-        the counts."""
-        for key in {key for key, _ in self.y.items() ^ y.items()}:
-            self.add_circuits(*key, y.get(key, 0) - self.y.get(key, 0))
 
     def bound_key(self) -> int:
         """`lower_bound` times `tables.scale` times `tables.gbps_den`, a
@@ -761,65 +755,69 @@ class _Heuristic:
 
     # ---- construct ---------------------------------------------------------
 
-    def hop_cost(self, i: str, j: str, amount: int, cutoff: float = inf) -> int | None:
-        """Scaled marginal cost of carrying `amount` more on the hop i-j;
-        None if no placement fits, or none costs at most `cutoff`."""
+    def hop(self, i: str, j: str, amount: int, cutoff: float = inf) -> tuple | None:
+        """(scaled marginal cost, placements) of carrying `amount` more on
+        the hop i-j: no placement where spare capacity covers it, else the
+        `best_placement` (path id, mix); None if no placement fits, or none
+        costs at most `cutoff`."""
         pair = (i, j) if i < j else (j, i)
-        spare = self.state.pair_capacity[pair] - self.pair_flow[pair]
-        need = amount - spare
+        need = amount - (self.state.pair_capacity[pair] - self.pair_flow[pair])
         if need <= 0:
-            return 0
+            return 0, ()
         placed = self.best_placement(pair, need, cutoff)
-        return None if placed is None else placed[0]
+        return None if placed is None else (placed[0], (placed[1:],))
 
-    def route_demand(self, u: str, v: str, amount: int) -> list[str] | None:
-        """Cheapest virtual route by best-first search on marginal hop costs.
+    def route_demand(self, u: str, v: str, amount: int) -> tuple | None:
+        """(scaled cost, PoP sequence, placements) of the cheapest virtual
+        route by best-first search, or None.
 
-        `ub` is the smallest key pushed for `v`. The first entry for `v` to
-        pop has a key of at most `ub`, so an entry dearer than `ub` never
-        pops: its hop is not priced beyond `ub - cost`. An entry costing
-        exactly `ub` is kept, as (cost, hops, seq) may rank it first."""
+        A label carries its hops' placements: they are on the state while
+        its expansions are priced, so a key is the exact increase of `spent`
+        its route makes, and costs only grow with circuits. `ub` is the
+        smallest key pushed for `v`. The first entry for `v` to pop has a
+        key of at most `ub`, so an entry dearer than `ub` never pops: its
+        hop is not priced beyond `ub - cost`. An entry costing exactly `ub`
+        is kept, as (cost, hops, seq) may rank it first."""
         pops = sorted(self.tables.instance.pops)
-        heap = [(0, 0, (u,))]
+        heap = [(0, 0, (u,), ())]
         done = set()
         ub = inf
         while heap:
-            cost, hops, seq = heapq.heappop(heap)
+            cost, hops, seq, placed = heapq.heappop(heap)
             at = seq[-1]
             if at == v:
-                return list(seq)
+                return cost, list(seq), placed
             if at in done:
                 continue
             done.add(at)
+            self.place(placed)
             for w in pops:
                 if w in seq or w in done:
                     continue
-                hc = self.hop_cost(at, w, amount, ub - cost)
-                if hc is None:
+                priced = self.hop(at, w, amount, ub - cost)
+                if priced is None:
                     continue
-                if w == v:  # hc <= ub - cost, so this lowers or keeps ub
-                    ub = cost + hc
-                heapq.heappush(heap, (cost + hc, hops + 1, seq + (w,)))
+                if w == v:  # priced[0] <= ub - cost, so this lowers or keeps ub
+                    ub = cost + priced[0]
+                # no two entries share a seq, so placements are never compared
+                heapq.heappush(heap, (cost + priced[0], hops + 1, seq + (w,),
+                                      placed + priced[1]))
+            self.place(placed, -1)
         return None
 
-    def place(self, pid: int, mix: dict[int, int]) -> None:
-        """Add a circuit mix on a physical path."""
-        for speed, n in mix.items():
-            self.state.add_circuits(pid, speed, n)
+    def place(self, placements, sign: int = 1) -> None:
+        """Add (with `sign` -1, remove) each (path id, circuit mix) of
+        `placements`."""
+        for pid, mix in placements:
+            for speed, n in mix.items():
+                self.state.add_circuits(pid, speed, sign * n)
 
-    def apply_route(self, seq: list[str], amount: int) -> bool:
+    def apply_route(self, seq: list[str], amount: int, placements) -> None:
+        """Make a route's `placements` and carry `amount` more (with a
+        negative `amount`, less) on each of its hops."""
+        self.place(placements)
         for i, j in zip(seq, seq[1:]):
-            pair = (i, j) if i < j else (j, i)
-            spare = self.state.pair_capacity[pair] - self.pair_flow[pair]
-            need = amount - spare
-            if need > 0:
-                placed = self.best_placement(pair, need)
-                if placed is None:
-                    return False
-                _, pid, mix = placed
-                self.place(pid, mix)
-            self.pair_flow[pair] += amount
-        return True
+            self.pair_flow[(i, j) if i < j else (j, i)] += amount
 
     def construct(self) -> bool:
         groups: dict[int, list] = {}
@@ -831,20 +829,22 @@ class _Heuristic:
             self.rng.shuffle(block)  # seed affects only equal-value ordering
             order.extend(block)
         for idx, d in order:
-            seq = self.route_demand(d.u, d.v, d.value)
-            if seq is None:  # a leaner design of the demands so far may leave room
+            found = self.route_demand(d.u, d.v, d.value)
+            if found is None:  # a leaner design of the demands so far may leave room
                 self.improve()
-                seq = self.route_demand(d.u, d.v, d.value)
-            if seq is None or not self.apply_route(seq, d.value):
+                found = self.route_demand(d.u, d.v, d.value)
+            if found is None:
                 return False
-            self.routes[idx] = seq
+            _, self.routes[idx], placements = found
+            self.apply_route(self.routes[idx], d.value, placements)
         return True
 
     # ---- improve -----------------------------------------------------------
 
-    def prune_idle(self) -> bool:
-        """Drop circuits whose capacity is not needed by the pair flow."""
-        improved = False
+    def prune_idle(self) -> list[tuple[int, int]]:
+        """Drop circuits whose capacity is not needed by the pair flow, and
+        return the (path id, speed) of each, one entry per circuit."""
+        freed = []
         st, t = self.state, self.tables
         for (pid, speed) in sorted(st.y):
             pair = t.ends[pid]
@@ -852,9 +852,8 @@ class _Heuristic:
             while st.y.get((pid, speed), 0) > 0 and \
                     st.pair_capacity[pair] - cap >= self.pair_flow[pair]:
                 st.add_circuits(pid, speed, -1)
-                improved = True
-                self.moves += 1
-        return improved
+                freed.append((pid, speed))
+        return freed
 
     def swap_paths(self) -> bool:
         """Move all circuits of one (path, speed) to a cheaper parallel path.
@@ -900,47 +899,41 @@ class _Heuristic:
                 for pid, speed, count in placed:
                     st.add_circuits(pid, speed, count)
                 continue
-            self.place(*repl[1:])
+            self.place([repl[1:]])
             improved = True
             self.moves += 1
         return improved
 
     def reroute_demands(self) -> bool:
-        """Take a demand out, prune idle circuits, re-route; keep if cheaper.
-        A demand whose removal frees no circuit stays on its route. A re-route
-        is applied, then compared: its hops share PoPs and module prices are
-        step functions, so its hop prices need not sum to its cost."""
+        """Take a demand out and prune the circuits it leaves idle; re-route
+        it if the route costs less than they did, else put them back. A
+        demand whose removal frees no circuit stays, as a route only adds
+        circuits. A kept re-route is one move per freed circuit, plus one."""
         improved = False
+        st = self.state
         for idx in list(self.routes):
             d = self.tables.instance.demands[idx]
-            amount = d.value
-            before = self.state.spent
-            saved_y = dict(self.state.y)
-            saved_flow = dict(self.pair_flow)
             route = self.routes[idx]
-            for i, j in zip(route, route[1:]):
-                self.pair_flow[(i, j) if i < j else (j, i)] -= amount
-            if not self.prune_idle():
-                # nothing freed: the state still costs `before`, and a route
-                # can only add circuits, which never lower a cost, so the
-                # attempt would be rejected
-                self.pair_flow = saved_flow
-                continue
-            seq = self.route_demand(d.u, d.v, amount)
-            if seq is not None and self.apply_route(seq, amount) \
-                    and self.state.spent < before:
-                self.routes[idx] = seq
+            self.apply_route(route, -d.value, ())
+            before = st.spent
+            freed = self.prune_idle()
+            found = self.route_demand(d.u, d.v, d.value) if freed else None
+            if found is not None and found[0] < before - st.spent:
+                _, self.routes[idx], placements = found
+                self.apply_route(self.routes[idx], d.value, placements)
                 improved = True
-                self.moves += 1
+                self.moves += len(freed) + 1
             else:
-                self.state.restore(saved_y)
-                self.pair_flow = saved_flow
+                for pid, speed in freed:
+                    st.add_circuits(pid, speed, 1)
+                self.apply_route(route, d.value, ())
         return improved
 
     def improve(self) -> None:
         for _ in range(IMPROVE_ROUNDS):
-            changed = False
-            changed |= self.prune_idle()
+            pruned = len(self.prune_idle())
+            self.moves += pruned
+            changed = pruned > 0
             changed |= self.swap_paths()
             changed |= self.remix_pairs()
             changed |= self.reroute_demands()
@@ -995,9 +988,15 @@ def solve_heuristic(model: Model, seed: int = 0) -> SolveReport:
     if capacity_infeasible(model) is not None:
         return SolveReport(INFEASIBLE, None, bound)
 
+    ok = True
     if model.transparent:
         # each demand rides its own direct hop
-        ok = all(h.apply_route(list(d.pair), d.value) for d in model.instance.demands)
+        for d in model.instance.demands:
+            priced = h.hop(d.u, d.v, d.value)
+            if priced is None:
+                ok = False
+                break
+            h.apply_route([d.u, d.v], d.value, priced[1])
         if ok:
             h.remix_pairs()
     else:

@@ -259,6 +259,34 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
 
 
+def test_run_solves_toy6_at_10g_4t(tmp_path, monkeypatch):
+    """toy6 at 10G and 4 Tbps, optimized: every route the heuristic's
+    search returns applies, so each price scale's cell is `feasible` at
+    its recorded objective, with a clean check, and the run exits 0."""
+    import wdmplan.cli as cli
+    from wdmplan.solve import check_feasibility, solve_heuristic
+
+    solved = []
+
+    def recorded(model, seed):
+        report = solve_heuristic(model, seed=seed)
+        solved.append(report.solution.objective)
+        assert check_feasibility(model, report.solution) == []
+        return report
+
+    monkeypatch.setattr(cli, "solve_heuristic", recorded)
+    cfg = {"instance": str(DATA / "toy6.txt"), "matrix": {"name": "TOY", "source": "instance"},
+           "volumes": [4000], "speeds": [[10]], "transponder_scales": [1, 2, 5],
+           "architectures": ["optimized"], "solver": "heuristic", "out": str(tmp_path / "res")}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(p)]) == 0
+    assert solved == [Fraction("4854.558"), Fraction("5726.558"), Fraction("8342.558")]
+    for name in ("10G-TOY-4T-OPT", "10G-TOY-4T-s2-OPT", "10G-TOY-4T-s5-OPT"):
+        cell = json.loads((tmp_path / "res" / "cells" / f"{name}.json").read_text())
+        assert cell["status"] == "feasible"
+
+
 def test_run_renders_infeasible_cells(tmp_path):
     cfg = {"instance": star_file(tmp_path), "speeds": [[10]],
            "out": str(tmp_path / "res")}

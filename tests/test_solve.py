@@ -59,6 +59,14 @@ def _root_bound(model):
     return DesignState(ModelTables(model)).lower_bound()
 
 
+def _restore(state, y):
+    """Take `state` back to the circuit counts `y`, a snapshot
+    `dict(state.y)`, by `add_circuits` on each count that differs: every
+    other field follows the counts."""
+    for key in {key for key, _ in state.y.items() ^ y.items()}:
+        state.add_circuits(*key, y.get(key, 0) - state.y.get(key, 0))
+
+
 def test_triangle_frozen_values():
     inst = triangle_instance(demands=(("a", "b", 25),))
     m = build(inst)
@@ -473,8 +481,10 @@ def test_exact_search_pinned():
         assert _exact_outcome(build_tra(inst)) == pinned
 
 
-# recorded before the design state kept one running cost
-SOLUTION_VALUES_DIGEST = "7f36911064f244059dd1da02365a3ceccdf6d3466d25178070eca95150581a9e"
+# recorded when only kept moves began to count; every line but the
+# heuristic's iterations is as it was before the design state kept one
+# running cost
+SOLUTION_VALUES_DIGEST = "216ec24935a288a3eb5e5b0bdff56ebbd96b279fef92cbd58b84acdaa2698635"
 
 
 def test_solution_values_pinned():
@@ -621,11 +631,12 @@ def test_incremental_bound_matches_recomputed():
     assert dens[True] and dens[False], dens
 
 
-# heuristic objective and local-search moves on the shipped toy6 instance,
-# recorded before the marginal-cost kernel moved to scaled integers
+# heuristic objective and local-search moves on the shipped toy6 instance:
+# objectives recorded before the marginal-cost kernel moved to scaled
+# integers, moves since only kept moves count
 TOY6_HEURISTIC = {
-    ("optimized", 0): (Fraction(30791, 50), 75),
-    ("optimized", 1): (Fraction(30791, 50), 75),
+    ("optimized", 0): (Fraction(30791, 50), 1),
+    ("optimized", 1): (Fraction(30791, 50), 1),
     ("transparent-core", 0): (Fraction(33923, 125), 0),
     ("transparent-core", 1): (Fraction(33923, 125), 0),
 }
@@ -643,26 +654,27 @@ def test_heuristic_results_pinned_on_toy6():
 
 def test_heuristic_improves_before_giving_up():
     """On this 50-site, 17-PoP network, k=10 paths per pair, the cold start
-    finds no route for one demand: the leaf s16 hangs off s00, whose optical
-    node already holds the largest module's 10 fibers, and its one link is
-    full. Improving the partial design frees room, and the search finds a
-    route on the second try."""
+    stops after 77 of 136 demands: it finds no route for s16-s32, as the
+    leaf s16 hangs off s00, whose optical node already holds the largest
+    module's 10 fibers, and its one link is full. Improving the partial
+    design frees room, and the search finds a route on the second try."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     m = build(gen.synthetic_network(random.Random(1), 50, 17, 10))
     report = solve_heuristic(m)
     assert report.status == "feasible"
-    assert report.solution.objective == Fraction("10345.8928")
+    assert report.solution.objective == Fraction("10212.4824")
     assert check_feasibility(m, report.solution) == []
 
 
 # heuristic objective and local-search moves on three seeded mid-size
-# instances (seed 0), recorded before the route search was bounded
+# instances (seed 0): objectives recorded before the route search was
+# bounded, moves since only kept moves count
 MIDSIZE_HEURISTIC = {
-    1: (Fraction(576309, 500), 60),
-    2: (Fraction(855174, 625), 122),
-    6: (Fraction(1687549, 2500), 65),
+    1: (Fraction(576309, 500), 2),
+    2: (Fraction(855174, 625), 0),
+    6: (Fraction(1687549, 2500), 1),
 }
 
 
@@ -714,7 +726,7 @@ def test_marginal_cost_kernel_matches_exact_totals():
                         keys = []  # 4000 Gbps of 10G circuits can break a node
                         for qid in cat.pair_ids[pair]:
                             for mx in _mix_options(need, list(cc.lambda_types)):
-                                trial.restore(st.y)
+                                _restore(trial, st.y)
                                 for speed, n in mx.items():
                                     trial.add_circuits(qid, speed, n)
                                 after = _cost(trial)
@@ -737,32 +749,37 @@ def test_marginal_cost_kernel_matches_exact_totals():
                     if step % 10 == 9:
                         earlier.append(st)
                         h.state = DesignState(h.tables)
-                        h.state.restore(st.y)
+                        _restore(h.state, st.y)
                 for st in earlier + [h.state]:
                     _assert_node_fibers(st, inst.graph)
     assert outcomes == {True, False}
 
 
-def _best_first_route(pops, hop, u, v):
-    """Best-first search that prices every hop in full (`hop(i, j)` is the
-    cost, or None for no placement): the route search before it bounded hop
-    prices by the cheapest route to `v`."""
-    heap = [(0, 0, (u,))]
+def _best_first_route(pops, hop, u, v, place=lambda placements, sign=1: None):
+    """Best-first search that prices every hop in full: `hop(i, j)` is
+    (cost, placements), or None for no placement, priced with the label's
+    placements on (`place` adds them, and with sign -1 takes them off). It
+    returns (cost, PoP sequence, placements), or None; the route search
+    before it bounded hop prices by the cheapest route to `v`."""
+    heap = [(0, 0, (u,), ())]
     done = set()
     while heap:
-        cost, hops, seq = heapq.heappop(heap)
+        cost, hops, seq, placed = heapq.heappop(heap)
         at = seq[-1]
         if at == v:
-            return list(seq)
+            return cost, list(seq), placed
         if at in done:
             continue
         done.add(at)
+        place(placed)
         for w in sorted(pops):
             if w in seq or w in done:
                 continue
-            hc = hop(at, w)
-            if hc is not None:
-                heapq.heappush(heap, (cost + hc, hops + 1, seq + (w,)))
+            priced = hop(at, w)
+            if priced is not None:
+                heapq.heappush(heap, (cost + priced[0], hops + 1, seq + (w,),
+                                      placed + priced[1]))
+        place(placed, -1)
     return None
 
 
@@ -771,17 +788,20 @@ def _full_hop_price(h, amount):
         pair = (i, j) if i < j else (j, i)
         need = amount - (h.state.pair_capacity[pair] - h.pair_flow[pair])
         if need <= 0:
-            return 0
+            return 0, ()
         placed = h.best_placement(pair, need)
-        return None if placed is None else placed[0]
+        return None if placed is None else (placed[0], (placed[1:],))
     return hop
 
 
 def test_bounded_route_search_matches_unbounded():
-    """On random placements and pair flows, route_demand returns the route
-    of a search that prices every hop in full, and best_placement under a
-    cutoff returns the unbounded result when it costs at most the cutoff
-    (ties included) and None otherwise."""
+    """On random placements and pair flows, route_demand returns the route,
+    cost and placements of a search that prices every expansion in full
+    with the label's placements on the state, and leaves the circuits, the
+    cost and the pair flows as it found them; applying its route raises the
+    cost by exactly the returned cost and breaks no further node.
+    best_placement under a cutoff returns the unbounded result when it
+    costs at most the cutoff (ties included) and None otherwise."""
     rng = random.Random(1618)
     seen = Counter()
     for maker in (random_tiny_instance, random_midsize_instance):
@@ -805,11 +825,20 @@ def test_bounded_route_search_matches_unbounded():
                         h.pair_flow[pair] = rng.randint(0, cap)
                     u, v = rng.sample(pops, 2)
                     amount = rng.randint(1, rng.choice((300, 300, 4000)))
+                    y, spent, flow = dict(h.state.y), h.state.spent, dict(h.pair_flow)
+                    broken = h.state.broken  # random steps may break a node away from u-v
                     h.best_placement = counted
-                    route = h.route_demand(u, v, amount)
+                    found = h.route_demand(u, v, amount)
                     del h.best_placement
-                    assert route == _best_first_route(pops, _full_hop_price(h, amount), u, v)
-                    seen["no-route" if route is None else "multi-hop" if len(route) > 2
+                    assert (h.state.y, h.state.spent, h.pair_flow) == (y, spent, flow)
+                    assert found == _best_first_route(pops, _full_hop_price(h, amount), u, v,
+                                                      h.place)
+                    if found is not None:
+                        h.apply_route(found[1], amount, found[2])
+                        assert h.state.spent - spent == found[0]
+                        assert h.state.broken == broken
+                        h.place(found[2], -1)
+                    seen["no-route" if found is None else "multi-hop" if len(found[1]) > 2
                          else "direct"] += 1
 
                     pair = rng.choice(pairs)
@@ -831,9 +860,9 @@ def test_bounded_route_search_matches_unbounded():
 
 def test_bounded_route_search_keeps_ties():
     """With hop costs drawn from a few small integers, so that routes of
-    equal cost abound, route_demand returns the unbounded search's route:
-    an entry costing exactly the bound can still rank first on hops or
-    PoP sequence."""
+    equal cost abound, route_demand returns the unbounded search's route,
+    cost and placements: an entry costing exactly the bound can still rank
+    first on hops or PoP sequence."""
     rng = random.Random(2024)
     for _ in range(400):
         pops = [f"p{i}" for i in range(rng.randint(3, 7))]
@@ -841,14 +870,15 @@ def test_bounded_route_search_keeps_ties():
                  for i, a in enumerate(pops) for b in pops[i + 1:]}
 
         def hop(i, j, table=table):
-            return table[(i, j) if i < j else (j, i)]
+            c = table[(i, j) if i < j else (j, i)]
+            return None if c is None else (c, ((i, j),))
 
-        def hop_cost(i, j, amount, cutoff=inf, hop=hop):
-            c = hop(i, j)
-            return None if c is None or c > cutoff else c
+        def bounded(i, j, amount, cutoff=inf, hop=hop):
+            priced = hop(i, j)
+            return None if priced is None or priced[0] > cutoff else priced
 
         search = SimpleNamespace(tables=SimpleNamespace(instance=SimpleNamespace(pops=pops)),
-                                 hop_cost=hop_cost)
+                                 hop=bounded, place=lambda placements, sign=1: None)
         u, v = rng.sample(pops, 2)
         assert _Heuristic.route_demand(search, u, v, 1) == _best_first_route(pops, hop, u, v)
 
@@ -887,10 +917,12 @@ def _applied_swap_paths(h, accepts):
 
 
 def _twin(h):
-    """A second heuristic on a fresh state restored to h's circuits."""
+    """A second heuristic on a fresh state taken to h's circuits, with its
+    own pair flows and routes."""
     twin = copy.copy(h)
+    twin.pair_flow, twin.routes = dict(h.pair_flow), dict(h.routes)
     twin.state = DesignState(h.tables)
-    twin.state.restore(h.state.y)
+    _restore(twin.state, h.state.y)
     return twin
 
 
@@ -927,7 +959,7 @@ def test_priced_swap_matches_applied_swap():
 
 def _applied_remix_pairs(h, outcomes):
     """remix_pairs as it was before remixes were priced: each pair's best
-    mix is applied, costed and undone by `restore` unless strictly cheaper.
+    mix is applied, costed and undone by `_restore` unless strictly cheaper.
     Counts the remixes kept and rejected in `outcomes`."""
     improved = False
     st, t = h.state, h.tables
@@ -943,14 +975,13 @@ def _applied_remix_pairs(h, outcomes):
             st.add_circuits(pid, speed, -st.y[(pid, speed)])
         repl = h.best_placement(pair, flow)
         if repl is not None:
-            _, pid, mix = repl
-            h.place(pid, mix)
+            h.place([repl[1:]])
             if st.spent < before:
                 improved = True
                 h.moves += 1
                 outcomes["kept"] += 1
                 continue
-        st.restore(saved)
+        _restore(st, saved)
         outcomes["rejected"] += 1
     return improved
 
@@ -988,11 +1019,78 @@ def test_priced_remix_matches_applied_remix():
     assert outcomes["kept"] and outcomes["rejected"], outcomes
 
 
+def _applied_reroute_demands(h, outcomes):
+    """reroute_demands as it was before re-routes were priced: each new
+    route is applied, costed, and undone by going back to a snapshot unless
+    strictly cheaper. A kept re-route counts its freed circuits and itself
+    as moves. Counts the re-routes kept and rejected in `outcomes`."""
+    improved = False
+    st = h.state
+    for idx in list(h.routes):
+        d = h.tables.instance.demands[idx]
+        before = st.spent
+        saved_y, saved_flow = dict(st.y), dict(h.pair_flow)
+        h.apply_route(h.routes[idx], -d.value, ())
+        freed = h.prune_idle()
+        if not freed:
+            h.pair_flow = saved_flow
+            continue
+        found = h.route_demand(d.u, d.v, d.value)
+        if found is not None:
+            _, seq, placements = found
+            h.apply_route(seq, d.value, placements)
+            if st.spent < before:
+                h.routes[idx] = seq
+                improved = True
+                h.moves += len(freed) + 1
+                outcomes["kept"] += 1
+                continue
+        _restore(st, saved_y)
+        h.pair_flow = saved_flow
+        outcomes["rejected"] += 1
+    return improved
+
+
+def test_priced_reroute_matches_applied_reroute():
+    """reroute_demands, which re-routes a demand only when the route costs
+    less than the circuits its removal freed and else puts them back,
+    returns what the re-route that applies each route and goes back to a
+    snapshot returns, and leaves its circuits, cost, pair flows, routes and
+    move count, on random unbroken designs: constructed ones with random
+    idle circuits added. Both kept and rejected re-routes occur."""
+    rng = random.Random(8128)
+    outcomes = Counter()
+    for maker in (random_tiny_instance, random_midsize_instance):
+        for _ in range(8):
+            inst, full_cat = routable_instance(maker, rng)
+            h = _Heuristic(build_model(inst, full_cat, build_cost_catalog(inst)), seed=0)
+            if not h.construct():
+                continue
+            speeds = sorted(h.tables.lt)
+            for _ in range(6):
+                y = dict(h.state.y)
+                for _ in range(rng.randint(0, 3)):
+                    h.state.add_circuits(rng.randrange(len(h.tables.catalog.paths)),
+                                         rng.choice(speeds), rng.randint(1, 6))
+                if h.state.broken:
+                    _restore(h.state, y)
+                ref = _twin(h)
+                want = _applied_reroute_demands(ref, outcomes)
+                assert h.reroute_demands() == want
+                assert h.state.y == ref.state.y
+                assert h.state.spent == ref.state.spent
+                assert h.pair_flow == ref.pair_flow
+                assert h.routes == ref.routes
+                assert h.moves == ref.moves
+                assert not h.state.broken
+    assert outcomes["kept"] and outcomes["rejected"], outcomes
+
+
 def test_direct_hops_leave_no_idle_circuit():
     """The transparent variant places each demand on its own direct hop,
     with a mix from `_mix_options` that no circuit can be dropped from, so
     `prune_idle` finds nothing to drop there: on random tiny and mid-size
-    nets it returns False and leaves the circuits and the move count as
+    nets it drops nothing and leaves the circuits and the move count as
     they are. solve_heuristic relies on this and goes straight to the
     remix."""
     rng = random.Random(1123)
@@ -1004,12 +1102,16 @@ def test_direct_hops_leave_no_idle_circuit():
             if capacity_infeasible(m) is not None:
                 continue
             h = _Heuristic(m, seed=0)
-            if not all(h.apply_route(list(d.pair), d.value) for d in inst.demands):
-                continue
-            placed += 1
-            y, moves = dict(h.state.y), h.moves
-            assert h.prune_idle() is False
-            assert h.state.y == y and h.moves == moves
+            for d in inst.demands:
+                priced = h.hop(d.u, d.v, d.value)
+                if priced is None:
+                    break
+                h.apply_route([d.u, d.v], d.value, priced[1])
+            else:
+                placed += 1
+                y, moves = dict(h.state.y), h.moves
+                assert h.prune_idle() == []
+                assert h.state.y == y and h.moves == moves
     assert placed >= 20, placed
 
 
@@ -1283,8 +1385,8 @@ def _state_values(state):
 def test_state_follows_circuit_counts(instance, architecture):
     """Every field of a design state but its `tables` is one `add_circuits`
     keeps up to date, and follows its circuit counts `y`: over random
-    steps, up to a broken node and back, a fresh state restored to the
-    state's `y` equals it, and `restore` to an earlier `y` gives back every
+    steps, up to a broken node and back, a fresh state taken to the
+    state's `y` equals it, and going back to an earlier `y` gives back every
     earlier value. The steps move every field."""
     rng = random.Random(31)
     tables = ModelTables(_state_model(instance, architecture, rng))
@@ -1303,13 +1405,13 @@ def test_state_follows_circuit_counts(instance, architecture):
         now = _state_values(state)
         moved |= {name for name in now if now[name] != fresh[name]}
         twin = DesignState(tables)
-        twin.restore(state.y)
+        _restore(twin, state.y)
         assert _state_values(twin) == now
         seen.append((dict(state.y), now))
         if step == 30 or step % 5 == 4:
             # back from the broken node to the step before it, else anywhere
             y, then = seen[-2] if step == 30 else rng.choice(seen)
-            state.restore(y)
+            _restore(state, y)
             assert _state_values(state) == then
     assert moved == set(fresh)
 
@@ -1336,7 +1438,7 @@ def test_state_cost_is_the_model_objective(instance, architecture):
             saved = dict(state.y)
             state.add_circuits(0, min(state.tables.lt), 5000)
         elif step == 31:
-            state.restore(saved)
+            _restore(state, saved)
         else:
             _random_circuit_step(state, rng)
         picks = list(state.vmod.values()) + list(state.pmod.values())
@@ -1375,8 +1477,8 @@ def test_states_on_one_tables_are_independent(instance, architecture):
             _random_circuit_step(state, rng)
         seen.append(dict(state.y))
         if step == 30 or step % 5 == 4:
-            state.restore(seen[-2] if step == 30 else rng.choice(seen))
+            _restore(state, seen[-2] if step == 30 else rng.choice(seen))
         assert _state_values(bystander) == fresh
     alone = DesignState(ModelTables(model))
-    alone.restore(state.y)
+    _restore(alone, state.y)
     assert state.y and _state_values(alone) == _state_values(state)
