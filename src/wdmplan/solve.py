@@ -16,15 +16,20 @@ Three layers of machinery:
   rule) on the model's own flow rows: its flow-conservation rows, and its
   virtual-link-capacity rows with the candidate capacities as right-hand
   sides; memoized per capacity vector.
-  The bound (`DesignState.lower_bound`) adds the cost of everything already
-  forced (circuits, fibers, modules) to a completion term: every Gbps of
-  demand still lacking virtual capacity costs at least the cheapest circuit
-  cost per Gbps. The same function, taken on the empty design, is the
-  bound both solvers report when they do not prove an optimum. The search
-  itself compares integers only: the state keeps the uncovered demand up to
-  date as circuits come and go, `DesignState.bound_key` is the bound times
-  a fixed whole factor, and the incumbent's cost is kept scaled, so a prune
-  and a leaf cost no `Fraction` arithmetic and visit the same nodes.
+  The bound (`DesignState.lower_bound`) prices what every completion must
+  still pay. Optimized: the cost of everything already forced (circuits,
+  fibers, modules), plus the cheapest circuit cost per Gbps for every Gbps
+  of demand still lacking virtual capacity. Transparent: the cost of a
+  shadow design, which adds to each pair's one path the fewest circuits
+  covering its shortfall, at the least circuit cost of any covering mix,
+  with the fibers and optical modules that follow (on toy6 it is the
+  optimum already at the root). The same function, taken on the empty
+  design, is the bound both solvers report when they do not prove an
+  optimum. The search itself compares integers only: the state keeps what
+  the bound reads up to date as circuits come and go, in O(path length) a
+  step, `DesignState.bound_key` is the bound times a fixed whole factor in
+  O(1), and the incumbent's cost is kept scaled, so a prune and a leaf cost
+  no `Fraction` arithmetic and visit the same nodes.
 * `solve_heuristic` builds a solution demand by demand (largest first) on a
   grooming graph: routing over existing spare circuit capacity is free,
   opening new circuits pays circuit + fiber + module marginal cost. A local
@@ -324,19 +329,20 @@ class ModelTables:
         # routers by (switching, slot units), priced as the model's objective
         # prices them (free in the transparent variant), optical nodes by
         # (fibers, add-drop ports)
-        vms, pms = cc.virtual_modules, cc.physical_modules
-        router_prices = [0 if model.transparent else self.of(vm.cost) for vm in vms]
-        self.vmod_for = cache(partial(_cheapest, router_prices, [
-            (vm.switching_capacity, vm.slot_capacity * LambdaType.SLOT_UNITS) for vm in vms]))
-        self.pmod_for = cache(partial(_cheapest, [self.of(pm.cost) for pm in pms], [
-            (pm.fiber_capacity, pm.add_drop_ports) for pm in pms]))
+        self.vmod_for = cache(partial(_cheapest, sorted(
+            (0 if model.transparent else self.of(vm.cost), midx, vm.switching_capacity,
+             vm.slot_capacity * LambdaType.SLOT_UNITS)
+            for midx, vm in enumerate(cc.virtual_modules))))
+        self.pmod_for = cache(partial(_cheapest, sorted(
+            (self.of(pm.cost), midx, pm.fiber_capacity, pm.add_drop_ports)
+            for midx, pm in enumerate(cc.physical_modules))))
         self.d_i = node_demand(inst)
         self.pair_demand = {d.pair: d.value for d in inst.demands}
         # the cheapest scaled circuit price per Gbps, `gbps_num / gbps_den`
         per_gbps = min(Fraction(self.circuit_price[lt.speed], lt.routing_capacity)
                        for lt in cc.lambda_types)
         self.gbps_num, self.gbps_den = per_gbps.numerator, per_gbps.denominator
-        self._mixes: dict[int, tuple[int, list]] = {}  # need -> `mix_table`
+        self._mixes: dict[int, tuple[int, int, list]] = {}  # need -> `mix_table`
 
     def of(self, price) -> int:
         return int(price * self.scale)
@@ -352,29 +358,32 @@ class ModelTables:
                 sum(self.lt[s].switching_capacity * n for s, n in mix.items()),
                 sum(self.lt_units[s] * n for s, n in mix.items()))
 
-    def mix_table(self, need: int) -> tuple[int, list]:
-        """(floor, rows) of the mixes covering `need` Gbps, memoized: a row
-        is a `mix_row`, and the floor is the least circuit cost of any row."""
+    def mix_table(self, need: int) -> tuple[int, int, list]:
+        """(floor, fewest, rows) of the mixes covering `need` Gbps, memoized:
+        a row is a `mix_row`, the floor is the least circuit cost of any row
+        and `fewest` the least circuit count of any row, possibly another."""
         table = self._mixes.get(need)
         if table is None:
             rows = [self.mix_row(mix)
                     for mix in _mix_options(need, self.model.cost_catalog.lambda_types)]
-            table = self._mixes[need] = (min(row[2] for row in rows), rows)
+            table = self._mixes[need] = (min(row[2] for row in rows),
+                                         min(row[1] for row in rows), rows)
         return table
 
 
-def _cheapest(costs: list[int], capacities: list[tuple[int, int]], first: int,
+def _cheapest(modules: list[tuple[int, int, int, int]], first: int,
               second: int) -> tuple | None:
     """(scaled cost, index) of the cheapest module whose capacity pair covers
     (first, second), the first of equals; (0, None) for a zero requirement,
-    which needs no module; None if no module covers it."""
+    which needs no module; None if no module covers it. `modules` holds
+    (scaled cost, index, capacity, capacity) in (cost, index) order, so the
+    first that covers the requirement is the one."""
     if not (first or second):
         return 0, None
-    best = None
-    for midx, ((cap1, cap2), cost) in enumerate(zip(capacities, costs)):
-        if cap1 >= first and cap2 >= second and (best is None or cost < best[0]):
-            best = (cost, midx)
-    return best
+    for cost, midx, cap1, cap2 in modules:
+        if cap1 >= first and cap2 >= second:
+            return cost, midx
+    return None
 
 
 class DesignState:
@@ -383,13 +392,15 @@ class DesignState:
     Fiber counts and node modules are derived, not chosen: fibers are the
     channel count rounded up, modules the cheapest sufficient catalog entry
     (a pick of `ModelTables.vmod_for` / `pmod_for` per PoP in `vmod` and per
-    node in `pmod`). The cost of all of it, `spent`, and the demand still
-    lacking virtual capacity are maintained incrementally, as scaled
-    integers (see `ModelTables`), so a branch-and-bound step costs O(path
-    length) and its bound O(1). `broken` counts the nodes whose requirement
-    exceeds every catalog module (their pick is None, and adds nothing to
-    `spent`). It matters only to the exact search, as the heuristic never
-    breaks a node: requirements grow with circuits, so one ends a subtree.
+    node in `pmod`). The cost of all of it, `spent`, and what `bound_key`
+    reads (the demand still lacking virtual capacity, or in the transparent
+    variant the shadow design of `lower_bound`) are maintained
+    incrementally, as scaled integers (see `ModelTables`), so a
+    branch-and-bound step costs O(path length) and its bound O(1). `broken`
+    counts the nodes whose requirement exceeds every catalog module (their
+    pick is None, and adds nothing to `spent`). It matters only to the exact
+    search, as the heuristic never breaks a node: requirements grow with
+    circuits, so one ends a subtree.
 
     Every field but `tables` is one `add_circuits` writes, a function of the
     circuit counts `y` alone, whatever steps led there, so putting back
@@ -397,7 +408,8 @@ class DesignState:
     share one `tables`.
     """
 
-    # 13 fields, per-model facts in `tables`: CPython 3.11/3.12 inline at most 29
+    # 13 fields (16 in the transparent variant), per-model facts in
+    # `tables`: CPython 3.11/3.12 inline at most 29
     def __init__(self, tables: ModelTables):
         self.tables = tables
         nodes = tables.instance.graph.node_ids()
@@ -418,11 +430,22 @@ class DesignState:
         self.broken = 0
         for i in tables.instance.pops:
             self._repick(self.vmod, tables.vmod_for, i, tables.d_i[i], 0)
-        # what `bound_key` reads besides `spent`: the demand still lacking
-        # virtual capacity, kept up to date by `add_circuits` (summed per pair
-        # in the transparent variant, and otherwise the total demand minus
-        # the total capacity, which goes below 0 once capacity exceeds demand)
-        self._uncovered = sum(tables.pair_demand.values())
+        # what `bound_key` reads, kept up to date by `add_circuits`
+        if tables.transparent:
+            # the shadow design (see `lower_bound`): its channels per edge,
+            # incident fibers and drops per node, and its scaled cost
+            self.shadow_channels: dict[str, int] = {}
+            self.shadow_fiber_count = dict.fromkeys(nodes, 0)
+            self.shadow_drops = dict.fromkeys(nodes, 0)
+            self._shadow_cost = 0
+            for pair, dv in tables.pair_demand.items():
+                floor, fewest, _ = tables.mix_table(dv)
+                self._shadow_cost += floor
+                self._reshadow(tables.catalog.pair_ids[pair][0], pair, fewest)
+        else:
+            # the total demand minus the total capacity, which goes below 0
+            # once capacity exceeds demand
+            self._uncovered = sum(tables.pair_demand.values())
 
     def _repick(self, picks: dict, pick_for, node: str, first: int, second: int) -> None:
         """Re-pick `node`'s module in `picks` for the requirement (first,
@@ -472,8 +495,13 @@ class DesignState:
         new_cap = old_cap + lt.routing_capacity * count
         self.pair_capacity[ends] = new_cap
         if t.transparent:
+            # the shadow gets these circuits, and its circuits for the
+            # pair's shortfall follow the new capacity
             dv = t.pair_demand.get(ends, 0)
-            self._uncovered += max(0, dv - new_cap) - max(0, dv - old_cap)
+            was_floor, was_fewest, _ = t.mix_table(max(0, dv - old_cap))
+            floor, fewest, _ = t.mix_table(max(0, dv - new_cap))
+            self._shadow_cost += t.circuit_price[speed] * count + floor - was_floor
+            self._reshadow(pid, ends, count + fewest - was_fewest)
         else:
             self._uncovered -= new_cap - old_cap
         switch, units, drops = self.node_switch, self.node_slot_units, self.node_drops
@@ -485,21 +513,68 @@ class DesignState:
         for n in touched_pmod:
             self._repick(self.pmod, t.pmod_for, n, fiber_count[n], drops[n])
 
+    def _reshadow(self, pid: int, ends: tuple[str, str], count: int) -> None:
+        """Add (or with negative `count`, remove) `count` channels along path
+        `pid` and drops at its `ends` to the shadow design, and move its
+        cost by the fiber and optical-module change. A requirement above
+        every optical module prices its node at 0."""
+        if not count:
+            return
+        t = self.tables
+        cpf = t.channels_per_fiber
+        channels, fiber_count = self.shadow_channels, self.shadow_fiber_count
+        drops = self.shadow_drops
+        added = dict.fromkeys(ends, 0)  # node -> fibers added on incident edges
+        for eid, u, v, fiber_price in t.path_edges[pid]:
+            ch = channels.get(eid, 0)
+            if ch + count:
+                channels[eid] = ch + count
+            else:
+                del channels[eid]
+            delta = (ch + count + cpf - 1) // cpf - (ch + cpf - 1) // cpf
+            if delta:
+                self._shadow_cost += fiber_price * delta
+                added[u] = added.get(u, 0) + delta
+                added[v] = added.get(v, 0) + delta
+        for n, df in added.items():
+            old = t.pmod_for(fiber_count[n], drops[n])
+            fiber_count[n] += df
+            if n in ends:
+                drops[n] += count
+            new = t.pmod_for(fiber_count[n], drops[n])
+            self._shadow_cost += (new[0] if new else 0) - (old[0] if old else 0)
+
     def bound_key(self) -> int:
         """`lower_bound` times `tables.scale` times `tables.gbps_den`, a
-        whole number: the scaled cost so far times `gbps_den`, plus
-        `gbps_num` for each Gbps of demand not yet covered."""
+        whole number: in the transparent variant the shadow design's scaled
+        cost times `gbps_den`; otherwise the scaled cost so far times
+        `gbps_den`, plus `gbps_num` for each Gbps of demand not yet covered."""
         t = self.tables
-        uncovered = max(0, self._uncovered)
-        return self.spent * t.gbps_den + uncovered * t.gbps_num
+        if t.transparent:
+            return self._shadow_cost * t.gbps_den
+        return self.spent * t.gbps_den + max(0, self._uncovered) * t.gbps_num
 
     def lower_bound(self) -> Fraction:
         """A lower bound on the cost of every design that adds circuits to
-        this one: the cost so far plus the cheapest circuit price per Gbps
-        for each Gbps of demand not yet covered (per pair in the transparent
-        variant, in total otherwise). Costs and requirements only grow with
-        circuits. `broken` is not looked at: a broken state has no
-        completion, so any number bounds it."""
+        this one; costs and requirements only grow with circuits.
+
+        Optimized: the cost so far plus the cheapest circuit price per Gbps
+        for each Gbps of the total demand not yet covered.
+
+        Transparent: the cost of the shadow design. Each pair's demand rides
+        its own one path, so a completion adds to that path circuits
+        covering the pair's shortfall (its demand less its capacity): at
+        least the fewest circuits of any covering mix, at no less than the
+        least circuit cost of any covering mix (the two may come from
+        different mixes). The shadow design has this state's circuits plus
+        that many channels on each pair's path and drops at its ends, priced
+        at that least cost; its fibers and optical modules follow as a
+        design's do, and routers are free in this variant. A completion's
+        channels, drops and fibers are at least the shadow's, and a larger
+        requirement never gets a cheaper cheapest module.
+
+        `broken` is not looked at: a broken state has no completion, so any
+        number bounds it."""
         return Fraction(self.bound_key(), self.tables.scale * self.tables.gbps_den)
 
     def to_solution(self, flow_values: dict[str, Fraction]) -> Solution:
@@ -725,7 +800,7 @@ class _Heuristic:
         Every placement costs at least the floor of the mix table, as
         router, fiber and optical-module terms are >= 0, so a floor above
         `cutoff` ends the call before any mix is priced."""
-        floor, rows = self.tables.mix_table(need)
+        floor, _, rows = self.tables.mix_table(need)
         if floor > cutoff:
             return None
         return self._scan(pair, rows, cutoff)[0]
@@ -979,7 +1054,8 @@ def solve_heuristic(model: Model, seed: int = 0) -> SolveReport:
     """Construct + local search; deterministic for a fixed seed.
 
     The report's bound is `DesignState.lower_bound` of the empty design, so
-    `optimal` is only claimed when the design meets it (e.g. zero demands).
+    `optimal` is only claimed when the design meets it (e.g. zero demands,
+    or a transparent design that costs its shadow design, as on toy6).
     Failure to construct a solution yields `unknown`; `infeasible` is only
     reported when `capacity_infeasible` proves it, for either architecture.
     """

@@ -423,22 +423,24 @@ def test_exact_node_budget_reports_unknown():
 
 
 # (status, nodes explored, objective) of exact searches, recorded when the
-# search still recursed: one Python frame per branch variable
+# search still recursed: one Python frame per branch variable; transparent
+# node counts since the transparent bound prices the shadow design, with
+# every status and objective kept
 TOY6_EXACT = {
-    ("transparent-core", None): ("optimal", 57667, Fraction(33923, 125)),
+    ("transparent-core", None): ("optimal", 1, Fraction(33923, 125)),
     ("optimized", 2000): ("unknown", 2001, Fraction(30791, 50)),
 }
 TINY_EXACT = [  # tiny_instances(10, master_seed=2026): (optimized, transparent-core)
     (("optimal", 4, Fraction(106711, 1250)),
      ("optimal", 2, Fraction(36711, 1250))),
     (("optimal", 26, Fraction(347001, 2500)),
-     ("optimal", 5, Fraction(137001, 2500))),
+     ("optimal", 2, Fraction(137001, 2500))),
     (("optimal", 8, Fraction(56579, 625)),
      ("optimal", 3, Fraction(21579, 625))),
     (("optimal", 2, Fraction(53108, 625)),
      ("optimal", 2, Fraction(18108, 625))),
     (("optimal", 38, Fraction(193293, 1250)),
-     ("optimal", 4, Fraction(94749, 1250))),
+     ("optimal", 2, Fraction(94749, 1250))),
     (("optimal", 7, Fraction(110353, 1250)),
      ("optimal", 3, Fraction(40353, 1250))),
     (("optimal", 2, Fraction(56282, 625)),
@@ -451,12 +453,12 @@ TINY_EXACT = [  # tiny_instances(10, master_seed=2026): (optimized, transparent-
      ("optimal", 3, Fraction(20028, 625))),
 ]
 MIDSIZE_TRANSPARENT_EXACT = [  # six routable mid-size instances, rng seed 2026
-    ("optimal", 237, Fraction(334613, 2500)),
-    ("optimal", 104, Fraction(1137113, 2500)),
-    ("optimal", 10, Fraction(5452, 25)),
-    ("optimal", 7, Fraction(364681, 2500)),
-    ("optimal", 190, Fraction(252611, 2500)),
-    ("optimal", 17, Fraction(177291, 625)),
+    ("optimal", 1, Fraction(334613, 2500)),
+    ("optimal", 26, Fraction(1137113, 2500)),
+    ("optimal", 2, Fraction(5452, 25)),
+    ("optimal", 3, Fraction(364681, 2500)),
+    ("optimal", 1, Fraction(252611, 2500)),
+    ("optimal", 2, Fraction(177291, 625)),
 ]
 
 
@@ -481,10 +483,10 @@ def test_exact_search_pinned():
         assert _exact_outcome(build_tra(inst)) == pinned
 
 
-# recorded when only kept moves began to count; every line but the
-# heuristic's iterations is as it was before the design state kept one
-# running cost
-SOLUTION_VALUES_DIGEST = "216ec24935a288a3eb5e5b0bdff56ebbd96b279fef92cbd58b84acdaa2698635"
+# recorded when the transparent bound began to price the shadow design: it
+# moved only the transparent status, bound and node lines, and every value
+# line is as it was before the design state kept one running cost
+SOLUTION_VALUES_DIGEST = "cb8fb954e97e4ce4e75b1dada1d8fc3fb9108b5b4d04502141312d00afb9dbf5"
 
 
 def test_solution_values_pinned():
@@ -527,8 +529,10 @@ def test_exact_search_deeper_than_the_recursion_limit():
 
 def test_bounds_never_above_the_optimum():
     """Both solvers' bound is at most the HiGHS optimum of the LP export on
-    random tiny and mid-size models of both architectures, and at most the
-    enumerated optimum on tiny optimized ones."""
+    random tiny and mid-size models of both architectures, and of the
+    transparent architecture also with one circuit speed at a fractional
+    and at a whole transponder scale; and at most the enumerated optimum on
+    tiny optimized ones."""
     pytest.importorskip("scipy.optimize")
     from enum_oracle import brute_force_optimum
     from lp_mip import solve_lp_text
@@ -536,7 +540,10 @@ def test_bounds_never_above_the_optimum():
     checked = 0
     for maker in [random_tiny_instance] * 8 + [random_midsize_instance] * 3:
         inst, _cat = routable_instance(maker, rng)
-        for m in (build(inst), build_tra(inst)):
+        variants = [dataclasses.replace(inst, speeds=speeds, transponder_scale=scale)
+                    for speeds, scale in (((10,), Fraction(1234567, 10**6)),
+                                          ((100,), Fraction(3)))]
+        for m in [build(inst), build_tra(inst)] + [build_tra(v) for v in variants]:
             root = _root_bound(m)
             heur = solve_heuristic(m)
             exact = solve_exact(m, Limits(max_nodes=300))
@@ -557,6 +564,48 @@ def test_bounds_never_above_the_optimum():
     assert checked >= 20
 
 
+def test_transparent_bound_never_above_a_completion():
+    """The transparent bound of a design y is at most the cost of every
+    design Y >= y that covers each pair's demand and breaks no node, and is
+    Y's cost at y = Y: on random tiny and mid-size transparent models, at
+    transponder scales 1, 1.234567 and 3, with the speed sets {10}, {100}
+    and {10, 100}. Y covers each demand with a random `_mix_options` mix
+    and takes random circuits more; each y takes a random count of at most
+    Y's on each variable."""
+    rng = random.Random(2718)
+    seen = Counter()
+    for maker in [random_tiny_instance] * 6 + [random_midsize_instance] * 6:
+        base, cat = routable_instance(maker, rng)
+        for scale in (Fraction(1), Fraction(1234567, 10**6), Fraction(3)):
+            for speeds in ((10,), (100,), (10, 100)):
+                inst = dataclasses.replace(base, speeds=speeds, transponder_scale=scale)
+                cc = build_cost_catalog(inst)
+                m = build_transparent_variant(inst, cat, cc)
+                tables = ModelTables(m)
+                paths = len(tables.catalog.paths)
+                for _ in range(4):
+                    full = DesignState(tables)
+                    for d in inst.demands:
+                        pid = tables.catalog.pair_ids[d.pair][0]
+                        for speed, n in rng.choice(_mix_options(d.value, cc.lambda_types)).items():
+                            full.add_circuits(pid, speed, n)
+                    for _ in range(rng.randint(0, 4)):
+                        full.add_circuits(rng.randrange(paths), rng.choice(speeds),
+                                          rng.randint(1, 5))
+                    if full.broken:
+                        continue
+                    cost = evaluate_cost(m, full.to_solution({}))
+                    assert full.lower_bound() == cost
+                    key = cost * tables.scale * tables.gbps_den
+                    for _ in range(6):
+                        sub = DesignState(tables)
+                        for (pid, speed), n in full.y.items():
+                            sub.add_circuits(pid, speed, rng.randint(0, n))
+                        assert sub.bound_key() <= key
+                        seen["equal" if sub.bound_key() == key else "below"] += 1
+    assert seen["below"] >= 1000 and seen["equal"], seen
+
+
 def test_both_solvers_report_the_same_bound_when_nothing_fits():
     """Each end needs 11 fibers and the largest optical node takes 10: the
     exhausted search (`infeasible`) and the failed construction (`unknown`)
@@ -572,26 +621,60 @@ def test_both_solvers_report_the_same_bound_when_nothing_fits():
 
 
 def test_root_bound_pinned_on_toy6():
-    """Circuits for the demand at the cheapest price per Gbps, plus, in the
-    optimized model, the cheapest router for each PoP's own demand."""
+    """Optimized: circuits for the demand at the cheapest price per Gbps,
+    plus the cheapest router for each PoP's own demand. Transparent: the
+    shadow design of the empty one, which costs the optimum."""
     inst = read_instance(TOY6.read_text())
     assert _root_bound(build(inst)) == Fraction(1632, 5)
-    assert _root_bound(build_tra(inst)) == Fraction(432, 5)
+    assert _root_bound(build_tra(inst)) == Fraction(33923, 125)
 
 
 def _recomputed_bound(state):
-    """`DesignState.lower_bound` as it was before the state kept the
-    uncovered demand: every pair's (or the total) demand re-summed from the
-    capacities, priced at the cheapest `Fraction` circuit cost per Gbps."""
+    """`DesignState.lower_bound` recomputed from the circuit counts with
+    `Fraction` prices. Optimized: the total demand not yet covered, priced
+    at the cheapest circuit cost per Gbps. Transparent: the shadow design
+    priced from scratch: per pair, the fewest circuits and the least circuit
+    cost of any `_mix_options` mix covering its shortfall; per edge, the
+    circuits on it plus the pending ones of each pair whose path crosses it,
+    rounded up to fibers; per node, the cheapest physical module of the cost
+    catalog that takes its fibers and drops, or nothing if none does."""
     t = state.tables
     inst, cc = t.instance, t.model.cost_catalog
     cap = state.pair_capacity
-    if t.transparent:
-        uncovered = sum(max(0, d.value - cap[d.pair]) for d in inst.demands)
-    else:
+    if not t.transparent:
         uncovered = max(0, inst.total_demand() - sum(cap.values()))
-    per_gbps = min(lt.cost / lt.routing_capacity for lt in cc.lambda_types)
-    return t.exact(state.spent) + uncovered * per_gbps
+        per_gbps = min(lt.cost / lt.routing_capacity for lt in cc.lambda_types)
+        return t.exact(state.spent) + uncovered * per_gbps
+    price = {lt.speed: lt.cost for lt in cc.lambda_types}
+    paths = t.catalog.paths
+    channels, drops = Counter(), Counter()
+
+    def put(pid, n):
+        for eid in paths[pid].edges:
+            channels[eid] += n
+        for node in paths[pid].ends:
+            drops[node] += n
+
+    total = Fraction(0)
+    for (pid, speed), n in state.y.items():
+        total += price[speed] * n
+        put(pid, n)
+    for d in inst.demands:
+        mixes = _mix_options(max(0, d.value - cap[d.pair]), cc.lambda_types)
+        total += min(sum(price[s] * n for s, n in mix.items()) for mix in mixes)
+        put(t.catalog.pair_ids[d.pair][0], min(sum(mix.values()) for mix in mixes))
+    fibers = Counter()
+    for e in inst.graph.edges:
+        f = -(-channels[e.id] // inst.channels_per_fiber)
+        total += cc.fiber_cost[e.id] * f
+        fibers[e.u] += f
+        fibers[e.v] += f
+    for node in inst.graph.node_ids():
+        fits = [pm.cost for pm in cc.physical_modules
+                if pm.fiber_capacity >= fibers[node] and pm.add_drop_ports >= drops[node]]
+        if (fibers[node] or drops[node]) and fits:
+            total += min(fits)
+    return total
 
 
 def test_incremental_bound_matches_recomputed():
@@ -631,23 +714,25 @@ def test_incremental_bound_matches_recomputed():
     assert dens[True] and dens[False], dens
 
 
-# heuristic objective and local-search moves on the shipped toy6 instance:
-# objectives recorded before the marginal-cost kernel moved to scaled
-# integers, moves since only kept moves count
+# heuristic status, objective and local-search moves on the shipped toy6
+# instance: objectives recorded before the marginal-cost kernel moved to
+# scaled integers, moves since only kept moves count, transparent statuses
+# since the transparent bound prices the shadow design, which the
+# heuristic's design meets
 TOY6_HEURISTIC = {
-    ("optimized", 0): (Fraction(30791, 50), 1),
-    ("optimized", 1): (Fraction(30791, 50), 1),
-    ("transparent-core", 0): (Fraction(33923, 125), 0),
-    ("transparent-core", 1): (Fraction(33923, 125), 0),
+    ("optimized", 0): ("feasible", Fraction(30791, 50), 1),
+    ("optimized", 1): ("feasible", Fraction(30791, 50), 1),
+    ("transparent-core", 0): ("optimal", Fraction(33923, 125), 0),
+    ("transparent-core", 1): ("optimal", Fraction(33923, 125), 0),
 }
 
 
 def test_heuristic_results_pinned_on_toy6():
     inst = read_instance(TOY6.read_text())
     models = {"optimized": build(inst), "transparent-core": build_tra(inst)}
-    for (arch, seed), (objective, moves) in TOY6_HEURISTIC.items():
+    for (arch, seed), (status, objective, moves) in TOY6_HEURISTIC.items():
         report = solve_heuristic(models[arch], seed=seed)
-        assert report.status == "feasible"
+        assert report.status == status
         assert report.solution.objective == objective
         assert report.iterations == moves
 
@@ -795,11 +880,12 @@ def _full_hop_price(h, amount):
 
 
 def test_bounded_route_search_matches_unbounded():
-    """On random placements and pair flows, route_demand returns the route,
-    cost and placements of a search that prices every expansion in full
-    with the label's placements on the state, and leaves the circuits, the
-    cost and the pair flows as it found them; applying its route raises the
-    cost by exactly the returned cost and breaks no further node.
+    """On random unbroken placements (the heuristic holds no other; a step
+    that breaks a node is undone) and pair flows, route_demand returns the
+    route, cost and placements of a search that prices every expansion in
+    full with the label's placements on the state, and leaves the circuits,
+    the cost and the pair flows as it found them; applying its route raises
+    the cost by exactly the returned cost and breaks no node.
     best_placement under a cutoff returns the unbounded result when it
     costs at most the cutoff (ties included) and None otherwise."""
     rng = random.Random(1618)
@@ -820,13 +906,16 @@ def test_bounded_route_search_matches_unbounded():
                 pops = sorted(inst.pops)
                 pairs = sorted(m.catalog.pair_paths)
                 for _ in range(25):
+                    y = dict(h.state.y)
                     _random_circuit_step(h.state, rng)
+                    if h.state.broken:
+                        _restore(h.state, y)
                     for pair, cap in h.state.pair_capacity.items():
                         h.pair_flow[pair] = rng.randint(0, cap)
                     u, v = rng.sample(pops, 2)
                     amount = rng.randint(1, rng.choice((300, 300, 4000)))
                     y, spent, flow = dict(h.state.y), h.state.spent, dict(h.pair_flow)
-                    broken = h.state.broken  # random steps may break a node away from u-v
+                    assert h.state.broken == 0
                     h.best_placement = counted
                     found = h.route_demand(u, v, amount)
                     del h.best_placement
@@ -836,13 +925,14 @@ def test_bounded_route_search_matches_unbounded():
                     if found is not None:
                         h.apply_route(found[1], amount, found[2])
                         assert h.state.spent - spent == found[0]
-                        assert h.state.broken == broken
+                        assert h.state.broken == 0
                         h.place(found[2], -1)
                     seen["no-route" if found is None else "multi-hop" if len(found[1]) > 2
                          else "direct"] += 1
 
                     pair = rng.choice(pairs)
                     need = rng.randint(1, rng.choice((300, 300, 4000)))
+                    assert h.state.broken == 0
                     full = h.best_placement(pair, need)
                     if full is None:
                         for cutoff in (0, 10**12, inf):
@@ -1156,7 +1246,8 @@ def test_mix_floor_matches_floorless_placement():
     """best_placement, which returns None before pricing any mix when the
     cheapest mix's circuits already cost more than the cutoff, gives the
     floorless search's result around its cost, just under the floor and
-    unbounded, on random placements and needs; and the floor ended calls."""
+    unbounded, on random unbroken placements (a step that breaks a node is
+    undone) and needs; and the floor ended calls."""
     rng = random.Random(1414)
     seen = Counter()
     for maker in (random_tiny_instance, random_midsize_instance):
@@ -1175,10 +1266,14 @@ def test_mix_floor_matches_floorless_placement():
 
                 h._mix_base = counting
                 for _ in range(20):
+                    y = dict(h.state.y)
                     _random_circuit_step(h.state, rng)
+                    if h.state.broken:
+                        _restore(h.state, y)
                     pair = rng.choice(pairs)
                     need = rng.randint(1, rng.choice((300, 300, 4000)))
                     floor = h.tables.mix_table(need)[0]
+                    assert h.state.broken == 0
                     full = _floorless_best_placement(h, pair, need)
                     cutoffs = [floor - 1, floor, inf]
                     if full is not None:
@@ -1346,14 +1441,14 @@ def _random_circuit_step(state, rng):
 
 
 def _maintained_fields():
-    """The fields `add_circuits`, and the `_repick` it calls, keep up to
-    date, read from their code: each `self.<field>` they name other than to
+    """The fields `add_circuits`, and the `_repick` and `_reshadow` it
+    calls, keep up to date, read from their code: each `self.<field>` they name other than to
     look an entry or an attribute up in it (as `self.pair_capacity[ends]`
     or `self.y.get(key, 0)` do), that is, assigned (as `self.spent += ...`
     is), bound to a local (as `self.tables` is), passed on (as `self.vmod`
     is) or changed in place (as `self.y.pop(key)` is)."""
     names = set()
-    for method in (DesignState.add_circuits, DesignState._repick):
+    for method in (DesignState.add_circuits, DesignState._repick, DesignState._reshadow):
         tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
         calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         lookups = {id(node.value) for node in ast.walk(tree)
