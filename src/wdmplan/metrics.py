@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 
 from .milp import Model, ModelError, Solution, evaluate_cost
 from .netmodel import MODE_OPTIMIZED, MODE_TRANSPARENT, Instance, node_demand
@@ -119,7 +118,7 @@ def edge_cost(instance: Instance) -> Fraction:
             continue
         best = None
         for speed in instance.speeds:
-            ports = 2 * ceil(d_i[i] / speed)
+            ports = 2 * -(-d_i[i] // speed)
             cost = ports * EDGE_PORT_SHARE[speed]
             if best is None or cost < best:
                 best = cost

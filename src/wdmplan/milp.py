@@ -22,9 +22,13 @@ Constraint kinds
 
 The slot rows are stored scaled by LambdaType.SLOT_UNITS so every
 coefficient is an integer (a 10G circuit occupies 1/14 slot, which has no
-finite decimal form). The objective is the sum of circuit, fiber, router and
-optical-node module costs; interface costs at the network edge are a
-separate report (see metrics), never folded into the objective.
+finite decimal form). Every row coefficient and right-hand side is whole,
+and is kept as a Python `int`: an exact rational that costs no `Fraction`
+arithmetic. Objective coefficients are `Fraction`s. A solution holds ints
+for its integer and binary variables and `Fraction`s for its flows. The
+objective is the sum of circuit, fiber, router and optical-node module
+costs; interface costs at the network edge are a separate report (see
+metrics), never folded into the objective.
 
 Variable and constraint names use only [A-Za-z0-9_] and positional indices
 (nodes and edges in sorted-id order, paths in catalog order), so exported
@@ -49,8 +53,10 @@ INTEGER = "integer"
 BINARY = "binary"
 
 SNAP_TOLERANCE = Fraction(1, 10**6)
-# shared by every row that has these coefficients (a Fraction is immutable)
-_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+# row numbers shared by every row that has them
+_ZERO, _ONE, _MINUS_ONE = 0, 1, -1
+# the objective coefficient of a variable that costs nothing
+_FREE = Fraction(0)
 
 
 class ModelError(ValueError):
@@ -67,9 +73,9 @@ class Variable:
 class Constraint:
     name: str
     kind: str
-    coeffs: dict  # varname -> Fraction, only declared variables
+    coeffs: dict  # varname -> int, only declared variables
     sense: str  # "<=", ">=", "="
-    rhs: Fraction
+    rhs: int
 
 
 @dataclass
@@ -106,14 +112,14 @@ class Model:
         return name
 
     def add_constr(self, name: str, kind: str, coeffs: dict, sense: str,
-                   rhs: Fraction) -> None:
+                   rhs: int) -> None:
         for var in coeffs:
             if var not in self.variables:
                 raise ModelError(f"constraint {name} references unknown {var}")
         self.constraints.append(Constraint(name, kind, dict(coeffs), sense, rhs))
 
     def zero_solution(self) -> Solution:
-        return Solution({name: Fraction(0) for name in self.variables}, Fraction(0))
+        return Solution(dict.fromkeys(self.variables, 0), Fraction(0))
 
 
 def _path_terms(m: Model, pids, coefs: list) -> dict:
@@ -163,7 +169,7 @@ def build_model(instance: Instance, catalog: PathCatalog,
             for j in pops:
                 if i != j:
                     m.flow_vars[(key, i, j)] = m.add_var(
-                        f"f_{key}_{nidx[i]}_{nidx[j]}", CONTINUOUS, _ZERO)
+                        f"f_{key}_{nidx[i]}_{nidx[j]}", CONTINUOUS, _FREE)
     _add_design_vars(m, nidx, eidx)
 
     # flow conservation at every PoP for every commodity
@@ -176,15 +182,12 @@ def build_model(instance: Instance, catalog: PathCatalog,
                     continue
                 coeffs[m.flow_vars[(key, i, j)]] = _ONE
                 coeffs[m.flow_vars[(key, j, i)]] = _MINUS_ONE
-            if i == origin:
-                rhs = Fraction(supply)
-            else:
-                rhs = Fraction(-sinks.get(i, 0))
+            rhs = supply if i == origin else -sinks.get(i, 0)
             m.add_constr(f"conserve_{key}_{nidx[i]}", "flow-conservation",
                          coeffs, "=", rhs)
 
     # virtual link capacity per unordered PoP pair
-    neg_capacity = [(lt.speed, Fraction(-lt.routing_capacity))
+    neg_capacity = [(lt.speed, -lt.routing_capacity)
                     for lt in cost_catalog.lambda_types]
     for (i, j), pids in m.catalog.pair_ids.items():
         coeffs = {}
@@ -222,8 +225,8 @@ def build_transparent_variant(instance: Instance, catalog: PathCatalog,
 
     _add_design_vars(m, nidx, eidx, router_cost_zero=True)
 
-    demand_by_pair = {d.pair: Fraction(d.value) for d in instance.demands}
-    capacity = [(lt.speed, Fraction(lt.routing_capacity)) for lt in cost_catalog.lambda_types]
+    demand_by_pair = {d.pair: d.value for d in instance.demands}
+    capacity = [(lt.speed, lt.routing_capacity) for lt in cost_catalog.lambda_types]
     for (i, j), pids in m.catalog.pair_ids.items():
         coeffs = _path_terms(m, pids, capacity)
         if coeffs:
@@ -247,7 +250,7 @@ def _add_design_vars(m: Model, nidx: dict, eidx: dict,
             f"ye_{eidx[e.id]}", INTEGER, cc.fiber_cost[e.id])
     for i in sorted(inst.pops):
         for midx, vm in enumerate(cc.virtual_modules):
-            cost = _ZERO if router_cost_zero else vm.cost
+            cost = _FREE if router_cost_zero else vm.cost
             m.vmod_vars[(i, midx)] = m.add_var(
                 f"xn_{nidx[i]}_{midx}", BINARY, cost)
     for i in sorted(inst.graph.node_ids()):
@@ -265,15 +268,14 @@ def _add_design_constraints(m: Model, nidx: dict, eidx: dict) -> None:
 
     # each coefficient is made once and shared by every row it appears in
     ones = [(lt.speed, _ONE) for lt in cc.lambda_types]
-    switching = [(lt.speed, Fraction(lt.switching_capacity)) for lt in cc.lambda_types]
-    slot_use = [(lt.speed, Fraction(lt.slot_units)) for lt in cc.lambda_types]
-    fiber_channels = Fraction(-inst.channels_per_fiber)
+    switching = [(lt.speed, lt.switching_capacity) for lt in cc.lambda_types]
+    slot_use = [(lt.speed, lt.slot_units) for lt in cc.lambda_types]
+    fiber_channels = -inst.channels_per_fiber
     # per module: (capacity, slots) of a router, (fibers, add-drop) of an
     # optical node, as the negative coefficients of its rows
-    router_terms = [(Fraction(-vm.switching_capacity), Fraction(-vm.slot_capacity * slot_units))
+    router_terms = [(-vm.switching_capacity, -vm.slot_capacity * slot_units)
                     for vm in cc.virtual_modules]
-    oxc_terms = [(Fraction(-pm.fiber_capacity), Fraction(-pm.add_drop_ports))
-                 for pm in cc.physical_modules]
+    oxc_terms = [(-pm.fiber_capacity, -pm.add_drop_ports) for pm in cc.physical_modules]
 
     # channels on each physical link fit into activated fibers
     for e in sorted(inst.graph.edges, key=lambda e: e.id):
@@ -303,7 +305,7 @@ def _add_design_constraints(m: Model, nidx: dict, eidx: dict) -> None:
             cap[m.vmod_vars[(i, midx)]] = cap_coef
             slots[m.vmod_vars[(i, midx)]] = slot_coef
         m.add_constr(f"ncap_{nidx[i]}", "virtual-node-capacity",
-                     cap, "<=", Fraction(-d_i[i]))
+                     cap, "<=", -d_i[i])
         m.add_constr(f"slots_{nidx[i]}", "slot", slots, "<=", _ZERO)
 
     # fibers and terminating circuits at each optical site
@@ -353,7 +355,7 @@ def slot_surcharge(model: Model, values: dict) -> Fraction:
     return total
 
 
-def frac_decimal(x: Fraction) -> str:
+def frac_decimal(x: Fraction | int) -> str:
     """Exact plain-decimal rendering; errors if the denominator is not 2^a 5^b."""
     num, den = x.numerator, x.denominator
     if den == 1:
@@ -376,7 +378,7 @@ def frac_decimal(x: Fraction) -> str:
     return f"{sign}{whole}.{str(frac).rjust(k, '0')}"
 
 
-def _term_prefixes(coef: Fraction) -> tuple[str, str] | None:
+def _term_prefixes(coef: Fraction | int) -> tuple[str, str] | None:
     """What an LP term with coefficient `coef` writes before its variable
     name, as the first term and as a later one; None for a zero term."""
     if coef == 0:
@@ -393,7 +395,8 @@ def _lp_terms(coeffs: dict, rendered: dict) -> str:
     coefficient object seen so far to the object and its `_term_prefixes`;
     the entry keeps the object alive, so its id is not reused while the dict
     lives. The model builders share coefficient objects between rows, so a
-    lookup by id replaces hashing a `Fraction` (pure Python) per term."""
+    lookup by id replaces hashing a number per term (in pure Python for an
+    objective's `Fraction`)."""
     parts = []
     for name, coef in coeffs.items():
         try:
@@ -417,7 +420,7 @@ def export_model(model: Model, out: IO[str]) -> None:
     """
     # a model has many terms but few distinct coefficient objects, so each
     # is rendered once (see `_lp_terms`)
-    rendered: dict[int, tuple[Fraction, tuple[str, str] | None]] = {}
+    rendered: dict[int, tuple[Fraction | int, tuple[str, str] | None]] = {}
     out.write("\\ two-layer network design model\n")
     out.write(f"\\ architecture: {MODE_TRANSPARENT if model.transparent else MODE_OPTIMIZED}\n")
     obj = {name: v.obj for name, v in model.variables.items() if v.obj}
@@ -454,7 +457,8 @@ def import_solution(model: Model, inp: IO[str] | str) -> Solution:
     attributes).
 
     Unlisted variables default to 0. Integer/binary variables are snapped to
-    the nearest integer when within 1e-6 (solver float noise), else rejected.
+    the nearest integer, an `int`, when within 1e-6 (solver float noise),
+    else rejected; continuous ones stay `Fraction`s.
     A value that is not a finite number, an XML `<variable>` without a name or
     a value, and XML that does not parse raise `ModelError`.
     """
@@ -487,7 +491,7 @@ def import_solution(model: Model, inp: IO[str] | str) -> Solution:
     for name, var in model.variables.items():
         v = raw.pop(name, Fraction(0))
         if var.integrality in (INTEGER, BINARY):
-            nearest = Fraction(round(v))
+            nearest = round(v)
             if abs(v - nearest) > SNAP_TOLERANCE:
                 raise ModelError(f"{name}: fractional value {float(v)} for integer variable")
             v = nearest

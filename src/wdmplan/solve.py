@@ -53,10 +53,15 @@ Three layers of machinery:
   design does not fit, `best_placement` offers only placements after which
   every module fits, and removing circuits only lowers requirements.
 
-Results are exact: bounds, objectives and reports are `Fraction`s. Inside,
-`DesignState` and the heuristic's marginal costs count in scaled integers,
-every catalog price times the LCM of the price denominators (see
-`ModelTables`), which compare and tie exactly as the `Fraction` prices do.
+Results are exact: bounds and objectives are `Fraction`s. A design's values
+are ints (circuits, fibers, modules, and the heuristic's flows, in whole
+Gbps); only the exact solver's nonzero flows, read off the simplex, are
+`Fraction`s. The model's rows are ints too, so the checker adds ints where
+a design is whole. Only `_phase1_simplex` divides row numbers, and it makes
+each a `Fraction` first. Inside, `DesignState` and the heuristic's marginal
+costs count in scaled integers, every catalog price times the LCM of the
+price denominators (see `ModelTables`), which compare and tie exactly as
+the `Fraction` prices do.
 What no circuit changes (prices, per-path edges, module pickers) is built
 once per solve in a `ModelTables`; a `DesignState` holds only the circuit
 counts and what follows from them. No external solver is involved.
@@ -69,7 +74,7 @@ import random
 from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
-from math import ceil, inf, lcm
+from math import inf, lcm
 
 from .costcat import LambdaType
 from .metrics import decompose
@@ -130,13 +135,13 @@ def check_feasibility(model: Model, solution: Solution | dict) -> list[str]:
     continuous = {name for name, var in model.variables.items()
                   if var.integrality == CONTINUOUS}
     for c in model.constraints:
-        lhs = Fraction(0)
+        lhs = 0
         for var, coef in c.coeffs.items():
             x = values[var]
             if x:
                 lhs += coef * x
         # a row with any continuous variable, zero or not, gets the tolerance
-        tol = Fraction(0) if continuous.isdisjoint(c.coeffs) else CONTINUOUS_TOLERANCE
+        tol = 0 if continuous.isdisjoint(c.coeffs) else CONTINUOUS_TOLERANCE
         bad = ((c.sense == "<=" and lhs > c.rhs + tol)
                or (c.sense == ">=" and lhs < c.rhs - tol)
                or (c.sense == "=" and abs(lhs - c.rhs) > tol))
@@ -153,8 +158,11 @@ def check_feasibility(model: Model, solution: Solution | dict) -> list[str]:
 def _phase1_simplex(n_vars: int, eq_rows: list, ub_rows: list) -> dict[int, Fraction] | None:
     """Feasible point of {x >= 0, eq rows hold, ub rows hold} or None.
 
-    Rows are (coeffs: dict col->Fraction, rhs). Dense tableau, Bland's rule,
-    exact rationals. Sized for the virtual layer of desk-scale instances.
+    Rows are (coeffs: dict col->number, rhs), with whole or `Fraction`
+    numbers. Dense tableau, Bland's rule, exact rationals: this is the one
+    place that divides row numbers, so each enters the tableau as a
+    `Fraction` (an int quotient would be a float). Sized for the virtual
+    layer of desk-scale instances.
     """
     slacks = len(ub_rows)
     n_total = n_vars + slacks
@@ -162,14 +170,14 @@ def _phase1_simplex(n_vars: int, eq_rows: list, ub_rows: list) -> dict[int, Frac
     for coeffs, rhs in eq_rows:
         row = [Fraction(0)] * n_total
         for col, coef in coeffs.items():
-            row[col] = coef
-        rows.append((row, rhs))
+            row[col] = Fraction(coef)
+        rows.append((row, Fraction(rhs)))
     for k, (coeffs, rhs) in enumerate(ub_rows):
         row = [Fraction(0)] * n_total
         for col, coef in coeffs.items():
-            row[col] = coef
+            row[col] = Fraction(coef)
         row[n_vars + k] = Fraction(1)
-        rows.append((row, rhs))
+        rows.append((row, Fraction(rhs)))
 
     m = len(rows)
     width = n_total + m + 1
@@ -246,12 +254,11 @@ def route_flows(model: Model, pair_capacity: dict) -> dict[str, Fraction] | None
         return {}
     instance = model.instance
     total = instance.total_demand()
-    if sum(pair_capacity.values(), Fraction(0)) < total:
+    if sum(pair_capacity.values()) < total:
         return None
     d_i = node_demand(instance)
     for i in sorted(instance.pops):
-        incident = sum((cap for pair, cap in pair_capacity.items() if i in pair),
-                       Fraction(0))
+        incident = sum(cap for pair, cap in pair_capacity.items() if i in pair)
         if incident < d_i[i]:
             return None
 
@@ -266,8 +273,7 @@ def route_flows(model: Model, pair_capacity: dict) -> dict[str, Fraction] | None
             flow = [v for v in c.coeffs if v in col]
             _, i, j = arcs_of_col[col[flow[0]]]
             pair = (i, j) if i < j else (j, i)
-            ub_rows.append(({col[v]: c.coeffs[v] for v in flow},
-                            Fraction(pair_capacity[pair])))
+            ub_rows.append(({col[v]: c.coeffs[v] for v in flow}, pair_capacity[pair]))
 
     point = _phase1_simplex(len(col), eq_rows, ub_rows)
     if point is None:
@@ -281,10 +287,11 @@ def route_flows(model: Model, pair_capacity: dict) -> dict[str, Fraction] | None
                                 for seq, amount in decompose(arcs[key], origin, sinks)])
 
 
-def _flow_values(model: Model, paths) -> dict[str, Fraction]:
+def _flow_values(model: Model, paths) -> dict[str, Fraction | int]:
     """The value of every flow variable of `model` when each (commodity
-    key, PoP sequence, Gbps) of `paths` carries its Gbps along its hops."""
-    flows = dict.fromkeys(model.flow_vars.values(), Fraction(0))
+    key, PoP sequence, Gbps) of `paths` carries its Gbps along its hops: an
+    int where every amount is one (and for a variable no path uses)."""
+    flows = dict.fromkeys(model.flow_vars.values(), 0)
     for key, seq, amount in paths:
         for i, j in zip(seq, seq[1:]):
             flows[model.flow_vars[(key, i, j)]] += amount
@@ -315,7 +322,7 @@ class ModelTables:
         prices = ([lt.cost for lt in cc.lambda_types] + list(cc.fiber_cost.values())
                   + [vm.cost for vm in cc.virtual_modules]
                   + [pm.cost for pm in cc.physical_modules])
-        self.scale = lcm(*(Fraction(c).denominator for c in prices))
+        self.scale = lcm(*(price.denominator for price in prices))
         self.circuit_price = {lt.speed: self.of(lt.cost) for lt in cc.lambda_types}
         self.lt = {lt.speed: lt for lt in cc.lambda_types}
         self.lt_units = {lt.speed: lt.slot_units for lt in cc.lambda_types}
@@ -345,7 +352,7 @@ class ModelTables:
         self._mixes: dict[int, tuple[int, int, list]] = {}  # need -> `mix_table`
 
     def of(self, price) -> int:
-        return int(price * self.scale)
+        return price.numerator * self.scale // price.denominator
 
     def exact(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale)
@@ -577,21 +584,22 @@ class DesignState:
         number bounds it."""
         return Fraction(self.bound_key(), self.tables.scale * self.tables.gbps_den)
 
-    def to_solution(self, flow_values: dict[str, Fraction]) -> Solution:
+    def to_solution(self, flow_values: dict[str, Fraction | int]) -> Solution:
         """Full variable values of this design and `flow_values`, priced at
-        `spent`. Neither solver builds a solution of a broken design."""
+        `spent`; the design's values are ints. Neither solver builds a
+        solution of a broken design."""
         if self.broken:
             raise AssertionError(f"a solution of a design with {self.broken} broken nodes")
         m = self.tables.model
-        values = {name: Fraction(0) for name in m.variables}
+        values = dict.fromkeys(m.variables, 0)
         for (pid, speed), count in self.y.items():
-            values[m.path_vars[(pid, speed)]] = Fraction(count)
+            values[m.path_vars[(pid, speed)]] = count
         for e in m.instance.graph.edges:
-            values[m.fiber_vars[e.id]] = Fraction(self.fibers(e.id))
+            values[m.fiber_vars[e.id]] = self.fibers(e.id)
         for picks, names in ((self.vmod, m.vmod_vars), (self.pmod, m.pmod_vars)):
             for node, (_cost, midx) in picks.items():
                 if midx is not None:
-                    values[names[(node, midx)]] = Fraction(1)
+                    values[names[(node, midx)]] = 1
         values.update(flow_values)
         return Solution(values, self.tables.exact(self.spent))
 
@@ -643,10 +651,8 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
     for pair, pids in cat.pair_ids.items():
         for pid in pids:
             for lt in cc.lambda_types:
-                if model.transparent:
-                    ub = ceil(Fraction(demand_by_pair.get(pair, 0)) / lt.routing_capacity)
-                else:
-                    ub = ceil(Fraction(total) / lt.routing_capacity)
+                need = demand_by_pair.get(pair, 0) if model.transparent else total
+                ub = -(-need // lt.routing_capacity)
                 if ub:
                     branch.append((pair, pid, lt.speed, ub))
 
@@ -1016,36 +1022,40 @@ class _Heuristic:
                 break
 
 
-def capacity_infeasible(model: Model) -> str | None:
-    """A proof that no design can fit, if one is visible from node totals.
+def capacity_infeasible(model: Model, empty: DesignState | None = None) -> str | None:
+    """A proof that no design can fit, if one is visible from node totals;
+    `empty` is the empty design of `model`, built here if not given.
 
     Any feasible design terminates at least d(i) Gbps of virtual flow at PoP
-    i, so i needs a router switching at least d(i) and at least
-    ceil(d(i) / fastest circuit) add-drop ports. In the transparent variant
-    each demand rides its own direct hop, which gives the tighter count: per
-    pair, the fewest circuits of any mix covering its demand, at both ends.
+    i, so i needs a router switching at least d(i). In the optimized
+    architecture i also needs at least ceil(d(i) / fastest circuit)
+    add-drop ports. In the transparent variant the empty design's shadow
+    design (see `DesignState.lower_bound`) gives the tighter test: every
+    design has at least its fibers and drops at each node, so a node whose
+    shadow needs more than every optical node offers has no design.
     """
-    inst = model.instance
+    if empty is None:
+        empty = DesignState(ModelTables(model))
+    t = empty.tables
     cc = model.cost_catalog
-    d_i = node_demand(inst)
-    if model.transparent:
-        circuits: dict[str, int] = {}
-        for d in inst.demands:
-            fewest = min(sum(mix.values()) for mix in _mix_options(d.value, cc.lambda_types))
-            for n in d.pair:
-                circuits[n] = circuits.get(n, 0) + fewest
+    if t.transparent:
+        for n in sorted(empty.shadow_drops):
+            fibers, drops = empty.shadow_fiber_count[n], empty.shadow_drops[n]
+            if t.pmod_for(fibers, drops) is None:
+                return (f"node {n} needs >= {fibers} fibers and {drops} add-drop "
+                        f"ports, more than any optical node offers")
     else:
         max_rate = max(lt.routing_capacity for lt in cc.lambda_types)
-        circuits = {n: ceil(Fraction(d_i[n]) / max_rate) for n in inst.pops}
-    max_drop = max(pm.add_drop_ports for pm in cc.physical_modules)
-    for n, count in sorted(circuits.items()):
-        if count > max_drop:
-            return (f"node {n} must terminate >= {count} circuits, "
-                    f"above the largest add-drop capacity {max_drop}")
+        max_drop = max(pm.add_drop_ports for pm in cc.physical_modules)
+        for n in sorted(t.instance.pops):
+            count = -(-t.d_i[n] // max_rate)
+            if count > max_drop:
+                return (f"node {n} must terminate >= {count} circuits, "
+                        f"above the largest add-drop capacity {max_drop}")
     max_switch = max(vm.switching_capacity for vm in cc.virtual_modules)
-    for n in sorted(inst.pops):
-        if d_i[n] > max_switch:
-            return (f"node {n} demand {d_i[n]} Gbps exceeds the largest "
+    for n in sorted(t.instance.pops):
+        if t.d_i[n] > max_switch:
+            return (f"node {n} demand {t.d_i[n]} Gbps exceeds the largest "
                     f"router capacity {max_switch}")
     return None
 
@@ -1061,7 +1071,7 @@ def solve_heuristic(model: Model, seed: int = 0) -> SolveReport:
     """
     h = _Heuristic(model, seed)
     bound = h.state.lower_bound()
-    if capacity_infeasible(model) is not None:
+    if capacity_infeasible(model, h.state) is not None:
         return SolveReport(INFEASIBLE, None, bound)
 
     ok = True

@@ -304,15 +304,26 @@ def pinned_lp_instance():
                          max_path_km=1200)
 
 
-def test_models_hold_only_fractions():
-    # the phase-1 simplex in `route_flows` divides coefficients and
-    # right-hand sides, so an int or a float must not slip in
+def test_rows_hold_ints_and_objectives_fractions():
+    # every row number is whole and kept as an int; prices are Fractions,
+    # and so is the zero of a free variable. A zero solution and the integer
+    # variables of an imported one are ints, a continuous value a Fraction.
+    # That the phase-1 simplex, which divides row numbers, stays exact on
+    # int rows is checked in test_solve.py::test_int_rows_match_fraction_rows
     inst = pinned_lp_instance()
     for m in (build(inst), build_tra(inst)):
         assert all(type(v.obj) is Fraction for v in m.variables.values())
         for c in m.constraints:
-            assert type(c.rhs) is Fraction
-            assert all(type(x) is Fraction for x in c.coeffs.values())
+            assert type(c.rhs) is int
+            assert all(type(x) is int for x in c.coeffs.values())
+        assert all(type(v) is int for v in m.zero_solution().values.values())
+    m = build(inst)
+    flow = next(iter(m.flow_vars.values()))
+    imported = import_solution(m, f"ye_0 2.0000000004\n{flow} 2.5\n").values
+    assert all(type(v) is int for n, v in imported.items()
+               if m.variables[n].integrality != CONTINUOUS)
+    assert (imported["ye_0"], imported[flow]) == (2, Fraction(5, 2))
+    assert type(imported[flow]) is Fraction
 
 
 def test_lp_export_bytes_pinned():

@@ -25,9 +25,10 @@ from conftest import (make_instance, random_connected_edges,
 from wdmplan.costcat import build_cost_catalog
 from wdmplan.formats import read_instance
 from wdmplan.metrics import decompose
-from wdmplan.milp import (BINARY, CONTINUOUS, ModelError, build_model,
+from wdmplan.milp import (BINARY, CONTINUOUS, ModelError, Solution, build_model,
                           build_transparent_variant, evaluate_cost, export_model)
 from wdmplan.pathgen import build_catalog
+from wdmplan import metrics
 from wdmplan import solve as solve_module
 from wdmplan.solve import (CONTINUOUS_TOLERANCE, DesignState, Limits, ModelTables, _Heuristic,
                            _mix_options, capacity_infeasible, check_feasibility,
@@ -607,17 +608,26 @@ def test_transparent_bound_never_above_a_completion():
 
 
 def test_both_solvers_report_the_same_bound_when_nothing_fits():
-    """Each end needs 11 fibers and the largest optical node takes 10: the
-    exhausted search (`infeasible`) and the failed construction (`unknown`)
-    report the bound of the empty design."""
+    """Each end needs 11 fibers and the largest optical node takes 10.
+    Optimized: no node total shows it, so the exhausted search reads
+    `infeasible` and the failed construction `unknown`. Transparent: the
+    empty design's shadow design already needs 11 fibers and 11 drops at
+    each end, so `capacity_infeasible` proves it and both solvers read
+    `infeasible` with no node explored. Each reports the bound of the empty
+    design."""
     inst = make_instance([("e1", "a", "b", 100)], pops=("a", "b"),
                          demands=(("a", "b", 110),), speeds=(10,), channels_per_fiber=1)
-    for m in (build(inst), build_tra(inst)):
-        assert capacity_infeasible(m) is None
-        exact, heur = solve_exact(m), solve_heuristic(m)
-        assert (exact.status, heur.status) == ("infeasible", "unknown")
-        assert exact.nodes_explored == 12
-        assert exact.bound == heur.bound == _root_bound(m) > 0
+    m = build(inst)
+    assert capacity_infeasible(m) is None
+    exact, heur = solve_exact(m), solve_heuristic(m)
+    assert (exact.status, heur.status, exact.nodes_explored) == ("infeasible", "unknown", 12)
+    assert exact.bound == heur.bound == _root_bound(m) > 0
+    m = build_tra(inst)
+    assert capacity_infeasible(m) == (
+        "node a needs >= 11 fibers and 11 add-drop ports, more than any optical node offers")
+    exact, heur = solve_exact(m), solve_heuristic(m)
+    assert (exact.status, heur.status, exact.nodes_explored) == ("infeasible", "infeasible", 0)
+    assert exact.bound == heur.bound == _root_bound(m) > 0
 
 
 def test_root_bound_pinned_on_toy6():
@@ -1428,6 +1438,73 @@ def test_sparse_checks_match_dense(maker):
     assert clean and bound_breaches and senses == {"<=", ">=", "="}
     assert kinds == {"flow-conservation", "virtual-link-capacity", "physical-link-capacity",
                      "module-uniqueness", "virtual-node-capacity", "slot", "fiber", "add-drop"}
+
+
+def _fraction_rows(model):
+    """A copy of `model` whose every row coefficient and right-hand side is
+    a `Fraction`, the same number as in `model`."""
+    twin = copy.copy(model)
+    twin.constraints = [dataclasses.replace(
+        c, coeffs={v: Fraction(x) for v, x in c.coeffs.items()}, rhs=Fraction(c.rhs))
+        for c in model.constraints]
+    return twin
+
+
+@pytest.mark.parametrize("maker, draws", [(random_tiny_instance, 10),
+                                          (random_midsize_instance, 2)],
+                         ids=["tiny", "midsize"])
+def test_int_rows_match_fraction_rows(maker, draws):
+    """Rows and designs hold ints where numbers are whole. The same model
+    with `Fraction` rows, and the same designs with `Fraction` values, give
+    identical results: the LP file, the violation lists of perturbed
+    heuristic designs, their costs, the reports, and the flows `route_flows`
+    finds under random capacities, whose nonzero values are `Fraction`s (an
+    int division in the phase-1 simplex would make them floats). A mid-size
+    simplex takes about 0.1 s, so it gets fewer capacity draws."""
+    rng = random.Random(2424)
+    checked = routed = 0
+    for _ in range(4):
+        inst, full_cat = routable_instance(maker, rng)
+        cc = build_cost_catalog(inst)
+        for m in (build_model(inst, full_cat, cc),
+                  build_transparent_variant(inst, full_cat, cc)):
+            twin = _fraction_rows(m)
+            lp, twin_lp = io.StringIO(), io.StringIO()
+            export_model(m, lp)
+            export_model(twin, twin_lp)
+            assert lp.getvalue() == twin_lp.getvalue()
+            design = solve_heuristic(m).solution
+            if design is None:
+                continue
+            assert all(type(v) is int for v in design.values.values())
+            as_fractions = Solution({n: Fraction(v) for n, v in design.values.items()})
+            assert metrics.report_json(metrics.report(m, design)) == \
+                metrics.report_json(metrics.report(twin, as_fractions))
+            for _ in range(20):
+                values = dict(design.values)
+                for _ in range(rng.randint(0, 3)):
+                    _perturb(m, values, rng)
+                twin_values = {n: Fraction(v) for n, v in values.items()}
+                assert check_feasibility(m, values) == check_feasibility(twin, twin_values)
+                if len(values) == len(m.variables):
+                    cost = evaluate_cost(m, values, final_cost=True)
+                    assert cost == evaluate_cost(twin, twin_values, final_cost=True)
+                checked += 1
+            if m.transparent:
+                continue
+            total = inst.total_demand()
+            for _ in range(draws):
+                capacity = {pair: rng.randrange(0, total + 11, 10)
+                            for pair in m.catalog.pair_paths}
+                flows = route_flows(m, capacity)
+                twin_flows = route_flows(twin, capacity)
+                assert flows == twin_flows
+                if flows is not None:
+                    routed += 1
+                    assert [type(v) for v in flows.values()] == \
+                        [type(v) for v in twin_flows.values()]
+                    assert all(type(v) is Fraction for v in flows.values() if v)
+    assert checked >= 100 and routed >= 4, (checked, routed)
 
 
 def _random_circuit_step(state, rng):
