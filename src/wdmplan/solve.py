@@ -8,14 +8,15 @@ Three layers of machinery:
 * `solve_exact` runs depth-first branch-and-bound over the circuit counts
   y_(path, speed), as one loop over an explicit stack that adds one circuit
   per step, so the model's size sets no depth limit. Fibers and node
-  modules are not branched: for fixed circuit counts the cheapest fiber
-  counts are forced (channels per link, rounded up to whole fibers) and the
-  cheapest sufficient modules follow per node, so only circuits span the
-  search tree. Routability of the demands for a candidate capacity vector
-  is decided by an exact phase-1 simplex (rational arithmetic, Bland's
-  rule) on the model's own flow rows: its flow-conservation rows, and its
-  virtual-link-capacity rows with the candidate capacities as right-hand
-  sides; memoized per capacity vector.
+  modules are not branched: for fixed circuit counts each link's channels
+  round up to whole fibers and each node gets its cheapest sufficient
+  modules, so only circuits span the search tree. One `_OpticalLayer`
+  applies this rule for the design and the transparent bound's shadow
+  design, and prices it for the heuristic's path scan. Routability of the
+  demands for a candidate capacity vector is decided by an exact phase-1
+  simplex (rational arithmetic, Bland's rule) on the model's own flow rows:
+  its flow-conservation rows, and its virtual-link-capacity rows with the
+  candidate capacities as right-hand sides; memoized per capacity vector.
   The bound (`DesignState.lower_bound`) prices what every completion must
   still pay. Optimized: the cost of everything already forced (circuits,
   fibers, modules), plus the cheapest circuit cost per Gbps for every Gbps
@@ -42,7 +43,7 @@ Three layers of machinery:
   whose cheapest mix costs more in circuits alone (the mix floor) is skipped
   before any mix is priced. Swaps and remixes are priced, not applied: with
   the circuits taken off, one path scan prices each placement (circuit and
-  router term, then fiber and optical-module marginal) under the cutoff
+  router term, then the optical layer's `price`) under the cutoff
   "strictly cheaper", and the circuits go back once. A route is priced as
   it will be applied, with its earlier hops' placements on the state (its
   hops share PoPs, and module prices are step functions), so it always
@@ -393,21 +394,106 @@ def _cheapest(modules: list[tuple[int, int, int, int]], first: int,
     return None
 
 
+class _OpticalLayer:
+    """The optical side of one design: channels per edge and, per node, its
+    incident fibers, its drops (circuit ends) and its `ModelTables.pmod_for`
+    pick, the cheapest optical module for both (None if none fits, which
+    adds nothing to the cost). An edge's fibers are its channels rounded up.
+    `add` changes the layer and `price` prices a change; every field but
+    `tables` is one `add` writes."""
+
+    def __init__(self, tables: ModelTables):
+        self.tables = tables
+        nodes = tables.instance.graph.node_ids()
+        self.channels: dict[str, int] = {}  # edge id -> channels
+        # every node from the start, so no key comes or goes
+        self.fiber_count = dict.fromkeys(nodes, 0)  # incident fibers
+        self.drops = dict.fromkeys(nodes, 0)        # circuit ends
+        self.pmod = dict.fromkeys(nodes, (0, None))  # (scaled cost, module idx) or None
+
+    def fibers(self, edge_id: str) -> int:
+        return -(-self.channels.get(edge_id, 0) // self.tables.channels_per_fiber)
+
+    def add(self, pid: int, count: int) -> tuple[int, int]:
+        """Add (with negative `count`, remove) channels along path `pid` and
+        drops at its ends: (scaled fiber and optical-module cost change,
+        change in the number of nodes with no pick)."""
+        if not count:
+            return 0, 0
+        t = self.tables
+        cpf = t.channels_per_fiber
+        channels, fiber_count = self.channels, self.fiber_count
+        # the nodes whose pick may change: the ends and those of re-fibered edges
+        ends = touched = t.ends[pid]
+        cost = 0
+        for eid, u, v, fiber_price in t.path_edges[pid]:
+            ch = channels.get(eid, 0)
+            if ch + count:
+                channels[eid] = ch + count
+            else:
+                del channels[eid]
+            delta = (ch + count + cpf - 1) // cpf - (ch + cpf - 1) // cpf
+            if delta:
+                cost += fiber_price * delta
+                fiber_count[u] += delta
+                fiber_count[v] += delta
+                touched = {*touched, u, v}
+        a, b = ends
+        drops, pmod = self.drops, self.pmod
+        drops[a] += count
+        drops[b] += count
+        broken = 0
+        for n in touched:
+            old = pmod[n]
+            new = pmod[n] = t.pmod_for(fiber_count[n], drops[n])
+            cost += (new[0] if new else 0) - (old[0] if old else 0)
+            broken += (new is None) - (old is None)
+        return cost, broken
+
+    def price(self, pid: int, count: int, cost: int, cutoff: float = inf) -> int | None:
+        """`cost` plus the scaled cost change `add(pid, count)` would make,
+        `count` > 0, with nothing changed; None if a node breaks, or as soon
+        as the sum exceeds `cutoff` (every term is >= 0: a larger requirement
+        never gets a cheaper cheapest module). No present pick may be None."""
+        t = self.tables
+        cpf = t.channels_per_fiber
+        channels = self.channels
+        ends = t.ends[pid]
+        extra_f = {ends[0]: 0, ends[1]: 0}  # node -> fibers added on incident edges
+        for eid, u, v, fiber_price in t.path_edges[pid]:
+            ch = channels.get(eid, 0)
+            delta = (ch + count + cpf - 1) // cpf - (ch + cpf - 1) // cpf
+            if delta:
+                cost += fiber_price * delta
+                if cost > cutoff:
+                    return None
+                extra_f[u] = extra_f.get(u, 0) + delta
+                extra_f[v] = extra_f.get(v, 0) + delta
+        fiber_count, drops, pmod = self.fiber_count, self.drops, self.pmod
+        for node, df in extra_f.items():
+            after = t.pmod_for(fiber_count[node] + df,
+                               drops[node] + (count if node in ends else 0))
+            if after is None:
+                return None
+            cost += after[0] - pmod[node][0]
+            if cost > cutoff:
+                return None
+        return cost
+
+
 class DesignState:
     """Mutable circuit placement on the `tables` of one model.
 
-    Fiber counts and node modules are derived, not chosen: fibers are the
-    channel count rounded up, modules the cheapest sufficient catalog entry
-    (a pick of `ModelTables.vmod_for` / `pmod_for` per PoP in `vmod` and per
-    node in `pmod`). The cost of all of it, `spent`, and what `bound_key`
-    reads (the demand still lacking virtual capacity, or in the transparent
-    variant the shadow design of `lower_bound`) are maintained
-    incrementally, as scaled integers (see `ModelTables`), so a
-    branch-and-bound step costs O(path length) and its bound O(1). `broken`
-    counts the nodes whose requirement exceeds every catalog module (their
-    pick is None, and adds nothing to `spent`). It matters only to the exact
-    search, as the heuristic never breaks a node: requirements grow with
-    circuits, so one ends a subtree.
+    Fibers and modules are derived, not chosen: the optical layer `optical`
+    (see `_OpticalLayer`) holds the fibers and optical modules, and `vmod`
+    each PoP's router, its `ModelTables.vmod_for` pick. Their cost, `spent`,
+    and what `bound_key` reads (the demand still lacking virtual capacity,
+    or in the transparent variant the cost of `lower_bound`'s shadow design,
+    whose optical layer is `shadow`) are kept as scaled integers (see
+    `ModelTables`), so a branch-and-bound step costs O(path length) and its
+    bound O(1). `broken` counts the nodes whose requirement exceeds every
+    catalog module (their pick is None and adds nothing to `spent`); only
+    the exact search meets one, as requirements grow with circuits.
 
     Every field but `tables` is one `add_circuits` writes, a function of the
     circuit counts `y` alone, whatever steps led there, so putting back
@@ -415,56 +501,47 @@ class DesignState:
     share one `tables`.
     """
 
-    # 13 fields (16 in the transparent variant), per-model facts in
+    # 10 fields (11 in the transparent variant), per-model facts in
     # `tables`: CPython 3.11/3.12 inline at most 29
     def __init__(self, tables: ModelTables):
         self.tables = tables
         nodes = tables.instance.graph.node_ids()
         self.y: dict[tuple[int, int], int] = {}        # (path id, speed) -> count
-        self.channels: dict[str, int] = {}             # edge id -> circuits
         self.pair_capacity: dict[tuple, int] = {   # pair -> routing capacity
             pair: 0 for pair in tables.catalog.pair_paths}
         # node -> load; every node from the start, so no key comes or goes
         self.node_switch = dict.fromkeys(nodes, 0)       # terminating A' load
         self.node_slot_units = dict.fromkeys(nodes, 0)   # slot units
-        self.node_drops = dict.fromkeys(nodes, 0)        # terminations
-        self.node_fiber_count = dict.fromkeys(nodes, 0)  # incident fibers
+        self.optical = _OpticalLayer(tables)
         self.spent = 0  # scaled circuit + fiber + module cost, the model's objective
-        # node -> (scaled cost, module idx) or None; every PoP and every node
-        # from the start, with no module while the requirement is zero
+        # PoP -> (scaled cost, module idx) or None; every PoP from the start
         self.vmod = dict.fromkeys(tables.instance.pops, (0, None))
-        self.pmod = dict.fromkeys(nodes, (0, None))
         self.broken = 0
         for i in tables.instance.pops:
-            self._repick(self.vmod, tables.vmod_for, i, tables.d_i[i], 0)
+            self._repick(i)
         # what `bound_key` reads, kept up to date by `add_circuits`
         if tables.transparent:
-            # the shadow design (see `lower_bound`): its channels per edge,
-            # incident fibers and drops per node, and its scaled cost
-            self.shadow_channels: dict[str, int] = {}
-            self.shadow_fiber_count = dict.fromkeys(nodes, 0)
-            self.shadow_drops = dict.fromkeys(nodes, 0)
+            # the shadow design of `lower_bound`: its optical layer and scaled cost
+            self.shadow = _OpticalLayer(tables)
             self._shadow_cost = 0
             for pair, dv in tables.pair_demand.items():
                 floor, fewest, _ = tables.mix_table(dv)
-                self._shadow_cost += floor
-                self._reshadow(tables.catalog.pair_ids[pair][0], pair, fewest)
+                self._shadow_cost += floor + self.shadow.add(
+                    tables.catalog.pair_ids[pair][0], fewest)[0]
         else:
             # the total demand minus the total capacity, which goes below 0
             # once capacity exceeds demand
             self._uncovered = sum(tables.pair_demand.values())
 
-    def _repick(self, picks: dict, pick_for, node: str, first: int, second: int) -> None:
-        """Re-pick `node`'s module in `picks` for the requirement (first,
-        second), and update `spent` and `broken` by the change."""
-        old = picks[node]
-        new = picks[node] = pick_for(first, second)
+    def _repick(self, node: str) -> None:
+        """Re-pick the router of PoP `node` for its requirement, and update
+        `spent` and `broken` by the change."""
+        t = self.tables
+        old = self.vmod[node]
+        new = self.vmod[node] = t.vmod_for(t.d_i[node] + self.node_switch[node],
+                                           self.node_slot_units[node])
         self.spent += (new[0] if new else 0) - (old[0] if old else 0)
         self.broken += (new is None) - (old is None)
-
-    def fibers(self, edge_id: str) -> int:
-        cpf = self.tables.channels_per_fiber
-        return (self.channels.get(edge_id, 0) + cpf - 1) // cpf
 
     def add_circuits(self, pid: int, speed: int, count: int) -> None:
         """Add (or with negative `count`, remove) circuits on a path."""
@@ -479,24 +556,10 @@ class DesignState:
         else:
             self.y.pop(key, None)
         t = self.tables
-        self.spent += t.circuit_price[speed] * count
+        cost, broken = self.optical.add(pid, count)
+        self.spent += t.circuit_price[speed] * count + cost
+        self.broken += broken
         ends = t.ends[pid]
-        touched_pmod = set(ends)
-        cpf = t.channels_per_fiber
-        channels, fiber_count = self.channels, self.node_fiber_count
-        for eid, u, v, fiber_price in t.path_edges[pid]:
-            ch = channels.get(eid, 0)
-            if ch + count:
-                channels[eid] = ch + count
-            else:
-                del channels[eid]
-            delta = (ch + count + cpf - 1) // cpf - (ch + cpf - 1) // cpf
-            if delta:
-                self.spent += fiber_price * delta
-                fiber_count[u] += delta
-                fiber_count[v] += delta
-                touched_pmod.add(u)
-                touched_pmod.add(v)
         lt = t.lt[speed]
         old_cap = self.pair_capacity[ends]
         new_cap = old_cap + lt.routing_capacity * count
@@ -507,49 +570,15 @@ class DesignState:
             dv = t.pair_demand.get(ends, 0)
             was_floor, was_fewest, _ = t.mix_table(max(0, dv - old_cap))
             floor, fewest, _ = t.mix_table(max(0, dv - new_cap))
-            self._shadow_cost += t.circuit_price[speed] * count + floor - was_floor
-            self._reshadow(pid, ends, count + fewest - was_fewest)
+            self._shadow_cost += (t.circuit_price[speed] * count + floor - was_floor
+                                  + self.shadow.add(pid, count + fewest - was_fewest)[0])
         else:
             self._uncovered -= new_cap - old_cap
-        switch, units, drops = self.node_switch, self.node_slot_units, self.node_drops
+        switch, units = self.node_switch, self.node_slot_units
         for n in ends:
             switch[n] += lt.switching_capacity * count
             units[n] += t.lt_units[speed] * count
-            drops[n] += count
-            self._repick(self.vmod, t.vmod_for, n, t.d_i[n] + switch[n], units[n])
-        for n in touched_pmod:
-            self._repick(self.pmod, t.pmod_for, n, fiber_count[n], drops[n])
-
-    def _reshadow(self, pid: int, ends: tuple[str, str], count: int) -> None:
-        """Add (or with negative `count`, remove) `count` channels along path
-        `pid` and drops at its `ends` to the shadow design, and move its
-        cost by the fiber and optical-module change. A requirement above
-        every optical module prices its node at 0."""
-        if not count:
-            return
-        t = self.tables
-        cpf = t.channels_per_fiber
-        channels, fiber_count = self.shadow_channels, self.shadow_fiber_count
-        drops = self.shadow_drops
-        added = dict.fromkeys(ends, 0)  # node -> fibers added on incident edges
-        for eid, u, v, fiber_price in t.path_edges[pid]:
-            ch = channels.get(eid, 0)
-            if ch + count:
-                channels[eid] = ch + count
-            else:
-                del channels[eid]
-            delta = (ch + count + cpf - 1) // cpf - (ch + cpf - 1) // cpf
-            if delta:
-                self._shadow_cost += fiber_price * delta
-                added[u] = added.get(u, 0) + delta
-                added[v] = added.get(v, 0) + delta
-        for n, df in added.items():
-            old = t.pmod_for(fiber_count[n], drops[n])
-            fiber_count[n] += df
-            if n in ends:
-                drops[n] += count
-            new = t.pmod_for(fiber_count[n], drops[n])
-            self._shadow_cost += (new[0] if new else 0) - (old[0] if old else 0)
+            self._repick(n)
 
     def bound_key(self) -> int:
         """`lower_bound` times `tables.scale` times `tables.gbps_den`, a
@@ -595,8 +624,8 @@ class DesignState:
         for (pid, speed), count in self.y.items():
             values[m.path_vars[(pid, speed)]] = count
         for e in m.instance.graph.edges:
-            values[m.fiber_vars[e.id]] = self.fibers(e.id)
-        for picks, names in ((self.vmod, m.vmod_vars), (self.pmod, m.pmod_vars)):
+            values[m.fiber_vars[e.id]] = self.optical.fibers(e.id)
+        for picks, names in ((self.vmod, m.vmod_vars), (self.optical.pmod, m.pmod_vars)):
             for node, (_cost, midx) in picks.items():
                 if midx is not None:
                     values[names[(node, midx)]] = 1
@@ -769,36 +798,6 @@ class _Heuristic:
             cost += after[0] - st.vmod[node][0]
         return cost
 
-    def _marginal(self, ends: tuple[str, str], pid: int, count: int, cost: int,
-                  cutoff: float = inf) -> int | None:
-        """`cost` plus the fiber and optical-module cost of `count` more
-        circuits on path `pid`; None if a node breaks, or as soon as the
-        sum exceeds `cutoff` (every term is >= 0: a larger requirement never
-        gets a cheaper cheapest module). As in `_mix_base`, a node's
-        present pick is never None."""
-        st, t = self.state, self.tables
-        cpf = t.channels_per_fiber
-        extra_f = {ends[0]: 0, ends[1]: 0}  # node -> fibers added on incident edges
-        for eid, u, v, fiber_cost in t.path_edges[pid]:
-            ch = st.channels.get(eid, 0)
-            delta = (ch + count + cpf - 1) // cpf - (ch + cpf - 1) // cpf
-            if delta:
-                cost += fiber_cost * delta
-                if cost > cutoff:
-                    return None
-                extra_f[u] = extra_f.get(u, 0) + delta
-                extra_f[v] = extra_f.get(v, 0) + delta
-        for node, df in extra_f.items():
-            extra_d = count if node in ends else 0
-            after = t.pmod_for(st.node_fiber_count[node] + df,
-                               st.node_drops[node] + extra_d)
-            if after is None:
-                return None
-            cost += after[0] - st.pmod[node][0]
-            if cost > cutoff:
-                return None
-        return cost
-
     def best_placement(self, pair: tuple, need: int, cutoff: float = inf):
         """(scaled marginal cost, path id, mix) of the cheapest placement
         providing >= `need` extra Gbps on a pair, the first in path id and
@@ -823,13 +822,14 @@ class _Heuristic:
                 if base is not None:
                     options.append((mix, count, base))
         best, improved = None, 0
+        price = self.state.optical.price
         # from here on `cutoff` is just below the best cost so far: as path
         # ids come in order, an equal candidate never wins. Catalog paths run
         # from the smaller end, so each path's ends are `pair`
         for pid in self.tables.catalog.pair_ids[pair]:
             for mix, count, base in options:
                 if base <= cutoff:
-                    c = self._marginal(pair, pid, count, base, cutoff)
+                    c = price(pid, count, base, cutoff)
                     if c is not None:
                         best, cutoff, improved = (c, pid, mix), c - 1, improved + 1
         return best, improved
@@ -1026,32 +1026,30 @@ def capacity_infeasible(model: Model, empty: DesignState | None = None) -> str |
     """A proof that no design can fit, if one is visible from node totals;
     `empty` is the empty design of `model`, built here if not given.
 
-    Any feasible design terminates at least d(i) Gbps of virtual flow at PoP
-    i, so i needs a router switching at least d(i). In the optimized
-    architecture i also needs at least ceil(d(i) / fastest circuit)
-    add-drop ports. In the transparent variant the empty design's shadow
-    design (see `DesignState.lower_bound`) gives the tighter test: every
-    design has at least its fibers and drops at each node, so a node whose
-    shadow needs more than every optical node offers has no design.
+    Every design gives each node at least some fibers and drops, and none
+    fits if no optical module takes a node's least pair. Optimized: at least
+    ceil(d(i) / fastest circuit) circuits end at PoP i, each on a channel of
+    an incident edge, so as many drops and ceil(that / channels per fiber)
+    fibers. Transparent: the fibers and drops of the empty design's shadow
+    design (see `DesignState.lower_bound`). PoP i also needs a router
+    switching at least d(i), the Gbps of virtual flow it terminates.
     """
     if empty is None:
         empty = DesignState(ModelTables(model))
     t = empty.tables
     cc = model.cost_catalog
     if t.transparent:
-        for n in sorted(empty.shadow_drops):
-            fibers, drops = empty.shadow_fiber_count[n], empty.shadow_drops[n]
-            if t.pmod_for(fibers, drops) is None:
-                return (f"node {n} needs >= {fibers} fibers and {drops} add-drop "
-                        f"ports, more than any optical node offers")
+        shadow = empty.shadow
+        least = {n: (shadow.fiber_count[n], drops) for n, drops in shadow.drops.items()}
     else:
-        max_rate = max(lt.routing_capacity for lt in cc.lambda_types)
-        max_drop = max(pm.add_drop_ports for pm in cc.physical_modules)
-        for n in sorted(t.instance.pops):
-            count = -(-t.d_i[n] // max_rate)
-            if count > max_drop:
-                return (f"node {n} must terminate >= {count} circuits, "
-                        f"above the largest add-drop capacity {max_drop}")
+        fastest = max(lt.routing_capacity for lt in cc.lambda_types)
+        ends = {n: -(-t.d_i[n] // fastest) for n in t.instance.pops}
+        least = {n: (-(-k // t.channels_per_fiber), k) for n, k in ends.items()}
+    for n in sorted(least):
+        fibers, drops = least[n]
+        if t.pmod_for(fibers, drops) is None:
+            return (f"node {n} needs >= {fibers} fibers and {drops} add-drop "
+                    f"ports, more than any optical node offers")
     max_switch = max(vm.switching_capacity for vm in cc.virtual_modules)
     for n in sorted(t.instance.pops):
         if t.d_i[n] > max_switch:

@@ -78,8 +78,9 @@ def parse_lp(text):
     return obj, cons, generals, binaries
 
 
-def solve_lp_text(text):
-    """Minimize the parsed LP with HiGHS; returns (objective, {name: value})."""
+def _milp(text):
+    """HiGHS's result on the parsed LP, and the variable names in column
+    order."""
     obj, cons, generals, binaries = parse_lp(text)
     names = sorted(set(obj)
                    | {n for _, coeffs, _, _ in cons for n in coeffs}
@@ -107,6 +108,17 @@ def solve_lp_text(text):
         upper[idx[n]] = 1
     res = milp(c=c, constraints=LinearConstraint(a, lo, hi),
                integrality=integrality, bounds=Bounds(0, upper))
+    return res, names
+
+
+def lp_status(text):
+    """scipy's `milp` status for the parsed LP: 0 solved, 2 infeasible."""
+    return _milp(text)[0].status
+
+
+def solve_lp_text(text):
+    """Minimize the parsed LP with HiGHS; returns (objective, {name: value})."""
+    res, names = _milp(text)
     if res.status != 0:
         raise RuntimeError(f"external MIP failed: {res.message}")
-    return res.fun, {n: res.x[idx[n]] for n in names}
+    return res.fun, {n: x for n, x in zip(names, res.x)}

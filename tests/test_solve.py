@@ -31,8 +31,8 @@ from wdmplan.pathgen import build_catalog
 from wdmplan import metrics
 from wdmplan import solve as solve_module
 from wdmplan.solve import (CONTINUOUS_TOLERANCE, DesignState, Limits, ModelTables, _Heuristic,
-                           _mix_options, capacity_infeasible, check_feasibility,
-                           route_flows, solve_exact, solve_heuristic)
+                           _mix_options, _OpticalLayer, capacity_infeasible,
+                           check_feasibility, route_flows, solve_exact, solve_heuristic)
 
 ROOT = Path(__file__).resolve().parents[1]
 TOY6 = ROOT / "data" / "toy6.txt"
@@ -356,8 +356,8 @@ def test_route_flows_carry_no_cycle():
 
 @pytest.mark.parametrize("volume, proof", [
     (10_000, "node a demand 10000 Gbps exceeds the largest router capacity 8960"),
-    (50_000, "node a must terminate >= 500 circuits, "
-             "above the largest add-drop capacity 400"),
+    pytest.param(50_000, "node a needs >= 13 fibers and 500 add-drop ports, "
+                         "more than any optical node offers", id="50000"),
 ])
 def test_optimized_capacity_proofs(volume, proof):
     inst = make_instance([("e1", "a", "b", 100)], pops=("a", "b"),
@@ -366,6 +366,32 @@ def test_optimized_capacity_proofs(volume, proof):
     assert capacity_infeasible(m) == proof
     assert solve_exact(m).status == "infeasible"
     assert solve_heuristic(m).status == "infeasible"
+
+
+def test_capacity_proofs_agree_with_highs():
+    """Every proof `capacity_infeasible` gives, in either architecture, is
+    one HiGHS agrees with: it reports the exported model infeasible (`milp`
+    status 2). On random tiny 10G nets with 1 or 2 channels per fiber and
+    demands of 20-60 Gbps, which outgrow the optical nodes often enough
+    that each architecture's proof fires."""
+    pytest.importorskip("scipy.optimize")
+    from lp_mip import lp_status
+    rng = random.Random(2512)
+    proofs = Counter()
+    for _ in range(120):
+        inst, cat = routable_instance(random_tiny_instance, rng)
+        inst = dataclasses.replace(
+            inst, channels_per_fiber=rng.choice((1, 2)),
+            demands=tuple(dataclasses.replace(d, value=rng.randint(20, 60))
+                          for d in inst.demands))
+        cc = build_cost_catalog(inst)
+        for m in (build_model(inst, cat, cc), build_transparent_variant(inst, cat, cc)):
+            if capacity_infeasible(m) is not None:
+                buf = io.StringIO()
+                export_model(m, buf)
+                assert lp_status(buf.getvalue()) == 2
+                proofs[m.transparent] += 1
+    assert proofs[False] and proofs[True], proofs
 
 
 def star_instance(spokes=5, value=802):
@@ -609,25 +635,19 @@ def test_transparent_bound_never_above_a_completion():
 
 def test_both_solvers_report_the_same_bound_when_nothing_fits():
     """Each end needs 11 fibers and the largest optical node takes 10.
-    Optimized: no node total shows it, so the exhausted search reads
-    `infeasible` and the failed construction `unknown`. Transparent: the
-    empty design's shadow design already needs 11 fibers and 11 drops at
-    each end, so `capacity_infeasible` proves it and both solvers read
-    `infeasible` with no node explored. Each reports the bound of the empty
-    design."""
+    Optimized: 11 circuits of 10G at least end at each end, each on its own
+    fiber. Transparent: the empty design's shadow design already needs 11
+    fibers and 11 drops at each end. Either way `capacity_infeasible` proves
+    it, and both solvers read `infeasible` with no node explored and report
+    the bound of the empty design."""
     inst = make_instance([("e1", "a", "b", 100)], pops=("a", "b"),
                          demands=(("a", "b", 110),), speeds=(10,), channels_per_fiber=1)
-    m = build(inst)
-    assert capacity_infeasible(m) is None
-    exact, heur = solve_exact(m), solve_heuristic(m)
-    assert (exact.status, heur.status, exact.nodes_explored) == ("infeasible", "unknown", 12)
-    assert exact.bound == heur.bound == _root_bound(m) > 0
-    m = build_tra(inst)
-    assert capacity_infeasible(m) == (
-        "node a needs >= 11 fibers and 11 add-drop ports, more than any optical node offers")
-    exact, heur = solve_exact(m), solve_heuristic(m)
-    assert (exact.status, heur.status, exact.nodes_explored) == ("infeasible", "infeasible", 0)
-    assert exact.bound == heur.bound == _root_bound(m) > 0
+    for m in (build(inst), build_tra(inst)):
+        assert capacity_infeasible(m) == (
+            "node a needs >= 11 fibers and 11 add-drop ports, more than any optical node offers")
+        exact, heur = solve_exact(m), solve_heuristic(m)
+        assert (exact.status, heur.status, exact.nodes_explored) == ("infeasible", "infeasible", 0)
+        assert exact.bound == heur.bound == _root_bound(m) > 0
 
 
 def test_root_bound_pinned_on_toy6():
@@ -783,8 +803,9 @@ def test_heuristic_results_pinned_on_midsize():
 
 
 def _assert_node_fibers(state, graph):
+    layer = state.optical
     for n in graph.node_ids():
-        assert state.node_fiber_count.get(n, 0) == sum(state.fibers(e.id) for e in graph.incident(n))
+        assert layer.fiber_count.get(n, 0) == sum(layer.fibers(e.id) for e in graph.incident(n))
 
 
 def _cost(state):
@@ -1239,7 +1260,7 @@ def _floorless_best_placement(h, pair, need, cutoff=inf):
         for mix, count, base in options:
             if base > cutoff:
                 continue
-            c = h._marginal(pair, pid, count, base, cutoff)
+            c = st.optical.price(pid, count, base, cutoff)
             if c is None:
                 continue
             key = (c, length, pid)
@@ -1517,15 +1538,15 @@ def _random_circuit_step(state, rng):
                            rng.choice(speeds), rng.randint(1, 20))
 
 
-def _maintained_fields():
-    """The fields `add_circuits`, and the `_repick` and `_reshadow` it
-    calls, keep up to date, read from their code: each `self.<field>` they name other than to
-    look an entry or an attribute up in it (as `self.pair_capacity[ends]`
-    or `self.y.get(key, 0)` do), that is, assigned (as `self.spent += ...`
-    is), bound to a local (as `self.tables` is), passed on (as `self.vmod`
-    is) or changed in place (as `self.y.pop(key)` is)."""
+def _maintained_fields(*methods):
+    """The fields `methods` keep up to date, read from their code: each
+    `self.<field>` they name other than to look an entry or an attribute up
+    in it (as `self.pair_capacity[ends]` or `self.y.get(key, 0)` do), that
+    is, assigned (as `self.spent += ...` is), bound to a local (as
+    `self.tables` is) or changed in place (as `self.y.pop(key)` and
+    `self.optical.add(pid, count)` are)."""
     names = set()
-    for method in (DesignState.add_circuits, DesignState._repick, DesignState._reshadow):
+    for method in methods:
         tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
         calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         lookups = {id(node.value) for node in ast.walk(tree)
@@ -1547,24 +1568,39 @@ def _state_model(instance, architecture, rng):
 
 
 def _state_values(state):
-    """Copies of every field of a design state but its shared `tables`."""
-    return {name: copy.deepcopy(value) for name, value in vars(state).items()
-            if name != "tables"}
+    """Copies of every field of a design state but its shared `tables`, an
+    optical layer's one by one under "<layer>.<field>"."""
+    values = {}
+    for name, value in vars(state).items():
+        if isinstance(value, _OpticalLayer):
+            values.update({f"{name}.{field}": copy.deepcopy(v)
+                           for field, v in vars(value).items() if field != "tables"})
+        elif name != "tables":
+            values[name] = copy.deepcopy(value)
+    return values
 
 
 @pytest.mark.parametrize("architecture", ["optimized", "transparent-core"])
 @pytest.mark.parametrize("instance", ["toy6", "midsize"])
 def test_state_follows_circuit_counts(instance, architecture):
     """Every field of a design state but its `tables` is one `add_circuits`
-    keeps up to date, and follows its circuit counts `y`: over random
-    steps, up to a broken node and back, a fresh state taken to the
-    state's `y` equals it, and going back to an earlier `y` gives back every
-    earlier value. The steps move every field."""
+    keeps up to date, and so is every field of its optical layers (the
+    design's, and in the transparent variant the shadow design's) but their
+    `tables`, which the layers' `add` writes. Each follows the circuit
+    counts `y`: over random steps, up to a broken node and back, a fresh
+    state taken to the state's `y` equals it, and going back to an earlier
+    `y` gives back every earlier value. The steps move every field of the
+    state and of its layers."""
     rng = random.Random(31)
     tables = ModelTables(_state_model(instance, architecture, rng))
     state = DesignState(tables)
     # a per-model table kept on the state would be a field no step writes
-    assert set(vars(state)) - {"tables"} <= _maintained_fields()
+    assert set(vars(state)) - {"tables"} <= _maintained_fields(
+        DesignState.add_circuits, DesignState._repick)
+    layers = {name: v for name, v in vars(state).items() if isinstance(v, _OpticalLayer)}
+    assert set(layers) == ({"optical", "shadow"} if tables.transparent else {"optical"})
+    for layer in layers.values():
+        assert set(vars(layer)) - {"tables"} <= _maintained_fields(_OpticalLayer.add)
     fresh = _state_values(state)
     seen = [(dict(state.y), fresh)]
     moved = set()
@@ -1613,7 +1649,7 @@ def test_state_cost_is_the_model_objective(instance, architecture):
             _restore(state, saved)
         else:
             _random_circuit_step(state, rng)
-        picks = list(state.vmod.values()) + list(state.pmod.values())
+        picks = list(state.vmod.values()) + list(state.optical.pmod.values())
         assert state.broken == picks.count(None)
         assert state.broken or step != 30
         if state.broken:
