@@ -2,19 +2,23 @@
 
 For every unordered PoP pair we enumerate up to K shortest simple paths whose
 length stays within the optical reach (default 750 km, no regeneration).
-Enumeration is a Yen-style deviation search on the physical multigraph.
-Each spur search is goal-directed (A*): it ranks a partial path by its
-length plus its end node's whole-graph distance to the target, which
-`_distances_to` computes once per target and which is a consistent lower
-bound on every spur subgraph. Each search still returns the lex-min
-shortest path under its bans (see `_dijkstra`), so the catalog is the one
-plain Dijkstra order gives; only fewer heap entries are made and popped.
+Enumeration is one best-first (A*) search over the partial simple paths
+from one end, keyed `(length + rest, edge ids)`. `rest` is a lower bound
+on the length still to go: the end node's whole-graph distance to the
+target, which `_distances_to` computes once per target, or once certified
+the exact shortest completion that avoids the partial path's nodes. A
+prefix of a path keys no higher than the path's length, and its edge ids,
+a proper prefix of the path's, compare lower; so some prefix of every
+path is in the heap ahead of the path, whole paths pop in (length, edge
+ids) order, and the search stops at the K-th. A partial path is extended
+only at an exact key (see `_k_shortest`): without the certificate,
+partial paths cut off from the target would survive on their low keys
+and the search would grow without end.
 
 Ordering contract: within a pair, paths are sorted by (length, edge-id
 sequence); the lexicographic tiebreak makes catalogs reproducible across runs
-and platforms. Candidates longer than the reach are pruned eagerly, which is
-safe because a deviation parent is never longer than its children in the
-enumeration order.
+and platforms. A partial path that no completion within the reach can
+extend is dropped.
 
 Lengths are exact `Fraction`s outside the search and scaled integers inside
 it: every edge length and the reach are multiplied by the lcm of their
@@ -68,7 +72,7 @@ def _walk_nodes(graph: PhysicalGraph, start: str, edge_ids: tuple[str, ...]) -> 
 class _ScaledGraph:
     """A graph's edge lengths and a reach as ints, each times `scale`, the
     lcm of their denominators; built once per catalog (or
-    `k_shortest_bounded`) call."""
+    `k_shortest_bounded`) call. Node `n` is bit `bit[n]` of a node set."""
 
     def __init__(self, graph: PhysicalGraph, bound: Fraction):
         exact = {e.id: as_fraction(e.length_km) for e in graph.edges}
@@ -76,34 +80,40 @@ class _ScaledGraph:
         self.reach = bound.numerator * (self.scale // bound.denominator)
         self.length = {eid: x.numerator * (self.scale // x.denominator)
                        for eid, x in exact.items()}
-        # node -> ((edge id, neighbour, length), ...) in incident order
-        self.adj = {n: tuple((e.id, e.other(n), self.length[e.id]) for e in graph.incident(n))
+        self.bit = {n: 1 << idx for idx, n in enumerate(graph.node_ids())}
+        # node -> ((edge id, neighbour, length, neighbour's bit), ...) in incident order
+        self.adj = {n: tuple((e.id, e.other(n), self.length[e.id], self.bit[e.other(n)])
+                             for e in graph.incident(n))
                     for n in graph.node_ids()}
 
 
-def _distances_to(sg: _ScaledGraph, target: str) -> dict[str, int]:
+def _distances_to(sg: _ScaledGraph, target: str) -> tuple[dict[str, int], dict[str, int]]:
     """Shortest distance from every node within the reach of `target`, on
-    the whole graph: a lower bound on any path to `target` that avoids
-    some nodes or edges."""
+    the whole graph: a lower bound on any path to `target` that avoids some
+    nodes. And per node, the node set (see `_ScaledGraph`) of one shortest
+    path from it to `target`, without itself: if that set avoids the banned
+    nodes, the bound is exact."""
     dist: dict[str, int] = {}
-    heap = [(0, target)]
+    beyond: dict[str, int] = {}
+    heap = [(0, target, 0)]
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u, below = heapq.heappop(heap)
         if u in dist:
             continue
         dist[u] = d
-        for _, w, length in sg.adj[u]:
+        beyond[u] = below
+        below |= sg.bit[u]
+        for _, w, length, _ in sg.adj[u]:
             nd = d + length
             if nd <= sg.reach and w not in dist:
-                heapq.heappush(heap, (nd, w))
-    return dist
+                heapq.heappush(heap, (nd, w, below))
+    return dist, beyond
 
 
 def _dijkstra(sg: _ScaledGraph, source: str, target: str, to_target: dict[str, int],
-              max_len: int, banned_nodes: Iterable[str] = (),
-              banned_edges: frozenset[str] = frozenset()) -> tuple[int, tuple[str, ...]] | None:
-    """Shortest source->target path avoiding banned nodes/edges, no longer
-    than `max_len`.
+              max_len: int, banned_nodes: Iterable[str] = ()) -> tuple[int, tuple[str, ...]] | None:
+    """Shortest source->target path avoiding banned nodes, no longer than
+    `max_len`: the certificate of `_k_shortest`, which reads its length.
 
     Ties resolve to the lexicographically smallest edge-id sequence; returns
     (length, edge ids) or None.
@@ -137,8 +147,8 @@ def _dijkstra(sg: _ScaledGraph, source: str, target: str, to_target: dict[str, i
         if u == target:
             return dist, eids
         done.add(u)
-        for eid, w, length in sg.adj[u]:
-            if w in done or eid in banned_edges:
+        for eid, w, length, _ in sg.adj[u]:
+            if w in done:
                 continue
             nd = dist + length
             h = to_target.get(w)
@@ -147,49 +157,45 @@ def _dijkstra(sg: _ScaledGraph, source: str, target: str, to_target: dict[str, i
     return None
 
 
-def _k_shortest(sg: _ScaledGraph, graph: PhysicalGraph, i: str, j: str, k: int,
-                to_j: dict[str, int]) -> list[PhysPath]:
-    first = _dijkstra(sg, i, j, to_j, sg.reach)
-    if first is None:
+def _k_shortest(sg: _ScaledGraph, i: str, j: str, k: int, to_j: dict[str, int],
+                beyond: dict[str, int]) -> list[PhysPath]:
+    """The first `k` simple i-j paths within the reach in (length, edge ids)
+    order, by the search of the module docstring; `to_j` and `beyond` are
+    `_distances_to(sg, j)`.
+
+    A partial path's key is exact when `beyond` of its end avoids its
+    nodes, or once certified: else one `_dijkstra` from its end, with its
+    other nodes banned, either puts it back at its exact key or drops it,
+    as no completion fits the reach.
+    """
+    if i not in to_j:
         return []
-    # (length, edge ids), popped in non-decreasing length order; `seen`
-    # keeps edge-id sequences unique, so no two entries tie
-    heap: list[tuple[int, tuple[str, ...]]] = [first]
-    seen: set[tuple[str, ...]] = {first[1]}
-    accepted: list[tuple[int, tuple[str, ...], tuple[str, ...]]] = []
-
+    found: list[PhysPath] = []
+    # (key, edge ids, length, node ids, node set, key certified); no two
+    # entries share edge ids, so the later fields are never compared
+    heap = [(to_j[i], (), 0, (i,), sg.bit[i], False)]
     while heap:
-        length, eids = heapq.heappop(heap)
-        if len(accepted) >= k and length > accepted[k - 1][0]:
-            break  # all remaining paths are strictly longer than the k-th
-        nids = _walk_nodes(graph, i, eids)
-        accepted.append((length, eids, nids))
-        # spur at every position of the accepted path; `sharing` holds the
-        # accepted paths with the same first t edges (each goes on past t,
-        # as node t is not j)
-        root_len = 0
-        sharing = [aeids for _, aeids, _ in accepted]
-        for t in range(len(eids)):
-            if t:
-                prev = eids[t - 1]
-                root_len += sg.length[prev]
-                sharing = [aeids for aeids in sharing if aeids[t - 1] == prev]
-            root_eids = eids[:t]
-            banned_edges = frozenset(aeids[t] for aeids in sharing)
-            spur = _dijkstra(sg, nids[t], j, to_j, sg.reach - root_len,
-                             banned_nodes=nids[:t],  # keep spur paths simple
-                             banned_edges=banned_edges)
-            if spur is None:
+        _, eids, dist, nids, nodes, certified = heapq.heappop(heap)
+        u = nids[-1]
+        if u == j:
+            found.append(PhysPath(edges=eids, nodes=nids, length_km=Fraction(dist, sg.scale)))
+            if len(found) == k:
+                break
+            continue
+        if not certified and beyond[u] & nodes:
+            rest = _dijkstra(sg, u, j, to_j, sg.reach - dist, banned_nodes=nids[:-1])
+            if rest is not None:
+                heapq.heappush(heap, (dist + rest[0], eids, dist, nids, nodes, True))
+            continue
+        for eid, w, length, bit in sg.adj[u]:
+            if nodes & bit:
                 continue
-            cand_eids = root_eids + spur[1]
-            if cand_eids in seen:
-                continue
-            seen.add(cand_eids)
-            heapq.heappush(heap, (root_len + spur[0], cand_eids))
-
-    accepted.sort(key=lambda a: (a[0], a[1]))
-    return [PhysPath(edges=eids, nodes=nids, length_km=Fraction(length, sg.scale))
-            for length, eids, nids in accepted[:k]]
+            nd = dist + length
+            h = to_j.get(w)
+            if h is not None and nd + h <= sg.reach:
+                heapq.heappush(heap, (nd + h, eids + (eid,), nd, nids + (w,), nodes | bit,
+                                      False))
+    return found
 
 
 def k_shortest_bounded(graph: PhysicalGraph, i: str, j: str, k: int,
@@ -207,7 +213,7 @@ def k_shortest_bounded(graph: PhysicalGraph, i: str, j: str, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     sg = _ScaledGraph(graph, as_fraction(max_len_km))
-    return _k_shortest(sg, graph, i, j, k, _distances_to(sg, j))
+    return _k_shortest(sg, i, j, k, *_distances_to(sg, j))
 
 
 class PathCatalog:
@@ -261,15 +267,14 @@ def build_catalog(instance: Instance) -> PathCatalog:
     Pairs without a bounded path get an empty entry; whether that is fatal
     depends on the architecture (the model builders decide).
     """
-    graph = instance.graph
-    sg = _ScaledGraph(graph, as_fraction(instance.max_path_km))
+    sg = _ScaledGraph(instance.graph, as_fraction(instance.max_path_km))
     pops = sorted(instance.pops)
     pair_paths = {}
     for b_idx, b in enumerate(pops):
-        to_b = _distances_to(sg, b)
+        to_b, beyond = _distances_to(sg, b)
         for a in pops[:b_idx]:
-            pair_paths[(a, b)] = tuple(_k_shortest(sg, graph, a, b,
-                                                   instance.max_paths_per_pair, to_b))
+            pair_paths[(a, b)] = tuple(_k_shortest(sg, a, b, instance.max_paths_per_pair,
+                                                   to_b, beyond))
     return PathCatalog(pair_paths)
 
 

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
@@ -162,8 +163,9 @@ def _phase1_simplex(n_vars: int, eq_rows: list, ub_rows: list) -> dict[int, Frac
     Rows are (coeffs: dict col->number, rhs), with whole or `Fraction`
     numbers. Dense tableau, Bland's rule, exact rationals: this is the one
     place that divides row numbers, so each enters the tableau as a
-    `Fraction` (an int quotient would be a float). Sized for the virtual
-    layer of desk-scale instances.
+    `Fraction` (an int quotient would be a float). A pivot updates only the
+    pivot row's nonzero columns of each row, as `a - f * 0` is `a`. Sized
+    for the virtual layer of desk-scale instances.
     """
     slacks = len(ub_rows)
     n_total = n_vars + slacks
@@ -221,13 +223,12 @@ def _phase1_simplex(n_vars: int, eq_rows: list, ub_rows: list) -> dict[int, Frac
             return None  # phase-1 is bounded; defensive only
         piv = tab[leave][enter]
         tab[leave] = [a / piv for a in tab[leave]]
-        for r in range(m):
-            if r != leave and tab[r][enter]:
-                f = tab[r][enter]
-                tab[r] = [a - f * b for a, b in zip(tab[r], tab[leave])]
-        if z[enter]:
-            f = z[enter]
-            z = [a - f * b for a, b in zip(z, tab[leave])]
+        nonzero = [(c, b) for c, b in enumerate(tab[leave]) if b]
+        for row in tab + [z]:
+            f = row[enter]
+            if f and row is not tab[leave]:
+                for c, b in nonzero:
+                    row[c] -= f * b
         basis[leave] = enter
 
     if -z[-1] != 0:  # artificial mass left: infeasible
@@ -923,17 +924,18 @@ class _Heuristic:
     # ---- improve -----------------------------------------------------------
 
     def prune_idle(self) -> list[tuple[int, int]]:
-        """Drop circuits whose capacity is not needed by the pair flow, and
-        return the (path id, speed) of each, one entry per circuit."""
+        """Drop circuits whose capacity is not needed by the pair flow, in
+        one call per (path, speed), and return the (path id, speed) of each,
+        one entry per circuit."""
         freed = []
         st, t = self.state, self.tables
-        for (pid, speed) in sorted(st.y):
+        for (pid, speed), count in sorted(st.y.items()):
             pair = t.ends[pid]
-            cap = t.lt[speed].routing_capacity
-            while st.y.get((pid, speed), 0) > 0 and \
-                    st.pair_capacity[pair] - cap >= self.pair_flow[pair]:
-                st.add_circuits(pid, speed, -1)
-                freed.append((pid, speed))
+            idle = min(count, (st.pair_capacity[pair] - self.pair_flow[pair])
+                       // t.lt[speed].routing_capacity)
+            if idle > 0:
+                st.add_circuits(pid, speed, -idle)
+                freed += [(pid, speed)] * idle
         return freed
 
     def swap_paths(self) -> bool:
@@ -1005,8 +1007,8 @@ class _Heuristic:
                 improved = True
                 self.moves += len(freed) + 1
             else:
-                for pid, speed in freed:
-                    st.add_circuits(pid, speed, 1)
+                for (pid, speed), count in Counter(freed).items():
+                    st.add_circuits(pid, speed, count)
                 self.apply_route(route, d.value, ())
         return improved
 

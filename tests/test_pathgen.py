@@ -1,15 +1,20 @@
 """Bounded k-shortest path enumeration and the path catalog indexes."""
 
 import hashlib
+import importlib.util
 import io
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import make_graph, make_instance, random_connected_edges
+from wdmplan import pathgen
 from wdmplan.pathgen import (_distances_to, _dijkstra, _ScaledGraph, build_catalog,
                              dump_paths, k_shortest_bounded, load_paths)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def triangle_graph():
@@ -55,9 +60,9 @@ def test_argument_errors():
         k_shortest_bounded(g, "a", "b", 0, 100)
 
 
-def all_simple_paths(graph, i, j, bound, banned_nodes=(), banned_edges=()):
+def all_simple_paths(graph, i, j, bound, banned_nodes=()):
     """Exhaustive reference enumeration, ascending (length, edge ids), of
-    the paths that avoid the banned nodes and edges."""
+    the paths that avoid the banned nodes."""
     out = []
 
     def extend(node, eids, nids, length):
@@ -66,7 +71,7 @@ def all_simple_paths(graph, i, j, bound, banned_nodes=(), banned_edges=()):
             return
         for e in graph.incident(node):
             w = e.other(node)
-            if w in nids or w in banned_nodes or e.id in banned_edges:
+            if w in nids or w in banned_nodes:
                 continue
             nl = length + e.length_km
             if nl > bound:
@@ -124,11 +129,66 @@ def test_matches_exhaustive_enumeration_decimal_lengths_and_ties():
     assert reach_paths >= 10
 
 
+def test_matches_exhaustive_enumeration_behind_a_cut_vertex():
+    # the target hangs off a cut vertex, on one edge or a chain of two, and
+    # the reach is large: a partial path that passes the cut vertex or
+    # blocks the whole-graph shortest path to it must be certified, and
+    # one that has cut itself off from the target dropped
+    rng = random.Random(43)
+    for _ in range(120):
+        n = rng.randint(3, 8)
+        names, edges = random_connected_edges(rng, n, rng.randint(2, 9))
+        at = rng.choice(names)
+        for t in range(rng.randint(1, 2)):
+            edges.append((f"e{len(edges)}", at, f"t{t}", rng.randint(40, 400)))
+            at = f"t{t}"
+            if rng.random() < 0.3:  # a parallel edge on the chain
+                edges.append((f"e{len(edges)}", edges[-1][1], at, edges[-1][3]))
+        g = make_graph(edges)
+        i = rng.choice(names)
+        bound = Fraction(rng.choice((10 ** 6, rng.randint(1500, 6000))))
+        ref = all_simple_paths(g, i, at, bound)
+        k = rng.choice((1, 4, len(ref) or 1, len(ref) + 3))
+        got = k_shortest_bounded(g, i, at, k, bound)
+        assert [(p.length_km, p.edges) for p in got] == ref[:k]
+
+
+def test_certified_search_stays_small(monkeypatch):
+    # a 29-site net with a 2000 km reach: without its certificate the
+    # best-first search pops about 2.3M heap entries on it, with it about
+    # 2,300, so a counter that fails past 10,000 catches a search that keeps
+    # partial paths cut off from their target
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(1010)
+    n = rng.randint(8, 30)
+    inst = gen.synthetic_network(rng, n, rng.randint(3, 8), rng.randint(1, 20),
+                                 max_km=rng.choice([300, 750, 2000]))
+    assert (n, inst.max_paths_per_pair, inst.max_path_km) == (29, 8, 2000)
+    pops = 0
+    heappop = pathgen.heapq.heappop
+
+    def counted(heap):
+        nonlocal pops
+        pops += 1
+        assert pops < 10_000, "the path search pops too many heap entries"
+        return heappop(heap)
+
+    monkeypatch.setattr(pathgen.heapq, "heappop", counted)
+    buf = io.StringIO()
+    dump_paths(build_catalog(inst), buf)
+    monkeypatch.undo()
+    assert len(buf.getvalue().splitlines()) == 161
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "213a9e5ddd4ac3b9556203c293fd6b1a99340342ed425731cdaacb0dbd0e0cd0")
+
+
 def test_spur_search_matches_brute_force():
-    # the goal-directed spur search must return the lex-min shortest simple
-    # path under its bans: lengths from a small pool tie often, every graph
-    # has parallel edges, ids run past e9 ("e10" < "e2"), and the length cap
-    # is sometimes exactly a path's length, which must be kept
+    # the goal-directed certifying search must return the lex-min shortest
+    # simple path under its bans: lengths from a small pool tie often, every
+    # graph has parallel edges, ids run past e9 ("e10" < "e2"), and the
+    # length cap is sometimes exactly a path's length, which must be kept
     pool = [Fraction(x) for x in ("40.5", "81", "121.5", "123.4", "61.7")]
     rng = random.Random(37)
     found = capped = 0
@@ -143,11 +203,10 @@ def test_spur_search_matches_brute_force():
         source, target = rng.sample(names, 2)
         reach = Fraction(rng.randint(1200, 4000), 10)
         sg = _ScaledGraph(g, reach)
-        to_target = _distances_to(sg, target)
+        to_target, _ = _distances_to(sg, target)
         others = [x for x in names if x not in (source, target)]
         banned_nodes = set(rng.sample(others, rng.randint(0, min(2, len(others)))))
-        banned_edges = frozenset(e[0] for e in rng.sample(edges, rng.randint(0, 3)))
-        ref = all_simple_paths(g, source, target, reach, banned_nodes, banned_edges)
+        ref = all_simple_paths(g, source, target, reach, banned_nodes)
         max_len = reach
         if ref and rng.random() < 0.5:
             max_len = rng.choice(ref)[0]  # a path exactly at the cap
@@ -156,7 +215,7 @@ def test_spur_search_matches_brute_force():
             max_len = ref[0][0] - pool[0]  # below the shortest: no path
         expect = next(((length, eids) for length, eids in ref if length <= max_len), None)
         got = _dijkstra(sg, source, target, to_target, int(max_len * sg.scale),
-                        banned_nodes=banned_nodes, banned_edges=banned_edges)
+                        banned_nodes=banned_nodes)
         if got is not None:
             got = (Fraction(got[0], sg.scale), got[1])
             found += 1

@@ -1207,6 +1207,55 @@ def test_priced_reroute_matches_applied_reroute():
     assert outcomes["kept"] and outcomes["rejected"], outcomes
 
 
+def _prune_one_at_a_time(h):
+    """prune_idle as it was before it dropped a surplus in one call: one
+    circuit at a time, while the pair's capacity without it still carries
+    the pair's flow."""
+    freed = []
+    st, t = h.state, h.tables
+    for (pid, speed) in sorted(st.y):
+        pair = t.ends[pid]
+        cap = t.lt[speed].routing_capacity
+        while st.y.get((pid, speed), 0) > 0 and \
+                st.pair_capacity[pair] - cap >= h.pair_flow[pair]:
+            st.add_circuits(pid, speed, -1)
+            freed.append((pid, speed))
+    return freed
+
+
+def test_prune_drops_what_one_at_a_time_drops():
+    """prune_idle, which drops a (path, speed)'s idle circuits in one call,
+    frees the circuits that dropping them one at a time frees, in the same
+    order, and leaves the same state, on constructed mid-size designs of
+    both architectures with random circuits added and random demands taken
+    out. Some (path, speed) gives up several circuits at once."""
+    rng = random.Random(2718)
+    freed = Counter()
+    for _ in range(6):
+        inst, cat = routable_instance(random_midsize_instance, rng)
+        cc = build_cost_catalog(inst)
+        for m in (build_model(inst, cat, cc), build_transparent_variant(inst, cat, cc)):
+            h = _Heuristic(m, seed=0)
+            if not h.construct():
+                continue
+            speeds = sorted(h.tables.lt)
+            for _ in range(4):
+                y = dict(h.state.y)
+                for _ in range(rng.randint(0, 3)):
+                    h.state.add_circuits(rng.randrange(len(h.tables.catalog.paths)),
+                                         rng.choice(speeds), rng.randint(1, 6))
+                if h.state.broken:
+                    _restore(h.state, y)
+                for idx in rng.sample(sorted(h.routes), rng.randint(0, min(3, len(h.routes)))):
+                    h.apply_route(h.routes.pop(idx), -inst.demands[idx].value, ())
+                ref = _twin(h)
+                want = _prune_one_at_a_time(ref)
+                assert h.prune_idle() == want
+                assert _state_values(h.state) == _state_values(ref.state)
+                freed.update(want)
+    assert len(freed) >= 20 and max(freed.values()) >= 3, freed
+
+
 def test_direct_hops_leave_no_idle_circuit():
     """The transparent variant places each demand on its own direct hop,
     with a mix from `_mix_options` that no circuit can be dropped from, so
