@@ -132,7 +132,7 @@ def count_ip_paths(model: Model, solution: Solution | dict) -> int:
     demand is its own direct hop."""
     values = solution.values if isinstance(solution, Solution) else solution
     if model.transparent:
-        return sum(1 for d in model.instance.demands if d.value > 0)
+        return len(model.instance.demands)
     count = 0
     for key, origin, sinks in model.commodities:
         arcs = {(i, j): values[n] for (k, i, j), n in model.flow_vars.items() if k == key}

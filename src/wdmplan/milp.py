@@ -53,8 +53,6 @@ INTEGER = "integer"
 BINARY = "binary"
 
 SNAP_TOLERANCE = Fraction(1, 10**6)
-# row numbers shared by every row that has them
-_ZERO, _ONE, _MINUS_ONE = 0, 1, -1
 # the objective coefficient of a variable that costs nothing
 _FREE = Fraction(0)
 
@@ -180,8 +178,8 @@ def build_model(instance: Instance, catalog: PathCatalog,
             for j in pops:
                 if j == i:
                     continue
-                coeffs[m.flow_vars[(key, i, j)]] = _ONE
-                coeffs[m.flow_vars[(key, j, i)]] = _MINUS_ONE
+                coeffs[m.flow_vars[(key, i, j)]] = 1
+                coeffs[m.flow_vars[(key, j, i)]] = -1
             rhs = supply if i == origin else -sinks.get(i, 0)
             m.add_constr(f"conserve_{key}_{nidx[i]}", "flow-conservation",
                          coeffs, "=", rhs)
@@ -192,12 +190,12 @@ def build_model(instance: Instance, catalog: PathCatalog,
     for (i, j), pids in m.catalog.pair_ids.items():
         coeffs = {}
         for key, _origin, _sinks in commodities:
-            coeffs[m.flow_vars[(key, i, j)]] = _ONE
-            coeffs[m.flow_vars[(key, j, i)]] = _ONE
+            coeffs[m.flow_vars[(key, i, j)]] = 1
+            coeffs[m.flow_vars[(key, j, i)]] = 1
         coeffs.update(_path_terms(m, pids, neg_capacity))
         if coeffs:
             m.add_constr(f"vcap_{nidx[i]}_{nidx[j]}", "virtual-link-capacity",
-                         coeffs, "<=", _ZERO)
+                         coeffs, "<=", 0)
 
     _add_design_constraints(m, nidx, eidx)
     return m
@@ -231,7 +229,7 @@ def build_transparent_variant(instance: Instance, catalog: PathCatalog,
         coeffs = _path_terms(m, pids, capacity)
         if coeffs:
             m.add_constr(f"vcap_{nidx[i]}_{nidx[j]}", "virtual-link-capacity",
-                         coeffs, ">=", demand_by_pair.get((i, j), _ZERO))
+                         coeffs, ">=", demand_by_pair.get((i, j), 0))
 
     _add_design_constraints(m, nidx, eidx)
     return m
@@ -266,8 +264,7 @@ def _add_design_constraints(m: Model, nidx: dict, eidx: dict) -> None:
     d_i = node_demand(inst)
     slot_units = cc.lambda_types[0].SLOT_UNITS
 
-    # each coefficient is made once and shared by every row it appears in
-    ones = [(lt.speed, _ONE) for lt in cc.lambda_types]
+    ones = [(lt.speed, 1) for lt in cc.lambda_types]
     switching = [(lt.speed, lt.switching_capacity) for lt in cc.lambda_types]
     slot_use = [(lt.speed, lt.slot_units) for lt in cc.lambda_types]
     fiber_channels = -inst.channels_per_fiber
@@ -282,19 +279,19 @@ def _add_design_constraints(m: Model, nidx: dict, eidx: dict) -> None:
         coeffs = _path_terms(m, cat.ids_on_edge(e.id), ones)
         coeffs[m.fiber_vars[e.id]] = fiber_channels
         m.add_constr(f"pcap_{eidx[e.id]}", "physical-link-capacity",
-                     coeffs, "<=", _ZERO)
+                     coeffs, "<=", 0)
 
     # at most one module per node and layer
     for i in sorted(inst.pops):
-        coeffs = {m.vmod_vars[(i, midx)]: _ONE
+        coeffs = {m.vmod_vars[(i, midx)]: 1
                   for midx in range(len(cc.virtual_modules))}
         m.add_constr(f"one_router_{nidx[i]}", "module-uniqueness",
-                     coeffs, "<=", _ONE)
+                     coeffs, "<=", 1)
     for i in sorted(inst.graph.node_ids()):
-        coeffs = {m.pmod_vars[(i, midx)]: _ONE
+        coeffs = {m.pmod_vars[(i, midx)]: 1
                   for midx in range(len(cc.physical_modules))}
         m.add_constr(f"one_oxc_{nidx[i]}", "module-uniqueness",
-                     coeffs, "<=", _ONE)
+                     coeffs, "<=", 1)
 
     # router capacity and slots at each PoP
     for i in sorted(inst.pops):
@@ -306,18 +303,18 @@ def _add_design_constraints(m: Model, nidx: dict, eidx: dict) -> None:
             slots[m.vmod_vars[(i, midx)]] = slot_coef
         m.add_constr(f"ncap_{nidx[i]}", "virtual-node-capacity",
                      cap, "<=", -d_i[i])
-        m.add_constr(f"slots_{nidx[i]}", "slot", slots, "<=", _ZERO)
+        m.add_constr(f"slots_{nidx[i]}", "slot", slots, "<=", 0)
 
     # fibers and terminating circuits at each optical site
     for i in sorted(inst.graph.node_ids()):
         # `incident` lists each edge once, as a graph has no self-loops
-        fib = {m.fiber_vars[e.id]: _ONE for e in inst.graph.incident(i)}
+        fib = {m.fiber_vars[e.id]: 1 for e in inst.graph.incident(i)}
         drop = _path_terms(m, cat.endpoint_ids(i), ones)
         for midx, (fib_coef, drop_coef) in enumerate(oxc_terms):
             fib[m.pmod_vars[(i, midx)]] = fib_coef
             drop[m.pmod_vars[(i, midx)]] = drop_coef
-        m.add_constr(f"fibers_{nidx[i]}", "fiber", fib, "<=", _ZERO)
-        m.add_constr(f"adddrop_{nidx[i]}", "add-drop", drop, "<=", _ZERO)
+        m.add_constr(f"fibers_{nidx[i]}", "fiber", fib, "<=", 0)
+        m.add_constr(f"adddrop_{nidx[i]}", "add-drop", drop, "<=", 0)
 
 
 def evaluate_cost(model: Model, solution: Solution | dict, final_cost: bool = False) -> Fraction:
@@ -391,19 +388,14 @@ def _term_prefixes(coef: Fraction | int) -> tuple[str, str] | None:
 
 
 def _lp_terms(coeffs: dict, rendered: dict) -> str:
-    """`coeffs` as an LP expression. `rendered` maps the id of each
-    coefficient object seen so far to the object and its `_term_prefixes`;
-    the entry keeps the object alive, so its id is not reused while the dict
-    lives. The model builders share coefficient objects between rows, so a
-    lookup by id replaces hashing a number per term (in pure Python for an
-    objective's `Fraction`)."""
+    """`coeffs` as an LP expression. `rendered` maps each coefficient value
+    seen so far to its `_term_prefixes`, so each is rendered once."""
     parts = []
     for name, coef in coeffs.items():
         try:
-            prefixes = rendered[id(coef)][1]
+            prefixes = rendered[coef]
         except KeyError:
-            prefixes = _term_prefixes(coef)
-            rendered[id(coef)] = (coef, prefixes)
+            prefixes = rendered[coef] = _term_prefixes(coef)
         if prefixes is not None:
             parts.append(prefixes[1 if parts else 0] + name)
     if not parts:
@@ -418,9 +410,8 @@ def export_model(model: Model, out: IO[str]) -> None:
     LP-format default lower bound 0; integrality goes to General/Binary
     sections.
     """
-    # a model has many terms but few distinct coefficient objects, so each
-    # is rendered once (see `_lp_terms`)
-    rendered: dict[int, tuple[Fraction | int, tuple[str, str] | None]] = {}
+    # a model has many terms but few distinct coefficients (see `_lp_terms`)
+    rendered: dict[Fraction | int, tuple[str, str] | None] = {}
     out.write("\\ two-layer network design model\n")
     out.write(f"\\ architecture: {MODE_TRANSPARENT if model.transparent else MODE_OPTIMIZED}\n")
     obj = {name: v.obj for name, v in model.variables.items() if v.obj}

@@ -34,7 +34,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import IO, Iterable
+from typing import IO
 
 from .netmodel import Instance, PhysicalGraph, as_fraction
 
@@ -70,11 +70,12 @@ def _walk_nodes(graph: PhysicalGraph, start: str, edge_ids: tuple[str, ...]) -> 
 
 
 class _ScaledGraph:
-    """A graph's edge lengths and a reach as ints, each times `scale`, the
-    lcm of their denominators; built once per catalog (or
+    """A graph, and its edge lengths and a reach as ints, each times
+    `scale`, the lcm of their denominators; built once per catalog (or
     `k_shortest_bounded`) call. Node `n` is bit `bit[n]` of a node set."""
 
     def __init__(self, graph: PhysicalGraph, bound: Fraction):
+        self.graph = graph
         exact = {e.id: as_fraction(e.length_km) for e in graph.edges}
         self.scale = lcm(bound.denominator, *(x.denominator for x in exact.values()))
         self.reach = bound.numerator * (self.scale // bound.denominator)
@@ -111,49 +112,37 @@ def _distances_to(sg: _ScaledGraph, target: str) -> tuple[dict[str, int], dict[s
 
 
 def _dijkstra(sg: _ScaledGraph, source: str, target: str, to_target: dict[str, int],
-              max_len: int, banned_nodes: Iterable[str] = ()) -> tuple[int, tuple[str, ...]] | None:
-    """Shortest source->target path avoiding banned nodes, no longer than
-    `max_len`: the certificate of `_k_shortest`, which reads its length.
-
-    Ties resolve to the lexicographically smallest edge-id sequence; returns
-    (length, edge ids) or None.
+              max_len: int, banned: int) -> int | None:
+    """Length of the shortest source->target path that avoids the node set
+    `banned` (see `_ScaledGraph`) and is no longer than `max_len`, or None:
+    the certificate of `_k_shortest`.
 
     The search is goal-directed (A*): the heap is ordered by
-    `(length + to_target[node], edge ids)` and each entry carries its exact
-    length. `to_target` holds whole-graph distances, so on any subgraph left
-    by the bans it is a consistent lower bound, and the first pop of a node
-    still has the node's shortest length. All entries for one node share
-    the same `to_target` term, so among them the order is `(length, edge
-    ids)`, as in plain Dijkstra. A tie across nodes cannot pop a node ahead
-    of the prefix of its lex-min shortest path: if that path is `X + (e,)`
-    and another entry for the node holds `Y` at the same key, then
-    `X + (e,) < Y` implies `X < Y`, and the consistent bound gives `X` a key
-    no larger, so `X` pops first.
-
-    A state whose length plus `to_target` exceeds `max_len` is dropped, as
-    no completion of it fits; the cut drops a node's cheapest state only if
-    it drops all of them, so the path found is the one found without it.
+    `length + to_target[node]`. `to_target` holds whole-graph distances, so
+    on any subgraph left by the bans it is a consistent lower bound, and
+    the first pop of a node has the node's shortest length; each settled
+    node joins `banned`. A state whose length plus `to_target` exceeds
+    `max_len` is dropped, as no completion of it fits.
     """
     h = to_target.get(source)
     if h is None or h > max_len:
         return None
-    done = set(banned_nodes)
-    # (length + to_target, edge ids, length, node)
-    heap: list[tuple[int, tuple[str, ...], int, str]] = [(h, (), 0, source)]
+    # (length + to_target, length, node)
+    heap = [(h, 0, source)]
     while heap:
-        _, eids, dist, u = heapq.heappop(heap)
-        if u in done:
-            continue
+        _, dist, u = heapq.heappop(heap)
         if u == target:
-            return dist, eids
-        done.add(u)
-        for eid, w, length, _ in sg.adj[u]:
-            if w in done:
+            return dist
+        if banned & sg.bit[u]:
+            continue
+        banned |= sg.bit[u]
+        for _, w, length, bit in sg.adj[u]:
+            if banned & bit:
                 continue
             nd = dist + length
             h = to_target.get(w)
             if h is not None and nd + h <= max_len:
-                heapq.heappush(heap, (nd + h, eids + (eid,), nd, w))
+                heapq.heappush(heap, (nd + h, nd, w))
     return None
 
 
@@ -163,29 +152,31 @@ def _k_shortest(sg: _ScaledGraph, i: str, j: str, k: int, to_j: dict[str, int],
     order, by the search of the module docstring; `to_j` and `beyond` are
     `_distances_to(sg, j)`.
 
-    A partial path's key is exact when `beyond` of its end avoids its
-    nodes, or once certified: else one `_dijkstra` from its end, with its
-    other nodes banned, either puts it back at its exact key or drops it,
-    as no completion fits the reach.
+    A heap entry holds a partial path's edge ids, its end node and its node
+    set; a path that reaches j gets its nodes from `_walk_nodes`. A partial
+    path's key is exact when `beyond` of its end avoids its nodes, or once
+    certified: else one `_dijkstra` from its end, with its other nodes
+    banned, either puts it back at its exact key or drops it, as no
+    completion fits the reach.
     """
     if i not in to_j:
         return []
     found: list[PhysPath] = []
-    # (key, edge ids, length, node ids, node set, key certified); no two
+    # (key, edge ids, length, end node, node set, key certified); no two
     # entries share edge ids, so the later fields are never compared
-    heap = [(to_j[i], (), 0, (i,), sg.bit[i], False)]
+    heap = [(to_j[i], (), 0, i, sg.bit[i], False)]
     while heap:
-        _, eids, dist, nids, nodes, certified = heapq.heappop(heap)
-        u = nids[-1]
+        _, eids, dist, u, nodes, certified = heapq.heappop(heap)
         if u == j:
-            found.append(PhysPath(edges=eids, nodes=nids, length_km=Fraction(dist, sg.scale)))
+            found.append(PhysPath(edges=eids, nodes=_walk_nodes(sg.graph, i, eids),
+                                  length_km=Fraction(dist, sg.scale)))
             if len(found) == k:
                 break
             continue
         if not certified and beyond[u] & nodes:
-            rest = _dijkstra(sg, u, j, to_j, sg.reach - dist, banned_nodes=nids[:-1])
+            rest = _dijkstra(sg, u, j, to_j, sg.reach - dist, nodes & ~sg.bit[u])
             if rest is not None:
-                heapq.heappush(heap, (dist + rest[0], eids, dist, nids, nodes, True))
+                heapq.heappush(heap, (dist + rest, eids, dist, u, nodes, True))
             continue
         for eid, w, length, bit in sg.adj[u]:
             if nodes & bit:
@@ -193,8 +184,7 @@ def _k_shortest(sg: _ScaledGraph, i: str, j: str, k: int, to_j: dict[str, int],
             nd = dist + length
             h = to_j.get(w)
             if h is not None and nd + h <= sg.reach:
-                heapq.heappush(heap, (nd + h, eids + (eid,), nd, nids + (w,), nodes | bit,
-                                      False))
+                heapq.heappush(heap, (nd + h, eids + (eid,), nd, w, nodes | bit, False))
     return found
 
 

@@ -947,9 +947,7 @@ class _Heuristic:
         improved = False
         st, t = self.state, self.tables
         for (pid, speed) in sorted(st.y):
-            count = st.y.get((pid, speed), 0)
-            if not count:
-                continue
+            count = st.y[(pid, speed)]
             before = st.spent
             st.add_circuits(pid, speed, -count)
             best, taken = self._scan(t.ends[pid], [t.mix_row({speed: count})],

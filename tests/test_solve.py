@@ -50,6 +50,14 @@ def build_tra(inst):
     return build_transparent_variant(inst, cat, cc)
 
 
+def _perfbench_gen():
+    """The benchmark's seeded instance generators (perfbench/gen.py)."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
 def tiny_instances(n, master_seed=1234):
     rng = random.Random(master_seed)
     return [routable_instance(random_tiny_instance, rng)[0] for _ in range(n)]
@@ -86,10 +94,16 @@ def test_triangle_frozen_values():
     assert evaluate_cost(mt, rt.solution) == Fraction("34.98")
 
 
+def _seed_beaten_net():
+    """A tiny optimized net whose exact optimum, 136.6932, lies below the
+    seeding heuristic's 139.6932, so the search replaces its incumbent."""
+    return _perfbench_gen().tiny_network(random.Random(9))
+
+
 def test_exact_matches_enumeration_oracle():
     pytest.importorskip("scipy.optimize")
     from enum_oracle import brute_force_optimum
-    for inst in tiny_instances(8):
+    for inst in tiny_instances(8) + [_seed_beaten_net()]:
         m = build(inst)
         report = solve_exact(m)
         assert report.status == "optimal"
@@ -98,6 +112,18 @@ def test_exact_matches_enumeration_oracle():
         assert want is not None
         assert got == want
         assert check_feasibility(m, report.solution) == []
+
+
+def test_exact_beats_its_seed():
+    inst = _seed_beaten_net()
+    m = build(inst)
+    seed = solve_heuristic(m, 0).solution.objective
+    report = solve_exact(m)
+    assert report.status == "optimal"
+    assert seed == Fraction("139.6932")
+    assert report.solution.objective == Fraction("136.6932")
+    assert check_feasibility(m, report.solution) == []
+    assert evaluate_cost(m, report.solution) == report.solution.objective
 
 
 def test_heuristic_feasible_and_never_below_exact():
@@ -773,10 +799,7 @@ def test_heuristic_improves_before_giving_up():
     leaf s16 hangs off s00, whose optical node already holds the largest
     module's 10 fibers, and its one link is full. Improving the partial
     design frees room, and the search finds a route on the second try."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    m = build(gen.synthetic_network(random.Random(1), 50, 17, 10))
+    m = build(_perfbench_gen().synthetic_network(random.Random(1), 50, 17, 10))
     report = solve_heuristic(m)
     assert report.status == "feasible"
     assert report.solution.objective == Fraction("10212.4824")
