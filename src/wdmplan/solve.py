@@ -37,18 +37,24 @@ Three layers of machinery:
   search then prunes idle circuits, swaps circuits to cheaper physical
   paths, re-optimizes the per-pair speed mix, and re-routes whole demands.
   All tie-breaks are ordered; the seed only shuffles equal-value demands.
-  The route search is bounded: once a route to the target is pushed, a hop
-  is priced only up to the cost that route leaves, as every marginal cost
-  term is >= 0 and a dearer entry would never leave the heap first; a hop
-  whose cheapest mix costs more in circuits alone (the mix floor) is skipped
-  before any mix is priced. Swaps and remixes are priced, not applied: with
-  the circuits taken off, one path scan prices each placement (circuit and
-  router term, then the optical layer's `price`) under the cutoff
-  "strictly cheaper", and the circuits go back once. A route is priced as
-  it will be applied, with its earlier hops' placements on the state (its
-  hops share PoPs, and module prices are step functions), so it always
-  applies, and a re-route is made only if it costs less than the circuits
-  it freed. Routes and costs are those of the unbounded search.
+  The route search prices only what can still win. A hop is priced only
+  up to the cost that the cheapest route to the target pushed so far, or
+  the caller's cutoff, leaves, as every marginal cost term is >= 0 and a
+  dearer entry would never leave the heap first; each expansion prices
+  the hop to the target first, so its price bounds its siblings'. A
+  re-route is searched under the cost of the circuits it freed, less one.
+  A hop whose cheapest mix costs more in circuits alone (the mix floor) is
+  skipped before any mix is priced, and a mix with no fewer circuits and
+  no cheaper base than an earlier one is never priced, as the optical
+  price never falls as circuits grow. Swaps and remixes are priced, not
+  applied: with the circuits taken off, one path scan prices each
+  placement (circuit and router term, then the optical layer's `price`)
+  under the cutoff "strictly cheaper", and the circuits go back once. A
+  route is priced as it will be applied, with its earlier hops' placements
+  on the state (its hops share PoPs, and module prices are step
+  functions), so it always applies, and a re-route is made only if it
+  costs less than the circuits it freed. Routes and costs are those of the
+  unbounded search.
   Every design the heuristic holds fits the catalog, so its cost is its
   `DesignState.spent`: `capacity_infeasible` turns away a model whose empty
   design does not fit, `best_placement` offers only placements after which
@@ -329,11 +335,10 @@ class ModelTables:
         self.lt = {lt.speed: lt for lt in cc.lambda_types}
         self.lt_units = {lt.speed: lt.slot_units for lt in cc.lambda_types}
         # path id -> ((edge id, u, v, scaled fiber price), ...), and its ends
-        graph = inst.graph
-        self.path_edges = [tuple((eid, graph.edge(eid).u, graph.edge(eid).v,
-                                  self.of(cc.fiber_cost[eid])) for eid in p.edges)
-                           for p in cat.paths]
+        edge = {e.id: (e.id, e.u, e.v, self.of(cc.fiber_cost[e.id])) for e in inst.graph.edges}
+        self.path_edges = [tuple(edge[eid] for eid in p.edges) for p in cat.paths]
         self.ends = [p.ends for p in cat.paths]
+        self.pops = tuple(sorted(inst.pops))  # the order the route search tries hops in
         # cheapest sufficient module per requirement (see `_cheapest`):
         # routers by (switching, slot units), priced as the model's objective
         # prices them (free in the transparent variant), optical nodes by
@@ -753,18 +758,19 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
 
 
 def _mix_options(demand: int, lambda_types: tuple[LambdaType, ...]) -> list[dict[int, int]]:
-    """Candidate circuit-count mixes covering `demand` Gbps."""
-    options = []
-    for lt in lambda_types:
-        options.append({lt.speed: -(-demand // lt.routing_capacity)})
+    """Candidate circuit-count mixes covering `demand` Gbps, each {speed:
+    count} once, with no zero count."""
+    candidates = [{lt.speed: -(-demand // lt.routing_capacity)} for lt in lambda_types]
     if len(lambda_types) == 2:
         lo, hi = lambda_types[0], lambda_types[-1]
-        full = int(demand // hi.routing_capacity)
-        for n_hi in range(full + 1):
+        for n_hi in range(demand // hi.routing_capacity + 1):
             rest = demand - n_hi * hi.routing_capacity
-            opt = {hi.speed: n_hi, lo.speed: -(-max(rest, 0) // lo.routing_capacity)}
-            if opt not in options:
-                options.append(opt)
+            candidates.append({hi.speed: n_hi, lo.speed: -(-rest // lo.routing_capacity)})
+    options = []
+    for counts in candidates:
+        mix = {speed: n for speed, n in counts.items() if n}
+        if mix not in options:
+            options.append(mix)
     return options
 
 
@@ -815,13 +821,22 @@ class _Heuristic:
         """The first cheapest (scaled marginal cost, path id, mix) of a
         mix-table row of `rows` on a path of `pair`, or None if none costs at
         most `cutoff`; and how often the best improved, the moves applying
-        each candidate in turn and keeping a strictly cheaper one would make."""
+        each candidate in turn and keeping a strictly cheaper one would make.
+
+        A mix is priced only if its base is at most `cutoff` and no earlier
+        kept mix has no more circuits and no dearer base: the optical price
+        never falls as the circuit count grows (fibers, drops and the
+        cheapest covering module only grow), so such a mix costs at least
+        its earlier one on every path, and never beats it or ties ahead."""
         options = []
         for mix, count, cost, sw, units in rows:
             if cost <= cutoff:  # a dearer one has a base above every later cutoff
                 base = self._mix_base(pair, cost, sw, units)
-                if base is not None:
+                if base is not None and base <= cutoff and not any(
+                        n <= count and b <= base for _, n, b in options):
                     options.append((mix, count, base))
+        if not options:
+            return None, 0
         best, improved = None, 0
         price = self.state.optical.price
         # from here on `cutoff` is just below the best cost so far: as path
@@ -849,23 +864,29 @@ class _Heuristic:
         placed = self.best_placement(pair, need, cutoff)
         return None if placed is None else (placed[0], (placed[1:],))
 
-    def route_demand(self, u: str, v: str, amount: int) -> tuple | None:
+    def route_demand(self, u: str, v: str, amount: int,
+                     cutoff: float = inf) -> tuple | None:
         """(scaled cost, PoP sequence, placements) of the cheapest virtual
-        route by best-first search, or None.
+        route by best-first search, or None if none costs at most `cutoff`.
 
         A label carries its hops' placements: they are on the state while
         its expansions are priced, so a key is the exact increase of `spent`
-        its route makes, and costs only grow with circuits. `ub` is the
-        smallest key pushed for `v`. The first entry for `v` to pop has a
-        key of at most `ub`, so an entry dearer than `ub` never pops: its
-        hop is not priced beyond `ub - cost`. An entry costing exactly `ub`
-        is kept, as (cost, hops, seq) may rank it first."""
-        pops = sorted(self.tables.instance.pops)
+        its route makes, and costs only grow with circuits. `ub` is
+        `cutoff` or the smallest key pushed for `v`, if smaller. The first
+        entry for `v` to pop has a key of at most `ub`, so an entry dearer
+        than `ub` never pops (if one does, no route is within `cutoff`): its
+        hop is not priced beyond `ub - cost`. The hop to `v` is priced
+        before its siblings, so its key bounds theirs. An entry costing
+        exactly `ub` is kept, as (cost, hops, seq) may rank it first; as
+        that order is total, the push order changes nothing."""
+        order = (v, *(w for w in self.tables.pops if w != v))
         heap = [(0, 0, (u,), ())]
         done = set()
-        ub = inf
+        ub = cutoff
         while heap:
             cost, hops, seq, placed = heapq.heappop(heap)
+            if cost > ub:
+                return None
             at = seq[-1]
             if at == v:
                 return cost, list(seq), placed
@@ -873,7 +894,7 @@ class _Heuristic:
                 continue
             done.add(at)
             self.place(placed)
-            for w in pops:
+            for w in order:
                 if w in seq or w in done:
                     continue
                 priced = self.hop(at, w, amount, ub - cost)
@@ -987,9 +1008,11 @@ class _Heuristic:
 
     def reroute_demands(self) -> bool:
         """Take a demand out and prune the circuits it leaves idle; re-route
-        it if the route costs less than they did, else put them back. A
-        demand whose removal frees no circuit stays, as a route only adds
-        circuits. A kept re-route is one move per freed circuit, plus one."""
+        it if a route costs less than they did, else put them back. The
+        route search runs under that saving less one, so it prices no hop
+        beyond what a kept route may cost. A demand whose removal frees no
+        circuit stays, as a route only adds circuits. A kept re-route is one
+        move per freed circuit, plus one."""
         improved = False
         st = self.state
         for idx in list(self.routes):
@@ -998,8 +1021,9 @@ class _Heuristic:
             self.apply_route(route, -d.value, ())
             before = st.spent
             freed = self.prune_idle()
-            found = self.route_demand(d.u, d.v, d.value) if freed else None
-            if found is not None and found[0] < before - st.spent:
+            found = (self.route_demand(d.u, d.v, d.value, before - st.spent - 1)
+                     if freed else None)
+            if found is not None:
                 _, self.routes[idx], placements = found
                 self.apply_route(self.routes[idx], d.value, placements)
                 improved = True

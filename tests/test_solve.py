@@ -939,9 +939,10 @@ def test_bounded_route_search_matches_unbounded():
     route, cost and placements of a search that prices every expansion in
     full with the label's placements on the state, and leaves the circuits,
     the cost and the pair flows as it found them; applying its route raises
-    the cost by exactly the returned cost and breaks no node.
-    best_placement under a cutoff returns the unbounded result when it
-    costs at most the cutoff (ties included) and None otherwise."""
+    the cost by exactly the returned cost and breaks no node. route_demand
+    and best_placement under a cutoff return the unbounded result when it
+    costs at most the cutoff (ties included) and None otherwise, and a
+    draw with no route gives None under every cutoff."""
     rng = random.Random(1618)
     seen = Counter()
     for maker in (random_tiny_instance, random_midsize_instance):
@@ -976,6 +977,14 @@ def test_bounded_route_search_matches_unbounded():
                     assert (h.state.y, h.state.spent, h.pair_flow) == (y, spent, flow)
                     assert found == _best_first_route(pops, _full_hop_price(h, amount), u, v,
                                                       h.place)
+                    c = None if found is None else found[0]
+                    for cutoff in ((0, -1, 10**12) if c is None else (c, c + 1, c - 1, 0, -1)):
+                        bounded = h.route_demand(u, v, amount, cutoff)
+                        assert (h.state.y, h.state.spent, h.pair_flow) == (y, spent, flow)
+                        assert bounded == (found if c is not None and c <= cutoff else None)
+                        if c is not None:
+                            seen["route-" + ("tie" if c == cutoff else "over" if c > cutoff
+                                             else "under")] += 1
                     if found is not None:
                         h.apply_route(found[1], amount, found[2])
                         assert h.state.spent - spent == found[0]
@@ -999,15 +1008,17 @@ def test_bounded_route_search_matches_unbounded():
                         seen["tie" if c == cutoff else "over" if c > cutoff else "under"] += 1
     # the bound pruned hops, and every outcome occurred
     assert all(seen[k] for k in ("pruned", "tie", "over", "under", "direct", "multi-hop",
-                                 "no-route"))
+                                 "no-route", "route-tie", "route-over", "route-under"))
 
 
 def test_bounded_route_search_keeps_ties():
     """With hop costs drawn from a few small integers, so that routes of
     equal cost abound, route_demand returns the unbounded search's route,
     cost and placements: an entry costing exactly the bound can still rank
-    first on hops or PoP sequence."""
+    first on hops or PoP sequence. Under a cutoff it returns them when they
+    cost at most the cutoff, and None otherwise."""
     rng = random.Random(2024)
+    seen = Counter()
     for _ in range(400):
         pops = [f"p{i}" for i in range(rng.randint(3, 7))]
         table = {(a, b): rng.choice((None, 0, 1, 1, 2, 2, 3, 5))
@@ -1021,10 +1032,81 @@ def test_bounded_route_search_keeps_ties():
             priced = hop(i, j)
             return None if priced is None or priced[0] > cutoff else priced
 
-        search = SimpleNamespace(tables=SimpleNamespace(instance=SimpleNamespace(pops=pops)),
+        search = SimpleNamespace(tables=SimpleNamespace(pops=tuple(sorted(pops))),
                                  hop=bounded, place=lambda placements, sign=1: None)
         u, v = rng.sample(pops, 2)
-        assert _Heuristic.route_demand(search, u, v, 1) == _best_first_route(pops, hop, u, v)
+        found = _best_first_route(pops, hop, u, v)
+        assert _Heuristic.route_demand(search, u, v, 1) == found
+        c = None if found is None else found[0]
+        for cutoff in ((0, -1, 10**12) if c is None else (c, c + 1, c - 1, 0, -1)):
+            expected = found if c is not None and c <= cutoff else None
+            assert _Heuristic.route_demand(search, u, v, 1, cutoff) == expected
+            seen["none" if c is None else "kept" if expected else "cut"] += 1
+    assert all(seen[k] for k in ("none", "kept", "cut")), seen
+
+
+def _reference_scan(h, pair, rows, cutoff):
+    """`_Heuristic._scan` with no mix skipped: every row of `rows` is priced
+    in full on every path of `pair`, and a candidate is kept when it costs
+    at most `cutoff`, which then drops below it."""
+    best, improved = None, 0
+    for pid in h.tables.catalog.pair_ids[pair]:
+        for mix, count, cost, sw, units in rows:
+            base = h._mix_base(pair, cost, sw, units)
+            c = None if base is None else h.state.optical.price(pid, count, base)
+            if c is not None and c <= cutoff:
+                best, cutoff, improved = (c, pid, mix), c - 1, improved + 1
+    return best, improved
+
+
+def test_scan_skips_only_mixes_that_cannot_win():
+    """On random unbroken states, `_scan` returns the best placement and the
+    improvement count of a scan that prices every row on every path, under
+    cutoffs at, above and below the best cost. The rows are a pair's mix
+    table, and that table shuffled, with exact duplicate rows and with
+    relabelled copies (another mix, the same circuit count, cost, switching
+    and slot units) put in, so that a dominated mix and a tie with an
+    earlier row occur: the earlier of equals must win."""
+    rng = random.Random(4242)
+    seen = Counter()
+    for maker in (random_tiny_instance, random_midsize_instance):
+        for _ in range(5):
+            inst, full_cat = routable_instance(maker, rng)
+            cc = build_cost_catalog(inst)
+            for m in (build_model(inst, full_cat, cc),
+                      build_transparent_variant(inst, full_cat, cc)):
+                h = _Heuristic(m, seed=0)
+                pairs = sorted(m.catalog.pair_paths)
+                for _ in range(20):
+                    y = dict(h.state.y)
+                    _random_circuit_step(h.state, rng)
+                    if h.state.broken:
+                        _restore(h.state, y)
+                    pair = rng.choice(pairs)
+                    rows = list(h.tables.mix_table(rng.randint(1, rng.choice((300, 4000))))[2])
+                    variants = [rows, rng.sample(rows, len(rows))]
+                    for _ in range(2):
+                        tied = list(rows)
+                        for _ in range(rng.randint(1, 3)):
+                            mix, *numbers = rng.choice(tied)
+                            twin = (mix if rng.random() < 0.5 else {"relabelled": len(tied)},
+                                    *numbers)
+                            tied.insert(rng.randint(0, len(tied)), twin)
+                        variants.append(tied)
+                    for rows in variants:
+                        full = _reference_scan(h, pair, rows, inf)
+                        assert h._scan(pair, rows, inf) == full
+                        if full[0] is None:
+                            seen["none"] += 1
+                            continue
+                        seen["improved"] += full[1] > 1
+                        c = full[0][0]
+                        for cutoff in (c, c + 1, c - 1, rng.randint(0, c), -1):
+                            expected = _reference_scan(h, pair, rows, cutoff)
+                            assert h._scan(pair, rows, cutoff) == expected
+                            seen["kept" if expected[0] else "cut"] += 1
+                        seen["relabelled"] += "relabelled" in full[0][2]
+    assert all(seen[k] for k in ("none", "improved", "kept", "cut", "relabelled")), seen
 
 
 def _applied_swap_paths(h, accepts):
