@@ -7,7 +7,7 @@ from .costcat import (CostCatalog, LambdaType, PhysicalNodeModule,
                       physical_modules)
 from .formats import read_instance, read_sndlib, write_instance
 from .metrics import (TransitReport, count_ip_paths, disaggregate_flows,
-                      edge_cost, ip_transit, opacity, report, wdm_transit)
+                      edge_cost, node_transit, opacity, report)
 from .milp import (Model, ModelError, Solution, build_model,
                    build_transparent_variant, evaluate_cost, export_model,
                    import_solution)
@@ -25,7 +25,7 @@ __all__ = [
     "lambda_type", "physical_modules",
     "read_instance", "read_sndlib", "write_instance",
     "TransitReport", "count_ip_paths", "disaggregate_flows", "edge_cost",
-    "ip_transit", "opacity", "report", "wdm_transit",
+    "node_transit", "opacity", "report",
     "Model", "ModelError", "Solution", "build_model",
     "build_transparent_variant", "evaluate_cost", "export_model",
     "import_solution",

@@ -359,8 +359,8 @@ def _cost_cells(res: dict | None) -> list[str]:
         return ["", "", ""]
     if res["report"] is None:
         return [res["status"]] * 3
-    row = dict(zip(metrics.REPORT_COLUMNS, metrics.report_csv_row(res["report"])))
-    return [row["core_cost"], row["edge_cost"], row["total_cost"]]
+    tr = res["report"]
+    return [metrics.fmt_cost(c) for c in (tr.core_cost, tr.edge_cost, tr.total_cost)]
 
 
 def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[dict]) -> None:

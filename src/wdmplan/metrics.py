@@ -11,9 +11,10 @@ fixed deterministic tie-breaks (shortest first, then identifier order). Other
 tie-breaks can give different per-node transit splits for the same design;
 we guarantee reproducibility, not uniqueness.
 
-`decompose` is the one split of a commodity's flow into origin-to-sink
-paths (fewest hops first): the IP-path count reads it, and the exact
-solver rebuilds its flows from it, so a flow it returns carries no cycle.
+`node_transit` walks the paths that carry flow once for every PoP's
+transit. `routing_paths` is the one split of a solution's flows into
+origin-to-sink paths (`decompose`, fewest hops first): the IP-path count
+reads it, and the exact solver rebuilds its flows from it cycle-free.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .milp import Model, ModelError, Solution, evaluate_cost
+from .milp import Model, ModelError, Solution, evaluate_cost, slot_surcharge
 from .netmodel import MODE_OPTIMIZED, MODE_TRANSPARENT, Instance, node_demand
 
 TRANSIT_TOLERANCE = Fraction(1, 10**6)
@@ -31,19 +32,9 @@ TRANSIT_TOLERANCE = Fraction(1, 10**6)
 EDGE_PORT_SHARE = {10: Fraction(19, 12), 100: Fraction(16)}
 
 
-def _pair_flow(model: Model, values: dict) -> dict[tuple, Fraction]:
-    """Total bidirectional virtual flow per PoP pair."""
-    if model.transparent:  # each demand rides its own direct hop
-        return {d.pair: Fraction(d.value) for d in model.instance.demands}
-    totals: dict[tuple, Fraction] = {pair: Fraction(0) for pair in model.catalog.pair_paths}
-    for (key, i, j), name in model.flow_vars.items():
-        pair = (i, j) if i < j else (j, i)
-        totals[pair] += values[name]
-    return totals
-
-
 def disaggregate_flows(model: Model, solution: Solution | dict) -> dict[int, Fraction]:
-    """Assign each pair's virtual flow to its light paths: {path id: Gbps}.
+    """Assign each pair's virtual flow (in the transparent variant, its
+    demand) to the light paths that carry it: {path id: Gbps}.
 
     Paths are filled in catalog order (shortest first) up to their installed
     circuit capacity. The virtual-link capacity rows guarantee that a
@@ -53,8 +44,14 @@ def disaggregate_flows(model: Model, solution: Solution | dict) -> dict[int, Fra
     values = solution.values if isinstance(solution, Solution) else solution
     cat = model.catalog
     lts = model.cost_catalog.lambda_types
-    f_p: dict[int, Fraction] = {pid: Fraction(0) for pid in range(len(cat.paths))}
-    for pair, total in sorted(_pair_flow(model, values).items()):
+    if model.transparent:
+        totals = {d.pair: Fraction(d.value) for d in model.instance.demands}
+    else:
+        totals = dict.fromkeys(cat.pair_paths, Fraction(0))
+        for (_key, i, j), name in model.flow_vars.items():
+            totals[(i, j) if i < j else (j, i)] += values[name]
+    f_p: dict[int, Fraction] = {}
+    for pair, total in sorted(totals.items()):
         remaining = total
         for pid in cat.pair_ids[pair]:
             if remaining <= 0:
@@ -62,7 +59,8 @@ def disaggregate_flows(model: Model, solution: Solution | dict) -> dict[int, Fra
             capacity = sum((lt.routing_capacity * values[model.path_vars[(pid, lt.speed)]]
                             for lt in lts), Fraction(0))
             take = min(remaining, capacity)
-            f_p[pid] = take
+            if take:
+                f_p[pid] = take
             remaining -= take
         if remaining > TRANSIT_TOLERANCE:
             raise ModelError(
@@ -71,29 +69,36 @@ def disaggregate_flows(model: Model, solution: Solution | dict) -> dict[int, Fra
     return f_p
 
 
-def ip_transit(node: str, f_p: dict[int, Fraction], model: Model,
-               d_i: Fraction) -> Fraction:
-    """Electrically forwarded flow at a PoP.
+def node_transit(model: Model, f_p: dict[int, Fraction]) -> tuple[dict, dict]:
+    """IP (electrical) and WDM (optical) transit per PoP, as two {PoP: Gbps}
+    maps, from one pass over the paths of `f_p`.
 
-    Half of what the node's terminating light paths carry beyond its own
-    demand: (sum of f_p over paths ending at the node - d(i)) / 2.
+    WDM transit is the flow of the paths whose interior holds the PoP. IP
+    transit is half of what the PoP's terminating paths carry beyond its own
+    demand: (sum of f_p over paths ending at it - d(i)) / 2; a value below
+    -TRANSIT_TOLERANCE raises an error naming the PoP.
     """
-    terminated = sum((f_p[pid] for pid in model.catalog.endpoint_ids(node)), Fraction(0))
-    value = (terminated - d_i) / 2
-    if value < -TRANSIT_TOLERANCE:
-        raise ModelError(
-            f"node {node}: terminated flow {float(terminated)} below its own "
-            f"demand {float(d_i)}")
-    return max(value, Fraction(0))
-
-
-def wdm_transit(node: str, f_p: dict[int, Fraction], model: Model) -> Fraction:
-    """Optically switched flow at a node: carried through without termination.
-
-    Sum of f_p over the paths whose interior holds the node.
-    """
-    return sum((f_p[pid] for pid, p in enumerate(model.catalog.paths)
-                if node in p.interior), Fraction(0))
+    pops = sorted(model.instance.pops)
+    terminated = dict.fromkeys(pops, Fraction(0))
+    wdm = dict.fromkeys(pops, Fraction(0))
+    paths = model.catalog.paths
+    for pid, flow in f_p.items():
+        p = paths[pid]
+        for n in p.ends:
+            terminated[n] += flow
+        for n in p.interior:
+            if n in wdm:  # only PoPs are reported
+                wdm[n] += flow
+    d_i = node_demand(model.instance)
+    ip: dict[str, Fraction] = {}
+    for i in pops:
+        value = (terminated[i] - d_i[i]) / 2
+        if value < -TRANSIT_TOLERANCE:
+            raise ModelError(
+                f"node {i}: terminated flow {float(terminated[i])} below its own "
+                f"demand {float(d_i[i])}")
+        ip[i] = max(value, Fraction(0))
+    return ip, wdm
 
 
 def opacity(f_ip: Fraction, f_wdm: Fraction) -> Fraction | None:
@@ -127,17 +132,25 @@ def edge_cost(instance: Instance) -> Fraction:
 
 
 def count_ip_paths(model: Model, solution: Solution | dict) -> int:
-    """Number of routing paths carrying positive flow: the paths `decompose`
-    splits each commodity's flow into. In the transparent variant every
-    demand is its own direct hop."""
-    values = solution.values if isinstance(solution, Solution) else solution
+    """Number of routing paths carrying positive flow: the paths of
+    `routing_paths`. In the transparent variant every demand is its own
+    direct hop."""
     if model.transparent:
         return len(model.instance.demands)
-    count = 0
-    for key, origin, sinks in model.commodities:
-        arcs = {(i, j): values[n] for (k, i, j), n in model.flow_vars.items() if k == key}
-        count += len(decompose(arcs, origin, sinks))
-    return count
+    values = solution.values if isinstance(solution, Solution) else solution
+    return len(routing_paths(model, values))
+
+
+def routing_paths(model: Model, flows: dict) -> list[tuple[str, tuple, Fraction]]:
+    """`decompose` of each commodity of `flows` {flow variable name: Gbps}, a
+    name it lacks carrying nothing: [(commodity key, PoP sequence, Gbps)]."""
+    arcs: dict[str, dict] = {key: {} for key, _origin, _sinks in model.commodities}
+    for (key, i, j), name in model.flow_vars.items():
+        value = flows.get(name)
+        if value:
+            arcs[key][(i, j)] = value
+    return [(key, seq, amount) for key, origin, sinks in model.commodities
+            for seq, amount in decompose(arcs[key], origin, sinks)]
 
 
 def decompose(arcs: dict, origin: str, sinks: dict) -> list[tuple[tuple, Fraction]]:
@@ -145,7 +158,8 @@ def decompose(arcs: dict, origin: str, sinks: dict) -> list[tuple[tuple, Fractio
     [(PoP sequence, Gbps)]: sinks in sorted order, each served by fewest-hop
     paths over the arcs with flow left, ties to the smallest sequence. Flow
     that no path takes, cycles included, is left out; each sequence comes
-    once. A sink the flow cannot deliver raises `ModelError`."""
+    once. A sink the flow misses by more than `TRANSIT_TOLERANCE` (solver
+    noise a feasibility check accepts) raises `ModelError`."""
     residual = dict(arcs)
     paths = []
     for sink in sorted(sinks):
@@ -153,6 +167,8 @@ def decompose(arcs: dict, origin: str, sinks: dict) -> list[tuple[tuple, Fractio
         while remaining > 0:
             seq = _fewest_hops(residual, origin, sink)
             if seq is None:
+                if remaining <= TRANSIT_TOLERANCE:
+                    break
                 raise ModelError(
                     f"flow for source {origin} cannot deliver "
                     f"{float(remaining)} Gbps to {sink}")
@@ -194,7 +210,7 @@ class TransitReport:
     name: str
     architecture: str
     status: str
-    path_flow: dict[int, Fraction]
+    path_flow: dict[int, Fraction]  # the paths that carry flow only
     node_ip: dict[str, Fraction]
     node_wdm: dict[str, Fraction]
     node_opacity: dict[str, Fraction | None]
@@ -213,18 +229,12 @@ def report(model: Model, solution: Solution, name: str = "",
     """Full transit/opacity/cost report for a feasible solution."""
     values = solution.values
     f_p = disaggregate_flows(model, solution)
-    d_i = node_demand(model.instance)
-    node_ip: dict[str, Fraction] = {}
-    node_wdm: dict[str, Fraction] = {}
-    node_phi: dict[str, Fraction | None] = {}
-    for i in sorted(model.instance.pops):
-        node_ip[i] = ip_transit(i, f_p, model, d_i[i])
-        node_wdm[i] = wdm_transit(i, f_p, model)
-        node_phi[i] = opacity(node_ip[i], node_wdm[i])
+    node_ip, node_wdm = node_transit(model, f_p)
+    node_phi = {i: opacity(node_ip[i], node_wdm[i]) for i in node_ip}
     total_ip = sum(node_ip.values(), Fraction(0))
     total_wdm = sum(node_wdm.values(), Fraction(0))
     lambda_count = sum(int(values[name_]) for name_ in model.path_vars.values())
-    core = evaluate_cost(model, solution, final_cost=True)
+    core = evaluate_cost(model, solution) + slot_surcharge(model, values)
     edge = edge_cost(model.instance)
     return TransitReport(
         name=name,
@@ -259,7 +269,7 @@ def report_json(tr: TransitReport) -> dict:
         "name": tr.name,
         "architecture": tr.architecture,
         "status": tr.status,
-        "path_flow": {str(pid): float(v) for pid, v in sorted(tr.path_flow.items()) if v},
+        "path_flow": {str(pid): float(v) for pid, v in sorted(tr.path_flow.items())},
         "node_transit": {
             i: {
                 "ip": float(tr.node_ip[i]),

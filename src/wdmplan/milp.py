@@ -41,7 +41,6 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from typing import IO
 
 from .costcat import SLOT_SURCHARGE_10G, CostCatalog, LambdaType
@@ -221,7 +220,7 @@ def build_transparent_variant(instance: Instance, catalog: PathCatalog,
     m = Model(instance, sub_catalog, cost_catalog, transparent=True)
     nidx, eidx = _indexers(instance)
 
-    _add_design_vars(m, nidx, eidx, router_cost_zero=True)
+    _add_design_vars(m, nidx, eidx)
 
     demand_by_pair = {d.pair: d.value for d in instance.demands}
     capacity = [(lt.speed, lt.routing_capacity) for lt in cost_catalog.lambda_types]
@@ -235,9 +234,9 @@ def build_transparent_variant(instance: Instance, catalog: PathCatalog,
     return m
 
 
-def _add_design_vars(m: Model, nidx: dict, eidx: dict,
-                     router_cost_zero: bool = False) -> None:
-    """Circuit, fiber and module variables shared by both architectures."""
+def _add_design_vars(m: Model, nidx: dict, eidx: dict) -> None:
+    """Circuit, fiber and module variables shared by both architectures;
+    routers cost nothing in the transparent variant."""
     inst, cc = m.instance, m.cost_catalog
     for pid, p in enumerate(m.catalog.paths):
         for lt in cc.lambda_types:
@@ -248,9 +247,8 @@ def _add_design_vars(m: Model, nidx: dict, eidx: dict,
             f"ye_{eidx[e.id]}", INTEGER, cc.fiber_cost[e.id])
     for i in sorted(inst.pops):
         for midx, vm in enumerate(cc.virtual_modules):
-            cost = _FREE if router_cost_zero else vm.cost
             m.vmod_vars[(i, midx)] = m.add_var(
-                f"xn_{nidx[i]}_{midx}", BINARY, cost)
+                f"xn_{nidx[i]}_{midx}", BINARY, _FREE if m.transparent else vm.cost)
     for i in sorted(inst.graph.node_ids()):
         for midx, pm in enumerate(cc.physical_modules):
             m.pmod_vars[(i, midx)] = m.add_var(
@@ -317,13 +315,12 @@ def _add_design_constraints(m: Model, nidx: dict, eidx: dict) -> None:
         m.add_constr(f"adddrop_{nidx[i]}", "add-drop", drop, "<=", 0)
 
 
-def evaluate_cost(model: Model, solution: Solution | dict, final_cost: bool = False) -> Fraction:
+def evaluate_cost(model: Model, solution: Solution | dict) -> Fraction:
     """Objective value of a solution: module/circuit/fiber cost dot product.
 
-    With `final_cost` the 10G slot surcharge is added: each router pays 3
-    cost units per slot actually occupied by 10G cards (circuit count / 14,
-    rounded up per node). Interface costs at the network edge are never part
-    of this value; see metrics.edge_cost.
+    Neither the 10G slot surcharge (`slot_surcharge`) nor the interface
+    costs at the network edge (metrics.edge_cost) are part of this value;
+    the report adds both.
     """
     values = solution.values if isinstance(solution, Solution) else solution
     total = Fraction(0)
@@ -332,24 +329,20 @@ def evaluate_cost(model: Model, solution: Solution | dict, final_cost: bool = Fa
             raise ModelError(f"missing variable value: {name}")
         if var.obj and values[name]:
             total += var.obj * values[name]
-    if final_cost:
-        total += slot_surcharge(model, values)
     return total
 
 
 def slot_surcharge(model: Model, values: dict) -> Fraction:
-    """Post-processing cost of 3 per router slot occupied by 10G cards."""
+    """Post-processing cost of 3 per router slot occupied by 10G cards: each
+    PoP's 10G circuit count over 14, rounded up."""
     if 10 not in {lt.speed for lt in model.cost_catalog.lambda_types}:
         return Fraction(0)
-    total = Fraction(0)
     cat = model.catalog
-    for i in sorted(model.instance.pops):
-        circuits = sum((values[model.path_vars[(pid, 10)]] for pid in cat.endpoint_ids(i)),
-                       Fraction(0))
-        if circuits:
-            slots_10g = ceil(circuits / LambdaType.SLOT_UNITS)
-            total += SLOT_SURCHARGE_10G * slots_10g
-    return total
+    slots = 0
+    for i in model.instance.pops:
+        circuits = sum(values[model.path_vars[(pid, 10)]] for pid in cat.endpoint_ids(i))
+        slots += -(-circuits // LambdaType.SLOT_UNITS)
+    return SLOT_SURCHARGE_10G * slots
 
 
 def frac_decimal(x: Fraction | int) -> str:

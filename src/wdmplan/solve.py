@@ -85,7 +85,7 @@ from fractions import Fraction
 from math import inf, lcm
 
 from .costcat import LambdaType
-from .metrics import decompose
+from .metrics import routing_paths
 from .milp import BINARY, CONTINUOUS, Model, Solution
 from .netmodel import node_demand
 
@@ -255,7 +255,7 @@ def route_flows(model: Model, pair_capacity: dict) -> dict[str, Fraction] | None
     `pair_capacity` of its pair as right-hand side; columns follow
     `model.flow_vars`. Cheap necessary conditions (total capacity, per-node
     incident capacity) run before the simplex. Each commodity's flow is
-    rebuilt from the paths `metrics.decompose` finds in the simplex point:
+    rebuilt from the paths `metrics.routing_paths` finds in the simplex point:
     the point less the cycles a basic point may carry, so it keeps every row.
     """
     if not model.commodities:
@@ -270,7 +270,8 @@ def route_flows(model: Model, pair_capacity: dict) -> dict[str, Fraction] | None
         if incident < d_i[i]:
             return None
 
-    col = {name: n for n, name in enumerate(model.flow_vars.values())}
+    names = list(model.flow_vars.values())  # column -> flow variable name
+    col = {name: n for n, name in enumerate(names)}
     arcs_of_col = list(model.flow_vars)  # column -> (commodity key, i, j)
     eq_rows = []
     ub_rows = []
@@ -286,13 +287,7 @@ def route_flows(model: Model, pair_capacity: dict) -> dict[str, Fraction] | None
     point = _phase1_simplex(len(col), eq_rows, ub_rows)
     if point is None:
         return None
-    arcs: dict[str, dict] = {key: {} for key, _, _ in model.commodities}
-    for n, v in point.items():
-        key, i, j = arcs_of_col[n]
-        arcs[key][(i, j)] = v
-    return _flow_values(model, [(key, seq, amount)
-                                for key, origin, sinks in model.commodities
-                                for seq, amount in decompose(arcs[key], origin, sinks)])
+    return _flow_values(model, routing_paths(model, {names[n]: v for n, v in point.items()}))
 
 
 def _flow_values(model: Model, paths) -> dict[str, Fraction | int]:

@@ -19,7 +19,8 @@ from wdmplan.costcat import (build_cost_catalog, enumerate_virtual_modules,
 from wdmplan.formats import read_sndlib
 from wdmplan.metrics import fmt_opacity, opacity, report
 from wdmplan.milp import (build_model, build_transparent_variant,
-                          evaluate_cost, export_model, import_solution)
+                          evaluate_cost, export_model, import_solution,
+                          slot_surcharge)
 from wdmplan.netmodel import Instance
 from wdmplan.pathgen import build_catalog
 from wdmplan.solve import check_feasibility, solve_exact, solve_heuristic
@@ -180,8 +181,8 @@ def test_criterion_6b_transparent_vs_optimized():
     mo, mt = build_pair(inst)
     opt = solve_exact(mo)
     tra = solve_exact(mt)
-    t_total = evaluate_cost(mt, tra.solution, final_cost=True)
-    o_total = evaluate_cost(mo, opt.solution, final_cost=True)
+    t_total = evaluate_cost(mt, tra.solution) + slot_surcharge(mt, tra.solution.values)
+    o_total = evaluate_cost(mo, opt.solution) + slot_surcharge(mo, opt.solution.values)
     tr = report(mo, opt.solution)
     ok = (opt.status == "optimal" and tra.status == "optimal"
           and t_total <= o_total

@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (random_midsize_instance, routable_instance,
-                      triangle_instance)
+from conftest import (random_midsize_instance, random_tiny_instance,
+                      routable_instance, triangle_instance)
 from wdmplan.costcat import build_cost_catalog
 from wdmplan.metrics import (REPORT_COLUMNS, ModelError, count_ip_paths,
                              decompose, disaggregate_flows, edge_cost, fmt_cost,
-                             fmt_opacity, ip_transit, opacity, report,
-                             report_csv_row, report_json, wdm_transit)
-from wdmplan.milp import build_model, build_transparent_variant
+                             fmt_opacity, node_transit, opacity, report,
+                             report_csv_row, report_json)
+from wdmplan.milp import Solution, build_model, build_transparent_variant
 from wdmplan.netmodel import node_demand
 from wdmplan.pathgen import build_catalog
 from wdmplan.solve import check_feasibility, solve_exact, solve_heuristic
@@ -72,11 +72,10 @@ def test_disaggregation_and_electrical_relay():
     assert f_p[direct_ab] == 30
     assert f_p[direct_bc] == 40
     assert sum(f_p.values()) == 70
-    d_i = node_demand(inst)
-    assert ip_transit("b", f_p, m, d_i["b"]) == 10
-    assert ip_transit("a", f_p, m, d_i["a"]) == 0
-    assert ip_transit("c", f_p, m, d_i["c"]) == 0
-    assert wdm_transit("b", f_p, m) == 0
+    assert set(f_p) == {direct_ab, direct_bc}  # the paths that carry nothing are left out
+    ip, wdm = node_transit(m, f_p)
+    assert ip == {"a": 0, "b": 10, "c": 0}
+    assert wdm == {"a": 0, "b": 0, "c": 0}
     assert opacity(Fraction(10), Fraction(0)) == 100
     assert count_ip_paths(m, values) == 3
 
@@ -114,10 +113,10 @@ def test_optical_bypass_counts_as_wdm_transit():
     assert m.catalog.paths[via_b].interior == ("b",)
     values[m.path_vars[(via_b, 10)]] = Fraction(1)
     f_p = disaggregate_flows(m, values)
-    assert f_p[via_b] == 10
-    d_i = node_demand(inst)
-    assert wdm_transit("b", f_p, m) == 10
-    assert ip_transit("b", f_p, m, d_i["b"]) == 0
+    assert f_p == {via_b: 10}
+    ip, wdm = node_transit(m, f_p)
+    assert wdm["b"] == 10
+    assert ip["b"] == 0
     assert opacity(Fraction(0), Fraction(10)) == 0
 
 
@@ -148,9 +147,8 @@ def test_disaggregation_rejects_uncovered_flow():
 def test_ip_transit_rejects_undelivered_demand():
     inst = triangle_instance(demands=(("a", "b", 15),), speeds=(10,))
     m = build(inst)
-    f_p = {pid: Fraction(0) for pid in range(len(m.catalog.paths))}
-    with pytest.raises(ModelError, match="below its own demand"):
-        ip_transit("a", f_p, m, Fraction(15))
+    with pytest.raises(ModelError, match="node a: terminated flow 0.0 below its own demand 15.0"):
+        node_transit(m, {})
 
 
 def test_edge_cost_examples():
@@ -239,3 +237,66 @@ def test_transit_identity_on_random_instances():
         assert tr.total_ip >= 0 and tr.total_wdm >= 0
         assert tr.ip_path_count >= len(inst.demands)
         assert tr.lambda_count >= 1
+
+
+def _transit_by_scan(model, f_p):
+    """Each PoP's (IP, WDM) transit by its definition, scanning every
+    catalog path for that PoP: half of what its terminating paths carry
+    beyond its demand, and what the paths through its interior carry."""
+    d_i = node_demand(model.instance)
+    ip, wdm = {}, {}
+    for i in sorted(model.instance.pops):
+        terminated = sum((f_p.get(pid, 0) for pid, p in enumerate(model.catalog.paths)
+                          if i in p.ends), Fraction(0))
+        ip[i] = max((terminated - d_i[i]) / 2, Fraction(0))
+        wdm[i] = sum((f_p.get(pid, 0) for pid, p in enumerate(model.catalog.paths)
+                      if i in p.interior), Fraction(0))
+    return ip, wdm
+
+
+def test_node_transit_matches_per_pop_scan():
+    """The one walk over the carrying paths gives every PoP the transit its
+    definition gives, in both architectures, on heuristic designs of
+    mid-size instances and exact-solver designs (whose flows are
+    `Fraction`s) of tiny ones; the disaggregation lists no idle path."""
+    rng = random.Random(29)
+    mixed_interiors = 0
+    for maker, solver, n_instances in ((random_midsize_instance, solve_heuristic, 6),
+                                       (random_tiny_instance, solve_exact, 8)):
+        for _ in range(n_instances):
+            inst, cat = routable_instance(maker, rng)
+            costs = build_cost_catalog(inst)
+            for m in (build_model(inst, cat, costs),
+                      build_transparent_variant(inst, cat, costs)):
+                res = solver(m)
+                assert res.status in ("optimal", "feasible")
+                f_p = disaggregate_flows(m, res.solution)
+                assert all(isinstance(v, Fraction) and v > 0 for v in f_p.values())
+                ip, wdm = node_transit(m, f_p)
+                assert (ip, wdm) == _transit_by_scan(m, f_p)
+                assert all(isinstance(v, Fraction) for v in [*ip.values(), *wdm.values()])
+                tr = report(m, res.solution)
+                assert (tr.node_ip, tr.node_wdm, tr.path_flow) == (ip, wdm, f_p)
+                for pid in f_p:
+                    interior = set(m.catalog.paths[pid].interior)
+                    if interior & set(inst.pops) and interior - set(inst.pops):
+                        mixed_interiors += 1
+    # some carrying path crosses both a PoP (WDM transit) and a non-PoP site
+    assert mixed_interiors
+
+
+def test_report_takes_flows_short_by_solver_noise():
+    """A flow 1e-7 short of its demand passes the feasibility check (1e-6
+    per row), so the report takes it: the routing paths stop at the
+    tolerance. A 1e-5 shortfall still raises, naming its source."""
+    _inst, m, _values, _ab, _bc = relay_model()
+    res = solve_heuristic(m)
+    name = m.flow_vars[("0", "a", "b")]
+    assert res.solution.values[name] == 20
+    short = Solution(dict(res.solution.values))
+    short.values[name] -= Fraction(1, 10**7)
+    assert check_feasibility(m, short) == []
+    assert report(m, short).ip_path_count == 3
+    short.values[name] = 20 - Fraction(1, 10**5)
+    with pytest.raises(ModelError, match="source a cannot deliver 1e-05 Gbps to b"):
+        count_ip_paths(m, short)

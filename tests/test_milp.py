@@ -180,7 +180,10 @@ def test_evaluate_cost_dot_product():
     assert evaluate_cost(m, values) == base
     # slot surcharge: one occupied 10G slot at each of a and b
     assert slot_surcharge(m, values) == 6
-    assert evaluate_cost(m, values, final_cost=True) == base + 6
+    # a slot holds 14 10G circuits: 14 fill one slot at each end, 15 need two
+    for circuits, surcharge in ((14, 6), (15, 12)):
+        values[m.path_vars[(direct, 10)]] = circuits
+        assert slot_surcharge(m, values) == surcharge
 
 
 def test_no_surcharge_without_10g():

@@ -26,7 +26,8 @@ from wdmplan.costcat import build_cost_catalog
 from wdmplan.formats import read_instance
 from wdmplan.metrics import decompose
 from wdmplan.milp import (BINARY, CONTINUOUS, ModelError, Solution, build_model,
-                          build_transparent_variant, evaluate_cost, export_model)
+                          build_transparent_variant, evaluate_cost, export_model,
+                          slot_surcharge)
 from wdmplan.pathgen import build_catalog
 from wdmplan import metrics
 from wdmplan import solve as solve_module
@@ -84,7 +85,7 @@ def test_triangle_frozen_values():
     cost = evaluate_cost(m, report.solution)
     # 3 circuits + one fiber + two entry routers + two 2-degree optical nodes
     assert cost == Fraction("90.98")
-    assert evaluate_cost(m, report.solution, final_cost=True) == Fraction("96.98")
+    assert cost + slot_surcharge(m, report.solution.values) == Fraction("96.98")
     assert report.bound == cost
     assert check_feasibility(m, report.solution) == []
 
@@ -1662,8 +1663,9 @@ def test_int_rows_match_fraction_rows(maker, draws):
                 twin_values = {n: Fraction(v) for n, v in values.items()}
                 assert check_feasibility(m, values) == check_feasibility(twin, twin_values)
                 if len(values) == len(m.variables):
-                    cost = evaluate_cost(m, values, final_cost=True)
-                    assert cost == evaluate_cost(twin, twin_values, final_cost=True)
+                    cost = evaluate_cost(m, values) + slot_surcharge(m, values)
+                    assert cost == (evaluate_cost(twin, twin_values)
+                                    + slot_surcharge(twin, twin_values))
                 checked += 1
             if m.transparent:
                 continue
