@@ -14,6 +14,12 @@ The catalog covers:
 * optical cross-connect / ROADM node configurations,
 * length-dependent per-fiber link cost (line amplifiers, gain equalizers,
   dispersion compensation).
+
+The router and optical-node tables depend on no input, so they are built
+once, at import, as `VIRTUAL_MODULES` and `PHYSICAL_MODULES`; every
+`CostCatalog` shares these tuples. Circuit and fiber prices depend on the
+instance (its speeds, transponder scale and link lengths) and are priced
+per catalog.
 """
 
 from __future__ import annotations
@@ -182,6 +188,11 @@ def physical_modules() -> list[PhysicalNodeModule]:
     return modules
 
 
+# the installable configurations, shared by every cost catalog
+VIRTUAL_MODULES = tuple(enumerate_virtual_modules())
+PHYSICAL_MODULES = tuple(physical_modules())
+
+
 def amplifier_count(length_km) -> int:
     """Number of in-line amplifiers on a fiber of the given length."""
     length = as_fraction(length_km)
@@ -223,8 +234,8 @@ def build_cost_catalog(instance) -> CostCatalog:
     lts = tuple(lambda_type(s, instance.transponder_scale) for s in sorted(instance.speeds))
     return CostCatalog(
         lambda_types=lts,
-        virtual_modules=tuple(enumerate_virtual_modules()),
-        physical_modules=tuple(physical_modules()),
+        virtual_modules=VIRTUAL_MODULES,
+        physical_modules=PHYSICAL_MODULES,
         fiber_cost={e.id: fiber_link_cost(e.length_km) for e in instance.graph.edges},
     )
 
@@ -243,10 +254,10 @@ def dump_catalog_csv(out: IO[str], speeds: Iterable[int] = SPEEDS,
         lt = lambda_type(s, transponder_scale)
         rows.append(["circuit", f"{s}G", lt.routing_capacity,
                      str(lt.slot_share), "", float(lt.cost)])
-    for vm in enumerate_virtual_modules():
+    for vm in VIRTUAL_MODULES:
         rows.append(["router", vm.name, vm.switching_capacity,
                      vm.slot_capacity, "", float(vm.cost)])
-    for pm in physical_modules():
+    for pm in PHYSICAL_MODULES:
         rows.append(["optical-node", pm.name, "", pm.fiber_capacity,
                      pm.add_drop_ports, float(pm.cost)])
     csv.writer(out).writerows(rows)

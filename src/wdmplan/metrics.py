@@ -49,16 +49,20 @@ def disaggregate_flows(model: Model, solution: Solution | dict) -> dict[int, Fra
     else:
         totals = dict.fromkeys(cat.pair_paths, Fraction(0))
         for (_key, i, j), name in model.flow_vars.items():
-            totals[(i, j) if i < j else (j, i)] += values[name]
+            flow = values[name]
+            if flow:
+                totals[(i, j) if i < j else (j, i)] += flow
     f_p: dict[int, Fraction] = {}
     for pair, total in sorted(totals.items()):
         remaining = total
         for pid in cat.pair_ids[pair]:
             if remaining <= 0:
                 break
-            capacity = sum((lt.routing_capacity * values[model.path_vars[(pid, lt.speed)]]
-                            for lt in lts), Fraction(0))
-            take = min(remaining, capacity)
+            # a solution's circuit counts are ints (see `milp`), so this sum
+            # does no `Fraction` arithmetic
+            capacity = sum(lt.routing_capacity * values[model.path_vars[(pid, lt.speed)]]
+                           for lt in lts)
+            take = remaining if remaining <= capacity else Fraction(capacity)
             if take:
                 f_p[pid] = take
             remaining -= take

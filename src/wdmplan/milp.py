@@ -20,6 +20,14 @@ Constraint kinds
   fiber                    per site: attached fibers <= node fiber capacity
   add-drop                 per site: terminating circuits <= add-drop ports
 
+Each variable's integrality and objective coefficient live in a shared
+`Variable` record, and `Model.variables` maps a name to its record. A model
+holds one record per kind and price: one for all its flows, one per circuit
+type, one per edge, and one per router or optical-node configuration (in
+the transparent variant every router shares the one free record). Records
+hash by identity, so a reader that groups variables by record, such as the
+LP writer and `evaluate_cost`, handles each price once.
+
 The slot rows are stored scaled by LambdaType.SLOT_UNITS so every
 coefficient is an integer (a 10G circuit occupies 1/14 slot, which has no
 finite decimal form). Every row coefficient and right-hand side is whole,
@@ -41,6 +49,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle
 from typing import IO
 
 from .costcat import SLOT_SURCHARGE_10G, CostCatalog, LambdaType
@@ -52,18 +61,25 @@ INTEGER = "integer"
 BINARY = "binary"
 
 SNAP_TOLERANCE = Fraction(1, 10**6)
-# the objective coefficient of a variable that costs nothing
-_FREE = Fraction(0)
 
 
 class ModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Variable:
+    """The integrality and objective coefficient of the variables that share
+    this record; it hashes and compares by identity."""
+
     integrality: str
     obj: Fraction
+
+
+# the records that no input prices: every flow, and a router where routers
+# cost nothing (the transparent variant)
+_FLOW = Variable(CONTINUOUS, Fraction(0))
+_FREE_ROUTER = Variable(BINARY, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -102,28 +118,32 @@ class Model:
         self.vmod_vars: dict[tuple, str] = {}      # (node, module index) -> name
         self.pmod_vars: dict[tuple, str] = {}      # (node, module index) -> name
 
-    def add_var(self, name: str, integrality: str, obj: Fraction) -> str:
+    def add_var(self, name: str, var: Variable) -> str:
+        """Declare variable `name` with the record `var`, which other
+        variables of the same kind and price may share."""
         if name in self.variables:
             raise ModelError(f"duplicate variable {name}")
-        self.variables[name] = Variable(integrality, obj)
+        self.variables[name] = var
         return name
 
     def add_constr(self, name: str, kind: str, coeffs: dict, sense: str,
                    rhs: int) -> None:
-        for var in coeffs:
-            if var not in self.variables:
-                raise ModelError(f"constraint {name} references unknown {var}")
+        if not coeffs.keys() <= self.variables.keys():
+            unknown = next(var for var in coeffs if var not in self.variables)
+            raise ModelError(f"constraint {name} references unknown {unknown}")
         self.constraints.append(Constraint(name, kind, dict(coeffs), sense, rhs))
 
     def zero_solution(self) -> Solution:
         return Solution(dict.fromkeys(self.variables, 0), Fraction(0))
 
 
-def _path_terms(m: Model, pids, coefs: list) -> dict:
-    """Row terms of the circuit variables of paths `pids`: `coefs` holds a
-    (speed, coefficient) per circuit type. A catalog index lists a path's id
+def _path_terms(circuits: list, pids, coefs: tuple) -> dict:
+    """Row terms of the circuit variables of paths `pids`: `circuits[pid]`
+    names a path's variables and `coefs` holds their coefficients, one per
+    circuit type in cost-catalog order. A catalog index lists a path's id
     once, as its ends differ and it uses each edge once."""
-    return {m.path_vars[(pid, speed)]: coef for pid in pids for speed, coef in coefs}
+    names = chain.from_iterable([circuits[pid] for pid in pids])
+    return dict(zip(names, cycle(coefs)))
 
 
 def _indexers(instance: Instance):
@@ -166,8 +186,8 @@ def build_model(instance: Instance, catalog: PathCatalog,
             for j in pops:
                 if i != j:
                     m.flow_vars[(key, i, j)] = m.add_var(
-                        f"f_{key}_{nidx[i]}_{nidx[j]}", CONTINUOUS, _FREE)
-    _add_design_vars(m, nidx, eidx)
+                        f"f_{key}_{nidx[i]}_{nidx[j]}", _FLOW)
+    circuits = _add_design_vars(m, nidx, eidx)
 
     # flow conservation at every PoP for every commodity
     for key, origin, sinks in commodities:
@@ -184,19 +204,18 @@ def build_model(instance: Instance, catalog: PathCatalog,
                          coeffs, "=", rhs)
 
     # virtual link capacity per unordered PoP pair
-    neg_capacity = [(lt.speed, -lt.routing_capacity)
-                    for lt in cost_catalog.lambda_types]
+    neg_capacity = tuple(-lt.routing_capacity for lt in cost_catalog.lambda_types)
     for (i, j), pids in m.catalog.pair_ids.items():
         coeffs = {}
         for key, _origin, _sinks in commodities:
             coeffs[m.flow_vars[(key, i, j)]] = 1
             coeffs[m.flow_vars[(key, j, i)]] = 1
-        coeffs.update(_path_terms(m, pids, neg_capacity))
+        coeffs.update(_path_terms(circuits, pids, neg_capacity))
         if coeffs:
             m.add_constr(f"vcap_{nidx[i]}_{nidx[j]}", "virtual-link-capacity",
                          coeffs, "<=", 0)
 
-    _add_design_constraints(m, nidx, eidx)
+    _add_design_constraints(m, nidx, eidx, circuits)
     return m
 
 
@@ -220,51 +239,59 @@ def build_transparent_variant(instance: Instance, catalog: PathCatalog,
     m = Model(instance, sub_catalog, cost_catalog, transparent=True)
     nidx, eidx = _indexers(instance)
 
-    _add_design_vars(m, nidx, eidx)
+    circuits = _add_design_vars(m, nidx, eidx)
 
     demand_by_pair = {d.pair: d.value for d in instance.demands}
-    capacity = [(lt.speed, lt.routing_capacity) for lt in cost_catalog.lambda_types]
+    capacity = tuple(lt.routing_capacity for lt in cost_catalog.lambda_types)
     for (i, j), pids in m.catalog.pair_ids.items():
-        coeffs = _path_terms(m, pids, capacity)
+        coeffs = _path_terms(circuits, pids, capacity)
         if coeffs:
             m.add_constr(f"vcap_{nidx[i]}_{nidx[j]}", "virtual-link-capacity",
                          coeffs, ">=", demand_by_pair.get((i, j), 0))
 
-    _add_design_constraints(m, nidx, eidx)
+    _add_design_constraints(m, nidx, eidx, circuits)
     return m
 
 
-def _add_design_vars(m: Model, nidx: dict, eidx: dict) -> None:
-    """Circuit, fiber and module variables shared by both architectures;
-    routers cost nothing in the transparent variant."""
+def _add_design_vars(m: Model, nidx: dict, eidx: dict) -> list[tuple[str, ...]]:
+    """Circuit, fiber and module variables shared by both architectures,
+    one record per circuit type, edge and module; routers cost nothing in
+    the transparent variant. Returns each path's circuit variable names, in
+    cost-catalog order (see `_path_terms`)."""
     inst, cc = m.instance, m.cost_catalog
-    for pid, p in enumerate(m.catalog.paths):
-        for lt in cc.lambda_types:
-            m.path_vars[(pid, lt.speed)] = m.add_var(
-                f"yp_{pid}_{lt.speed}", INTEGER, lt.cost)
+    circuit_types = [(lt.speed, Variable(INTEGER, lt.cost)) for lt in cc.lambda_types]
+    circuits = []
+    for pid in range(len(m.catalog.paths)):
+        names = []
+        for speed, var in circuit_types:
+            names.append(m.add_var(f"yp_{pid}_{speed}", var))
+            m.path_vars[(pid, speed)] = names[-1]
+        circuits.append(tuple(names))
     for e in sorted(inst.graph.edges, key=lambda e: e.id):
         m.fiber_vars[e.id] = m.add_var(
-            f"ye_{eidx[e.id]}", INTEGER, cc.fiber_cost[e.id])
+            f"ye_{eidx[e.id]}", Variable(INTEGER, cc.fiber_cost[e.id]))
+    routers = [_FREE_ROUTER if m.transparent else Variable(BINARY, vm.cost)
+               for vm in cc.virtual_modules]
     for i in sorted(inst.pops):
-        for midx, vm in enumerate(cc.virtual_modules):
-            m.vmod_vars[(i, midx)] = m.add_var(
-                f"xn_{nidx[i]}_{midx}", BINARY, _FREE if m.transparent else vm.cost)
+        for midx, var in enumerate(routers):
+            m.vmod_vars[(i, midx)] = m.add_var(f"xn_{nidx[i]}_{midx}", var)
+    oxcs = [Variable(BINARY, pm.cost) for pm in cc.physical_modules]
     for i in sorted(inst.graph.node_ids()):
-        for midx, pm in enumerate(cc.physical_modules):
-            m.pmod_vars[(i, midx)] = m.add_var(
-                f"xo_{nidx[i]}_{midx}", BINARY, pm.cost)
+        for midx, var in enumerate(oxcs):
+            m.pmod_vars[(i, midx)] = m.add_var(f"xo_{nidx[i]}_{midx}", var)
+    return circuits
 
 
-def _add_design_constraints(m: Model, nidx: dict, eidx: dict) -> None:
+def _add_design_constraints(m: Model, nidx: dict, eidx: dict, circuits: list) -> None:
     """Rows common to both architectures (everything except flow rows)."""
     inst, cc = m.instance, m.cost_catalog
     cat = m.catalog
     d_i = node_demand(inst)
     slot_units = cc.lambda_types[0].SLOT_UNITS
 
-    ones = [(lt.speed, 1) for lt in cc.lambda_types]
-    switching = [(lt.speed, lt.switching_capacity) for lt in cc.lambda_types]
-    slot_use = [(lt.speed, lt.slot_units) for lt in cc.lambda_types]
+    ones = (1,) * len(cc.lambda_types)
+    switching = tuple(lt.switching_capacity for lt in cc.lambda_types)
+    slot_use = tuple(lt.slot_units for lt in cc.lambda_types)
     fiber_channels = -inst.channels_per_fiber
     # per module: (capacity, slots) of a router, (fibers, add-drop) of an
     # optical node, as the negative coefficients of its rows
@@ -274,7 +301,7 @@ def _add_design_constraints(m: Model, nidx: dict, eidx: dict) -> None:
 
     # channels on each physical link fit into activated fibers
     for e in sorted(inst.graph.edges, key=lambda e: e.id):
-        coeffs = _path_terms(m, cat.ids_on_edge(e.id), ones)
+        coeffs = _path_terms(circuits, cat.ids_on_edge(e.id), ones)
         coeffs[m.fiber_vars[e.id]] = fiber_channels
         m.add_constr(f"pcap_{eidx[e.id]}", "physical-link-capacity",
                      coeffs, "<=", 0)
@@ -294,8 +321,8 @@ def _add_design_constraints(m: Model, nidx: dict, eidx: dict) -> None:
     # router capacity and slots at each PoP
     for i in sorted(inst.pops):
         pids = cat.endpoint_ids(i)
-        cap = _path_terms(m, pids, switching)
-        slots = _path_terms(m, pids, slot_use)
+        cap = _path_terms(circuits, pids, switching)
+        slots = _path_terms(circuits, pids, slot_use)
         for midx, (cap_coef, slot_coef) in enumerate(router_terms):
             cap[m.vmod_vars[(i, midx)]] = cap_coef
             slots[m.vmod_vars[(i, midx)]] = slot_coef
@@ -307,7 +334,7 @@ def _add_design_constraints(m: Model, nidx: dict, eidx: dict) -> None:
     for i in sorted(inst.graph.node_ids()):
         # `incident` lists each edge once, as a graph has no self-loops
         fib = {m.fiber_vars[e.id]: 1 for e in inst.graph.incident(i)}
-        drop = _path_terms(m, cat.endpoint_ids(i), ones)
+        drop = _path_terms(circuits, cat.endpoint_ids(i), ones)
         for midx, (fib_coef, drop_coef) in enumerate(oxc_terms):
             fib[m.pmod_vars[(i, midx)]] = fib_coef
             drop[m.pmod_vars[(i, midx)]] = drop_coef
@@ -323,13 +350,15 @@ def evaluate_cost(model: Model, solution: Solution | dict) -> Fraction:
     the report adds both.
     """
     values = solution.values if isinstance(solution, Solution) else solution
-    total = Fraction(0)
+    if not model.variables.keys() <= values.keys():
+        missing = next(name for name in model.variables if name not in values)
+        raise ModelError(f"missing variable value: {missing}")
+    # each priced record's values add up, then meet its price once
+    amounts = {var: 0 for var in set(model.variables.values()) if var.obj}
     for name, var in model.variables.items():
-        if name not in values:
-            raise ModelError(f"missing variable value: {name}")
-        if var.obj and values[name]:
-            total += var.obj * values[name]
-    return total
+        if var in amounts and values[name]:
+            amounts[var] += values[name]
+    return sum((var.obj * amount for var, amount in amounts.items() if amount), Fraction(0))
 
 
 def slot_surcharge(model: Model, values: dict) -> Fraction:
@@ -368,32 +397,30 @@ def frac_decimal(x: Fraction | int) -> str:
     return f"{sign}{whole}.{str(frac).rjust(k, '0')}"
 
 
-def _term_prefixes(coef: Fraction | int) -> tuple[str, str] | None:
+def _term_prefix(coef: Fraction | int) -> str | None:
     """What an LP term with coefficient `coef` writes before its variable
-    name, as the first term and as a later one; None for a zero term."""
+    name when it is not the first term (the first drops a leading "+ ");
+    None for a zero term."""
     if coef == 0:
         return None
     mag = frac_decimal(abs(coef))
     lead = "" if mag == "1" else f"{mag} "
-    if coef < 0:
-        return f"- {lead}", f"- {lead}"
-    return lead, f"+ {lead}"
+    return f"- {lead}" if coef < 0 else f"+ {lead}"
 
 
-def _lp_terms(coeffs: dict, rendered: dict) -> str:
-    """`coeffs` as an LP expression. `rendered` maps each coefficient value
-    seen so far to its `_term_prefixes`, so each is rendered once."""
-    parts = []
-    for name, coef in coeffs.items():
-        try:
-            prefixes = rendered[coef]
-        except KeyError:
-            prefixes = rendered[coef] = _term_prefixes(coef)
-        if prefixes is not None:
-            parts.append(prefixes[1 if parts else 0] + name)
+def _lp_terms(terms: dict, rendered: dict) -> str:
+    """`terms`, a {variable name: key} map, as an LP expression. `rendered`
+    maps a key to its terms' `_term_prefix`, so each is rendered once. A
+    row's terms are keyed by coefficient, and a new one is rendered here;
+    the objective's are keyed by `Variable` record, rendered beforehand."""
+    for coef in set(terms.values()).difference(rendered):
+        rendered[coef] = _term_prefix(coef)
+    parts = [prefix + name
+             for name, prefix in zip(terms, map(rendered.__getitem__, terms.values()))
+             if prefix is not None]
     if not parts:
         raise ModelError("empty expression in LP export")
-    return " ".join(parts)
+    return " ".join(parts).removeprefix("+ ")
 
 
 def export_model(model: Model, out: IO[str]) -> None:
@@ -404,12 +431,15 @@ def export_model(model: Model, out: IO[str]) -> None:
     sections.
     """
     # a model has many terms but few distinct coefficients (see `_lp_terms`)
-    rendered: dict[Fraction | int, tuple[str, str] | None] = {}
+    rendered: dict[Fraction | int, str | None] = {}
     out.write("\\ two-layer network design model\n")
     out.write(f"\\ architecture: {MODE_TRANSPARENT if model.transparent else MODE_OPTIMIZED}\n")
-    obj = {name: v.obj for name, v in model.variables.items() if v.obj}
+    # the objective's terms are keyed by record, so each price is rendered once
+    by_record = {var: _term_prefix(var.obj) for var in set(model.variables.values())}
+    obj = _lp_terms(model.variables, by_record) if any(by_record.values()) else (
+        "0 " + next(iter(model.variables)))
     out.write("Minimize\n")
-    out.write(f" obj: {_lp_terms(obj, rendered) if obj else '0 ' + next(iter(model.variables))}\n")
+    out.write(f" obj: {obj}\n")
     out.write("Subject To\n")
     for c in model.constraints:
         out.write(f" {c.name}: {_lp_terms(c.coeffs, rendered)} {c.sense} {frac_decimal(c.rhs)}\n")

@@ -1,10 +1,22 @@
 """Shared instance builders for the test suite."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from wdmplan.netmodel import Demand, Edge, Instance, Node, PhysicalGraph
 from wdmplan.pathgen import build_catalog
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def perfbench_gen():
+    """The benchmark's seeded instance generators (perfbench/gen.py)."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def make_graph(edge_list, extra_nodes=()):

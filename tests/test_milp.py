@@ -9,12 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (make_instance, random_connected_edges, random_tiny_instance,
-                      routable_instance, triangle_instance)
-from wdmplan.costcat import build_cost_catalog, fiber_link_cost
-from wdmplan.milp import (CONTINUOUS, Model, ModelError, _add_design_constraints,
-                          _add_design_vars, _indexers, _path_terms, build_model,
-                          build_transparent_variant, evaluate_cost, export_model,
+from conftest import (ROOT, make_instance, perfbench_gen, random_connected_edges,
+                      random_tiny_instance, routable_instance, triangle_instance)
+from wdmplan.costcat import (build_cost_catalog, enumerate_virtual_modules, fiber_link_cost,
+                             physical_modules)
+from wdmplan.formats import read_instance
+from wdmplan.milp import (CONTINUOUS, INTEGER, Model, ModelError, Variable,
+                          _add_design_constraints, _add_design_vars, _indexers, _path_terms,
+                          build_model, build_transparent_variant, evaluate_cost, export_model,
                           import_solution, slot_surcharge)
 from wdmplan.pathgen import build_catalog, dump_paths, load_paths
 from wdmplan.solve import solve_exact
@@ -120,13 +122,14 @@ def _per_demand_model(inst):
     pops = sorted(inst.pops)
     m.commodities = [(f"k{ki}", d.u, {d.v: d.value})
                      for ki, d in enumerate(sorted(inst.demands))]
+    flow = Variable(CONTINUOUS, Fraction(0))
     for key, _origin, _sinks in m.commodities:
         for i in pops:
             for j in pops:
                 if i != j:
                     m.flow_vars[(key, i, j)] = m.add_var(
-                        f"f_{key}_{nidx[i]}_{nidx[j]}", CONTINUOUS, Fraction(0))
-    _add_design_vars(m, nidx, eidx)
+                        f"f_{key}_{nidx[i]}_{nidx[j]}", flow)
+    circuits = _add_design_vars(m, nidx, eidx)
     for key, origin, sinks in m.commodities:
         for i in pops:
             coeffs = {}
@@ -137,17 +140,17 @@ def _per_demand_model(inst):
             rhs = sum(sinks.values()) if i == origin else -sinks.get(i, 0)
             m.add_constr(f"conserve_{key}_{nidx[i]}", "flow-conservation",
                          coeffs, "=", Fraction(rhs))
-    neg_capacity = [(lt.speed, Fraction(-lt.routing_capacity))
-                    for lt in m.cost_catalog.lambda_types]
+    neg_capacity = tuple(Fraction(-lt.routing_capacity)
+                         for lt in m.cost_catalog.lambda_types)
     for (i, j), pids in cat.pair_ids.items():
         coeffs = {}
         for key, _origin, _sinks in m.commodities:
             coeffs[m.flow_vars[(key, i, j)]] = Fraction(1)
             coeffs[m.flow_vars[(key, j, i)]] = Fraction(1)
-        coeffs.update(_path_terms(m, pids, neg_capacity))
+        coeffs.update(_path_terms(circuits, pids, neg_capacity))
         m.add_constr(f"vcap_{nidx[i]}_{nidx[j]}", "virtual-link-capacity",
                      coeffs, "<=", Fraction(0))
-    _add_design_constraints(m, nidx, eidx)
+    _add_design_constraints(m, nidx, eidx, circuits)
     return m
 
 
@@ -197,6 +200,50 @@ def test_evaluate_cost_requires_all_values():
     m = build(full_triangle())
     with pytest.raises(ModelError, match="missing variable value"):
         evaluate_cost(m, {})
+    # the message names the first variable without a value, in model order
+    values = m.zero_solution().values
+    first, later = list(m.fiber_vars.values())[:2]
+    del values[later], values[first]
+    with pytest.raises(ModelError, match=f"^missing variable value: {first}$"):
+        evaluate_cost(m, values)
+
+
+def test_model_shares_variable_records():
+    # a model holds one record per kind and price: all flows share one, and
+    # the rest count at most one per circuit type, edge, router and
+    # optical-node configuration (in the transparent variant the free
+    # routers share one); records are counted by identity
+    mid = perfbench_gen().mid_network()
+    toy6 = read_instance((ROOT / "data" / "toy6.txt").read_text())
+    for inst in (mid, toy6):
+        cat, cc = build_catalog(inst), build_cost_catalog(inst)
+        opt, tra = build_model(inst, cat, cc), build_transparent_variant(inst, cat, cc)
+        assert len({id(opt.variables[n]) for n in opt.flow_vars.values()}) == 1
+        assert len({id(tra.variables[n]) for n in tra.vmod_vars.values()}) == 1
+        bound = (1 + len(cc.lambda_types) + len(inst.graph.edges)
+                 + len(cc.virtual_modules) + len(cc.physical_modules))
+        for m in (opt, tra):
+            assert len(set(map(id, m.variables.values()))) <= bound
+    # the equipment tables are built once; the public builders return copies
+    for tables, make in (("virtual_modules", enumerate_virtual_modules),
+                         ("physical_modules", physical_modules)):
+        table = getattr(build_cost_catalog(mid), tables)
+        assert table is getattr(build_cost_catalog(toy6), tables)
+        assert make() == list(table) and make() is not make()
+    # records compare by identity: equal prices stay distinct records
+    assert Variable(INTEGER, Fraction(1)) != Variable(INTEGER, Fraction(1))
+
+
+def test_model_rejects_duplicate_and_unknown_names():
+    m = build(full_triangle())
+    rows = len(m.constraints)
+    fiber = m.fiber_vars["e1"]
+    with pytest.raises(ModelError, match=f"^duplicate variable {fiber}$"):
+        m.add_var(fiber, Variable(INTEGER, Fraction(1)))
+    # the message names the first unknown term, and no row is added
+    with pytest.raises(ModelError, match="^constraint extra references unknown nowhere$"):
+        m.add_constr("extra", "fiber", {fiber: 1, "nowhere": 1, "elsewhere": 1}, "<=", 0)
+    assert len(m.constraints) == rows
 
 
 def test_zero_solution_costs_zero():

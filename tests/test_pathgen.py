@@ -1,20 +1,16 @@
 """Bounded k-shortest path enumeration and the path catalog indexes."""
 
 import hashlib
-import importlib.util
 import io
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from conftest import make_graph, make_instance, random_connected_edges
+from conftest import make_graph, make_instance, perfbench_gen, random_connected_edges
 from wdmplan import pathgen
 from wdmplan.pathgen import (_distances_to, _dijkstra, _ScaledGraph, build_catalog,
                              dump_paths, k_shortest_bounded, load_paths)
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def triangle_graph():
@@ -158,9 +154,7 @@ def test_certified_search_stays_small(monkeypatch):
     # best-first search pops about 2.3M heap entries on it, with it about
     # 2,300, so a counter that fails past 10,000 catches a search that keeps
     # partial paths cut off from their target
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = perfbench_gen()
     rng = random.Random(1010)
     n = rng.randint(8, 30)
     inst = gen.synthetic_network(rng, n, rng.randint(3, 8), rng.randint(1, 20),

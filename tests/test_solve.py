@@ -5,7 +5,6 @@ import copy
 import dataclasses
 import hashlib
 import heapq
-import importlib.util
 import inspect
 import io
 import random
@@ -14,12 +13,11 @@ import textwrap
 from collections import Counter
 from fractions import Fraction
 from math import inf
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from conftest import (make_instance, random_connected_edges,
+from conftest import (ROOT, make_instance, perfbench_gen, random_connected_edges,
                       random_midsize_instance, random_tiny_instance,
                       routable_instance, triangle_instance)
 from wdmplan.costcat import build_cost_catalog
@@ -35,7 +33,6 @@ from wdmplan.solve import (CONTINUOUS_TOLERANCE, DesignState, Limits, ModelTable
                            _mix_options, _OpticalLayer, capacity_infeasible,
                            check_feasibility, route_flows, solve_exact, solve_heuristic)
 
-ROOT = Path(__file__).resolve().parents[1]
 TOY6 = ROOT / "data" / "toy6.txt"
 
 
@@ -49,14 +46,6 @@ def build_tra(inst):
     cat = build_catalog(inst)
     cc = build_cost_catalog(inst)
     return build_transparent_variant(inst, cat, cc)
-
-
-def _perfbench_gen():
-    """The benchmark's seeded instance generators (perfbench/gen.py)."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 def tiny_instances(n, master_seed=1234):
@@ -98,7 +87,7 @@ def test_triangle_frozen_values():
 def _seed_beaten_net():
     """A tiny optimized net whose exact optimum, 136.6932, lies below the
     seeding heuristic's 139.6932, so the search replaces its incumbent."""
-    return _perfbench_gen().tiny_network(random.Random(9))
+    return perfbench_gen().tiny_network(random.Random(9))
 
 
 def test_exact_matches_enumeration_oracle():
@@ -800,7 +789,7 @@ def test_heuristic_improves_before_giving_up():
     leaf s16 hangs off s00, whose optical node already holds the largest
     module's 10 fibers, and its one link is full. Improving the partial
     design frees room, and the search finds a route on the second try."""
-    m = build(_perfbench_gen().synthetic_network(random.Random(1), 50, 17, 10))
+    m = build(perfbench_gen().synthetic_network(random.Random(1), 50, 17, 10))
     report = solve_heuristic(m)
     assert report.status == "feasible"
     assert report.solution.objective == Fraction("10212.4824")
