@@ -11,7 +11,13 @@ A scenario grid is the cross product volumes x speed sets x transponder
 scales x architectures, each cell named like `10G-DFN-3T-OPT` (speed set,
 matrix token, total volume in Tbps, optional `s<scale>` when the transponder
 scale is not 1, architecture). Names print volume and scale exactly, and a
-grid whose cells would share a name is a configuration error.
+grid whose cells would share a name is a configuration error. An axis the
+config leaves out is the instance's own (its demand total, `param speeds`,
+`param transponder-scale`); the architectures default to both.
+
+A cell's JSON and table rows lead with its own name, architecture and
+status, then its design's figures (`metrics.REPORT_COLUMNS` in a table,
+blank without a design).
 
 Exit codes: 0 success, 1 at least one cell failed (solver gave up, errored,
 or a requested report could not be produced; "not feasible" is a result, not
@@ -84,9 +90,9 @@ class ScenarioConfig:
     matrix_name: str = "MTX"
     synthetic: dict | None = None        # mode/weights/hub/hub_factor; None: the instance's
     volumes: tuple = ()                  # empty: keep the matrix total as is
-    speeds: tuple = ((10, 100),)
+    speeds: tuple = ()                   # empty: the instance's speed set
     architectures: tuple = MODES
-    scales: tuple = (Fraction(1),)
+    scales: tuple = ()                   # empty: the instance's transponder scale
     solver: str = "heuristic"
     seed: int = 0
     out: str = "results"
@@ -159,7 +165,7 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
     volumes = raw.get("volumes", [])  # empty: the instance's own total
     if not isinstance(volumes, list) or not all(_is_int(v) for v in volumes):
         raise ConfigError("config key 'volumes' must be a list of integers")
-    speeds_raw = raw.get("speeds", [[10, 100]])
+    speeds_raw = raw.get("speeds", [])  # empty: the instance's own
     if not isinstance(speeds_raw, list):
         raise ConfigError("config key 'speeds' must be a list of speed sets")
     speeds = []
@@ -168,7 +174,7 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
             raise ConfigError(f"speed set {s!r} must be a list of integers")
         speeds.append(tuple(sorted(set(s))))
     archs = raw.get("architectures", list(MODES))
-    scales_raw = raw.get("transponder_scales", [1])
+    scales_raw = raw.get("transponder_scales", [])  # empty: the instance's own
     if not isinstance(archs, list) or not isinstance(scales_raw, list):
         raise ConfigError("config keys 'architectures' and 'transponder_scales' must be lists")
     scales = []
@@ -182,9 +188,8 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
         except ModelError:
             raise ConfigError(f"transponder scale {s!r} has no finite decimal form") from None
         scales.append(f)
-    for key, vals in (("speeds", speeds), ("architectures", archs),
-                      ("transponder_scales", scales)):
-        if not vals:
+    for key in ("speeds", "architectures", "transponder_scales"):
+        if raw.get(key) == []:
             raise ConfigError(f"config key {key!r} must not be empty")
 
     solver = getattr(args, "solver", None) or raw.get("solver", "heuristic")
@@ -217,7 +222,8 @@ def scenario_grid(config: ScenarioConfig, base: Instance) -> list[CellSpec]:
         check_param("mode", arch)  # a name tags only a known architecture
     # config key -> values, in `CellSpec` order after the matrix
     axes = {"volumes": config.volumes or (int(base.total_demand()),),
-            "speeds": config.speeds, "transponder_scales": config.scales,
+            "speeds": config.speeds or (base.speeds,),
+            "transponder_scales": config.scales or (base.transponder_scale,),
             "architectures": config.architectures}
     cells, first = [], {}  # first: name -> the value indices that gave it
     for at in itertools.product(*(range(len(vals)) for vals in axes.values())):
@@ -256,9 +262,9 @@ def solve_cell(inst: Instance, cat: PathCatalog, cc: CostCatalog, solver: str,
     `cat` and the cost catalog `cc`, then solve or export it: the one stage
     between a cell's instance and its outputs, for `run_cell` and `solve`.
 
-    Returns the status, the JSON document, the design report (whenever the
-    solver returns a design, `unknown` included), the LP text (export-only)
-    and the error (the solver gave up).
+    Returns the status, the JSON document (the cell's fields and the design's),
+    the design report (whenever the solver returns a design, `unknown`
+    included), the LP text (export-only) and the error (the solver gave up).
     """
     build = build_transparent_variant if inst.mode == MODE_TRANSPARENT else build_model
     model = build(inst, cat, cc)
@@ -271,12 +277,10 @@ def solve_cell(inst: Instance, cat: PathCatalog, cc: CostCatalog, solver: str,
                          "constraints": len(model.constraints)}}
     rep = solve_exact(model) if solver == "exact" else solve_heuristic(model, seed=seed)
     status = "not feasible" if rep.status == INFEASIBLE else rep.status
-    tr = None if rep.solution is None else metrics.report(model, rep.solution,
-                                                           name=inst.name,
-                                                           status=rep.status)
-    doc = {**head, "status": status} if tr is None else metrics.report_json(tr)
-    doc["solver"] = {"solver": solver, "status": rep.status,
-                     "nodes": rep.nodes_explored, "iterations": rep.iterations}
+    tr = None if rep.solution is None else metrics.report(model, rep.solution)
+    doc = {**head, "status": status, **(metrics.report_json(tr) if tr else {}),
+           "solver": {"solver": solver, "status": rep.status,
+                      "nodes": rep.nodes_explored, "iterations": rep.iterations}}
     error = "solver gave up without a verdict" if rep.status == UNKNOWN else None
     return {"status": status, "report": tr, "lp": None, "error": error, "json": doc}
 
@@ -364,16 +368,15 @@ def _cost_cells(res: dict | None) -> list[str]:
 
 
 def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[dict]) -> None:
-    pad = [""] * (len(metrics.REPORT_COLUMNS) - 3)
     with open(outdir / "summary.csv", "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(metrics.REPORT_COLUMNS)
+        w.writerow(["name", "architecture", "status"] + metrics.REPORT_COLUMNS)
         for res in results:
-            w.writerow(metrics.report_csv_row(res["report"]) if res["report"] is not None
-                       else [res["name"], res["architecture"], res["status"]] + pad)
+            w.writerow([res["name"], res["architecture"], res["status"]]
+                       + metrics.report_csv_row(res["report"]))
 
     # architecture comparison, one row per scenario, as in the cost tables
-    by_name = {res["name"]: res for res in results}
+    by_cell = dict(zip(cells, results))
     scenario_keys = dict.fromkeys(dataclasses.replace(c, architecture=MODE_OPTIMIZED)
                                   for c in cells)
     with open(outdir / "comparison.csv", "w", newline="") as f:
@@ -382,9 +385,8 @@ def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[dict]) 
                     "transparent_total", "optimized_core", "optimized_edge",
                     "optimized_total", "difference"])
         for key in scenario_keys:
-            t_res = by_name.get(render_cell_name(
-                dataclasses.replace(key, architecture=MODE_TRANSPARENT)))
-            o_res = by_name.get(render_cell_name(key))
+            t_res = by_cell.get(dataclasses.replace(key, architecture=MODE_TRANSPARENT))
+            o_res = by_cell.get(key)
             if (t_res and o_res and t_res["report"] and o_res["report"]
                     and o_res["report"].total_cost):
                 ratio = t_res["report"].total_cost / o_res["report"].total_cost - 1
@@ -397,17 +399,13 @@ def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[dict]) 
 
 def _write_sweep_table(outdir: Path, cells: list[CellSpec], results: list[dict]) -> None:
     """One row per scale: a cell's summary row with the scale in place of
-    its architecture (a cell without a design shows only its status)."""
-    columns = metrics.REPORT_COLUMNS[2:]  # after name and architecture
+    its architecture."""
     with open(outdir / "sweep.csv", "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["name", "scale"] + columns)
+        w.writerow(["name", "scale", "status"] + metrics.REPORT_COLUMNS)
         for cell, res in zip(cells, results):
-            base = [res["name"], frac_decimal(cell.scale)]
-            if res["report"] is not None:
-                w.writerow(base + metrics.report_csv_row(res["report"])[2:])
-            else:
-                w.writerow(base + [res["status"]] + [""] * (len(columns) - 1))
+            w.writerow([res["name"], frac_decimal(cell.scale), res["status"]]
+                       + metrics.report_csv_row(res["report"]))
 
 
 # ----------------------------------------------------------------------------

@@ -199,10 +199,10 @@ def amplifier_count(length_km) -> int:
     return max(0, ceil(length / AMPLIFIER_SPACING_KM) - 1)
 
 
-def equalizer_count(length_km) -> int:
-    """Number of dynamic gain equalizers on a fiber of the given length."""
-    n_ola = amplifier_count(length_km)
-    return max(0, ceil(Fraction(n_ola, EQUALIZER_EVERY_N_AMPLIFIERS)) - 1)
+def equalizer_count(amplifiers: int) -> int:
+    """Number of dynamic gain equalizers on a fiber with `amplifiers` in-line
+    amplifiers (`amplifier_count`)."""
+    return max(0, -(-amplifiers // EQUALIZER_EVERY_N_AMPLIFIERS) - 1)
 
 
 def fiber_link_cost(length_km) -> Fraction:
@@ -214,8 +214,8 @@ def fiber_link_cost(length_km) -> Fraction:
     length = as_fraction(length_km)
     if length <= 0:
         raise ValueError(f"link length must be positive, got {length_km}")
-    return (amplifier_count(length) * AMPLIFIER_COST
-            + equalizer_count(length) * EQUALIZER_COST
+    amplifiers = amplifier_count(length)
+    return (amplifiers * AMPLIFIER_COST + equalizer_count(amplifiers) * EQUALIZER_COST
             + DISPERSION_COST_PER_KM * length)
 
 

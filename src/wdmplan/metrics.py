@@ -11,6 +11,9 @@ fixed deterministic tie-breaks (shortest first, then identifier order). Other
 tie-breaks can give different per-node transit splits for the same design;
 we guarantee reproducibility, not uniqueness.
 
+`report` holds a design's figures only: a table row is the cell's own
+name, architecture and status followed by `REPORT_COLUMNS`.
+
 `node_transit` walks the paths that carry flow once for every PoP's
 transit. `routing_paths` is the one split of a solution's flows into
 origin-to-sink paths (`decompose`, fewest hops first): the IP-path count
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .milp import Model, ModelError, Solution, evaluate_cost, slot_surcharge
-from .netmodel import MODE_OPTIMIZED, MODE_TRANSPARENT, Instance, node_demand
+from .netmodel import Instance, node_demand
 
 TRANSIT_TOLERANCE = Fraction(1, 10**6)
 
@@ -209,11 +212,8 @@ def _fewest_hops(residual: dict, origin: str, sink: str) -> tuple | None:
 
 @dataclass
 class TransitReport:
-    """Everything the scenario tables need for one solved design."""
+    """The figures of one solved design; the cell keeps its name and status."""
 
-    name: str
-    architecture: str
-    status: str
     path_flow: dict[int, Fraction]  # the paths that carry flow only
     node_ip: dict[str, Fraction]
     node_wdm: dict[str, Fraction]
@@ -228,8 +228,7 @@ class TransitReport:
     total_cost: Fraction
 
 
-def report(model: Model, solution: Solution, name: str = "",
-           status: str = "feasible") -> TransitReport:
+def report(model: Model, solution: Solution) -> TransitReport:
     """Full transit/opacity/cost report for a feasible solution."""
     values = solution.values
     f_p = disaggregate_flows(model, solution)
@@ -237,13 +236,10 @@ def report(model: Model, solution: Solution, name: str = "",
     node_phi = {i: opacity(node_ip[i], node_wdm[i]) for i in node_ip}
     total_ip = sum(node_ip.values(), Fraction(0))
     total_wdm = sum(node_wdm.values(), Fraction(0))
-    lambda_count = sum(int(values[name_]) for name_ in model.path_vars.values())
+    lambda_count = sum(int(values[name]) for name in model.path_vars.values())
     core = evaluate_cost(model, solution) + slot_surcharge(model, values)
     edge = edge_cost(model.instance)
     return TransitReport(
-        name=name,
-        architecture=MODE_TRANSPARENT if model.transparent else MODE_OPTIMIZED,
-        status=status,
         path_flow=f_p,
         node_ip=node_ip,
         node_wdm=node_wdm,
@@ -268,11 +264,8 @@ def fmt_opacity(phi: Fraction | None) -> str:
 
 
 def report_json(tr: TransitReport) -> dict:
-    """JSON-ready dict; costs as floats, opacity additionally at 1 decimal."""
+    """The design's figures as JSON; costs as floats, opacity also at 1 decimal."""
     return {
-        "name": tr.name,
-        "architecture": tr.architecture,
-        "status": tr.status,
         "path_flow": {str(pid): float(v) for pid, v in sorted(tr.path_flow.items())},
         "node_transit": {
             i: {
@@ -296,13 +289,16 @@ def report_json(tr: TransitReport) -> dict:
     }
 
 
-REPORT_COLUMNS = ["name", "architecture", "status", "core_cost", "edge_cost",
-                  "total_cost", "f_ip", "f_wdm", "opacity", "lambdas", "ip_paths"]
+# the design's columns of a scenario table, after the cell's own
+REPORT_COLUMNS = ["core_cost", "edge_cost", "total_cost", "f_ip", "f_wdm", "opacity",
+                  "lambdas", "ip_paths"]
 
 
-def report_csv_row(tr: TransitReport) -> list[str]:
-    return [tr.name, tr.architecture, tr.status,
-            fmt_cost(tr.core_cost), fmt_cost(tr.edge_cost), fmt_cost(tr.total_cost),
+def report_csv_row(tr: TransitReport | None) -> list[str]:
+    """The design's figures under `REPORT_COLUMNS`; blanks without a design."""
+    if tr is None:
+        return [""] * len(REPORT_COLUMNS)
+    return [fmt_cost(tr.core_cost), fmt_cost(tr.edge_cost), fmt_cost(tr.total_cost),
             fmt_cost(tr.total_ip), fmt_cost(tr.total_wdm), fmt_opacity(tr.opacity),
             str(tr.lambda_count), str(tr.ip_path_count)]
 

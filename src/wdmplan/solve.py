@@ -1069,9 +1069,9 @@ def capacity_infeasible(model: Model, empty: DesignState | None = None) -> str |
         if t.pmod_for(fibers, drops) is None:
             return (f"node {n} needs >= {fibers} fibers and {drops} add-drop "
                     f"ports, more than any optical node offers")
-    max_switch = max(vm.switching_capacity for vm in cc.virtual_modules)
     for n in sorted(t.instance.pops):
-        if t.d_i[n] > max_switch:
+        if t.vmod_for(t.d_i[n], 0) is None:
+            max_switch = max(vm.switching_capacity for vm in cc.virtual_modules)
             return (f"node {n} demand {t.d_i[n]} Gbps exceeds the largest "
                     f"router capacity {max_switch}")
     return None

@@ -154,6 +154,9 @@ def test_solve_exact_small(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["cost"]["core"] == 96.98
+    # the cell's own fields: the report holds the design's only
+    assert (doc["name"], doc["architecture"], doc["status"]) == ("inst", "optimized",
+                                                                  "optimal")
 
 
 def test_solve_reports_infeasible(tmp_path, capsys):
@@ -190,14 +193,15 @@ def test_solve_and_run_agree_on_an_unknown_solve_with_a_design(tmp_path, monkeyp
     assert doc["cost"] == solved["cost"]
     assert doc["solver"]["nodes"] == 2001
     rows = (tmp_path / "res" / "summary.csv").read_text().splitlines()
-    row = dict(zip(REPORT_COLUMNS, rows[1].split(",")))
+    assert rows[0].split(",") == ["name", "architecture", "status"] + REPORT_COLUMNS
+    row = dict(zip(rows[0].split(","), rows[1].split(",")))
     assert row["name"] == name and row["status"] == "unknown"
     assert row["total_cost"] == f"{solved['cost']['total']:.10g}"
 
     # sweep.csv says the row is an incumbent, not a solved design
     assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "sweep")]) == 1
     rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
-    assert rows[0].split(",") == ["name", "scale"] + REPORT_COLUMNS[2:]
+    assert rows[0].split(",") == ["name", "scale", "status"] + REPORT_COLUMNS
     row = dict(zip(rows[0].split(","), rows[1].split(",")))
     assert row["name"] == name and row["status"] == "unknown"
     assert row["total_cost"] == f"{solved['cost']['total']:.10g}"
@@ -299,14 +303,14 @@ def test_run_renders_infeasible_cells(tmp_path):
     rows = [ln.split(",") for ln in summary.splitlines()[1:]]
     bad = [row for row in rows if row[2] == "not feasible"]
     assert bad
-    assert all(len(row) == len(REPORT_COLUMNS) for row in bad)
+    assert all(row[3:] == [""] * len(REPORT_COLUMNS) for row in bad)
     comparison = (tmp_path / "res" / "comparison.csv").read_text().splitlines()
     assert "not feasible" in comparison[1]
     assert comparison[1].split(",")[-1] == "n/a"
     assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "sweep")]) == 0
     sweep = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
     assert [row.split(",") for row in sweep[1:]] == [
-        ["10G-MTX-4.01T-OPT", "1", "not feasible"] + [""] * (len(REPORT_COLUMNS) - 3)]
+        ["10G-MTX-4.01T-OPT", "1", "not feasible"] + [""] * len(REPORT_COLUMNS)]
 
 
 def test_run_records_unexpected_solver_errors(tmp_path, monkeypatch, capsys):
@@ -329,8 +333,11 @@ def test_run_records_unexpected_solver_errors(tmp_path, monkeypatch, capsys):
     res = tmp_path / "res"
     statuses = {}
     for ln in (res / "summary.csv").read_text().splitlines()[1:]:
-        name, _arch, status = ln.split(",")[:3]
-        statuses[name] = status
+        row = ln.split(",")
+        if row[0] == "10G-MTX-0.2T-OPT":  # the cell's own columns, no design's
+            assert row == ["10G-MTX-0.2T-OPT", "optimized", "error"] \
+                + [""] * len(REPORT_COLUMNS)
+        statuses[row[0]] = row[2]
     assert len(statuses) == 4
     assert statuses.pop("10G-MTX-0.2T-OPT") == "error"
     assert set(statuses.values()) <= {"optimal", "feasible"}
@@ -339,6 +346,14 @@ def test_run_records_unexpected_solver_errors(tmp_path, monkeypatch, capsys):
     assert doc["error"] == "RecursionError: maximum recursion depth exceeded"
     for name in statuses:
         assert (res / "cells" / f"{name}.json").is_file()
+    # sweep.csv: the same row with the scale in place of the architecture
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "sweep")]) == 1
+    assert "RecursionError: maximum recursion" in capsys.readouterr().err
+    sweep = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    rows = {ln.split(",")[0]: ln.split(",") for ln in sweep[1:]}
+    assert rows.keys() == {"10G-MTX-0.1T-OPT", "10G-MTX-0.2T-OPT"}
+    assert rows["10G-MTX-0.2T-OPT"] == ["10G-MTX-0.2T-OPT", "1", "error"] \
+        + [""] * len(REPORT_COLUMNS)
 
     def broken(model, seed=0):
         raise AssertionError("heuristic produced an infeasible design")
@@ -385,7 +400,7 @@ def test_sweep_csv(tmp_path):
     p.write_text(json.dumps(cfg))
     assert main(["sweep", "--config", str(p)]) == 0
     sweep = (tmp_path / "res" / "sweep.csv").read_text().splitlines()
-    assert sweep[0].split(",") == ["name", "scale"] + REPORT_COLUMNS[2:]
+    assert sweep[0].split(",") == ["name", "scale", "status"] + REPORT_COLUMNS
     assert len(sweep) == 3
     rows = [dict(zip(sweep[0].split(","), line.split(","))) for line in sweep[1:]]
     assert [r["scale"] for r in rows] == ["1", "5"]
@@ -514,6 +529,22 @@ def test_grid_without_demand_exits_2_before_any_cell(tmp_path, capsys, command):
     assert "error: cell 10+100G-MTX-0T-OPT: target total must be positive, got 0" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, names", [
+    ("run", ["10G-MTX-0.077T-s2-OPT", "10G-MTX-0.077T-s2-TRA"]),
+    ("sweep", ["10G-MTX-0.077T-s2-OPT"]),
+])
+def test_grid_axes_default_to_the_instance(tmp_path, command, names):
+    """Without `speeds` or `transponder_scales` in the config, a grid
+    takes the instance's own `param speeds` and `param transponder-scale`,
+    as it takes its demand total without `volumes`."""
+    inst = write_inst(tmp_path, triangle_instance(
+        demands=(("a", "b", 25), ("a", "c", 12), ("b", "c", 40)), speeds=(10,),
+        transponder_scale=2))
+    out = tmp_path / "res"
+    assert main([command, "--instance", inst, "--out", str(out)]) == 0
+    assert sorted(p.stem for p in (out / "cells").glob("*.json")) == names
 
 
 SHARED_NAMES = [  # (case, grid, the name two cells share, the key that repeats)

@@ -105,7 +105,7 @@ def test_fiber_cost_examples():
     assert fiber_link_cost(F(400)) == F("10.56")
     # long span: 9 amplifiers, 2 equalizers
     assert amplifier_count(F(800)) == 9
-    assert equalizer_count(F(800)) == 2
+    assert equalizer_count(amplifier_count(F(800))) == 2
     assert fiber_link_cost(F(800)) == 9 * F("1.92") + 2 * F("2.17") + F("5.76")
 
 
@@ -120,10 +120,10 @@ def test_amplifier_equalizer_breakpoints():
     assert amplifier_count(F(80)) == 0
     assert amplifier_count(F(81)) == 1
     assert amplifier_count(F(320)) == 3
-    assert equalizer_count(F(320)) == 0
+    assert equalizer_count(amplifier_count(F(320))) == 0
     assert amplifier_count(F(400)) == 4
-    assert equalizer_count(F(400)) == 0
-    assert equalizer_count(F(401)) == 1
+    assert equalizer_count(amplifier_count(F(400))) == 0
+    assert equalizer_count(amplifier_count(F(401))) == 1
 
 
 def test_fiber_cost_monotone_in_length():
