@@ -220,6 +220,14 @@ def scenario_grid(config: ScenarioConfig, base: Instance) -> list[CellSpec]:
     whose list repeats a value."""
     for arch in config.architectures:
         check_param("mode", arch)  # a name tags only a known architecture
+    if not config.scales:
+        try:
+            frac_decimal(base.transponder_scale)  # cell names print it exactly
+        except ModelError:
+            raise ConfigError(
+                f"the instance's param transponder-scale {base.transponder_scale} has no "
+                f"finite decimal form for the cell names; list transponder_scales in "
+                f"the config") from None
     # config key -> values, in `CellSpec` order after the matrix
     axes = {"volumes": config.volumes or (int(base.total_demand()),),
             "speeds": config.speeds or (base.speeds,),

@@ -16,10 +16,10 @@ The catalog covers:
   dispersion compensation).
 
 The router and optical-node tables depend on no input, so they are built
-once, at import, as `VIRTUAL_MODULES` and `PHYSICAL_MODULES`; every
-`CostCatalog` shares these tuples. Circuit and fiber prices depend on the
+once, at import, as `VIRTUAL_MODULES` and `PHYSICAL_MODULES`, and the model
+and the solvers read them there. Circuit and fiber prices depend on the
 instance (its speeds, transponder scale and link lengths) and are priced
-per catalog.
+per `CostCatalog`.
 """
 
 from __future__ import annotations
@@ -221,11 +221,10 @@ def fiber_link_cost(length_km) -> Fraction:
 
 @dataclass(frozen=True)
 class CostCatalog:
-    """Bundle of everything the model builder needs to price a design."""
+    """The instance-dependent prices of a design: circuits and fibers (the
+    module tables are `VIRTUAL_MODULES` and `PHYSICAL_MODULES`)."""
 
     lambda_types: tuple[LambdaType, ...]
-    virtual_modules: tuple[VirtualNodeModule, ...]
-    physical_modules: tuple[PhysicalNodeModule, ...]
     fiber_cost: dict  # edge id -> Fraction
 
 
@@ -234,8 +233,6 @@ def build_cost_catalog(instance) -> CostCatalog:
     lts = tuple(lambda_type(s, instance.transponder_scale) for s in sorted(instance.speeds))
     return CostCatalog(
         lambda_types=lts,
-        virtual_modules=VIRTUAL_MODULES,
-        physical_modules=PHYSICAL_MODULES,
         fiber_cost={e.id: fiber_link_cost(e.length_km) for e in instance.graph.edges},
     )
 

@@ -26,10 +26,8 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .milp import Model, ModelError, Solution, evaluate_cost, slot_surcharge
+from .milp import TOLERANCE, Model, ModelError, Solution, evaluate_cost, slot_surcharge
 from .netmodel import Instance, node_demand
-
-TRANSIT_TOLERANCE = Fraction(1, 10**6)
 
 # cost of one edge-router port, per speed, as a share of a Type2 linecard
 EDGE_PORT_SHARE = {10: Fraction(19, 12), 100: Fraction(16)}
@@ -69,7 +67,7 @@ def disaggregate_flows(model: Model, solution: Solution | dict) -> dict[int, Fra
             if take:
                 f_p[pid] = take
             remaining -= take
-        if remaining > TRANSIT_TOLERANCE:
+        if remaining > TOLERANCE:
             raise ModelError(
                 f"flow on pair {pair[0]}-{pair[1]} exceeds light path capacity "
                 f"by {float(remaining)}")
@@ -83,7 +81,7 @@ def node_transit(model: Model, f_p: dict[int, Fraction]) -> tuple[dict, dict]:
     WDM transit is the flow of the paths whose interior holds the PoP. IP
     transit is half of what the PoP's terminating paths carry beyond its own
     demand: (sum of f_p over paths ending at it - d(i)) / 2; a value below
-    -TRANSIT_TOLERANCE raises an error naming the PoP.
+    -TOLERANCE raises an error naming the PoP.
     """
     pops = sorted(model.instance.pops)
     terminated = dict.fromkeys(pops, Fraction(0))
@@ -100,7 +98,7 @@ def node_transit(model: Model, f_p: dict[int, Fraction]) -> tuple[dict, dict]:
     ip: dict[str, Fraction] = {}
     for i in pops:
         value = (terminated[i] - d_i[i]) / 2
-        if value < -TRANSIT_TOLERANCE:
+        if value < -TOLERANCE:
             raise ModelError(
                 f"node {i}: terminated flow {float(terminated[i])} below its own "
                 f"demand {float(d_i[i])}")
@@ -165,7 +163,7 @@ def decompose(arcs: dict, origin: str, sinks: dict) -> list[tuple[tuple, Fractio
     [(PoP sequence, Gbps)]: sinks in sorted order, each served by fewest-hop
     paths over the arcs with flow left, ties to the smallest sequence. Flow
     that no path takes, cycles included, is left out; each sequence comes
-    once. A sink the flow misses by more than `TRANSIT_TOLERANCE` (solver
+    once. A sink the flow misses by more than `TOLERANCE` (solver
     noise a feasibility check accepts) raises `ModelError`."""
     residual = dict(arcs)
     paths = []
@@ -174,7 +172,7 @@ def decompose(arcs: dict, origin: str, sinks: dict) -> list[tuple[tuple, Fractio
         while remaining > 0:
             seq = _fewest_hops(residual, origin, sink)
             if seq is None:
-                if remaining <= TRANSIT_TOLERANCE:
+                if remaining <= TOLERANCE:
                     break
                 raise ModelError(
                     f"flow for source {origin} cannot deliver "

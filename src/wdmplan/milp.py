@@ -52,7 +52,8 @@ from fractions import Fraction
 from itertools import chain, cycle
 from typing import IO
 
-from .costcat import SLOT_SURCHARGE_10G, CostCatalog, LambdaType
+from .costcat import (PHYSICAL_MODULES, SLOT_SURCHARGE_10G, VIRTUAL_MODULES, CostCatalog,
+                      LambdaType)
 from .netmodel import MODE_OPTIMIZED, MODE_TRANSPARENT, Instance, node_demand
 from .pathgen import PathCatalog
 
@@ -60,7 +61,11 @@ CONTINUOUS = "continuous"
 INTEGER = "integer"
 BINARY = "binary"
 
-SNAP_TOLERANCE = Fraction(1, 10**6)
+# absolute tolerance on values a solver computes in floating point: the
+# checker's rows with a continuous variable, the snapping of imported
+# integer values and the report's flow decomposition read this one value,
+# so `metrics.decompose` accepts exactly the shortfall the checker accepts
+TOLERANCE = Fraction(1, 10**6)
 
 
 class ModelError(ValueError):
@@ -271,11 +276,11 @@ def _add_design_vars(m: Model, nidx: dict, eidx: dict) -> list[tuple[str, ...]]:
         m.fiber_vars[e.id] = m.add_var(
             f"ye_{eidx[e.id]}", Variable(INTEGER, cc.fiber_cost[e.id]))
     routers = [_FREE_ROUTER if m.transparent else Variable(BINARY, vm.cost)
-               for vm in cc.virtual_modules]
+               for vm in VIRTUAL_MODULES]
     for i in sorted(inst.pops):
         for midx, var in enumerate(routers):
             m.vmod_vars[(i, midx)] = m.add_var(f"xn_{nidx[i]}_{midx}", var)
-    oxcs = [Variable(BINARY, pm.cost) for pm in cc.physical_modules]
+    oxcs = [Variable(BINARY, pm.cost) for pm in PHYSICAL_MODULES]
     for i in sorted(inst.graph.node_ids()):
         for midx, var in enumerate(oxcs):
             m.pmod_vars[(i, midx)] = m.add_var(f"xo_{nidx[i]}_{midx}", var)
@@ -296,8 +301,8 @@ def _add_design_constraints(m: Model, nidx: dict, eidx: dict, circuits: list) ->
     # per module: (capacity, slots) of a router, (fibers, add-drop) of an
     # optical node, as the negative coefficients of its rows
     router_terms = [(-vm.switching_capacity, -vm.slot_capacity * slot_units)
-                    for vm in cc.virtual_modules]
-    oxc_terms = [(-pm.fiber_capacity, -pm.add_drop_ports) for pm in cc.physical_modules]
+                    for vm in VIRTUAL_MODULES]
+    oxc_terms = [(-pm.fiber_capacity, -pm.add_drop_ports) for pm in PHYSICAL_MODULES]
 
     # channels on each physical link fit into activated fibers
     for e in sorted(inst.graph.edges, key=lambda e: e.id):
@@ -309,12 +314,12 @@ def _add_design_constraints(m: Model, nidx: dict, eidx: dict, circuits: list) ->
     # at most one module per node and layer
     for i in sorted(inst.pops):
         coeffs = {m.vmod_vars[(i, midx)]: 1
-                  for midx in range(len(cc.virtual_modules))}
+                  for midx in range(len(VIRTUAL_MODULES))}
         m.add_constr(f"one_router_{nidx[i]}", "module-uniqueness",
                      coeffs, "<=", 1)
     for i in sorted(inst.graph.node_ids()):
         coeffs = {m.pmod_vars[(i, midx)]: 1
-                  for midx in range(len(cc.physical_modules))}
+                  for midx in range(len(PHYSICAL_MODULES))}
         m.add_constr(f"one_oxc_{nidx[i]}", "module-uniqueness",
                      coeffs, "<=", 1)
 
@@ -506,7 +511,7 @@ def import_solution(model: Model, inp: IO[str] | str) -> Solution:
         v = raw.pop(name, Fraction(0))
         if var.integrality in (INTEGER, BINARY):
             nearest = round(v)
-            if abs(v - nearest) > SNAP_TOLERANCE:
+            if abs(v - nearest) > TOLERANCE:
                 raise ModelError(f"{name}: fractional value {float(v)} for integer variable")
             v = nearest
         values[name] = v

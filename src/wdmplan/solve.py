@@ -43,13 +43,14 @@ Three layers of machinery:
   dearer entry would never leave the heap first; each expansion prices
   the hop to the target first, so its price bounds its siblings'. A
   re-route is searched under the cost of the circuits it freed, less one.
-  A hop whose cheapest mix costs more in circuits alone (the mix floor) is
-  skipped before any mix is priced, and a mix with no fewer circuits and
-  no cheaper base than an earlier one is never priced, as the optical
-  price never falls as circuits grow. Swaps and remixes are priced, not
-  applied: with the circuits taken off, one path scan prices each
-  placement (circuit and router term, then the optical layer's `price`)
-  under the cutoff "strictly cheaper", and the circuits go back once. A
+  One path scan, `_Heuristic._scan`, prices every placement: a mix whose
+  circuits alone cost more than the cutoff is skipped before it is priced,
+  and a mix with no fewer circuits and no cheaper base than an earlier one
+  is never priced, as the optical price never falls as circuits grow.
+  Swaps and remixes are priced, not applied: with the circuits taken off,
+  the scan prices each placement (circuit and router term, then the
+  optical layer's `price`) under the cutoff "strictly cheaper", and the
+  circuits go back once. Each kept move counts once. A
   route is priced as it will be applied, with its earlier hops' placements
   on the state (its hops share PoPs, and module prices are step
   functions), so it always applies, and a re-route is made only if it
@@ -57,8 +58,8 @@ Three layers of machinery:
   unbounded search.
   Every design the heuristic holds fits the catalog, so its cost is its
   `DesignState.spent`: `capacity_infeasible` turns away a model whose empty
-  design does not fit, `best_placement` offers only placements after which
-  every module fits, and removing circuits only lowers requirements.
+  design does not fit, `_scan` offers only placements after which every
+  module fits, and removing circuits only lowers requirements.
 
 Results are exact: bounds and objectives are `Fraction`s. A design's values
 are ints (circuits, fibers, modules, and the heuristic's flows, in whole
@@ -78,18 +79,15 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
 from math import inf, lcm
 
-from .costcat import LambdaType
+from .costcat import PHYSICAL_MODULES, VIRTUAL_MODULES, LambdaType
 from .metrics import routing_paths
-from .milp import BINARY, CONTINUOUS, Model, Solution
+from .milp import BINARY, CONTINUOUS, TOLERANCE, Model, Solution
 from .netmodel import node_demand
-
-CONTINUOUS_TOLERANCE = Fraction(1, 10**6)
 
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
@@ -131,7 +129,7 @@ def check_feasibility(model: Model, solution: Solution | dict) -> list[str]:
         if not v:  # zero is within every variable's bounds
             continue
         if var.integrality == CONTINUOUS:
-            if v < -CONTINUOUS_TOLERANCE:
+            if v < -TOLERANCE:
                 violations.append(f"{name}: negative value {float(v)}")
         else:
             if v != int(v) or v < 0:
@@ -149,7 +147,7 @@ def check_feasibility(model: Model, solution: Solution | dict) -> list[str]:
             if x:
                 lhs += coef * x
         # a row with any continuous variable, zero or not, gets the tolerance
-        tol = 0 if continuous.isdisjoint(c.coeffs) else CONTINUOUS_TOLERANCE
+        tol = 0 if continuous.isdisjoint(c.coeffs) else TOLERANCE
         bad = ((c.sense == "<=" and lhs > c.rhs + tol)
                or (c.sense == ">=" and lhs < c.rhs - tol)
                or (c.sense == "=" and abs(lhs - c.rhs) > tol))
@@ -323,8 +321,8 @@ class ModelTables:
         self.transparent = model.transparent
         self.channels_per_fiber = inst.channels_per_fiber
         prices = ([lt.cost for lt in cc.lambda_types] + list(cc.fiber_cost.values())
-                  + [vm.cost for vm in cc.virtual_modules]
-                  + [pm.cost for pm in cc.physical_modules])
+                  + [vm.cost for vm in VIRTUAL_MODULES]
+                  + [pm.cost for pm in PHYSICAL_MODULES])
         self.scale = lcm(*(price.denominator for price in prices))
         self.circuit_price = {lt.speed: self.of(lt.cost) for lt in cc.lambda_types}
         self.lt = {lt.speed: lt for lt in cc.lambda_types}
@@ -341,10 +339,10 @@ class ModelTables:
         self.vmod_for = cache(partial(_cheapest, sorted(
             (0 if model.transparent else self.of(vm.cost), midx, vm.switching_capacity,
              vm.slot_capacity * LambdaType.SLOT_UNITS)
-            for midx, vm in enumerate(cc.virtual_modules))))
+            for midx, vm in enumerate(VIRTUAL_MODULES))))
         self.pmod_for = cache(partial(_cheapest, sorted(
             (self.of(pm.cost), midx, pm.fiber_capacity, pm.add_drop_ports)
-            for midx, pm in enumerate(cc.physical_modules))))
+            for midx, pm in enumerate(PHYSICAL_MODULES))))
         self.d_i = node_demand(inst)
         self.pair_demand = {d.pair: d.value for d in inst.demands}
         # the cheapest scaled circuit price per Gbps, `gbps_num / gbps_den`
@@ -800,29 +798,18 @@ class _Heuristic:
             cost += after[0] - st.vmod[node][0]
         return cost
 
-    def best_placement(self, pair: tuple, need: int, cutoff: float = inf):
-        """(scaled marginal cost, path id, mix) of the cheapest placement
-        providing >= `need` extra Gbps on a pair, the first in path id and
-        mix order among equals, or None if none costs at most `cutoff`.
-        Every placement costs at least the floor of the mix table, as
-        router, fiber and optical-module terms are >= 0, so a floor above
-        `cutoff` ends the call before any mix is priced."""
-        floor, _, rows = self.tables.mix_table(need)
-        if floor > cutoff:
-            return None
-        return self._scan(pair, rows, cutoff)[0]
-
-    def _scan(self, pair: tuple, rows: list, cutoff: float) -> tuple[tuple | None, int]:
+    def _scan(self, pair: tuple, rows: list, cutoff: float) -> tuple | None:
         """The first cheapest (scaled marginal cost, path id, mix) of a
         mix-table row of `rows` on a path of `pair`, or None if none costs at
-        most `cutoff`; and how often the best improved, the moves applying
-        each candidate in turn and keeping a strictly cheaper one would make.
+        most `cutoff`.
 
         A mix is priced only if its base is at most `cutoff` and no earlier
         kept mix has no more circuits and no dearer base: the optical price
         never falls as the circuit count grows (fibers, drops and the
         cheapest covering module only grow), so such a mix costs at least
-        its earlier one on every path, and never beats it or ties ahead."""
+        its earlier one on every path, and never beats it or ties ahead. A
+        mix whose circuits alone cost more than `cutoff` is not priced at
+        all, as router, fiber and optical-module terms are >= 0."""
         options = []
         for mix, count, cost, sw, units in rows:
             if cost <= cutoff:  # a dearer one has a base above every later cutoff
@@ -831,8 +818,8 @@ class _Heuristic:
                         n <= count and b <= base for _, n, b in options):
                     options.append((mix, count, base))
         if not options:
-            return None, 0
-        best, improved = None, 0
+            return None
+        best = None
         price = self.state.optical.price
         # from here on `cutoff` is just below the best cost so far: as path
         # ids come in order, an equal candidate never wins. Catalog paths run
@@ -842,21 +829,21 @@ class _Heuristic:
                 if base <= cutoff:
                     c = price(pid, count, base, cutoff)
                     if c is not None:
-                        best, cutoff, improved = (c, pid, mix), c - 1, improved + 1
-        return best, improved
+                        best, cutoff = (c, pid, mix), c - 1
+        return best
 
     # ---- construct ---------------------------------------------------------
 
     def hop(self, i: str, j: str, amount: int, cutoff: float = inf) -> tuple | None:
         """(scaled marginal cost, placements) of carrying `amount` more on
         the hop i-j: no placement where spare capacity covers it, else the
-        `best_placement` (path id, mix); None if no placement fits, or none
-        costs at most `cutoff`."""
+        cheapest (path id, mix) covering the rest; None if no placement
+        fits, or none costs at most `cutoff`."""
         pair = (i, j) if i < j else (j, i)
         need = amount - (self.state.pair_capacity[pair] - self.pair_flow[pair])
         if need <= 0:
             return 0, ()
-        placed = self.best_placement(pair, need, cutoff)
+        placed = self._scan(pair, self.tables.mix_table(need)[2], cutoff)
         return None if placed is None else (placed[0], (placed[1:],))
 
     def route_demand(self, u: str, v: str, amount: int,
@@ -939,10 +926,10 @@ class _Heuristic:
 
     # ---- improve -----------------------------------------------------------
 
-    def prune_idle(self) -> list[tuple[int, int]]:
+    def prune_idle(self) -> list[tuple[int, int, int]]:
         """Drop circuits whose capacity is not needed by the pair flow, in
-        one call per (path, speed), and return the (path id, speed) of each,
-        one entry per circuit."""
+        one call per (path, speed), and return the (path id, speed, count)
+        of each call."""
         freed = []
         st, t = self.state, self.tables
         for (pid, speed), count in sorted(st.y.items()):
@@ -951,35 +938,36 @@ class _Heuristic:
                        // t.lt[speed].routing_capacity)
             if idle > 0:
                 st.add_circuits(pid, speed, -idle)
-                freed += [(pid, speed)] * idle
+                freed.append((pid, speed, idle))
         return freed
 
-    def swap_paths(self) -> bool:
-        """Move all circuits of one (path, speed) to a cheaper parallel path.
+    def swap_paths(self) -> int:
+        """Move all circuits of one (path, speed) to a cheaper parallel path;
+        the number of (path, speed)s moved.
 
         Priced, not applied: with the circuits off, `_scan` prices them on
         each path of the pair under the cutoff "strictly cheaper than now"
         (their own path prices at exactly that, so it is never taken)."""
-        improved = False
+        kept = 0
         st, t = self.state, self.tables
         for (pid, speed) in sorted(st.y):
             count = st.y[(pid, speed)]
             before = st.spent
             st.add_circuits(pid, speed, -count)
-            best, taken = self._scan(t.ends[pid], [t.mix_row({speed: count})],
-                                     before - st.spent - 1)
+            best = self._scan(t.ends[pid], [t.mix_row({speed: count})],
+                              before - st.spent - 1)
             if best is not None:
-                improved = True
-                self.moves += taken
+                kept += 1
                 pid = best[1]
             st.add_circuits(pid, speed, count)
-        return improved
+        return kept
 
-    def remix_pairs(self) -> bool:
+    def remix_pairs(self) -> int:
         """Re-optimize the circuit mix of one pair from scratch, if that pays:
-        with the pair's circuits off, `best_placement` prices its flow under
-        the cutoff "strictly cheaper than now"; if none is, they go back."""
-        improved = False
+        with the pair's circuits off, `_scan` prices its flow under the
+        cutoff "strictly cheaper than now"; if none is, they go back. The
+        number of pairs remixed."""
+        kept = 0
         st, t = self.state, self.tables
         speeds = sorted(t.lt)
         for pair, pids in t.catalog.pair_ids.items():  # in sorted pair order
@@ -991,24 +979,23 @@ class _Heuristic:
             before = st.spent
             for pid, speed, count in placed:
                 st.add_circuits(pid, speed, -count)
-            repl = self.best_placement(pair, flow, before - st.spent - 1)
+            repl = self._scan(pair, t.mix_table(flow)[2], before - st.spent - 1)
             if repl is None:
                 for pid, speed, count in placed:
                     st.add_circuits(pid, speed, count)
                 continue
             self.place([repl[1:]])
-            improved = True
-            self.moves += 1
-        return improved
+            kept += 1
+        return kept
 
-    def reroute_demands(self) -> bool:
+    def reroute_demands(self) -> int:
         """Take a demand out and prune the circuits it leaves idle; re-route
         it if a route costs less than they did, else put them back. The
         route search runs under that saving less one, so it prices no hop
         beyond what a kept route may cost. A demand whose removal frees no
         circuit stays, as a route only adds circuits. A kept re-route is one
-        move per freed circuit, plus one."""
-        improved = False
+        move per freed circuit, plus one; returns the moves kept."""
+        kept = 0
         st = self.state
         for idx in list(self.routes):
             d = self.tables.instance.demands[idx]
@@ -1021,23 +1008,21 @@ class _Heuristic:
             if found is not None:
                 _, self.routes[idx], placements = found
                 self.apply_route(self.routes[idx], d.value, placements)
-                improved = True
-                self.moves += len(freed) + 1
+                kept += sum(count for _, _, count in freed) + 1
             else:
-                for (pid, speed), count in Counter(freed).items():
+                for pid, speed, count in freed:
                     st.add_circuits(pid, speed, count)
                 self.apply_route(route, d.value, ())
-        return improved
+        return kept
 
     def improve(self) -> None:
+        """Run the local search's phases until a round keeps no move, at
+        most `IMPROVE_ROUNDS` rounds, and count the moves kept."""
         for _ in range(IMPROVE_ROUNDS):
-            pruned = len(self.prune_idle())
-            self.moves += pruned
-            changed = pruned > 0
-            changed |= self.swap_paths()
-            changed |= self.remix_pairs()
-            changed |= self.reroute_demands()
-            if not changed:
+            kept = sum(count for _, _, count in self.prune_idle())
+            kept += self.swap_paths() + self.remix_pairs() + self.reroute_demands()
+            self.moves += kept
+            if not kept:
                 break
 
 
@@ -1071,7 +1056,7 @@ def capacity_infeasible(model: Model, empty: DesignState | None = None) -> str |
                     f"ports, more than any optical node offers")
     for n in sorted(t.instance.pops):
         if t.vmod_for(t.d_i[n], 0) is None:
-            max_switch = max(vm.switching_capacity for vm in cc.virtual_modules)
+            max_switch = max(vm.switching_capacity for vm in VIRTUAL_MODULES)
             return (f"node {n} demand {t.d_i[n]} Gbps exceeds the largest "
                     f"router capacity {max_switch}")
     return None
@@ -1101,7 +1086,7 @@ def solve_heuristic(model: Model, seed: int = 0) -> SolveReport:
                 break
             h.apply_route([d.u, d.v], d.value, priced[1])
         if ok:
-            h.remix_pairs()
+            h.moves += h.remix_pairs()
     else:
         ok = h.construct()
         if ok:

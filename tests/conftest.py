@@ -11,6 +11,28 @@ from wdmplan.pathgen import build_catalog
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# SNDlib text of a three-node ring, shared by the format and CLI tests
+SND_FIXTURE = """\
+?SNDlib native format; type: network; version: 1.0
+# a three node ring
+NODES (
+  essen ( 7.01 51.45 )
+  dortmund ( 7.48 51.51 )
+  koeln ( 6.96 50.94 )
+)
+LINKS (
+  l1 ( essen dortmund ) 0.00 0.00 36.00 40.00 ( 40.00 85.00 )
+  l2 ( dortmund koeln ) 0.00 0.00 95.00 99.00 ( 40.00 85.00 )
+  l3 ( essen koeln ) 0.00 0.00 58.00 61.00 ( 40.00 85.00 )
+)
+DEMANDS (
+  d1 ( essen dortmund ) 1 22.00
+  d2 ( koeln essen ) 1 14.00
+  d3 ( essen koeln ) 1 3.00
+)
+"""
+
+
 def perfbench_gen():
     """The benchmark's seeded instance generators (perfbench/gen.py)."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")

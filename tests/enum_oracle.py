@@ -14,7 +14,7 @@ from math import ceil
 
 from scipy.optimize import linprog
 
-from wdmplan.costcat import build_cost_catalog
+from wdmplan.costcat import PHYSICAL_MODULES, VIRTUAL_MODULES, build_cost_catalog
 from wdmplan.netmodel import node_demand
 from wdmplan.pathgen import build_catalog
 
@@ -119,7 +119,7 @@ def brute_force_optimum(instance):
     def router_price(need_cap, need_slot_units):
         key = (need_cap, need_slot_units)
         if key not in vprice_memo:
-            fits = [vm.cost for vm in cc.virtual_modules
+            fits = [vm.cost for vm in VIRTUAL_MODULES
                     if vm.switching_capacity >= need_cap
                     and vm.slot_capacity * 14 >= need_slot_units]
             vprice_memo[key] = min(fits) if fits else None
@@ -128,7 +128,7 @@ def brute_force_optimum(instance):
     def optical_price(n_fibers, n_drops):
         key = (n_fibers, n_drops)
         if key not in oprice_memo:
-            fits = [pm.cost for pm in cc.physical_modules
+            fits = [pm.cost for pm in PHYSICAL_MODULES
                     if pm.fiber_capacity >= n_fibers
                     and pm.add_drop_ports >= n_drops]
             oprice_memo[key] = min(fits) if fits else None

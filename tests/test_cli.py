@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_instance, triangle_instance
+from conftest import SND_FIXTURE, make_instance, triangle_instance
 from wdmplan.cli import (CellSpec, ConfigError, ScenarioConfig, main,
                          render_cell_name, scenario_grid)
-from wdmplan.formats import read_instance, write_instance
+from wdmplan.formats import read_instance, read_sndlib, write_instance
 from wdmplan.metrics import REPORT_COLUMNS
+from wdmplan.pathgen import load_paths
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -547,6 +548,45 @@ def test_grid_axes_default_to_the_instance(tmp_path, command, names):
     assert sorted(p.stem for p in (out / "cells").glob("*.json")) == names
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_grid_rejects_an_instance_scale_without_decimal_form(tmp_path, capsys, command):
+    """A grid that takes its transponder scale from the instance prints it
+    in every cell name, so an instance scale with no finite decimal form is
+    a configuration error that names the instance parameter and the config
+    key that overrides it; nothing is written."""
+    inst = write_inst(tmp_path, triangle_instance(transponder_scale=Fraction(4, 3)))
+    out = tmp_path / "res"
+    assert main([command, "--instance", inst, "--out", str(out)]) == 2
+    assert ("error: the instance's param transponder-scale 4/3 has no finite decimal form "
+            "for the cell names; list transponder_scales in the config"
+            ) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config: "),
+    ("{", "config is not valid JSON: "),
+    ("[]", "config root must be a JSON object"),
+    ('{"matrix": 5}', "config key 'matrix' must be an object"),
+    ('{"matrix": {"source": "sndlib"}}', "unknown matrix source 'sndlib'"),
+    ('{"speeds": 10}', "config key 'speeds' must be a list of speed sets"),
+    ('{"transponder_scales": ["x"]}', "bad transponder scale 'x'"),
+    ('{"solver": "cplex"}', "unknown solver 'cplex'"),
+], ids=["unreadable", "invalid-json", "root-list", "matrix-number", "unknown-source",
+        "speeds-number", "unparsable-scale", "unknown-solver"])
+def test_unloadable_config_exits_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:  # else there is no file to read
+        cfg.write_text(text)
+    out = tmp_path / "res"
+    assert main(["run", "--config", str(cfg), "--instance", tri_file(tmp_path),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+    assert not out.exists()
+
+
 SHARED_NAMES = [  # (case, grid, the name two cells share, the key that repeats)
     ("repeated-scale", {"transponder_scales": [2, 2.0]}, "10G-MTX-0.1T-s2-OPT",
      "transponder_scales"),
@@ -625,6 +665,56 @@ def test_paths_command(tmp_path, capsys):
     rc = main(["paths", "--instance", str(DATA / "toy6.txt"), "--k", "1"])
     assert rc == 0
     assert "paths: 6" in capsys.readouterr().out
+
+
+def sndlib_files(tmp_path):
+    """The three-node SNDlib ring and a PoP file naming all of its nodes."""
+    net = tmp_path / "ring.txt"
+    net.write_text(SND_FIXTURE)
+    pops = tmp_path / "pops.txt"
+    pops.write_text("# the ring's PoPs\nessen\n\ndortmund\nkoeln\n")
+    return str(net), str(pops)
+
+
+def test_paths_from_sndlib(tmp_path, capsys):
+    """`paths --sndlib` with a PoP file builds the catalog of the SNDlib
+    network, and `--out` writes one that `load_paths` reads back. A reach
+    that leaves a pair without a path writes that pair's EMPTY line."""
+    net, pops = sndlib_files(tmp_path)
+    graph = read_sndlib(SND_FIXTURE).graph
+    out = tmp_path / "paths.txt"
+    assert main(["paths", "--sndlib", net, "--pops", pops, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "paths: 6" in printed
+    assert "pairs without any admissible path: 0" in printed
+    with open(out) as f:
+        cat = load_paths(f, graph)
+    assert {pair: [(p.edges, p.length_km) for p in plist]
+            for pair, plist in cat.pair_paths.items()} == {
+        ("dortmund", "essen"): [(("l1",), 36), (("l2", "l3"), 153)],
+        ("dortmund", "koeln"): [(("l1", "l3"), 94), (("l2",), 95)],
+        ("essen", "koeln"): [(("l3",), 58), (("l1", "l2"), 131)]}
+
+    assert main(["paths", "--sndlib", net, "--pops", pops, "--max-km", "50",
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "paths: 1" in printed
+    assert "pairs without any admissible path: 2" in printed
+    assert out.read_text() == ("dortmund essen 36 l1\n"
+                               "dortmund koeln - EMPTY\n"
+                               "essen koeln - EMPTY\n")
+    with open(out) as f:
+        assert load_paths(f, graph).empty_pairs() == (("dortmund", "koeln"),
+                                                      ("essen", "koeln"))
+
+
+def test_paths_sndlib_needs_pops(tmp_path, capsys):
+    out = tmp_path / "paths.txt"
+    assert main(["paths", "--sndlib", sndlib_files(tmp_path)[0], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --sndlib needs --pops" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--k", "--max-km"])

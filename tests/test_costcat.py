@@ -7,9 +7,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_instance
-from wdmplan.costcat import (amplifier_count, build_cost_catalog, dump_catalog_csv,
+from wdmplan.costcat import (PHYSICAL_MODULES, VIRTUAL_MODULES, amplifier_count,
+                             build_cost_catalog, dump_catalog_csv,
                              enumerate_virtual_modules, equalizer_count,
                              fiber_link_cost, lambda_type, physical_modules)
+from wdmplan.milp import build_model
+from wdmplan.pathgen import build_catalog
 
 
 def F(x):
@@ -142,8 +145,8 @@ def test_catalog_for_instance():
     assert set(cc.fiber_cost) == {"e1", "e2"}
     assert cc.fiber_cost["e1"] == F("3.072")
     assert [lt.speed for lt in cc.lambda_types] == [10, 100]
-    assert len(cc.virtual_modules) == 65
-    assert len(cc.physical_modules) == 10
+    assert len(VIRTUAL_MODULES) == 65
+    assert len(PHYSICAL_MODULES) == 10
 
 
 def test_catalog_respects_speed_subset():
@@ -155,12 +158,13 @@ def test_catalog_respects_speed_subset():
 
 
 def test_single_speed_module_count_unchanged():
-    # module list depends on slot counts, not on which circuits exist
-    catalogs = [build_cost_catalog(make_instance(
-        [("e1", "a", "b", 100)], pops=("a", "b"), demands=(("a", "b", 5),),
-        speeds=(speed,))) for speed in (10, 100)]
-    assert len(catalogs[0].virtual_modules) == 65
-    assert catalogs[0].virtual_modules == catalogs[1].virtual_modules
+    # module list depends on slot counts, not on which circuits exist: a
+    # single-speed model offers every router at each PoP
+    for speed in (10, 100):
+        inst = make_instance([("e1", "a", "b", 100)], pops=("a", "b"),
+                             demands=(("a", "b", 5),), speeds=(speed,))
+        m = build_model(inst, build_catalog(inst), build_cost_catalog(inst))
+        assert len(m.vmod_vars) == 2 * 65
 
 
 def test_dump_catalog_csv():

@@ -6,29 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import triangle_instance
+from conftest import SND_FIXTURE, triangle_instance
 from wdmplan.formats import (great_circle_km, read_instance, read_sndlib,
                              write_instance)
-
-SND_FIXTURE = """\
-?SNDlib native format; type: network; version: 1.0
-# a three node ring
-NODES (
-  essen ( 7.01 51.45 )
-  dortmund ( 7.48 51.51 )
-  koeln ( 6.96 50.94 )
-)
-LINKS (
-  l1 ( essen dortmund ) 0.00 0.00 36.00 40.00 ( 40.00 85.00 )
-  l2 ( dortmund koeln ) 0.00 0.00 95.00 99.00 ( 40.00 85.00 )
-  l3 ( essen koeln ) 0.00 0.00 58.00 61.00 ( 40.00 85.00 )
-)
-DEMANDS (
-  d1 ( essen dortmund ) 1 22.00
-  d2 ( koeln essen ) 1 14.00
-  d3 ( essen koeln ) 1 3.00
-)
-"""
 
 
 def test_read_sndlib_routing_cost_lengths():
@@ -148,7 +128,6 @@ def test_read_instance_errors():
     bad_value = INSTANCE_TEXT.replace("demand a c 7", "demand a c 7.5")
     with pytest.raises(ValueError, match="positive integer"):
         read_instance(bad_value)
-
 
 
 @pytest.mark.parametrize("line, message", [

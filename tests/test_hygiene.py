@@ -1,6 +1,7 @@
 """Code hygiene of the package: no unused imports, no unread names.
 
-A module-level function or class of `src/wdmplan` needs a reader in the
+A module-level function or class of `src/wdmplan`, and a method or
+property of one of its classes other than a dunder, needs a reader in the
 program: `src/` (the package's own `__init__` re-export does not count),
 `demos/` or `perfbench/`. A reader is a name in the code other than the
 definition itself: a bare name, an attribute or an imported name. Strings,
@@ -58,10 +59,15 @@ def test_no_unused_imports():
     assert not unused
 
 
-def test_every_module_level_name_has_a_reader():
+def _program_reads() -> Counter:
     counts = Counter()
     for path in PROGRAM:
         counts.update(_names_read(path))
+    return counts
+
+
+def test_every_module_level_name_has_a_reader():
+    counts = _program_reads()
     unread = []
     for path in MODULES:
         for node in ast.parse(path.read_text()).body:
@@ -70,3 +76,21 @@ def test_every_module_level_name_has_a_reader():
                 unread.append(f"{path.name}: {node.name}")
     assert not unread
     assert not any(counts[name] for name in KEEP), "a kept name has a reader now"
+
+
+def test_every_method_has_a_reader():
+    """A method left without callers, such as a second entry point that
+    the program stopped calling, fails here rather than living on in the
+    tests alone."""
+    counts = _program_reads()
+    methods, unread = 0, []
+    for path in MODULES:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                    methods += 1
+                    if not counts[node.name]:
+                        unread.append(f"{path.name}: {cls.name}.{node.name}")
+    assert methods and not unread, unread

@@ -11,7 +11,8 @@ import pytest
 
 from conftest import (ROOT, make_instance, perfbench_gen, random_connected_edges,
                       random_tiny_instance, routable_instance, triangle_instance)
-from wdmplan.costcat import (build_cost_catalog, enumerate_virtual_modules, fiber_link_cost,
+from wdmplan.costcat import (PHYSICAL_MODULES, VIRTUAL_MODULES, build_cost_catalog,
+                             enumerate_virtual_modules, fiber_link_cost,
                              physical_modules)
 from wdmplan.formats import read_instance
 from wdmplan.milp import (CONTINUOUS, INTEGER, Model, ModelError, Variable,
@@ -221,14 +222,12 @@ def test_model_shares_variable_records():
         assert len({id(opt.variables[n]) for n in opt.flow_vars.values()}) == 1
         assert len({id(tra.variables[n]) for n in tra.vmod_vars.values()}) == 1
         bound = (1 + len(cc.lambda_types) + len(inst.graph.edges)
-                 + len(cc.virtual_modules) + len(cc.physical_modules))
+                 + len(VIRTUAL_MODULES) + len(PHYSICAL_MODULES))
         for m in (opt, tra):
             assert len(set(map(id, m.variables.values()))) <= bound
     # the equipment tables are built once; the public builders return copies
-    for tables, make in (("virtual_modules", enumerate_virtual_modules),
-                         ("physical_modules", physical_modules)):
-        table = getattr(build_cost_catalog(mid), tables)
-        assert table is getattr(build_cost_catalog(toy6), tables)
+    for table, make in ((VIRTUAL_MODULES, enumerate_virtual_modules),
+                        (PHYSICAL_MODULES, physical_modules)):
         assert make() == list(table) and make() is not make()
     # records compare by identity: equal prices stay distinct records
     assert Variable(INTEGER, Fraction(1)) != Variable(INTEGER, Fraction(1))

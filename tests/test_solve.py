@@ -20,16 +20,16 @@ import pytest
 from conftest import (ROOT, make_instance, perfbench_gen, random_connected_edges,
                       random_midsize_instance, random_tiny_instance,
                       routable_instance, triangle_instance)
-from wdmplan.costcat import build_cost_catalog
+from wdmplan.costcat import PHYSICAL_MODULES, build_cost_catalog
 from wdmplan.formats import read_instance
 from wdmplan.metrics import decompose
-from wdmplan.milp import (BINARY, CONTINUOUS, ModelError, Solution, build_model,
+from wdmplan.milp import (BINARY, CONTINUOUS, TOLERANCE, ModelError, Solution, build_model,
                           build_transparent_variant, evaluate_cost, export_model,
                           slot_surcharge)
 from wdmplan.pathgen import build_catalog
 from wdmplan import metrics
 from wdmplan import solve as solve_module
-from wdmplan.solve import (CONTINUOUS_TOLERANCE, DesignState, Limits, ModelTables, _Heuristic,
+from wdmplan.solve import (DesignState, Limits, ModelTables, _Heuristic,
                            _mix_options, _OpticalLayer, capacity_infeasible,
                            check_feasibility, route_flows, solve_exact, solve_heuristic)
 
@@ -173,7 +173,7 @@ def _checked(name):
 class _UnbrokenHeuristic(_Heuristic):
     """A heuristic that asserts its design has no broken node after each
     route it applies (the transparent variant's direct hops among them),
-    after construct, after each move it counts and after each phase."""
+    after construct, after each phase and whenever it counts kept moves."""
 
     def __init__(self, model, seed):
         self.checked = Counter()
@@ -716,7 +716,7 @@ def _recomputed_bound(state):
         fibers[e.u] += f
         fibers[e.v] += f
     for node in inst.graph.node_ids():
-        fits = [pm.cost for pm in cc.physical_modules
+        fits = [pm.cost for pm in PHYSICAL_MODULES
                 if pm.fiber_capacity >= fibers[node] and pm.add_drop_ports >= drops[node]]
         if (fibers[node] or drops[node]) and fits:
             total += min(fits)
@@ -826,10 +826,16 @@ def _cost(state):
     return None if state.broken else state.spent
 
 
+def _placement(h, pair, need, cutoff=inf):
+    """The heuristic's cheapest placement of `need` Gbps on `pair`, as a hop
+    prices it: the scan of the need's mix table."""
+    return h._scan(pair, h.tables.mix_table(need)[2], cutoff)
+
+
 def test_marginal_cost_kernel_matches_exact_totals():
-    """best_placement picks the (cost, length, path id) minimum of the scaled
-    cost differences of applying each mix on each path of the pair,
-    skipping the candidates that break a node, and incremental node fiber
+    """The scan of a pair's mix table picks the (cost, length, path id)
+    minimum of the scaled cost differences of applying each mix on each
+    path of the pair, skipping the candidates that break a node, and incremental node fiber
     counts match a recount, over random add/remove sequences and states
     restored onto fresh ones."""
     rng = random.Random(2718)
@@ -863,7 +869,7 @@ def test_marginal_cost_kernel_matches_exact_totals():
                                 if after is not None:
                                     keys.append((after - before, cat.paths[qid].length_km,
                                                  qid, mx))
-                        placed = h.best_placement(pair, need)
+                        placed = _placement(h, pair, need)
                         if not keys:
                             assert placed is None
                         else:
@@ -918,7 +924,7 @@ def _full_hop_price(h, amount):
         need = amount - (h.state.pair_capacity[pair] - h.pair_flow[pair])
         if need <= 0:
             return 0, ()
-        placed = h.best_placement(pair, need)
+        placed = _placement(h, pair, need)
         return None if placed is None else (placed[0], (placed[1:],))
     return hop
 
@@ -930,7 +936,7 @@ def test_bounded_route_search_matches_unbounded():
     full with the label's placements on the state, and leaves the circuits,
     the cost and the pair flows as it found them; applying its route raises
     the cost by exactly the returned cost and breaks no node. route_demand
-    and best_placement under a cutoff return the unbounded result when it
+    and the placement scan under a cutoff return the unbounded result when it
     costs at most the cutoff (ties included) and None otherwise, and a
     draw with no route gives None under every cutoff."""
     rng = random.Random(1618)
@@ -943,9 +949,9 @@ def test_bounded_route_search_matches_unbounded():
                       build_transparent_variant(inst, full_cat, cc)):
                 h = _Heuristic(m, seed=0)
 
-                def counted(pair, need, cutoff=inf, place=h.best_placement):
-                    placed = place(pair, need, cutoff)
-                    seen["pruned"] += placed is None and place(pair, need) is not None
+                def counted(pair, rows, cutoff, scan=h._scan):
+                    placed = scan(pair, rows, cutoff)
+                    seen["pruned"] += placed is None and scan(pair, rows, inf) is not None
                     return placed
 
                 pops = sorted(inst.pops)
@@ -961,9 +967,9 @@ def test_bounded_route_search_matches_unbounded():
                     amount = rng.randint(1, rng.choice((300, 300, 4000)))
                     y, spent, flow = dict(h.state.y), h.state.spent, dict(h.pair_flow)
                     assert h.state.broken == 0
-                    h.best_placement = counted
+                    h._scan = counted
                     found = h.route_demand(u, v, amount)
-                    del h.best_placement
+                    del h._scan
                     assert (h.state.y, h.state.spent, h.pair_flow) == (y, spent, flow)
                     assert found == _best_first_route(pops, _full_hop_price(h, amount), u, v,
                                                       h.place)
@@ -986,14 +992,14 @@ def test_bounded_route_search_matches_unbounded():
                     pair = rng.choice(pairs)
                     need = rng.randint(1, rng.choice((300, 300, 4000)))
                     assert h.state.broken == 0
-                    full = h.best_placement(pair, need)
+                    full = _placement(h, pair, need)
                     if full is None:
                         for cutoff in (0, 10**12, inf):
-                            assert h.best_placement(pair, need, cutoff) is None
+                            assert _placement(h, pair, need, cutoff) is None
                         continue
                     c = full[0]
                     for cutoff in (c, c + 1, inf, c - 1, rng.randint(0, c), -1):
-                        placed = h.best_placement(pair, need, cutoff)
+                        placed = _placement(h, pair, need, cutoff)
                         assert placed == (full if c <= cutoff else None)
                         seen["tie" if c == cutoff else "over" if c > cutoff else "under"] += 1
     # the bound pruned hops, and every outcome occurred
@@ -1038,7 +1044,8 @@ def test_bounded_route_search_keeps_ties():
 def _reference_scan(h, pair, rows, cutoff):
     """`_Heuristic._scan` with no mix skipped: every row of `rows` is priced
     in full on every path of `pair`, and a candidate is kept when it costs
-    at most `cutoff`, which then drops below it."""
+    at most `cutoff`, which then drops below it. Returns the best candidate
+    and how often the best improved, which shows the cutoff tightening."""
     best, improved = None, 0
     for pid in h.tables.catalog.pair_ids[pair]:
         for mix, count, cost, sw, units in rows:
@@ -1050,8 +1057,8 @@ def _reference_scan(h, pair, rows, cutoff):
 
 
 def test_scan_skips_only_mixes_that_cannot_win():
-    """On random unbroken states, `_scan` returns the best placement and the
-    improvement count of a scan that prices every row on every path, under
+    """On random unbroken states, `_scan` returns the best placement of a
+    scan that prices every row on every path, under
     cutoffs at, above and below the best cost. The rows are a pair's mix
     table, and that table shuffled, with exact duplicate rows and with
     relabelled copies (another mix, the same circuit count, cost, switching
@@ -1085,16 +1092,16 @@ def test_scan_skips_only_mixes_that_cannot_win():
                         variants.append(tied)
                     for rows in variants:
                         full = _reference_scan(h, pair, rows, inf)
-                        assert h._scan(pair, rows, inf) == full
+                        assert h._scan(pair, rows, inf) == full[0]
                         if full[0] is None:
                             seen["none"] += 1
                             continue
                         seen["improved"] += full[1] > 1
                         c = full[0][0]
                         for cutoff in (c, c + 1, c - 1, rng.randint(0, c), -1):
-                            expected = _reference_scan(h, pair, rows, cutoff)
+                            expected = _reference_scan(h, pair, rows, cutoff)[0]
                             assert h._scan(pair, rows, cutoff) == expected
-                            seen["kept" if expected[0] else "cut"] += 1
+                            seen["kept" if expected else "cut"] += 1
                         seen["relabelled"] += "relabelled" in full[0][2]
     assert all(seen[k] for k in ("none", "improved", "kept", "cut", "relabelled")), seen
 
@@ -1102,8 +1109,10 @@ def test_scan_skips_only_mixes_that_cannot_win():
 def _applied_swap_paths(h, accepts):
     """swap_paths as it was before swaps were priced: each candidate is
     applied, costed and undone unless strictly cheaper. Appends the number
-    of paths taken for each (path, speed) it tries to `accepts`."""
-    improved = False
+    of paths taken for each (path, speed) it tries to `accepts`, and
+    returns the number of (path, speed)s moved: a chain of paths taken is
+    one kept move."""
+    kept = 0
     for (pid, speed) in sorted(h.state.y):
         count = h.state.y.get((pid, speed), 0)
         if not count:
@@ -1120,8 +1129,6 @@ def _applied_swap_paths(h, accepts):
             h.state.add_circuits(qid, speed, count)
             after = _cost(h.state)
             if after is not None and after < before:
-                improved = True
-                h.moves += 1
                 taken += 1
                 before = after
                 pid = qid
@@ -1129,7 +1136,8 @@ def _applied_swap_paths(h, accepts):
                 h.state.add_circuits(qid, speed, -count)
                 h.state.add_circuits(pid, speed, count)
         accepts.append(taken)
-    return improved
+        kept += taken > 0
+    return kept
 
 
 def _twin(h):
@@ -1143,9 +1151,9 @@ def _twin(h):
 
 
 def test_priced_swap_matches_applied_swap():
-    """swap_paths, which prices each parallel path, leaves the circuits,
-    the cost and the move count of the swap that applies every candidate,
-    and returns what it returns, on random unbroken placements (the
+    """swap_paths, which prices each parallel path, leaves the circuits and
+    the cost of the swap that applies every candidate, and returns its
+    count of kept moves, on random unbroken placements (the
     heuristic holds no other): with single moves, chains of moves and no
     move for a (path, speed)."""
     rng = random.Random(5772)
@@ -1167,7 +1175,6 @@ def test_priced_swap_matches_applied_swap():
                     assert h.swap_paths() == want
                     assert h.state.y == ref.state.y
                     assert h.state.spent == ref.state.spent
-                    assert h.moves == ref.moves
                     _assert_node_fibers(h.state, inst.graph)
     taken = Counter(min(n, 2) for n in accepts)
     assert taken[0] and taken[1] and taken[2], taken
@@ -1176,8 +1183,9 @@ def test_priced_swap_matches_applied_swap():
 def _applied_remix_pairs(h, outcomes):
     """remix_pairs as it was before remixes were priced: each pair's best
     mix is applied, costed and undone by `_restore` unless strictly cheaper.
-    Counts the remixes kept and rejected in `outcomes`."""
-    improved = False
+    Counts the remixes kept and rejected in `outcomes`, and returns the
+    number kept."""
+    kept = 0
     st, t = h.state, h.tables
     speeds = sorted(t.lt)
     for pair, pids in t.catalog.pair_ids.items():
@@ -1189,24 +1197,23 @@ def _applied_remix_pairs(h, outcomes):
         saved = dict(st.y)
         for (pid, speed) in placed:
             st.add_circuits(pid, speed, -st.y[(pid, speed)])
-        repl = h.best_placement(pair, flow)
+        repl = _placement(h, pair, flow)
         if repl is not None:
             h.place([repl[1:]])
             if st.spent < before:
-                improved = True
-                h.moves += 1
+                kept += 1
                 outcomes["kept"] += 1
                 continue
         _restore(st, saved)
         outcomes["rejected"] += 1
-    return improved
+    return kept
 
 
 def test_priced_remix_matches_applied_remix():
     """remix_pairs, which prices each pair's new mix under the cutoff
-    "strictly cheaper" before it places it, leaves the circuits, the cost
-    and the move count of the remix that applies the mix and restores the
-    design when it does not pay, and returns what it returns, on random
+    "strictly cheaper" before it places it, leaves the circuits and the
+    cost of the remix that applies the mix and restores the design when it
+    does not pay, and returns its count of kept moves, on random
     unbroken placements with random pair flows up to each pair's capacity;
     both kept and rejected remixes occur."""
     rng = random.Random(6931)
@@ -1230,7 +1237,6 @@ def test_priced_remix_matches_applied_remix():
                     assert h.remix_pairs() == want
                     assert h.state.y == ref.state.y
                     assert h.state.spent == ref.state.spent
-                    assert h.moves == ref.moves
                     _assert_node_fibers(h.state, inst.graph)
     assert outcomes["kept"] and outcomes["rejected"], outcomes
 
@@ -1239,8 +1245,9 @@ def _applied_reroute_demands(h, outcomes):
     """reroute_demands as it was before re-routes were priced: each new
     route is applied, costed, and undone by going back to a snapshot unless
     strictly cheaper. A kept re-route counts its freed circuits and itself
-    as moves. Counts the re-routes kept and rejected in `outcomes`."""
-    improved = False
+    as moves, and the moves kept are returned. Counts the re-routes kept
+    and rejected in `outcomes`."""
+    kept = 0
     st = h.state
     for idx in list(h.routes):
         d = h.tables.instance.demands[idx]
@@ -1257,22 +1264,21 @@ def _applied_reroute_demands(h, outcomes):
             h.apply_route(seq, d.value, placements)
             if st.spent < before:
                 h.routes[idx] = seq
-                improved = True
-                h.moves += len(freed) + 1
+                kept += sum(count for _, _, count in freed) + 1
                 outcomes["kept"] += 1
                 continue
         _restore(st, saved_y)
         h.pair_flow = saved_flow
         outcomes["rejected"] += 1
-    return improved
+    return kept
 
 
 def test_priced_reroute_matches_applied_reroute():
     """reroute_demands, which re-routes a demand only when the route costs
     less than the circuits its removal freed and else puts them back,
-    returns what the re-route that applies each route and goes back to a
-    snapshot returns, and leaves its circuits, cost, pair flows, routes and
-    move count, on random unbroken designs: constructed ones with random
+    returns the kept-move count of the re-route that applies each route and
+    goes back to a snapshot, and leaves its circuits, cost, pair flows and
+    routes, on random unbroken designs: constructed ones with random
     idle circuits added. Both kept and rejected re-routes occur."""
     rng = random.Random(8128)
     outcomes = Counter()
@@ -1297,7 +1303,6 @@ def test_priced_reroute_matches_applied_reroute():
                 assert h.state.spent == ref.state.spent
                 assert h.pair_flow == ref.pair_flow
                 assert h.routes == ref.routes
-                assert h.moves == ref.moves
                 assert not h.state.broken
     assert outcomes["kept"] and outcomes["rejected"], outcomes
 
@@ -1319,9 +1324,10 @@ def _prune_one_at_a_time(h):
 
 
 def test_prune_drops_what_one_at_a_time_drops():
-    """prune_idle, which drops a (path, speed)'s idle circuits in one call,
-    frees the circuits that dropping them one at a time frees, in the same
-    order, and leaves the same state, on constructed mid-size designs of
+    """prune_idle, which drops a (path, speed)'s idle circuits in one call
+    and returns each call's (path id, speed, count), frees the circuits
+    that dropping them one at a time frees, in the same order, and leaves
+    the same state, on constructed mid-size designs of
     both architectures with random circuits added and random demands taken
     out. Some (path, speed) gives up several circuits at once."""
     rng = random.Random(2718)
@@ -1345,7 +1351,8 @@ def test_prune_drops_what_one_at_a_time_drops():
                     h.apply_route(h.routes.pop(idx), -inst.demands[idx].value, ())
                 ref = _twin(h)
                 want = _prune_one_at_a_time(ref)
-                assert h.prune_idle() == want
+                assert [(pid, speed) for pid, speed, count in h.prune_idle()
+                        for _ in range(count)] == want
                 assert _state_values(h.state) == _state_values(ref.state)
                 freed.update(want)
     assert len(freed) >= 20 and max(freed.values()) >= 3, freed
@@ -1380,9 +1387,9 @@ def test_direct_hops_leave_no_idle_circuit():
     assert placed >= 20, placed
 
 
-def _floorless_best_placement(h, pair, need, cutoff=inf):
-    """best_placement as it was before the mix floor: every mix is priced
-    before the first comparison with the cutoff."""
+def _floorless_placement(h, pair, need, cutoff=inf):
+    """The placement scan as it was before the mix floor: every mix is
+    priced before the first comparison with the cutoff."""
     st, t = h.state, h.tables
     options = []
     for mix in _mix_options(need, t.model.cost_catalog.lambda_types):
@@ -1418,8 +1425,8 @@ def _floorless_best_placement(h, pair, need, cutoff=inf):
 
 
 def test_mix_floor_matches_floorless_placement():
-    """best_placement, which returns None before pricing any mix when the
-    cheapest mix's circuits already cost more than the cutoff, gives the
+    """The placement scan, which returns None before pricing any mix when
+    the cheapest mix's circuits already cost more than the cutoff, gives the
     floorless search's result around its cost, just under the floor and
     unbounded, on random unbroken placements (a step that breaks a node is
     undone) and needs; and the floor ended calls."""
@@ -1449,15 +1456,15 @@ def test_mix_floor_matches_floorless_placement():
                     need = rng.randint(1, rng.choice((300, 300, 4000)))
                     floor = h.tables.mix_table(need)[0]
                     assert h.state.broken == 0
-                    full = _floorless_best_placement(h, pair, need)
+                    full = _floorless_placement(h, pair, need)
                     cutoffs = [floor - 1, floor, inf]
                     if full is not None:
                         c = full[0]
                         cutoffs += [c - 1, c, c + 1]
                     for cutoff in cutoffs:
                         priced.clear()
-                        got = h.best_placement(pair, need, cutoff)
-                        assert got == _floorless_best_placement(h, pair, need, cutoff)
+                        got = _placement(h, pair, need, cutoff)
+                        assert got == _floorless_placement(h, pair, need, cutoff)
                         if floor > cutoff:
                             assert got is None and not priced
                             seen["floor"] += 1
@@ -1490,7 +1497,7 @@ def _dense_check_feasibility(model, values):
             continue
         v = values[name]
         if var.integrality == CONTINUOUS:
-            if v < -CONTINUOUS_TOLERANCE:
+            if v < -TOLERANCE:
                 violations.append(f"{name}: negative value {float(v)}")
         else:
             if v != int(v) or v < 0:
@@ -1506,7 +1513,7 @@ def _dense_check_feasibility(model, values):
             lhs += coef * values[var]
             if model.variables[var].integrality == CONTINUOUS:
                 has_continuous = True
-        tol = CONTINUOUS_TOLERANCE if has_continuous else Fraction(0)
+        tol = TOLERANCE if has_continuous else Fraction(0)
         bad = ((c.sense == "<=" and lhs > c.rhs + tol)
                or (c.sense == ">=" and lhs < c.rhs - tol)
                or (c.sense == "=" and abs(lhs - c.rhs) > tol))
@@ -1547,7 +1554,7 @@ def _perturb(model, values, rng):
     elif kind == 3:
         values[rng.choice(binary)] = Fraction(2)
     elif kind == 4 and continuous:
-        values[rng.choice(continuous)] = rng.choice((Fraction(-1, 10**7), -CONTINUOUS_TOLERANCE,
+        values[rng.choice(continuous)] = rng.choice((Fraction(-1, 10**7), -TOLERANCE,
                                                      Fraction(-1, 10**5)))
     elif kind == 5 and continuous:
         name = rng.choice(continuous)
