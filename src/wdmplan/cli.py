@@ -547,9 +547,7 @@ def main(argv=None) -> int:
             return _cmd_solve(args)
         if args.command == "catalog":
             return _cmd_catalog(args)
-        if args.command == "paths":
-            return _cmd_paths(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _cmd_paths(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

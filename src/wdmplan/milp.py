@@ -138,9 +138,6 @@ class Model:
             raise ModelError(f"constraint {name} references unknown {unknown}")
         self.constraints.append(Constraint(name, kind, dict(coeffs), sense, rhs))
 
-    def zero_solution(self) -> Solution:
-        return Solution(dict.fromkeys(self.variables, 0), Fraction(0))
-
 
 def _path_terms(circuits: list, pids, coefs: tuple) -> dict:
     """Row terms of the circuit variables of paths `pids`: `circuits[pid]`

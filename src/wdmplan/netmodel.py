@@ -102,9 +102,6 @@ class PhysicalGraph:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)
 
-    def node(self, node_id: str) -> Node:
-        return self._node_by_id[node_id]
-
     def has_node(self, node_id: str) -> bool:
         return node_id in self._node_by_id
 

@@ -79,11 +79,11 @@ class _ScaledGraph:
         exact = {e.id: as_fraction(e.length_km) for e in graph.edges}
         self.scale = lcm(bound.denominator, *(x.denominator for x in exact.values()))
         self.reach = bound.numerator * (self.scale // bound.denominator)
-        self.length = {eid: x.numerator * (self.scale // x.denominator)
-                       for eid, x in exact.items()}
+        length = {eid: x.numerator * (self.scale // x.denominator)
+                  for eid, x in exact.items()}
         self.bit = {n: 1 << idx for idx, n in enumerate(graph.node_ids())}
         # node -> ((edge id, neighbour, length, neighbour's bit), ...) in incident order
-        self.adj = {n: tuple((e.id, e.other(n), self.length[e.id], self.bit[e.other(n)])
+        self.adj = {n: tuple((e.id, e.other(n), length[e.id], self.bit[e.other(n)])
                              for e in graph.incident(n))
                     for n in graph.node_ids()}
 

@@ -5,7 +5,9 @@ Three layers of machinery:
 * `check_feasibility` verifies a full variable assignment row by row. It
   skips zero values, which are most of a design's variables: a zero is
   within every variable's bounds and adds nothing to a row.
-* `solve_exact` runs depth-first branch-and-bound over the circuit counts
+* `solve_exact` returns `solve_heuristic`'s report when it is proven
+  (`infeasible`, or `optimal` at the root bound); otherwise it runs
+  depth-first branch-and-bound from that seed over the circuit counts
   y_(path, speed), as one loop over an explicit stack that adds one circuit
   per step, so the model's size sets no depth limit. Fibers and node
   modules are not branched: for fixed circuit counts each link's channels
@@ -652,45 +654,37 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
     lower cost), and in the transparent variant each pair needs exactly its
     own demand covered. Exhausting the search proves optimality or
     infeasibility; hitting the node limit returns `unknown` with the
-    incumbent. Every exit but `optimal` reports the bound of the empty
-    design, `DesignState.lower_bound`.
+    incumbent.
+
+    The search starts from `solve_heuristic`'s design, and its report is
+    returned as it is, with no node explored, when it is proven already:
+    `infeasible` with `capacity_infeasible`'s proof, or `optimal` as its
+    design meets the bound of the empty design, `DesignState.lower_bound`.
+    Every exit but `optimal` reports that bound, the seed's.
     """
     limits = limits or Limits()
-    inst = model.instance
-    cat = model.catalog
-    cc = model.cost_catalog
-    total = inst.total_demand()
-
-    if total == 0:
-        return SolveReport(OPTIMAL, model.zero_solution(), Fraction(0), nodes_explored=1)
-
-    # the seed runs `capacity_infeasible` and reports its proof at the root
-    # bound, with no node explored
     seeded = solve_heuristic(model, seed=0)
-    if seeded.status == INFEASIBLE:
+    if seeded.status in (INFEASIBLE, OPTIMAL):
         return seeded
     tables = ModelTables(model)
     state = DesignState(tables)
-    root_bound = state.lower_bound()
-
     demand_by_pair = tables.pair_demand
+    total = model.instance.total_demand()
     # branch order: pairs in catalog order, paths within pair, speeds ascending
     branch: list[tuple[tuple, int, int, int]] = []  # (pair, path id, speed, ub)
-    for pair, pids in cat.pair_ids.items():
+    for pair, pids in tables.catalog.pair_ids.items():
         for pid in pids:
-            for lt in cc.lambda_types:
+            for speed, lt in tables.lt.items():
                 need = demand_by_pair.get(pair, 0) if model.transparent else total
                 ub = -(-need // lt.routing_capacity)
                 if ub:
-                    branch.append((pair, pid, lt.speed, ub))
+                    branch.append((pair, pid, speed, ub))
 
     # the incumbent's cost is kept scaled (see `ModelTables`), and a node is
     # pruned when its `bound_key` reaches it times the key's extra factor
-    incumbent: Solution | None = None
-    best: int | None = None
+    incumbent = seeded.solution
+    best = None if incumbent is None else tables.of(incumbent.objective)
     den = tables.gbps_den
-    if seeded.solution is not None:
-        incumbent, best = seeded.solution, tables.of(seeded.solution.objective)
 
     flow_cache: dict[tuple, dict | None] = {}
     last_var_of_pair = {pair: idx for idx, (pair, _, _, _) in enumerate(branch)}
@@ -724,7 +718,7 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
             values[-1] += 1
         nodes += 1
         if nodes > limits.max_nodes:
-            return SolveReport(UNKNOWN, incumbent, root_bound, nodes_explored=nodes)
+            return SolveReport(UNKNOWN, incumbent, seeded.bound, nodes_explored=nodes)
         idx = len(values) - 1
         pair, pid, speed, _ = branch[idx]
         if values[-1]:
@@ -742,7 +736,7 @@ def solve_exact(model: Model, limits: Limits | None = None) -> SolveReport:
         descend = not (prune_rest or short)
 
     if incumbent is None:
-        return SolveReport(INFEASIBLE, None, root_bound, nodes_explored=nodes)
+        return SolveReport(INFEASIBLE, None, seeded.bound, nodes_explored=nodes)
     return SolveReport(OPTIMAL, incumbent, incumbent.objective, nodes_explored=nodes)
 
 

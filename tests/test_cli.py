@@ -641,6 +641,14 @@ def test_catalog_command(tmp_path):
     assert lines[1].split(",")[0] == "circuit"
 
 
+def test_catalog_command_prints_the_csv_without_out(tmp_path, capsys):
+    out = tmp_path / "cat.csv"
+    assert main(["catalog", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["catalog"]) == 0
+    assert capsys.readouterr().out == out.read_bytes().decode()
+
+
 @pytest.mark.parametrize("bad", [["--speeds", "10,40"], ["--scale", "0.5"], ["--scale", "1/0"]],
                          ids=["speed-40", "scale-below-1", "scale-zero-denominator"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])

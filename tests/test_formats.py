@@ -29,8 +29,8 @@ def test_read_sndlib_setup_cost_lengths():
 
 def test_read_sndlib_coordinate_lengths():
     net = read_sndlib(SND_FIXTURE, length_source="coordinates")
-    essen = net.graph.node("essen")
-    dortmund = net.graph.node("dortmund")
+    essen, dortmund = net.graph.nodes[:2]
+    assert (essen.id, dortmund.id) == ("essen", "dortmund")
     expect = great_circle_km(essen.x, essen.y, dortmund.x, dortmund.y)
     assert net.graph.edge("l1").length_km == expect
     # Essen-Dortmund is roughly 33 km apart
@@ -51,14 +51,39 @@ def test_read_sndlib_errors():
     ("36.00 40.00", "1/0 40.00", "routing-cost", "zero denominator"),
     ("1 22.00", "1 1/0", "routing-cost", "zero denominator"),
     ("l3 ( essen koeln )", "l3 ( essen zz )", "coordinates", "l3 references an unknown node"),
-], ids=["link-length", "demand-value", "unknown-link-end"])
+    ("l1 ( essen dortmund )", "l1 essen dortmund", "routing-cost",
+     "unparsable LINKS entry: 'l1 essen dortmund "),
+    ("95.00 99.00 (", "(", "routing-cost", "link l2 lacks a routing-cost field"),
+    ("koeln ( 6.96 50.94 )", "koeln", "coordinates", "node without coordinates on link l2"),
+    ("d2 ( koeln essen ) 1 14.00", "d2 ( koeln essen ) 14.00", "routing-cost",
+     "unparsable DEMANDS entry: 'd2 "),
+], ids=["link-length", "demand-value", "unknown-link-end", "link-entry",
+        "routing-cost-field", "link-end-coordinates", "demand-entry"])
 def test_read_sndlib_rejects_malformed_numbers_and_ends(old, new, length_source, message):
-    """A `1/0` routing cost or demand value, and a link end no node names,
-    raise `ValueError`, which the CLI reports with exit status 2."""
+    """A `1/0` routing cost or demand value, a link end no node names or
+    without coordinates to measure it by, a link without the length field
+    asked for, and a link or demand entry not of the SNDlib form raise
+    `ValueError`, which the CLI reports with exit status 2."""
     text = SND_FIXTURE.replace(old, new)
     assert text != SND_FIXTURE
     with pytest.raises(ValueError, match=message):
         read_sndlib(text, length_source=length_source)
+
+
+def test_read_sndlib_accepts_bare_nodes_and_an_unclosed_last_section():
+    """A NODES entry may name a node without coordinates, and a file may end
+    inside its last section, even inside a wrapped entry: what was read of
+    the section is kept."""
+    text = SND_FIXTURE.replace("koeln ( 6.96 50.94 )", "koeln")
+    net = read_sndlib(text)
+    assert [(n.id, n.x) for n in net.graph.nodes] == [
+        ("essen", 7.01), ("dortmund", 7.48), ("koeln", None)]
+    assert net.raw_demands == read_sndlib(SND_FIXTURE).raw_demands
+    # the file ends inside LINKS, within l3's module list
+    cut = read_sndlib(SND_FIXTURE[:SND_FIXTURE.index("85.00 )\n)\nDEMANDS")])
+    assert [(e.id, e.length_km) for e in cut.graph.edges] == [("l1", 36), ("l2", 95),
+                                                              ("l3", 58)]
+    assert cut.raw_demands == {}
 
 
 def test_great_circle_quarter_meridian():
@@ -102,7 +127,8 @@ def test_read_instance_fields():
     assert inst.pops == ("a", "b", "c")
     assert {d.pair: d.value for d in inst.demands} == {
         ("a", "b"): 25, ("a", "c"): 7}
-    assert inst.graph.node("b").x == 7.0
+    assert [(n.id, n.x, n.y) for n in inst.graph.nodes] == [
+        ("a", None, None), ("b", 7.0, 51.0), ("c", None, None)]
 
 
 def test_instance_round_trip():

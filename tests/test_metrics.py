@@ -55,7 +55,7 @@ def relay_model():
     inst = triangle_instance(demands=(("a", "b", 20), ("b", "c", 30),
                                       ("a", "c", 10)), speeds=(10,))
     m = build(inst)
-    values = dict(m.zero_solution().values)
+    values = dict.fromkeys(m.variables, 0)
     values[m.flow_vars[("0", "a", "b")]] = Fraction(30)
     values[m.flow_vars[("0", "b", "c")]] = Fraction(10)
     values[m.flow_vars[("1", "b", "c")]] = Fraction(30)
@@ -106,7 +106,7 @@ def test_undeliverable_flow_names_its_source():
 def test_optical_bypass_counts_as_wdm_transit():
     inst = triangle_instance(demands=(("a", "c", 10),), speeds=(10,))
     m = build(inst)
-    values = dict(m.zero_solution().values)
+    values = dict.fromkeys(m.variables, 0)
     values[m.flow_vars[("0", "a", "c")]] = Fraction(10)
     # shortest a-c path runs a-b-c, so b is interior
     via_b = m.catalog.pair_ids[("a", "c")][0]
@@ -125,7 +125,7 @@ def test_disaggregation_fills_shortest_path_first():
     m = build(inst)
     first, second = m.catalog.pair_ids[("a", "b")]
     assert len(m.catalog.paths[first]) == 1
-    values = dict(m.zero_solution().values)
+    values = dict.fromkeys(m.variables, 0)
     values[m.flow_vars[("0", "a", "b")]] = Fraction(15)
     values[m.path_vars[(first, 10)]] = Fraction(1)
     values[m.path_vars[(second, 10)]] = Fraction(1)
@@ -137,7 +137,7 @@ def test_disaggregation_fills_shortest_path_first():
 def test_disaggregation_rejects_uncovered_flow():
     inst = triangle_instance(demands=(("a", "b", 15),), speeds=(10,))
     m = build(inst)
-    values = dict(m.zero_solution().values)
+    values = dict.fromkeys(m.variables, 0)
     values[m.flow_vars[("0", "a", "b")]] = Fraction(15)
     values[m.path_vars[(m.catalog.pair_ids[("a", "b")][0], 10)]] = Fraction(1)
     with pytest.raises(ModelError, match="pair a-b exceeds"):
@@ -170,7 +170,7 @@ def test_count_ip_paths_transparent():
     inst = triangle_instance(demands=(("a", "b", 20), ("b", "c", 30)))
     mt = build_transparent_variant(inst, build_catalog(inst),
                                    build_cost_catalog(inst))
-    assert count_ip_paths(mt, mt.zero_solution()) == 2
+    assert count_ip_paths(mt, dict.fromkeys(mt.variables, 0)) == 2
 
 
 def test_report_on_solved_triangle():

@@ -202,7 +202,7 @@ def test_evaluate_cost_requires_all_values():
     with pytest.raises(ModelError, match="missing variable value"):
         evaluate_cost(m, {})
     # the message names the first variable without a value, in model order
-    values = m.zero_solution().values
+    values = dict.fromkeys(m.variables, 0)
     first, later = list(m.fiber_vars.values())[:2]
     del values[later], values[first]
     with pytest.raises(ModelError, match=f"^missing variable value: {first}$"):
@@ -247,7 +247,7 @@ def test_model_rejects_duplicate_and_unknown_names():
 
 def test_zero_solution_costs_zero():
     m = build(full_triangle())
-    assert evaluate_cost(m, m.zero_solution()) == 0
+    assert evaluate_cost(m, dict.fromkeys(m.variables, 0)) == 0
 
 
 def test_transparent_structure():
@@ -355,8 +355,8 @@ def pinned_lp_instance():
 
 def test_rows_hold_ints_and_objectives_fractions():
     # every row number is whole and kept as an int; prices are Fractions,
-    # and so is the zero of a free variable. A zero solution and the integer
-    # variables of an imported one are ints, a continuous value a Fraction.
+    # and so is the zero of a free variable. The integer variables of an
+    # imported solution are ints, a continuous value a Fraction.
     # That the phase-1 simplex, which divides row numbers, stays exact on
     # int rows is checked in test_solve.py::test_int_rows_match_fraction_rows
     inst = pinned_lp_instance()
@@ -365,7 +365,6 @@ def test_rows_hold_ints_and_objectives_fractions():
         for c in m.constraints:
             assert type(c.rhs) is int
             assert all(type(x) is int for x in c.coeffs.values())
-        assert all(type(v) is int for v in m.zero_solution().values.values())
     m = build(inst)
     flow = next(iter(m.flow_vars.values()))
     imported = import_solution(m, f"ye_0 2.0000000004\n{flow} 2.5\n").values

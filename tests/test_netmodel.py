@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_graph, make_instance, triangle_instance
-from wdmplan.netmodel import (Demand, Instance, merge_directed, node_demand,
-                              scale_demand_matrix, synth_matrix)
+from wdmplan.netmodel import (Demand, Edge, Instance, Node, PhysicalGraph, merge_directed,
+                              node_demand, scale_demand_matrix, synth_matrix)
 
 
 def vals(demands):
@@ -129,6 +129,10 @@ def test_graph_validation():
         make_graph([("e1", "a", "b", 0)])
     with pytest.raises(ValueError, match="duplicate edge ids"):
         make_graph([("e1", "a", "b", 10), ("e1", "b", "c", 10)])
+    with pytest.raises(ValueError, match="duplicate node ids"):
+        PhysicalGraph([Node("a"), Node("b"), Node("a")], [])
+    with pytest.raises(ValueError, match="edge 'e1' references unknown node"):
+        PhysicalGraph([Node("a")], [Edge("e1", "a", "b", Fraction(10))])
 
 
 def test_graph_allows_parallel_edges():

@@ -21,7 +21,8 @@ from conftest import (ROOT, make_instance, perfbench_gen, random_connected_edges
                       random_midsize_instance, random_tiny_instance,
                       routable_instance, triangle_instance)
 from wdmplan.costcat import PHYSICAL_MODULES, build_cost_catalog
-from wdmplan.formats import read_instance
+from wdmplan.cli import main
+from wdmplan.formats import read_instance, write_instance
 from wdmplan.metrics import decompose
 from wdmplan.milp import (BINARY, CONTINUOUS, TOLERANCE, ModelError, Solution, build_model,
                           build_transparent_variant, evaluate_cost, export_model,
@@ -232,12 +233,12 @@ def test_zero_demand_is_free():
     inst = make_instance(
         [("e1", "a", "b", 100)], pops=("a", "b"), demands=())
     m = build(inst)
-    report = solve_exact(m)
-    assert report.status == "optimal"
-    assert evaluate_cost(m, report.solution) == 0
     h = solve_heuristic(m)
     assert h.status == "optimal"
     assert evaluate_cost(m, h.solution) == 0
+    # the seed is proven, so the exact solver returns it with no search
+    assert solve_exact(m) == h
+    assert h.nodes_explored == 0
 
 
 def test_check_feasibility_catches_planted_violations():
@@ -466,42 +467,42 @@ def test_exact_node_budget_reports_unknown():
 
 
 # (status, nodes explored, objective) of exact searches, recorded when the
-# search still recursed: one Python frame per branch variable; transparent
-# node counts since the transparent bound prices the shadow design, with
+# search still recursed: one Python frame per branch variable. Every
+# transparent seed here meets the root bound, so no node is explored, with
 # every status and objective kept
 TOY6_EXACT = {
-    ("transparent-core", None): ("optimal", 1, Fraction(33923, 125)),
+    ("transparent-core", None): ("optimal", 0, Fraction(33923, 125)),
     ("optimized", 2000): ("unknown", 2001, Fraction(30791, 50)),
 }
 TINY_EXACT = [  # tiny_instances(10, master_seed=2026): (optimized, transparent-core)
     (("optimal", 4, Fraction(106711, 1250)),
-     ("optimal", 2, Fraction(36711, 1250))),
+     ("optimal", 0, Fraction(36711, 1250))),
     (("optimal", 26, Fraction(347001, 2500)),
-     ("optimal", 2, Fraction(137001, 2500))),
+     ("optimal", 0, Fraction(137001, 2500))),
     (("optimal", 8, Fraction(56579, 625)),
-     ("optimal", 3, Fraction(21579, 625))),
+     ("optimal", 0, Fraction(21579, 625))),
     (("optimal", 2, Fraction(53108, 625)),
-     ("optimal", 2, Fraction(18108, 625))),
+     ("optimal", 0, Fraction(18108, 625))),
     (("optimal", 38, Fraction(193293, 1250)),
-     ("optimal", 2, Fraction(94749, 1250))),
+     ("optimal", 0, Fraction(94749, 1250))),
     (("optimal", 7, Fraction(110353, 1250)),
-     ("optimal", 3, Fraction(40353, 1250))),
+     ("optimal", 0, Fraction(40353, 1250))),
     (("optimal", 2, Fraction(56282, 625)),
-     ("optimal", 2, Fraction(21282, 625))),
+     ("optimal", 0, Fraction(21282, 625))),
     (("optimal", 4, Fraction(53054, 625)),
-     ("optimal", 2, Fraction(18054, 625))),
+     ("optimal", 0, Fraction(18054, 625))),
     (("optimal", 4, Fraction(53198, 625)),
-     ("optimal", 2, Fraction(18198, 625))),
+     ("optimal", 0, Fraction(18198, 625))),
     (("optimal", 7, Fraction(55028, 625)),
-     ("optimal", 3, Fraction(20028, 625))),
+     ("optimal", 0, Fraction(20028, 625))),
 ]
 MIDSIZE_TRANSPARENT_EXACT = [  # six routable mid-size instances, rng seed 2026
-    ("optimal", 1, Fraction(334613, 2500)),
-    ("optimal", 26, Fraction(1137113, 2500)),
-    ("optimal", 2, Fraction(5452, 25)),
-    ("optimal", 3, Fraction(364681, 2500)),
-    ("optimal", 1, Fraction(252611, 2500)),
-    ("optimal", 2, Fraction(177291, 625)),
+    ("optimal", 0, Fraction(334613, 2500)),
+    ("optimal", 0, Fraction(1137113, 2500)),
+    ("optimal", 0, Fraction(5452, 25)),
+    ("optimal", 0, Fraction(364681, 2500)),
+    ("optimal", 0, Fraction(252611, 2500)),
+    ("optimal", 0, Fraction(177291, 625)),
 ]
 
 
@@ -526,10 +527,10 @@ def test_exact_search_pinned():
         assert _exact_outcome(build_tra(inst)) == pinned
 
 
-# recorded when the transparent bound began to price the shadow design: it
-# moved only the transparent status, bound and node lines, and every value
-# line is as it was before the design state kept one running cost
-SOLUTION_VALUES_DIGEST = "cb8fb954e97e4ce4e75b1dada1d8fc3fb9108b5b4d04502141312d00afb9dbf5"
+# recorded when the exact search began to return a proven seed as it is: it
+# moved only the node counts of the four seed-proven exact solves, to 0, and
+# every value line is as it was before the design state kept one running cost
+SOLUTION_VALUES_DIGEST = "913543bbe3ceb04cd8b02c0d0dacd9a668922abc1aa6384f674be5a6cd037012"
 
 
 def test_solution_values_pinned():
@@ -664,6 +665,28 @@ def test_both_solvers_report_the_same_bound_when_nothing_fits():
         exact, heur = solve_exact(m), solve_heuristic(m)
         assert (exact.status, heur.status, exact.nodes_explored) == ("infeasible", "infeasible", 0)
         assert exact.bound == heur.bound == _root_bound(m) > 0
+
+
+def test_exact_search_proves_infeasibility_by_exhaustion(tmp_path, capsys):
+    """A chain a-m-b: 60 Gbps of 10G circuits at one channel per fiber needs
+    6 fibers on each link, so the transit site m holds 12, which no optical
+    node takes. No node total shows it, as m is no PoP: `capacity_infeasible`
+    gives no proof and the heuristic ends `unknown`. The search exhausts its
+    tree and proves `infeasible`, with the root bound."""
+    inst = make_instance([("e1", "a", "m", 100), ("e2", "m", "b", 100)], pops=("a", "b"),
+                         demands=(("a", "b", 60),), speeds=(10,), channels_per_fiber=1)
+    m = build(inst)
+    assert capacity_infeasible(m) is None
+    heur, exact = solve_heuristic(m), solve_exact(m)
+    assert (heur.status, heur.solution, heur.bound) == ("unknown", None, 74)
+    assert (exact.status, exact.solution, exact.nodes_explored, exact.bound) == (
+        "infeasible", None, 7, 74)
+    assert exact.bound == _root_bound(m)
+    path = tmp_path / "chain.txt"
+    with open(path, "w") as f:
+        write_instance(inst, f)
+    assert main(["solve", "--instance", str(path), "--solver", "exact"]) == 1
+    assert capsys.readouterr().out == "not feasible\n"
 
 
 def test_root_bound_pinned_on_toy6():
