@@ -23,8 +23,10 @@ Exit codes: 0 success, 1 at least one cell failed (solver gave up, errored,
 or a requested report could not be produced; "not feasible" is a result, not
 a failure), 2 configuration/usage errors.
 
-Reruns with the same config and seed write byte-identical outputs; wall
-times never enter any report.
+Reruns with the same config and seed write byte-identical outputs, also
+with `--jobs N`, which solves a grid's cells in N worker processes; wall
+times never enter any report. The process pool is imported only by a grid
+run with N above 1, so the other commands start without it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -325,7 +326,9 @@ def _solve_grid(config: ScenarioConfig, jobs: int, write_tables) -> int:
     file is read and the path catalog built once per grid: the catalog
     depends only on the graph, the PoPs, k and the reach. The cost catalog
     depends only on the links, the speed set and the price scale, so each
-    distinct (speeds, scale) pair of the grid gets one.
+    distinct (speeds, scale) pair of the grid gets one. With `jobs` above 1
+    the cells are solved in a process pool, imported only then; the
+    results come back in cell order, so the files are the serial run's.
     """
     base = read_instance_file(config.instance)
     cells = scenario_grid(config, base)
@@ -343,6 +346,8 @@ def _solve_grid(config: ScenarioConfig, jobs: int, write_tables) -> int:
                  "cost_catalog": cost_catalogs[(inst.speeds, inst.transponder_scale)]}
                 for inst in instances]
     if jobs > 1:
+        # imported here, so that a serial run does not load the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_cell, payloads))
     else:
@@ -456,10 +461,19 @@ def _parser() -> argparse.ArgumentParser:
     pa.add_argument("--length-source", default="routing-cost",
                     choices=("routing-cost", "setup-cost", "coordinates"))
     pa.add_argument("--k", type=int, help="paths per pair (overrides instance)")
-    pa.add_argument("--max-km", type=float, help="length bound (overrides instance)")
+    pa.add_argument("--max-km", help="length bound (overrides instance)")
     pa.add_argument("--expect", type=int, help="expected |P|; prints the deviation")
     pa.add_argument("--out", help="write the catalog to this file")
     return p
+
+
+def _flag_number(flag: str, text: str) -> Fraction:
+    """The exact value of option `flag`; a `ConfigError` naming the option
+    and `text` if it is not a finite number."""
+    try:
+        return as_fraction(text)
+    except ValueError:
+        raise ConfigError(f"{flag} {text!r} is not a finite number") from None
 
 
 def _cmd_solve(args) -> int:
@@ -488,7 +502,7 @@ def _cmd_solve(args) -> int:
 def _cmd_catalog(args) -> int:
     speeds = tuple(int(s) for s in args.speeds.split(","))
     buf = io.StringIO()  # complete before --out is opened: bad input leaves no file
-    dump_catalog_csv(buf, speeds=speeds, transponder_scale=as_fraction(args.scale))
+    dump_catalog_csv(buf, speeds=speeds, transponder_scale=_flag_number("--scale", args.scale))
     if args.out:
         with open(args.out, "w", newline="") as f:
             f.write(buf.getvalue())
@@ -516,7 +530,7 @@ def _cmd_paths(args) -> int:
     if args.k is not None:
         overrides["max_paths_per_pair"] = args.k
     if args.max_km is not None:
-        overrides["max_path_km"] = Fraction(str(args.max_km))
+        overrides["max_path_km"] = _flag_number("--max-km", args.max_km)
     if overrides:
         inst = dataclasses.replace(inst, **overrides)
     cat = build_catalog(inst)

@@ -46,7 +46,6 @@ in the Model's lookup tables.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, cycle
@@ -183,35 +182,35 @@ def build_model(instance: Instance, catalog: PathCatalog,
         commodities.append((f"{nidx[s]}", s, by_source[s]))
     m.commodities = commodities
 
+    # each commodity's flow names, one per arc (i, j) of PoPs in `arcs` order;
+    # the rows below read them by arc position
+    arcs = [(i, j) for i in pops for j in pops if i != j]
+    arc_pos = {arc: pos for pos, arc in enumerate(arcs)}
+    arc_tags = [f"{nidx[i]}_{nidx[j]}" for i, j in arcs]
+    flows = []
     for key, _origin, _sinks in commodities:
-        for i in pops:
-            for j in pops:
-                if i != j:
-                    m.flow_vars[(key, i, j)] = m.add_var(
-                        f"f_{key}_{nidx[i]}_{nidx[j]}", _FLOW)
+        names = [m.add_var(f"f_{key}_{tag}", _FLOW) for tag in arc_tags]
+        m.flow_vars.update(zip([(key, i, j) for i, j in arcs], names))
+        flows.append(names)
     circuits = _add_design_vars(m, nidx, eidx)
 
-    # flow conservation at every PoP for every commodity
-    for key, origin, sinks in commodities:
+    # flow conservation at every PoP for every commodity: out of i (+1) and
+    # into i (-1), interleaved per neighbor j
+    around = [(i, [pos for j in pops if j != i for pos in (arc_pos[(i, j)], arc_pos[(j, i)])])
+              for i in pops]
+    for (key, origin, sinks), names in zip(commodities, flows):
         supply = sum(sinks.values())
-        for i in pops:
-            coeffs = {}
-            for j in pops:
-                if j == i:
-                    continue
-                coeffs[m.flow_vars[(key, i, j)]] = 1
-                coeffs[m.flow_vars[(key, j, i)]] = -1
+        for i, positions in around:
             rhs = supply if i == origin else -sinks.get(i, 0)
             m.add_constr(f"conserve_{key}_{nidx[i]}", "flow-conservation",
-                         coeffs, "=", rhs)
+                         dict(zip([names[pos] for pos in positions], cycle((1, -1)))),
+                         "=", rhs)
 
     # virtual link capacity per unordered PoP pair
     neg_capacity = tuple(-lt.routing_capacity for lt in cost_catalog.lambda_types)
     for (i, j), pids in m.catalog.pair_ids.items():
-        coeffs = {}
-        for key, _origin, _sinks in commodities:
-            coeffs[m.flow_vars[(key, i, j)]] = 1
-            coeffs[m.flow_vars[(key, j, i)]] = 1
+        ij, ji = arc_pos[(i, j)], arc_pos[(j, i)]
+        coeffs = dict.fromkeys(chain.from_iterable((names[ij], names[ji]) for names in flows), 1)
         coeffs.update(_path_terms(circuits, pids, neg_capacity))
         if coeffs:
             m.add_constr(f"vcap_{nidx[i]}_{nidx[j]}", "virtual-link-capacity",
@@ -470,7 +469,7 @@ def _solution_value(text: str, where: str, via_float: bool) -> Fraction:
 def import_solution(model: Model, inp: IO[str] | str) -> Solution:
     """Read a solver solution: either `<varname> <value>` lines (with `#`
     comments) or the XML layout mainstream solvers emit (variable name/value
-    attributes).
+    attributes). The XML reader is imported only when the text is XML.
 
     Unlisted variables default to 0. Integer/binary variables are snapped to
     the nearest integer, an `int`, when within 1e-6 (solver float noise),
@@ -482,6 +481,7 @@ def import_solution(model: Model, inp: IO[str] | str) -> Solution:
     raw: dict[str, Fraction] = {}
     stripped = text.lstrip()
     if stripped.startswith("<"):
+        import xml.etree.ElementTree as ET  # only XML solutions need the reader
         try:
             root = ET.fromstring(text)
         except ET.ParseError as e:

@@ -246,22 +246,24 @@ def test_run_grid_outputs(tmp_path):
 
 
 def test_rerun_is_byte_identical(tmp_path):
+    """Each grid command writes the same bytes serially and over a pool."""
     base = tri_file(tmp_path)
-    outs = []
-    for sub in ("r1", "r2"):
-        cfg = {"instance": base, "volumes": [100], "speeds": [[10]],
-               "out": str(tmp_path / sub)}
-        p = tmp_path / f"{sub}.json"
-        p.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(p), "--jobs",
-                     "1" if sub == "r1" else "2"]) == 0
-        outs.append(tmp_path / sub)
-    a, b = outs
-    files_a = sorted(f.relative_to(a) for f in a.rglob("*") if f.is_file())
-    files_b = sorted(f.relative_to(b) for f in b.rglob("*") if f.is_file())
-    assert files_a == files_b
-    for rel in files_a:
-        assert (a / rel).read_bytes() == (b / rel).read_bytes()
+    for command, count in (("run", 6), ("sweep", 3)):
+        outs = []
+        for jobs in ("1", "2"):
+            cfg = {"instance": base, "volumes": [100], "speeds": [[10]],
+                   "transponder_scales": [1, 2], "out": str(tmp_path / command / jobs)}
+            p = tmp_path / f"{command}{jobs}.json"
+            p.write_text(json.dumps(cfg))
+            assert main([command, "--config", str(p), "--jobs", jobs]) == 0
+            outs.append(tmp_path / command / jobs)
+        a, b = outs
+        files_a = sorted(f.relative_to(a) for f in a.rglob("*") if f.is_file())
+        files_b = sorted(f.relative_to(b) for f in b.rglob("*") if f.is_file())
+        assert files_a == files_b
+        assert len(files_a) == count
+        for rel in files_a:
+            assert (a / rel).read_bytes() == (b / rel).read_bytes()
 
 
 def test_run_solves_toy6_at_10g_4t(tmp_path, monkeypatch):
@@ -661,6 +663,16 @@ def test_catalog_bad_input_writes_nothing(tmp_path, capsys, bad, to_file):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scale", ["abc", "nan"])
+def test_catalog_names_a_scale_that_is_no_number(tmp_path, capsys, scale):
+    out = tmp_path / "cat.csv"
+    assert main(["catalog", "--scale", scale, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --scale '{scale}' is not a finite number\n"
+    assert not out.exists()
+
+
 def test_paths_command(tmp_path, capsys):
     rc = main(["paths", "--instance", str(DATA / "toy6.txt"),
                "--expect", "10", "--out", str(tmp_path / "paths.txt")])
@@ -729,6 +741,17 @@ def test_paths_sndlib_needs_pops(tmp_path, capsys):
 def test_paths_rejects_zero_overrides(capsys, flag):
     assert main(["paths", "--instance", str(DATA / "toy6.txt"), flag, "0"]) == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf"])
+def test_paths_names_a_max_km_that_is_no_number(tmp_path, capsys, bound):
+    out = tmp_path / "paths.txt"
+    assert main(["paths", "--instance", str(DATA / "toy6.txt"), "--max-km", bound,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-km '{bound}' is not a finite number\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("expect", ["0", "-4"])

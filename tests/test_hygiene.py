@@ -11,9 +11,15 @@ docstrings and comments are not readers, and neither are the tests. Names
 are taken from the syntax tree rather than from `tokenize`, which before
 Python 3.12 sees an f-string as one string token and so would miss the
 names read inside one.
+
+Importing the package loads no standard-library module that only one
+option needs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -31,6 +37,10 @@ KEEP = {
                           "on its own; build_catalog runs the same search "
                           "(_k_shortest) for every pair",
 }
+
+# loaded by the command that needs them: the process pool for `--jobs` above
+# 1, the XML reader for an XML solution in `import_solution`
+ON_DEMAND = ("concurrent.futures", "multiprocessing", "xml.etree")
 
 
 def _names_read(path: Path) -> tuple[Counter, Counter]:
@@ -106,3 +116,16 @@ def test_every_method_has_a_reader():
                     if not counts[node.name]:
                         unread.append(f"{path.name}: {cls.name}.{node.name}")
     assert methods and not unread, unread
+
+
+def test_import_loads_no_on_demand_module():
+    """A fresh interpreter that imports `wdmplan` and `wdmplan.cli` loads
+    neither the process pool nor the XML reader."""
+    code = ("import sys; before = set(sys.modules); import wdmplan, wdmplan.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "wdmplan.cli" in loaded
+    assert not [name for name in loaded
+                if any(name == m or name.startswith(m + ".") for m in ON_DEMAND)]
