@@ -266,14 +266,15 @@ def build_cell_instance(base: Instance, config: ScenarioConfig, cell: CellSpec) 
 
 
 def solve_cell(inst: Instance, cat: PathCatalog, cc: CostCatalog, solver: str,
-               seed: int) -> dict:
+               seed: int) -> tuple:
     """Build the model of `inst.mode`'s architecture over the path catalog
     `cat` and the cost catalog `cc`, then solve or export it: the one stage
     between a cell's instance and its outputs, for `run_cell` and `solve`.
 
-    Returns the status, the JSON document (the cell's fields and the design's),
-    the design report (whenever the solver returns a design, `unknown`
-    included), the LP text (export-only) and the error (the solver gave up).
+    Returns (doc, report, lp): the JSON document (the cell's name,
+    architecture and status, then the design's fields), the design report
+    (whenever the solver returns a design, `unknown` included) and the LP
+    text (export-only).
     """
     build = build_transparent_variant if inst.mode == MODE_TRANSPARENT else build_model
     model = build(inst, cat, cc)
@@ -281,40 +282,33 @@ def solve_cell(inst: Instance, cat: PathCatalog, cc: CostCatalog, solver: str,
     if solver == "export-only":
         buf = io.StringIO()
         export_model(model, buf)
-        return {"status": "exported", "report": None, "lp": buf.getvalue(), "error": None,
-                "json": {**head, "status": "exported", "variables": len(model.variables),
-                         "constraints": len(model.constraints)}}
+        return ({**head, "status": "exported", "variables": len(model.variables),
+                 "constraints": len(model.constraints)}, None, buf.getvalue())
     rep = solve_exact(model) if solver == "exact" else solve_heuristic(model, seed=seed)
     status = "not feasible" if rep.status == INFEASIBLE else rep.status
     tr = None if rep.solution is None else metrics.report(model, rep.solution)
     doc = {**head, "status": status, **(metrics.report_json(tr) if tr else {}),
            "solver": {"solver": solver, "status": rep.status,
                       "nodes": rep.nodes_explored, "iterations": rep.iterations}}
-    error = "solver gave up without a verdict" if rep.status == UNKNOWN else None
-    return {"status": status, "report": tr, "lp": None, "error": error, "json": doc}
+    return doc, tr, None
 
 
-def run_cell(payload: dict) -> dict:
-    """Solve one grid cell; pure function of the payload (worker-safe).
-
-    The payload carries the cell's instance and cost catalog, the grid's
-    path catalog, which every cell shares, and the solver and seed.
-    Returns `solve_cell`'s outcome plus the cell's name and architecture; an
-    exception other than a broken solver invariant becomes the cell's error.
+def run_cell(inst: Instance, cost_catalog: CostCatalog, catalog: PathCatalog, solver: str,
+             seed: int) -> tuple:
+    """Solve one grid cell over the grid's path catalog, which every cell
+    shares; a pure function of its arguments (worker-safe). Returns
+    `solve_cell`'s (doc, report, lp); an exception other than a broken
+    solver invariant becomes the cell's error, with status `error`.
     """
-    inst = payload["instance"]
-    result = {"name": inst.name, "architecture": inst.mode}
     try:
-        result.update(solve_cell(inst, payload["catalog"], payload["cost_catalog"],
-                                 payload["solver"], payload["seed"]))
+        return solve_cell(inst, catalog, cost_catalog, solver, seed)
     except AssertionError:
         raise  # a broken solver invariant must stay loud
     except Exception as exc:  # one failing cell must not abort the grid
         msg = str(exc) if isinstance(exc, (ValueError, OSError)) \
             else f"{type(exc).__name__}: {exc}"
-        result.update(status="error", report=None, lp=None, error=msg,
-                      json={**result, "status": "error", "error": msg})
-    return result
+        return ({"name": inst.name, "architecture": inst.mode, "status": "error",
+                 "error": msg}, None, None)
 
 
 def _solve_grid(config: ScenarioConfig, jobs: int, write_tables) -> int:
@@ -341,52 +335,53 @@ def _solve_grid(config: ScenarioConfig, jobs: int, write_tables) -> int:
     cat = build_catalog(base)
     by_prices = {(inst.speeds, inst.transponder_scale): inst for inst in instances}
     cost_catalogs = {key: build_cost_catalog(inst) for key, inst in by_prices.items()}
-    payloads = [{"instance": inst, "catalog": cat, "solver": config.solver,
-                 "seed": config.seed,
-                 "cost_catalog": cost_catalogs[(inst.speeds, inst.transponder_scale)]}
-                for inst in instances]
+    cell_args = (instances, [cost_catalogs[(inst.speeds, inst.transponder_scale)]
+                             for inst in instances],
+                 itertools.repeat(cat), itertools.repeat(config.solver),
+                 itertools.repeat(config.seed))
     if jobs > 1:
         # imported here, so that a serial run does not load the pool's modules
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_cell, payloads))
+            results = list(pool.map(run_cell, *cell_args))
     else:
-        results = [run_cell(p) for p in payloads]
+        results = list(map(run_cell, *cell_args))
 
     outdir = Path(config.out)
     cells_dir = outdir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
-    for res in results:
-        with open(cells_dir / f"{res['name']}.json", "w") as f:
-            json.dump(res["json"], f, indent=2, sort_keys=True)
+    for doc, _, lp in results:
+        with open(cells_dir / f"{doc['name']}.json", "w") as f:
+            json.dump(doc, f, indent=2, sort_keys=True)
             f.write("\n")
-        if res["lp"] is not None:
-            (cells_dir / f"{res['name']}.lp").write_text(res["lp"])
+        if lp is not None:
+            (cells_dir / f"{doc['name']}.lp").write_text(lp)
     write_tables(outdir, cells, results)
 
-    failed = [r for r in results if r["error"] is not None]
-    for r in failed:
-        print(f"cell {r['name']}: {r['error']}", file=sys.stderr)
+    failed = [doc for doc, _, _ in results if doc["status"] in (UNKNOWN, "error")]
+    for doc in failed:
+        print(f"cell {doc['name']}: {doc.get('error', 'solver gave up without a verdict')}",
+              file=sys.stderr)
     return 1 if failed else 0
 
 
-def _cost_cells(res: dict | None) -> list[str]:
+def _cost_cells(res: tuple | None) -> list[str]:
     """Core, edge and total cost of a cell, or its status three times."""
     if res is None:
         return ["", "", ""]
-    if res["report"] is None:
-        return [res["status"]] * 3
-    tr = res["report"]
+    doc, tr, _ = res
+    if tr is None:
+        return [doc["status"]] * 3
     return [metrics.fmt_cost(c) for c in (tr.core_cost, tr.edge_cost, tr.total_cost)]
 
 
-def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[dict]) -> None:
+def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[tuple]) -> None:
     with open(outdir / "summary.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["name", "architecture", "status"] + metrics.REPORT_COLUMNS)
-        for res in results:
-            w.writerow([res["name"], res["architecture"], res["status"]]
-                       + metrics.report_csv_row(res["report"]))
+        for doc, tr, _ in results:
+            w.writerow([doc["name"], doc["architecture"], doc["status"]]
+                       + metrics.report_csv_row(tr))
 
     # architecture comparison, one row per scenario, as in the cost tables
     by_cell = dict(zip(cells, results))
@@ -400,9 +395,10 @@ def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[dict]) 
         for key in scenario_keys:
             t_res = by_cell.get(dataclasses.replace(key, architecture=MODE_TRANSPARENT))
             o_res = by_cell.get(key)
-            if (t_res and o_res and t_res["report"] and o_res["report"]
-                    and o_res["report"].total_cost):
-                ratio = t_res["report"].total_cost / o_res["report"].total_cost - 1
+            t_tr = t_res[1] if t_res else None
+            o_tr = o_res[1] if o_res else None
+            if t_tr and o_tr and o_tr.total_cost:
+                ratio = t_tr.total_cost / o_tr.total_cost - 1
                 diff = f"{float(100 * ratio):+.1f}%"
             else:
                 diff = "n/a"
@@ -410,15 +406,15 @@ def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[dict]) 
             w.writerow([scenario] + _cost_cells(t_res) + _cost_cells(o_res) + [diff])
 
 
-def _write_sweep_table(outdir: Path, cells: list[CellSpec], results: list[dict]) -> None:
+def _write_sweep_table(outdir: Path, cells: list[CellSpec], results: list[tuple]) -> None:
     """One row per scale: a cell's summary row with the scale in place of
     its architecture."""
     with open(outdir / "sweep.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["name", "scale", "status"] + metrics.REPORT_COLUMNS)
-        for cell, res in zip(cells, results):
-            w.writerow([res["name"], frac_decimal(cell.scale), res["status"]]
-                       + metrics.report_csv_row(res["report"]))
+        for cell, (doc, tr, _) in zip(cells, results):
+            w.writerow([doc["name"], frac_decimal(cell.scale), doc["status"]]
+                       + metrics.report_csv_row(tr))
 
 
 # ----------------------------------------------------------------------------
@@ -480,27 +476,29 @@ def _cmd_solve(args) -> int:
     inst = read_instance_file(args.instance)
     inst = dataclasses.replace(inst, mode=args.architecture or inst.mode,
                                name=inst.name or Path(args.instance).stem)
-    res = solve_cell(inst, build_catalog(inst), build_cost_catalog(inst), args.solver,
-                     args.seed)
-    tr = res["report"]
+    doc, tr, _ = solve_cell(inst, build_catalog(inst), build_cost_catalog(inst), args.solver,
+                            args.seed)
     if tr is None:
-        print(res["status"])
+        print(doc["status"])
         return 1
-    doc = res["json"]
     del doc["solver"]  # the report of one solve is the design's alone
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    print(f"{res['status']}: core {metrics.fmt_cost(tr.core_cost)} "
+    print(f"{doc['status']}: core {metrics.fmt_cost(tr.core_cost)} "
           f"edge {metrics.fmt_cost(tr.edge_cost)} "
           f"total {metrics.fmt_cost(tr.total_cost)}", file=sys.stderr)
-    return 1 if res["error"] else 0
+    return 1 if doc["status"] == UNKNOWN else 0
 
 
 def _cmd_catalog(args) -> int:
-    speeds = tuple(int(s) for s in args.speeds.split(","))
+    try:
+        speeds = tuple(int(s) for s in args.speeds.split(","))
+    except ValueError:
+        raise ConfigError(f"--speeds {args.speeds!r} is not a comma-separated list of "
+                          f"whole numbers") from None
     buf = io.StringIO()  # complete before --out is opened: bad input leaves no file
     dump_catalog_csv(buf, speeds=speeds, transponder_scale=_flag_number("--scale", args.scale))
     if args.out:

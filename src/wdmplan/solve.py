@@ -49,15 +49,15 @@ Three layers of machinery:
   circuits alone cost more than the cutoff is skipped before it is priced,
   and a mix with no fewer circuits and no cheaper base than an earlier one
   is never priced, as the optical price never falls as circuits grow.
-  Swaps and remixes are priced, not applied: with the circuits taken off,
-  the scan prices each placement (circuit and router term, then the
+  Circuits move as batches of (path id, speed, count)s, and swaps and
+  remixes share one keep-or-restore step, `_replace`: with a batch taken
+  off, the scan prices each replacement (circuit and router term, then the
   optical layer's `price`) under the cutoff "strictly cheaper", and the
-  circuits go back once. Each kept move counts once. A
-  route is priced as it will be applied, with its earlier hops' placements
-  on the state (its hops share PoPs, and module prices are step
-  functions), so it always applies, and a re-route is made only if it
-  costs less than the circuits it freed. Routes and costs are those of the
-  unbounded search.
+  winner or the batch goes on. Each kept move counts once. A route is
+  priced as it will be applied, with its earlier hops' batches on the
+  state (its hops share PoPs, and module prices are step functions), so it
+  always applies, and a re-route is made only if it costs less than the
+  circuits it freed. Routes and costs are those of the unbounded search.
   Every design the heuristic holds fits the catalog, so its cost is its
   `DesignState.spent`: `capacity_infeasible` turns away a model whose empty
   design does not fit, `_scan` offers only placements after which every
@@ -793,9 +793,9 @@ class _Heuristic:
         return cost
 
     def _scan(self, pair: tuple, rows: list, cutoff: float) -> tuple | None:
-        """The first cheapest (scaled marginal cost, path id, mix) of a
-        mix-table row of `rows` on a path of `pair`, or None if none costs at
-        most `cutoff`.
+        """(scaled marginal cost, batch) of the first cheapest mix-table row
+        of `rows` on a path of `pair`, or None if none costs at most
+        `cutoff`.
 
         A mix is priced only if its base is at most `cutoff` and no earlier
         kept mix has no more circuits and no dearer base: the optical price
@@ -824,37 +824,38 @@ class _Heuristic:
                     c = price(pid, count, base, cutoff)
                     if c is not None:
                         best, cutoff = (c, pid, mix), c - 1
-        return best
+        if best is None:
+            return None
+        c, pid, mix = best
+        return c, tuple((pid, speed, n) for speed, n in mix.items())
 
     # ---- construct ---------------------------------------------------------
 
     def hop(self, i: str, j: str, amount: int, cutoff: float = inf) -> tuple | None:
-        """(scaled marginal cost, placements) of carrying `amount` more on
-        the hop i-j: no placement where spare capacity covers it, else the
-        cheapest (path id, mix) covering the rest; None if no placement
-        fits, or none costs at most `cutoff`."""
+        """(scaled marginal cost, batch) of carrying `amount` more on the
+        hop i-j: an empty batch where spare capacity covers it, else the
+        scan's placement of the rest; None if none fits within `cutoff`."""
         pair = (i, j) if i < j else (j, i)
         need = amount - (self.state.pair_capacity[pair] - self.pair_flow[pair])
         if need <= 0:
             return 0, ()
-        placed = self._scan(pair, self.tables.mix_table(need)[2], cutoff)
-        return None if placed is None else (placed[0], (placed[1:],))
+        return self._scan(pair, self.tables.mix_table(need)[2], cutoff)
 
     def route_demand(self, u: str, v: str, amount: int,
                      cutoff: float = inf) -> tuple | None:
-        """(scaled cost, PoP sequence, placements) of the cheapest virtual
-        route by best-first search, or None if none costs at most `cutoff`.
+        """(scaled cost, PoP sequence, batch) of the cheapest virtual route
+        by best-first search, or None if none costs at most `cutoff`.
 
-        A label carries its hops' placements: they are on the state while
-        its expansions are priced, so a key is the exact increase of `spent`
-        its route makes, and costs only grow with circuits. `ub` is
-        `cutoff` or the smallest key pushed for `v`, if smaller. The first
-        entry for `v` to pop has a key of at most `ub`, so an entry dearer
-        than `ub` never pops (if one does, no route is within `cutoff`): its
-        hop is not priced beyond `ub - cost`. The hop to `v` is priced
-        before its siblings, so its key bounds theirs. An entry costing
-        exactly `ub` is kept, as (cost, hops, seq) may rank it first; as
-        that order is total, the push order changes nothing."""
+        A label carries its hops' batch, on the state while its expansions
+        are priced, so a key is the exact increase of `spent` its route
+        makes, and costs only grow with circuits. `ub` is `cutoff` or the
+        smallest key pushed for `v`, if smaller. The first entry for `v` to
+        pop has a key of at most `ub`, so an entry dearer than `ub` never
+        pops (if one does, no route is within `cutoff`): its hop is not
+        priced beyond `ub - cost`. The hop to `v` is priced before its
+        siblings, so its key bounds theirs. An entry costing exactly `ub` is
+        kept, as (cost, hops, seq) may rank it first; as that order is
+        total, the push order changes nothing."""
         order = (v, *(w for w in self.tables.pops if w != v))
         heap = [(0, 0, (u,), ())]
         done = set()
@@ -878,23 +879,21 @@ class _Heuristic:
                     continue
                 if w == v:  # priced[0] <= ub - cost, so this lowers or keeps ub
                     ub = cost + priced[0]
-                # no two entries share a seq, so placements are never compared
+                # no two entries share a seq, so batches are never compared
                 heapq.heappush(heap, (cost + priced[0], hops + 1, seq + (w,),
                                       placed + priced[1]))
             self.place(placed, -1)
         return None
 
-    def place(self, placements, sign: int = 1) -> None:
-        """Add (with `sign` -1, remove) each (path id, circuit mix) of
-        `placements`."""
-        for pid, mix in placements:
-            for speed, n in mix.items():
-                self.state.add_circuits(pid, speed, sign * n)
+    def place(self, batch, sign: int = 1) -> None:
+        """Add (with `sign` -1, remove) each (path id, speed, count) of `batch`."""
+        for pid, speed, count in batch:
+            self.state.add_circuits(pid, speed, sign * count)
 
-    def apply_route(self, seq: list[str], amount: int, placements) -> None:
-        """Make a route's `placements` and carry `amount` more (with a
-        negative `amount`, less) on each of its hops."""
-        self.place(placements)
+    def apply_route(self, seq: list[str], amount: int, batch) -> None:
+        """Place a route's `batch` and carry `amount` more (with a negative
+        `amount`, less) on each of its hops."""
+        self.place(batch)
         for i, j in zip(seq, seq[1:]):
             self.pair_flow[(i, j) if i < j else (j, i)] += amount
 
@@ -914,16 +913,16 @@ class _Heuristic:
                 found = self.route_demand(d.u, d.v, d.value)
             if found is None:
                 return False
-            _, self.routes[idx], placements = found
-            self.apply_route(self.routes[idx], d.value, placements)
+            _, self.routes[idx], batch = found
+            self.apply_route(self.routes[idx], d.value, batch)
         return True
 
     # ---- improve -----------------------------------------------------------
 
     def prune_idle(self) -> list[tuple[int, int, int]]:
         """Drop circuits whose capacity is not needed by the pair flow, in
-        one call per (path, speed), and return the (path id, speed, count)
-        of each call."""
+        one call per (path, speed), and return the batch dropped, one
+        (path id, speed, count) per call."""
         freed = []
         st, t = self.state, self.tables
         for (pid, speed), count in sorted(st.y.items()):
@@ -935,56 +934,47 @@ class _Heuristic:
                 freed.append((pid, speed, idle))
         return freed
 
-    def swap_paths(self) -> int:
-        """Move all circuits of one (path, speed) to a cheaper parallel path;
-        the number of (path, speed)s moved.
+    def _replace(self, pair: tuple, batch, rows: list) -> bool:
+        """Keep or restore: take `batch` off, place `_scan`'s pick of `rows` on
+        the paths of `pair` if it costs strictly less, else put `batch` back;
+        whether the pick was placed."""
+        before = self.state.spent
+        self.place(batch, -1)
+        found = self._scan(pair, rows, before - self.state.spent - 1)
+        self.place(batch if found is None else found[1])
+        return found is not None
 
-        Priced, not applied: with the circuits off, `_scan` prices them on
-        each path of the pair under the cutoff "strictly cheaper than now"
-        (their own path prices at exactly that, so it is never taken)."""
+    def swap_paths(self) -> int:
+        """Move all circuits of one (path, speed) to a cheaper parallel path
+        by `_replace` (their own path prices at exactly the batch's cost, so
+        it is never taken); the number of (path, speed)s moved."""
         kept = 0
         st, t = self.state, self.tables
-        for (pid, speed) in sorted(st.y):
+        for pid, speed in sorted(st.y):
             count = st.y[(pid, speed)]
-            before = st.spent
-            st.add_circuits(pid, speed, -count)
-            best = self._scan(t.ends[pid], [t.mix_row({speed: count})],
-                              before - st.spent - 1)
-            if best is not None:
-                kept += 1
-                pid = best[1]
-            st.add_circuits(pid, speed, count)
+            kept += self._replace(t.ends[pid], ((pid, speed, count),),
+                                  [t.mix_row({speed: count})])
         return kept
 
     def remix_pairs(self) -> int:
         """Re-optimize the circuit mix of one pair from scratch, if that pays:
-        with the pair's circuits off, `_scan` prices its flow under the
-        cutoff "strictly cheaper than now"; if none is, they go back. The
-        number of pairs remixed."""
+        `_replace` swaps the pair's circuits for the mix table of its flow.
+        The number of pairs remixed."""
         kept = 0
         st, t = self.state, self.tables
         speeds = sorted(t.lt)
         for pair, pids in t.catalog.pair_ids.items():  # in sorted pair order
             flow = self.pair_flow[pair]
-            placed = [(pid, speed, st.y[(pid, speed)])
-                      for pid in pids for speed in speeds if (pid, speed) in st.y]
-            if not placed or flow == 0:
-                continue
-            before = st.spent
-            for pid, speed, count in placed:
-                st.add_circuits(pid, speed, -count)
-            repl = self._scan(pair, t.mix_table(flow)[2], before - st.spent - 1)
-            if repl is None:
-                for pid, speed, count in placed:
-                    st.add_circuits(pid, speed, count)
-                continue
-            self.place([repl[1:]])
-            kept += 1
+            batch = [(pid, speed, st.y[(pid, speed)])
+                     for pid in pids for speed in speeds if (pid, speed) in st.y]
+            if batch and flow:
+                kept += self._replace(pair, batch, t.mix_table(flow)[2])
         return kept
 
     def reroute_demands(self) -> int:
         """Take a demand out and prune the circuits it leaves idle; re-route
-        it if a route costs less than they did, else put them back. The
+        it if a route costs less than they did, else put it back on its old
+        route with the batch it freed. The
         route search runs under that saving less one, so it prices no hop
         beyond what a kept route may cost. A demand whose removal frees no
         circuit stays, as a route only adds circuits. A kept re-route is one
@@ -1000,13 +990,11 @@ class _Heuristic:
             found = (self.route_demand(d.u, d.v, d.value, before - st.spent - 1)
                      if freed else None)
             if found is not None:
-                _, self.routes[idx], placements = found
-                self.apply_route(self.routes[idx], d.value, placements)
+                _, self.routes[idx], batch = found
+                self.apply_route(self.routes[idx], d.value, batch)
                 kept += sum(count for _, _, count in freed) + 1
             else:
-                for pid, speed, count in freed:
-                    st.add_circuits(pid, speed, count)
-                self.apply_route(route, d.value, ())
+                self.apply_route(route, d.value, freed)
         return kept
 
     def improve(self) -> None:

@@ -673,6 +673,17 @@ def test_catalog_names_a_scale_that_is_no_number(tmp_path, capsys, scale):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("speeds", ["abc", "", "10,,100"], ids=["word", "empty", "empty-item"])
+def test_catalog_names_speeds_that_are_no_numbers(tmp_path, capsys, speeds):
+    out = tmp_path / "cat.csv"
+    assert main(["catalog", "--speeds", speeds, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --speeds '{speeds}' is not a comma-separated list of "
+                            f"whole numbers\n")
+    assert not out.exists()
+
+
 def test_paths_command(tmp_path, capsys):
     rc = main(["paths", "--instance", str(DATA / "toy6.txt"),
                "--expect", "10", "--out", str(tmp_path / "paths.txt")])

@@ -855,6 +855,16 @@ def _placement(h, pair, need, cutoff=inf):
     return h._scan(pair, h.tables.mix_table(need)[2], cutoff)
 
 
+def _batched(placed):
+    """A (scaled cost, path id, mix) placement, or None, as `_scan` returns
+    it: (scaled cost, batch), the batch one (path id, speed, count) per
+    speed of the mix."""
+    if placed is None:
+        return None
+    c, pid, mix = placed
+    return c, tuple((pid, speed, n) for speed, n in mix.items())
+
+
 def test_marginal_cost_kernel_matches_exact_totals():
     """The scan of a pair's mix table picks the (cost, length, path id)
     minimum of the scaled cost differences of applying each mix on each
@@ -897,7 +907,7 @@ def test_marginal_cost_kernel_matches_exact_totals():
                             assert placed is None
                         else:
                             c, _length, qid, mx = min(keys, key=lambda k: k[:3])
-                            assert placed == (c, qid, mx)
+                            assert placed == _batched((c, qid, mx))
                     if st.y and rng.random() < 0.4:
                         (pid, speed), count = rng.choice(sorted(st.y.items()))
                         st.add_circuits(pid, speed, -rng.randint(1, count))
@@ -945,10 +955,7 @@ def _full_hop_price(h, amount):
     def hop(i, j):
         pair = (i, j) if i < j else (j, i)
         need = amount - (h.state.pair_capacity[pair] - h.pair_flow[pair])
-        if need <= 0:
-            return 0, ()
-        placed = _placement(h, pair, need)
-        return None if placed is None else (placed[0], (placed[1:],))
+        return (0, ()) if need <= 0 else _placement(h, pair, need)
     return hop
 
 
@@ -1115,14 +1122,14 @@ def test_scan_skips_only_mixes_that_cannot_win():
                         variants.append(tied)
                     for rows in variants:
                         full = _reference_scan(h, pair, rows, inf)
-                        assert h._scan(pair, rows, inf) == full[0]
+                        assert h._scan(pair, rows, inf) == _batched(full[0])
                         if full[0] is None:
                             seen["none"] += 1
                             continue
                         seen["improved"] += full[1] > 1
                         c = full[0][0]
                         for cutoff in (c, c + 1, c - 1, rng.randint(0, c), -1):
-                            expected = _reference_scan(h, pair, rows, cutoff)[0]
+                            expected = _batched(_reference_scan(h, pair, rows, cutoff)[0])
                             assert h._scan(pair, rows, cutoff) == expected
                             seen["kept" if expected else "cut"] += 1
                         seen["relabelled"] += "relabelled" in full[0][2]
@@ -1222,7 +1229,7 @@ def _applied_remix_pairs(h, outcomes):
             st.add_circuits(pid, speed, -st.y[(pid, speed)])
         repl = _placement(h, pair, flow)
         if repl is not None:
-            h.place([repl[1:]])
+            h.place(repl[1])
             if st.spent < before:
                 kept += 1
                 outcomes["kept"] += 1
@@ -1410,6 +1417,55 @@ def test_direct_hops_leave_no_idle_circuit():
     assert placed >= 20, placed
 
 
+def test_a_design_loads_through_place_and_apply_route(monkeypatch):
+    """A solved heuristic's design loads into a fresh heuristic with no
+    method of its own: its circuit counts go on as one batch through
+    `place`, then each route (in the transparent variant, each demand's
+    direct hop) through `apply_route` with an empty batch. The copy has the
+    original's circuits, cost, pair flows, routes, bound key and solution
+    values, and no broken node, on the mid-size benchmark network and on
+    random tiny nets, in both architectures."""
+    made = []
+
+    def heuristic(model, seed):
+        made.append(_Heuristic(model, seed))
+        return made[-1]
+
+    monkeypatch.setattr(solve_module, "_Heuristic", heuristic)
+    rng = random.Random(1729)
+    mid = perfbench_gen().mid_network()
+    nets = [(mid, build_catalog(mid))] + [routable_instance(random_tiny_instance, rng)
+                                          for _ in range(10)]
+    loaded = Counter()
+    for inst, cat in nets:
+        cc = build_cost_catalog(inst)
+        for m in (build_model(inst, cat, cc), build_transparent_variant(inst, cat, cc)):
+            report = solve_heuristic(m, seed=0)
+            if report.solution is None:
+                continue
+            h, copied = made[-1], _Heuristic(m, seed=0)
+            copied.place([(pid, speed, count) for (pid, speed), count in h.state.y.items()])
+            if m.transparent:
+                for d in inst.demands:
+                    copied.apply_route([d.u, d.v], d.value, ())
+            for idx, seq in h.routes.items():
+                copied.routes[idx] = seq
+                copied.apply_route(seq, inst.demands[idx].value, ())
+            assert copied.state.broken == 0
+            assert (copied.state.y, copied.state.spent, copied.pair_flow, copied.routes) == \
+                (h.state.y, h.state.spent, h.pair_flow, h.routes)
+            assert copied.state.bound_key() == h.state.bound_key()
+            key_of = {origin: key for key, origin, _sinks in m.commodities}
+            flows = solve_module._flow_values(m, [
+                (key_of[inst.demands[idx].u], seq, inst.demands[idx].value)
+                for idx, seq in copied.routes.items()])
+            solution = copied.state.to_solution(flows)
+            assert (solution.values, solution.objective) == \
+                (report.solution.values, report.solution.objective)
+            loaded[m.transparent, inst is mid] += 1
+    assert all(loaded[tra, big] for tra in (False, True) for big in (False, True)), loaded
+
+
 def _floorless_placement(h, pair, need, cutoff=inf):
     """The placement scan as it was before the mix floor: every mix is
     priced before the first comparison with the cutoff."""
@@ -1487,7 +1543,7 @@ def test_mix_floor_matches_floorless_placement():
                     for cutoff in cutoffs:
                         priced.clear()
                         got = _placement(h, pair, need, cutoff)
-                        assert got == _floorless_placement(h, pair, need, cutoff)
+                        assert got == _batched(_floorless_placement(h, pair, need, cutoff))
                         if floor > cutoff:
                             assert got is None and not priced
                             seen["floor"] += 1
