@@ -1,9 +1,10 @@
 """Re-optimize the six-node network under growing transponder prices.
 
-Drives the `wdmplan sweep` CLI in-process: the scale factor multiplies every
-transponder-driven price while router and optical gear stay fixed, showing
-how the optimal design shifts when circuits dominate the bill. Results land
-in a temporary directory; the script prints sweep.csv.
+Drives the `wdmplan run` CLI in-process over the optimized architecture
+alone: the scale factor multiplies every transponder-driven price while
+router and optical gear stay fixed, showing how the optimal design shifts
+when circuits dominate the bill. Results land in a temporary directory; the
+script prints summary.csv.
 
     python3 demos/04_transponder_sweep.py
 """
@@ -23,16 +24,17 @@ def main():
             "instance": str(ROOT / "data" / "toy6.txt"),
             "matrix": {"name": "TOY"},
             "speeds": [[10, 100]],
+            "architectures": ["optimized"],
             "transponder_scales": [1, 2, 5, 10],
             "solver": "heuristic",
             "out": str(Path(tmp) / "sweep"),
         }
         cfg_path = Path(tmp) / "sweep.json"
         cfg_path.write_text(json.dumps(config))
-        rc = cli_main(["sweep", "--config", str(cfg_path)])
+        rc = cli_main(["run", "--config", str(cfg_path)])
         if rc != 0:
             raise SystemExit(rc)
-        print((Path(tmp) / "sweep" / "sweep.csv").read_text())
+        print((Path(tmp) / "sweep" / "summary.csv").read_text())
         print("as transponders dominate the bill the optimum packs traffic")
         print("onto fewer, faster circuits (watch the lambda column).")
 

@@ -2,7 +2,6 @@
 
 Subcommands
   run      solve a scenario grid: cells/<name>.json, summary.csv, comparison.csv
-  sweep    transponder-cost sweep, the grid's optimized cells: sweep.csv
   solve    one instance, one architecture: report JSON
   catalog  dump the cost catalog as CSV
   paths    build the admissible path catalog and report its size
@@ -13,7 +12,9 @@ matrix token, total volume in Tbps, optional `s<scale>` when the transponder
 scale is not 1, architecture). Names print volume and scale exactly, and a
 grid whose cells would share a name is a configuration error. An axis the
 config leaves out is the instance's own (its demand total, `param speeds`,
-`param transponder-scale`); the architectures default to both.
+`param transponder-scale`); the architectures default to both. A
+transponder-price sweep is a grid over `transponder_scales` with
+`"architectures": ["optimized"]`.
 
 A cell's JSON and table rows lead with its own name, architecture and
 status, then its design's figures (`metrics.REPORT_COLUMNS` in a table,
@@ -185,7 +186,7 @@ def load_config(path: str | None, args: argparse.Namespace) -> ScenarioConfig:
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"bad transponder scale {s!r}") from None
         try:
-            frac_decimal(f)  # cell names and sweep.csv print it exactly
+            frac_decimal(f)  # cell names print it exactly
         except ModelError:
             raise ConfigError(f"transponder scale {s!r} has no finite decimal form") from None
         scales.append(f)
@@ -311,9 +312,9 @@ def run_cell(inst: Instance, cost_catalog: CostCatalog, catalog: PathCatalog, so
                  "error": msg}, None, None)
 
 
-def _solve_grid(config: ScenarioConfig, jobs: int, write_tables) -> int:
-    """Solve every cell of the grid, write the cell reports and the tables
-    `write_tables(outdir, cells, results)` makes; the exit code.
+def _solve_grid(config: ScenarioConfig, jobs: int) -> int:
+    """Solve every cell of the grid, write the cell reports and the run
+    tables; the exit code.
 
     Every cell's instance is built first, so a value that breaks a rule
     raises before any cell is solved or any file written. The instance
@@ -356,7 +357,7 @@ def _solve_grid(config: ScenarioConfig, jobs: int, write_tables) -> int:
             f.write("\n")
         if lp is not None:
             (cells_dir / f"{doc['name']}.lp").write_text(lp)
-    write_tables(outdir, cells, results)
+    _write_run_tables(outdir, cells, results)
 
     failed = [doc for doc, _, _ in results if doc["status"] in (UNKNOWN, "error")]
     for doc in failed:
@@ -406,17 +407,6 @@ def _write_run_tables(outdir: Path, cells: list[CellSpec], results: list[tuple])
             w.writerow([scenario] + _cost_cells(t_res) + _cost_cells(o_res) + [diff])
 
 
-def _write_sweep_table(outdir: Path, cells: list[CellSpec], results: list[tuple]) -> None:
-    """One row per scale: a cell's summary row with the scale in place of
-    its architecture."""
-    with open(outdir / "sweep.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["name", "scale", "status"] + metrics.REPORT_COLUMNS)
-        for cell, (doc, tr, _) in zip(cells, results):
-            w.writerow([doc["name"], frac_decimal(cell.scale), doc["status"]]
-                       + metrics.report_csv_row(tr))
-
-
 # ----------------------------------------------------------------------------
 # argument parsing
 
@@ -427,15 +417,13 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="solve a scenario grid")
-    sweep = sub.add_parser("sweep", help="transponder cost sweep")
-    for sp in (run, sweep):
-        sp.add_argument("--config", help="scenario config (JSON)")
-        sp.add_argument("--instance", help="instance file (overrides config)")
-        sp.add_argument("--out", help="output directory (overrides config)")
-        sp.add_argument("--solver", choices=SOLVERS, help="overrides config")
-        sp.add_argument("--seed", type=int, help="heuristic tie-break seed")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel worker processes over cells")
+    run.add_argument("--config", help="scenario config (JSON)")
+    run.add_argument("--instance", help="instance file (overrides config)")
+    run.add_argument("--out", help="output directory (overrides config)")
+    run.add_argument("--solver", choices=SOLVERS, help="overrides config")
+    run.add_argument("--seed", type=int, help="heuristic tie-break seed")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="parallel worker processes over cells")
 
     sv = sub.add_parser("solve", help="solve one instance")
     sv.add_argument("--instance", required=True)
@@ -547,14 +535,10 @@ def _cmd_paths(args) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command in ("run", "sweep") and args.jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         if args.command == "run":
-            return _solve_grid(load_config(args.config, args), args.jobs, _write_run_tables)
-        if args.command == "sweep":  # a run over the optimized architecture
-            config = dataclasses.replace(load_config(args.config, args),
-                                         architectures=(MODE_OPTIMIZED,))
-            return _solve_grid(config, args.jobs, _write_sweep_table)
+            if args.jobs < 1:
+                raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+            return _solve_grid(load_config(args.config, args), args.jobs)
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "catalog":

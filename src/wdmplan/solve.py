@@ -1008,17 +1008,47 @@ class _Heuristic:
                 break
 
 
+def _cut_fibers(t: ModelTables, fastest: int) -> dict[str, int]:
+    """Optimized: node -> the fibers its incident edges need at least, by
+    single-edge cuts. For an edge e, the PoP pairs with a catalog path that
+    avoids e form a graph; the virtual flow of a demand whose ends it does
+    not join crosses a pair whose every path uses e, so those demands need
+    ceil(their Gbps / fastest circuit) circuits, each a channel on e. Only
+    an edge on every path of some pair can cut a demand off."""
+    # pair -> the edges on every one of its paths
+    forced = {pair: frozenset.intersection(*(frozenset(t.path_edges[pid]) for pid in pids))
+              for pair, pids in t.catalog.pair_ids.items() if pids}
+    fibers: dict[str, int] = {}
+    for edge in frozenset().union(*forced.values()):
+        comp = {n: {n} for n in t.instance.pops}  # PoP -> its component
+        for (i, j), edges in forced.items():
+            if edge not in edges and comp[i] is not comp[j]:
+                joined = comp[i] | comp[j]
+                for n in joined:
+                    comp[n] = joined
+        crossing = sum(dv for (i, j), dv in t.pair_demand.items() if comp[i] is not comp[j])
+        channels = -(-crossing // fastest)
+        _, u, v, _ = edge
+        for n in (u, v):
+            fibers[n] = fibers.get(n, 0) - (-channels // t.channels_per_fiber)
+    return fibers
+
+
 def capacity_infeasible(model: Model, empty: DesignState | None = None) -> str | None:
-    """A proof that no design can fit, if one is visible from node totals;
-    `empty` is the empty design of `model`, built here if not given.
+    """A proof that no design can fit, if one is visible from node totals
+    or single-edge cuts; `empty` is the empty design of `model`, built here
+    if not given.
 
     Every design gives each node at least some fibers and drops, and none
     fits if no optical module takes a node's least pair. Optimized: at least
     ceil(d(i) / fastest circuit) circuits end at PoP i, each on a channel of
     an incident edge, so as many drops and ceil(that / channels per fiber)
-    fibers. Transparent: the fibers and drops of the empty design's shadow
-    design (see `DesignState.lower_bound`). PoP i also needs a router
-    switching at least d(i), the Gbps of virtual flow it terminates.
+    fibers; and every site has at least the fibers that single-edge cuts
+    force onto its edges (see `_cut_fibers`), a PoP the larger of the two
+    counts. Transparent: the fibers and drops of the empty design's shadow
+    design (see `DesignState.lower_bound`), which covers every site. PoP i
+    also needs a router switching at least d(i), the Gbps of virtual flow
+    it terminates.
     """
     if empty is None:
         empty = DesignState(ModelTables(model))
@@ -1031,6 +1061,9 @@ def capacity_infeasible(model: Model, empty: DesignState | None = None) -> str |
         fastest = max(lt.routing_capacity for lt in cc.lambda_types)
         ends = {n: -(-t.d_i[n] // fastest) for n in t.instance.pops}
         least = {n: (-(-k // t.channels_per_fiber), k) for n, k in ends.items()}
+        for n, fibers in _cut_fibers(t, fastest).items():
+            floor, drops = least.get(n, (0, 0))
+            least[n] = (max(floor, fibers), drops)
     for n in sorted(least):
         fibers, drops = least[n]
         if t.pmod_for(fibers, drops) is None:

@@ -199,14 +199,6 @@ def test_solve_and_run_agree_on_an_unknown_solve_with_a_design(tmp_path, monkeyp
     assert row["name"] == name and row["status"] == "unknown"
     assert row["total_cost"] == f"{solved['cost']['total']:.10g}"
 
-    # sweep.csv says the row is an incumbent, not a solved design
-    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "sweep")]) == 1
-    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
-    assert rows[0].split(",") == ["name", "scale", "status"] + REPORT_COLUMNS
-    row = dict(zip(rows[0].split(","), rows[1].split(",")))
-    assert row["name"] == name and row["status"] == "unknown"
-    assert row["total_cost"] == f"{solved['cost']['total']:.10g}"
-
 
 def test_missing_instance_is_config_error(capsys):
     rc = main(["solve", "--instance", "/nonexistent/nowhere.txt"])
@@ -246,24 +238,23 @@ def test_run_grid_outputs(tmp_path):
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    """Each grid command writes the same bytes serially and over a pool."""
+    """A grid run writes the same bytes serially and over a pool."""
     base = tri_file(tmp_path)
-    for command, count in (("run", 6), ("sweep", 3)):
-        outs = []
-        for jobs in ("1", "2"):
-            cfg = {"instance": base, "volumes": [100], "speeds": [[10]],
-                   "transponder_scales": [1, 2], "out": str(tmp_path / command / jobs)}
-            p = tmp_path / f"{command}{jobs}.json"
-            p.write_text(json.dumps(cfg))
-            assert main([command, "--config", str(p), "--jobs", jobs]) == 0
-            outs.append(tmp_path / command / jobs)
-        a, b = outs
-        files_a = sorted(f.relative_to(a) for f in a.rglob("*") if f.is_file())
-        files_b = sorted(f.relative_to(b) for f in b.rglob("*") if f.is_file())
-        assert files_a == files_b
-        assert len(files_a) == count
-        for rel in files_a:
-            assert (a / rel).read_bytes() == (b / rel).read_bytes()
+    outs = []
+    for jobs in ("1", "2"):
+        cfg = {"instance": base, "volumes": [100], "speeds": [[10]],
+               "transponder_scales": [1, 2], "out": str(tmp_path / jobs)}
+        p = tmp_path / f"run{jobs}.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(p), "--jobs", jobs]) == 0
+        outs.append(tmp_path / jobs)
+    a, b = outs
+    files_a = sorted(f.relative_to(a) for f in a.rglob("*") if f.is_file())
+    files_b = sorted(f.relative_to(b) for f in b.rglob("*") if f.is_file())
+    assert files_a == files_b
+    assert len(files_a) == 6
+    for rel in files_a:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes()
 
 
 def test_run_solves_toy6_at_10g_4t(tmp_path, monkeypatch):
@@ -310,10 +301,6 @@ def test_run_renders_infeasible_cells(tmp_path):
     comparison = (tmp_path / "res" / "comparison.csv").read_text().splitlines()
     assert "not feasible" in comparison[1]
     assert comparison[1].split(",")[-1] == "n/a"
-    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "sweep")]) == 0
-    sweep = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
-    assert [row.split(",") for row in sweep[1:]] == [
-        ["10G-MTX-4.01T-OPT", "1", "not feasible"] + [""] * len(REPORT_COLUMNS)]
 
 
 def test_run_records_unexpected_solver_errors(tmp_path, monkeypatch, capsys):
@@ -349,14 +336,6 @@ def test_run_records_unexpected_solver_errors(tmp_path, monkeypatch, capsys):
     assert doc["error"] == "RecursionError: maximum recursion depth exceeded"
     for name in statuses:
         assert (res / "cells" / f"{name}.json").is_file()
-    # sweep.csv: the same row with the scale in place of the architecture
-    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "sweep")]) == 1
-    assert "RecursionError: maximum recursion" in capsys.readouterr().err
-    sweep = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
-    rows = {ln.split(",")[0]: ln.split(",") for ln in sweep[1:]}
-    assert rows.keys() == {"10G-MTX-0.1T-OPT", "10G-MTX-0.2T-OPT"}
-    assert rows["10G-MTX-0.2T-OPT"] == ["10G-MTX-0.2T-OPT", "1", "error"] \
-        + [""] * len(REPORT_COLUMNS)
 
     def broken(model, seed=0):
         raise AssertionError("heuristic produced an infeasible design")
@@ -386,28 +365,28 @@ def test_grid_reads_instance_and_builds_catalog_once(tmp_path, monkeypatch):
            "transponder_scales": [1, 2]}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
-    for command, cells in (("run", 8), ("sweep", 4)):
-        calls.update(read_instance=0, build_catalog=0, build_cost_catalog=0)
-        out = tmp_path / command
-        assert main([command, "--config", str(p), "--out", str(out)]) == 0
-        assert len(list((out / "cells").glob("*.json"))) == cells
-        # one cost catalog per transponder scale
-        assert calls == {"read_instance": 1, "build_catalog": 1,
-                         "build_cost_catalog": 2}, command
+    out = tmp_path / "res"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    assert len(list((out / "cells").glob("*.json"))) == 8
+    # one cost catalog per transponder scale
+    assert calls == {"read_instance": 1, "build_catalog": 1, "build_cost_catalog": 2}
 
 
-def test_sweep_csv(tmp_path):
+def test_transponder_price_sweep(tmp_path):
+    """A price sweep is a run over the optimized architecture alone: one
+    summary row per transponder scale."""
     cfg = {"instance": tri_file(tmp_path), "volumes": [100], "speeds": [[10]],
-           "transponder_scales": [1, 5], "out": str(tmp_path / "res")}
+           "architectures": ["optimized"], "transponder_scales": [1, 5],
+           "out": str(tmp_path / "res")}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
-    assert main(["sweep", "--config", str(p)]) == 0
-    sweep = (tmp_path / "res" / "sweep.csv").read_text().splitlines()
-    assert sweep[0].split(",") == ["name", "scale", "status"] + REPORT_COLUMNS
-    assert len(sweep) == 3
-    rows = [dict(zip(sweep[0].split(","), line.split(","))) for line in sweep[1:]]
-    assert [r["scale"] for r in rows] == ["1", "5"]
-    assert rows[1]["name"] == "10G-MTX-0.1T-s5-OPT"
+    assert main(["run", "--config", str(p)]) == 0
+    summary = (tmp_path / "res" / "summary.csv").read_text().splitlines()
+    assert summary[0].split(",") == ["name", "architecture", "status"] + REPORT_COLUMNS
+    assert len(summary) == 3
+    rows = [dict(zip(summary[0].split(","), line.split(","))) for line in summary[1:]]
+    assert [r["name"] for r in rows] == ["10G-MTX-0.1T-OPT", "10G-MTX-0.1T-s5-OPT"]
+    assert {r["architecture"] for r in rows} == {"optimized"}
     assert {r["status"] for r in rows} <= {"optimal", "feasible"}
     # dearer circuits cannot make the design cheaper
     assert float(rows[1]["core_cost"]) >= float(rows[0]["core_cost"])
@@ -521,7 +500,7 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, bad):
     assert not (tmp_path / "res").exists()  # rejected before any cell ran
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("command", ["run"])
 def test_grid_without_demand_exits_2_before_any_cell(tmp_path, capsys, command):
     """An instance without demand lines and a grid without volumes give
     cells of volume 0: a configuration error, found before any cell is
@@ -536,7 +515,6 @@ def test_grid_without_demand_exits_2_before_any_cell(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command, names", [
     ("run", ["10G-MTX-0.077T-s2-OPT", "10G-MTX-0.077T-s2-TRA"]),
-    ("sweep", ["10G-MTX-0.077T-s2-OPT"]),
 ])
 def test_grid_axes_default_to_the_instance(tmp_path, command, names):
     """Without `speeds` or `transponder_scales` in the config, a grid
@@ -550,7 +528,7 @@ def test_grid_axes_default_to_the_instance(tmp_path, command, names):
     assert sorted(p.stem for p in (out / "cells").glob("*.json")) == names
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("command", ["run"])
 def test_grid_rejects_an_instance_scale_without_decimal_form(tmp_path, capsys, command):
     """A grid that takes its transponder scale from the instance prints it
     in every cell name, so an instance scale with no finite decimal form is
@@ -599,12 +577,9 @@ SHARED_NAMES = [  # (case, grid, the name two cells share, the key that repeats)
 ]
 
 
-# `sweep` replaces the architectures with the optimized one, so a repeated
-# architecture is a `run` case only
 @pytest.mark.parametrize("command, grid, name, key", [
-    pytest.param(command, grid, name, key, id=f"{command}-{case}")
-    for command in ("run", "sweep") for case, grid, name, key in SHARED_NAMES
-    if command == "run" or "architectures" not in grid])
+    pytest.param("run", grid, name, key, id=f"run-{case}")
+    for case, grid, name, key in SHARED_NAMES])
 def test_grid_rejects_cells_that_share_a_name(tmp_path, capsys, command, grid, name, key):
     cfg = {"instance": tri_file(tmp_path), "volumes": [100], "speeds": [[10]],
            "out": str(tmp_path / "res"), **grid}
@@ -774,7 +749,7 @@ def test_paths_rejects_expect_below_1(capsys, expect):
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
-@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("command", ["run"])
 def test_grid_rejects_jobs_below_1(tmp_path, capsys, command, jobs):
     out = tmp_path / "res"
     assert main([command, "--instance", tri_file(tmp_path), "--out", str(out),

@@ -651,38 +651,48 @@ def test_transparent_bound_never_above_a_completion():
 
 
 def test_both_solvers_report_the_same_bound_when_nothing_fits():
-    """Each end needs 11 fibers and the largest optical node takes 10.
-    Optimized: 11 circuits of 10G at least end at each end, each on its own
-    fiber. Transparent: the empty design's shadow design already needs 11
-    fibers and 11 drops at each end. Either way `capacity_infeasible` proves
-    it, and both solvers read `infeasible` with no node explored and report
-    the bound of the empty design."""
-    inst = make_instance([("e1", "a", "b", 100)], pops=("a", "b"),
+    """One 10G link a-b at one channel per fiber: each end needs 11 fibers,
+    and the largest optical node takes 10. Optimized: 11 circuits of 10G at
+    least end at each end, each on its own fiber. Transparent: the empty
+    design's shadow design already needs 11 fibers and 11 drops at each
+    end. A chain a-m-b with 60 Gbps: 6 fibers on each link, as every path
+    of the one pair uses both, so the transit site m holds 12. No PoP total
+    shows m; the optimized proof finds it by single-edge cuts, the
+    transparent one in its shadow design. Either way `capacity_infeasible`
+    proves it, and both solvers read `infeasible` with no node explored and
+    report the bound of the empty design."""
+    link = make_instance([("e1", "a", "b", 100)], pops=("a", "b"),
                          demands=(("a", "b", 110),), speeds=(10,), channels_per_fiber=1)
-    for m in (build(inst), build_tra(inst)):
-        assert capacity_infeasible(m) == (
-            "node a needs >= 11 fibers and 11 add-drop ports, more than any optical node offers")
-        exact, heur = solve_exact(m), solve_heuristic(m)
-        assert (exact.status, heur.status, exact.nodes_explored) == ("infeasible", "infeasible", 0)
-        assert exact.bound == heur.bound == _root_bound(m) > 0
+    chain = make_instance([("e1", "a", "m", 100), ("e2", "m", "b", 100)], pops=("a", "b"),
+                          demands=(("a", "b", 60),), speeds=(10,), channels_per_fiber=1)
+    for inst, node, fibers, drops in ((link, "a", 11, 11), (chain, "m", 12, 0)):
+        for m in (build(inst), build_tra(inst)):
+            assert capacity_infeasible(m) == (
+                f"node {node} needs >= {fibers} fibers and {drops} add-drop ports, "
+                f"more than any optical node offers")
+            exact, heur = solve_exact(m), solve_heuristic(m)
+            assert (exact.status, heur.status, exact.nodes_explored) == (
+                "infeasible", "infeasible", 0)
+            assert exact.bound == heur.bound == _root_bound(m) > 0
 
 
 def test_exact_search_proves_infeasibility_by_exhaustion(tmp_path, capsys):
-    """A chain a-m-b: 60 Gbps of 10G circuits at one channel per fiber needs
-    6 fibers on each link, so the transit site m holds 12, which no optical
-    node takes. No node total shows it, as m is no PoP: `capacity_infeasible`
-    gives no proof and the heuristic ends `unknown`. The search exhausts its
-    tree and proves `infeasible`, with the root bound."""
-    inst = make_instance([("e1", "a", "m", 100), ("e2", "m", "b", 100)], pops=("a", "b"),
-                         demands=(("a", "b", 60),), speeds=(10,), channels_per_fiber=1)
+    """One 100 km link a-b and 4,400 Gbps of 100G circuits: 44 circuits end
+    at each end, and its router switches the 4,400 Gbps of demand plus 120
+    Gbps per circuit, 9,680 Gbps, more than the largest router's 8,960. No
+    proof reads circuit switching: `capacity_infeasible` gives none and the
+    heuristic ends `unknown`. The search exhausts its tree and proves
+    `infeasible`, with the root bound."""
+    inst = make_instance([("e1", "a", "b", 100)], pops=("a", "b"),
+                         demands=(("a", "b", 4400),), speeds=(100,))
     m = build(inst)
     assert capacity_infeasible(m) is None
     heur, exact = solve_heuristic(m), solve_exact(m)
-    assert (heur.status, heur.solution, heur.bound) == ("unknown", None, 74)
+    assert (heur.status, heur.solution, heur.bound) == ("unknown", None, 2321)
     assert (exact.status, exact.solution, exact.nodes_explored, exact.bound) == (
-        "infeasible", None, 7, 74)
+        "infeasible", None, 40, 2321)
     assert exact.bound == _root_bound(m)
-    path = tmp_path / "chain.txt"
+    path = tmp_path / "link.txt"
     with open(path, "w") as f:
         write_instance(inst, f)
     assert main(["solve", "--instance", str(path), "--solver", "exact"]) == 1
